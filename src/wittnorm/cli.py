@@ -45,6 +45,7 @@ from .serialize import (
     base_elt_json,
     dumps_value,
     emit,
+    emit_csv,
     group_json,
     mackey_json,
     matrix_json,
@@ -86,7 +87,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--cap", type=int, default=None,
                      help="tensor dimension cap (default: WITTNORM_CAP or 4096)")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--timings", action="store_true",
                      help="include wall times (output no longer byte-stable)")
 
@@ -342,23 +342,6 @@ def _cmd_trace(args) -> int:
 # run
 
 
-def _csv_multi(reports, timings: bool) -> str:
-    import csv as _csv
-    import io
-    buf = io.StringIO()
-    cols = ["suite", "key", "ok", "skipped", "witness"] + (["ms"] if timings else [])
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for rep in reports:
-        for r in rep.records:
-            row = [rep.suite, r.key, str(r.ok).lower(), str(r.skipped).lower(),
-                   r.witness or ""]
-            if timings:
-                row.append(str(r.ms))
-            w.writerow(row)
-    return buf.getvalue()
-
-
 def _cmd_run(args) -> int:
     ids = args.suite
     for sid in ids:
@@ -376,8 +359,7 @@ def _cmd_run(args) -> int:
                 sys.stderr.write(f"bad range for --{name}: {raw!r}\n")
                 return 3
     cap = args.cap if args.cap is not None else _env_cap()
-    reports = run_suites(ids, seed=args.seed, cap=cap, jobs=args.jobs,
-                         grid=grid or None)
+    reports = run_suites(ids, seed=args.seed, cap=cap, grid=grid or None)
     for rep in reports:
         sys.stdout.write(emit(rep, "text", timings=args.timings))
     if args.json:
@@ -388,7 +370,7 @@ def _cmd_run(args) -> int:
             doc = [report_dict(r, timings=args.timings) for r in reports]
         _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.json)
     if args.csv:
-        _write(_csv_multi(reports, args.timings), args.csv)
+        _write(emit_csv(reports, args.timings), args.csv)
     return 0 if all(r.ok for r in reports) else 2
 
 

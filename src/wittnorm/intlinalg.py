@@ -9,6 +9,7 @@ unimodular, and the diagonal of D nonnegative with d1 | d2 | ... .
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -485,3 +486,17 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         for (k, l), v in b.data.items():
             data[(i * b.rows + k, j * b.cols + l)] = u * v
     return IntMatrix(a.rows * b.rows, a.cols * b.cols, data)
+
+
+def kron_power(a: IntMatrix, m: int) -> IntMatrix:
+    """The m-fold Kronecker power of a, for m >= 1."""
+    out = a
+    for _ in range(m - 1):
+        out = kron(out, a)
+    return out
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime."""
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")

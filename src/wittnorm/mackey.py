@@ -41,7 +41,7 @@ from .abgroups import (
     present_quotient,
     subgroups_equal,
 )
-from .intlinalg import IntMatrix, solve_int
+from .intlinalg import IntMatrix, require_prime, solve_int
 
 
 class MackeyError(ValueError):
@@ -54,6 +54,7 @@ class CyclicGroupSpec:
     __slots__ = ("p", "n")
 
     def __init__(self, p: int, n: int):
+        require_prime(p)
         if n < 0:
             raise ValueError("exponent must be >= 0")
         self.p = p

@@ -17,12 +17,20 @@ transfer.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .abgroups import FgAbGroup, GroupHom, induced_hom, present_quotient
-from .intlinalg import IntMatrix, kernel_basis, kron, random_unimodular, solve_int_matrix
+from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom, present_quotient
+from .intlinalg import (
+    IntMatrix,
+    kernel_basis,
+    kron_power,
+    random_unimodular,
+    require_prime,
+    solve_int_matrix,
+)
 from .mackey import (
     CyclicGroupSpec,
     CyclicMackeyFunctor,
@@ -56,6 +64,7 @@ class FpVectorSpace:
     basis: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
+        require_prime(self.p)
         if self.d < 0:
             raise ValueError("dimension must be >= 0")
         if self.basis is not None and len(self.basis) != self.d:
@@ -101,41 +110,68 @@ def _tuple_index(t: Tuple[int, ...], d: int) -> int:
     return idx
 
 
-def tensor_power_action(lift: FreeLift, spec: CyclicGroupSpec, cap: int = DEFAULT_CAP) -> GModule:
-    """The m-fold tensor power of Z^d with the position-rotation action.
+def rotation_matrix(d: int, m: int) -> IntMatrix:
+    """Generator of the position rotation on the m-fold tensor power of Z^d.
 
-    m is the order of the supplied cyclic group; the basis is the
-    lexicographic one on index tuples, and the generator rotates tuple
-    positions one step to the right.
+    The basis is the lexicographic one on index tuples, and the generator
+    rotates tuple positions one step to the right.
     """
+    n = d ** m
+    data = {}
+    for idx, t in enumerate(itertools.product(range(d), repeat=m)):
+        data[(_tuple_index((t[-1],) + t[:-1], d), idx)] = 1
+    return IntMatrix(n, n, data)
+
+
+def tensor_power_action(lift: FreeLift, spec: CyclicGroupSpec, cap: int = DEFAULT_CAP) -> GModule:
+    """The m-fold tensor power of Z^d with the position-rotation action,
+    m the order of the supplied cyclic group (see `rotation_matrix`)."""
     d = lift.rank
     m = spec.order()
     dim = d ** m
     if dim > cap:
         raise CapExceeded(dim, cap)
     carrier = FgAbGroup([0] * dim)
-    if d <= 1:
-        return GModule(spec, carrier, GroupHom.identity(carrier))
-    data: Dict[Tuple[int, int], int] = {}
-
-    def tuples(prefix):
-        if len(prefix) == m:
-            yield prefix
-            return
-        for c in range(d):
-            yield from tuples(prefix + (c,))
-
-    for t in tuples(()):
-        s = (t[-1],) + t[:-1]
-        data[(_tuple_index(s, d), _tuple_index(t, d))] = 1
-    action = GroupHom(carrier, carrier, IntMatrix(dim, dim, data))
-    return GModule(spec, carrier, action)
+    return GModule(spec, carrier, GroupHom(carrier, carrier, rotation_matrix(d, m)))
 
 
 def inflate_action(mod: GModule, levels_up: int = 1) -> GModule:
     """Same carrier and matrix, regarded over the larger cyclic group."""
     spec = CyclicGroupSpec(mod.spec.p, mod.spec.n + levels_up)
     return GModule(spec, mod.carrier, mod.action)
+
+
+def fixed_mod_norm(action: IntMatrix, order: int) -> Tuple[IntMatrix, Presentation]:
+    """Fixed vectors of a free Z[C]-lattice modulo the image of the norm.
+
+    action is the generator's matrix and order the order of the acting
+    cyclic group C, so the norm is the sum of the first `order` powers of
+    action.  Returns the fixed basis as matrix columns, and the
+    presentation of the quotient in those coordinates.
+    """
+    dim = action.rows
+    ident = IntMatrix.identity(dim)
+    fixed = kernel_basis(action - ident)
+    norm = IntMatrix.zero(dim, dim)
+    power = ident
+    for _ in range(order):
+        norm = norm + power
+        power = action * power
+    coords = solve_int_matrix(fixed, norm)
+    if coords is None:
+        raise AssertionError("norm image must lie in the fixed lattice")
+    return fixed, present_quotient(fixed.cols, coords)
+
+
+def descend_map(amb: IntMatrix, src: Tuple[IntMatrix, Presentation],
+                dst: Tuple[IntMatrix, Presentation]) -> GroupHom:
+    """The map of `fixed_mod_norm` quotients induced by an ambient matrix
+    that commutes with the actions."""
+    (src_fixed, src_pres), (dst_fixed, dst_pres) = src, dst
+    carried = solve_int_matrix(dst_fixed, amb * src_fixed)
+    if carried is None:
+        raise AssertionError("equivariant map must preserve fixed lattices")
+    return induced_hom(src_pres, dst_pres, carried)
 
 
 def tate_h0(mod: GModule) -> FgAbGroup:
@@ -146,30 +182,20 @@ def tate_h0(mod: GModule) -> FgAbGroup:
     """
     if mod.carrier.torsion != ():
         raise ValueError("Tate computation expects a free carrier")
-    dim = mod.carrier.n
-    order = mod.spec.order()
-    alpha = mod.action.matrix
-    ident = IntMatrix.identity(dim)
-    fixed = kernel_basis(alpha - ident)
-    norm = IntMatrix.zero(dim, dim)
-    power = ident
-    for _ in range(order):
-        norm = norm + power
-        power = alpha * power
-    coords = solve_int_matrix(fixed, norm)
-    if coords is None:
-        raise AssertionError("norm image must lie in the fixed lattice")
-    return present_quotient(fixed.cols, coords).group
+    return fixed_mod_norm(mod.action.matrix, mod.spec.order())[1].group
+
+
+def _tate_module(space: FpVectorSpace, r: int, cap: int) -> GModule:
+    """The rotation action on the p^(r-1) tensor power, inflated to C_{p^r}."""
+    if r < 1:
+        raise ValueError("truncation level must be >= 1")
+    spec = CyclicGroupSpec(space.p, r - 1)
+    return inflate_action(tensor_power_action(canonical_lift(space), spec, cap=cap))
 
 
 def tate_polywitt(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> PolyWittResult:
     """Tate pipeline: inflated rotation action on the p^(r-1) tensor power."""
-    if r < 1:
-        raise ValueError("truncation level must be >= 1")
-    p = space.p
-    rotation = tensor_power_action(canonical_lift(space), CyclicGroupSpec(p, r - 1), cap=cap)
-    inflated = inflate_action(rotation)
-    return PolyWittResult(p, r, tate_h0(inflated), "tate")
+    return PolyWittResult(space.p, r, tate_h0(_tate_module(space, r, cap)), "tate")
 
 
 def norm_over_Z(lift: FreeLift, p: int, r: int, cap: int = DEFAULT_CAP) -> CyclicMackeyFunctor:
@@ -201,13 +227,13 @@ class ComparisonReport:
 
     def to_dict(self, with_timings: bool = False) -> dict:
         out = {
-            "instance": {"p": self.p, "d": self.d, "r": self.r},
+            "instance": {"p": str(self.p), "d": str(self.d), "r": str(self.r)},
             "tate": [str(v) for v in self.tate],
             "norm": [str(v) for v in self.norm],
             "pass": self.passed,
         }
         if with_timings:
-            out["ms"] = dict(self.ms)
+            out["ms"] = {k: str(v) for k, v in self.ms.items()}
         return out
 
 
@@ -316,10 +342,7 @@ def conjugate_tensor_action(mod: GModule, base_change: IntMatrix, m: int) -> GMo
     literally unchanged; this is the mechanism behind independence of
     the chosen lift.
     """
-    big = base_change
-    for _ in range(m - 1):
-        big = kron(big, base_change)
-    return conjugate_gmodule(mod, big)
+    return conjugate_gmodule(mod, kron_power(base_change, m))
 
 
 def lift_independence_report(space: FpVectorSpace, r: int, samples: int = 20,
@@ -332,9 +355,7 @@ def lift_independence_report(space: FpVectorSpace, r: int, samples: int = 20,
     """
     import random
 
-    p = space.p
-    rotation = tensor_power_action(canonical_lift(space), CyclicGroupSpec(p, r - 1), cap=cap)
-    inflated = inflate_action(rotation)
+    inflated = _tate_module(space, r, cap)
     baseline = tate_h0(inflated)
     dim = inflated.carrier.n
     rng = random.Random(seed)
@@ -356,29 +377,6 @@ def tate_induced_map(src: FpVectorSpace, dst: FpVectorSpace, matrix: IntMatrix,
     """
     if src.p != dst.p:
         raise ValueError("spaces must share the prime")
-    p = src.p
-    m = p ** (r - 1)
-    big = matrix
-    for _ in range(m - 1):
-        big = kron(big, matrix)
-    out = []
-    pres = []
-    for space in (src, dst):
-        mod = inflate_action(tensor_power_action(canonical_lift(space), CyclicGroupSpec(p, r - 1), cap=cap))
-        dim = mod.carrier.n
-        alpha = mod.action.matrix
-        ident = IntMatrix.identity(dim)
-        fixed = kernel_basis(alpha - ident)
-        norm = IntMatrix.zero(dim, dim)
-        power = ident
-        for _ in range(mod.spec.order()):
-            norm = norm + power
-            power = alpha * power
-        coords = solve_int_matrix(fixed, norm)
-        pres.append((fixed, present_quotient(fixed.cols, coords)))
-    src_fixed, src_pres = pres[0]
-    dst_fixed, dst_pres = pres[1]
-    carried = solve_int_matrix(dst_fixed, big * src_fixed)
-    if carried is None:
-        raise AssertionError("equivariant map must preserve fixed lattices")
-    return induced_hom(src_pres, dst_pres, carried)
+    pres = [fixed_mod_norm(mod.action.matrix, mod.spec.order())
+            for mod in (_tate_module(src, r, cap), _tate_module(dst, r, cap))]
+    return descend_map(kron_power(matrix, src.p ** (r - 1)), *pres)

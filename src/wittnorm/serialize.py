@@ -111,17 +111,19 @@ def emit_json(report: SuiteReport, timings: bool = False) -> str:
     return json.dumps(report_dict(report, timings), sort_keys=True, indent=2) + "\n"
 
 
-def emit_csv(report: SuiteReport, timings: bool = False) -> str:
-    report.sort()
+def emit_csv(reports: Sequence[SuiteReport], timings: bool = False) -> str:
     buf = io.StringIO()
-    cols = ["key", "ok", "skipped", "witness"] + (["ms"] if timings else [])
+    cols = ["suite", "key", "ok", "skipped", "witness"] + (["ms"] if timings else [])
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(cols)
-    for r in report.records:
-        row = [r.key, str(r.ok).lower(), str(r.skipped).lower(), r.witness or ""]
-        if timings:
-            row.append(str(r.ms))
-        w.writerow(row)
+    for report in reports:
+        report.sort()
+        for r in report.records:
+            row = [report.suite, r.key, str(r.ok).lower(), str(r.skipped).lower(),
+                   r.witness or ""]
+            if timings:
+                row.append(str(r.ms))
+            w.writerow(row)
     return buf.getvalue()
 
 
@@ -147,7 +149,7 @@ def emit(report: SuiteReport, fmt: str, timings: bool = False) -> str:
     if fmt == "json":
         return emit_json(report, timings)
     if fmt == "csv":
-        return emit_csv(report, timings)
+        return emit_csv([report], timings)
     if fmt == "text":
         return emit_text(report, timings)
     raise ValueError(f"unknown format {fmt!r}")

@@ -1,10 +1,10 @@
 """Verification suites: seeded, deterministic, one record per instance.
 
-Each suite builds a list of keyed instance thunks and executes them on a
-bounded worker pool.  Instance randomness is derived from the run seed
-and the instance key, so records are independent of scheduling order;
-the report sorts records by key before emission.  A cap violation
-surfaces as a SKIP record with the reason, never as a silent omission.
+Each suite builds a list of keyed instance thunks and executes them in
+order.  Instance randomness is derived from the run seed and the
+instance key, so records are independent of execution order; the report
+sorts records by key before emission.  A cap violation surfaces as a
+SKIP record with the reason, never as a silent omission.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .drw import (
@@ -476,23 +475,18 @@ def _run_one(key: str, inputs: dict, thunk: Thunk) -> InstanceRecord:
 
 
 def run_suite(suite: str, seed: int = 0, cap: Optional[int] = None,
-              jobs: int = 1, grid: GridFilter = None) -> SuiteReport:
+              grid: GridFilter = None) -> SuiteReport:
     if suite not in _BUILDERS:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITE_IDS)}")
     cap_val = DEFAULT_CAP if cap is None else cap
     instances = _BUILDERS[suite](seed, cap_val, grid)
     report = SuiteReport(suite=suite, seed=seed, cap=cap_val)
-    if jobs > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, k, i, t) for k, i, t in instances]
-            report.records = [f.result() for f in futures]
-    else:
-        report.records = [_run_one(k, i, t) for k, i, t in instances]
+    report.records = [_run_one(k, i, t) for k, i, t in instances]
     report.sort()
     return report
 
 
 def run_suites(suites: Sequence[str], seed: int = 0, cap: Optional[int] = None,
-               jobs: int = 1, grid: GridFilter = None) -> List[SuiteReport]:
+               grid: GridFilter = None) -> List[SuiteReport]:
     ids = list(SUITE_IDS) if list(suites) == ["all"] else list(suites)
-    return [run_suite(s, seed=seed, cap=cap, jobs=jobs, grid=grid) for s in ids]
+    return [run_suite(s, seed=seed, cap=cap, grid=grid) for s in ids]

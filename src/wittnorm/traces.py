@@ -19,9 +19,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom, present_quotient
-from .intlinalg import IntMatrix, kernel_basis, kron, solve_int_matrix
-from .polywitt import DEFAULT_CAP, CapExceeded
+from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom
+from .intlinalg import IntMatrix, kron, kron_power, require_prime
+from .polywitt import (
+    DEFAULT_CAP,
+    CapExceeded,
+    _tuple_index,
+    descend_map,
+    fixed_mod_norm,
+    rotation_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -58,23 +65,6 @@ class TraceAxiomReport:
     witness: Optional[str] = None
 
 
-def _tuple_index(t: Tuple[int, ...], d: int) -> int:
-    idx = 0
-    for c in t:
-        idx = idx * d + c
-    return idx
-
-
-def _rotation_perm(d: int, m: int) -> IntMatrix:
-    """Generator of the cyclic rotation on the m-fold tensor power."""
-    n = d ** m
-    data = {}
-    for idx, t in enumerate(itertools.product(range(d), repeat=m)):
-        s = (t[-1],) + t[:-1]
-        data[(_tuple_index(s, d), idx)] = 1
-    return IntMatrix(n, n, data)
-
-
 def _exchange_perm(a: int, b: int, m: int) -> IntMatrix:
     """Rotation by one object slot: (M (x) N)^(x)m -> (N (x) M)^(x)m.
 
@@ -90,90 +80,11 @@ def _exchange_perm(a: int, b: int, m: int) -> IntMatrix:
     return IntMatrix(n, n, data)
 
 
-def _kron_power(mat: IntMatrix, m: int) -> IntMatrix:
-    out = mat
-    for _ in range(m - 1):
-        out = kron(out, mat)
-    return out
-
-
-class OrbitTraceTheory:
-    """T(M) = cyclic coinvariants of the m-fold tensor power.
-
-    The coinvariant presentation is written down directly on orbit
-    representatives; no normal-form computation is needed."""
-
-    def __init__(self, m: int, base_char: int = 0, rank_cap: int = 2,
-                 tensor_cap: int = DEFAULT_CAP):
-        if m < 1:
-            raise ValueError("the tensor power must be positive")
-        self.m = m
-        self.category = TensorCategory(base_char, rank_cap)
-        self.tensor_cap = tensor_cap
-        self._values: Dict[int, Presentation] = {}
-
-    @property
-    def base_char(self) -> int:
-        return self.category.base_char
-
-    def value(self, rank: int) -> Presentation:
-        pres = self._values.get(rank)
-        if pres is None:
-            pres = self._orbit_presentation(rank)
-            self._values[rank] = pres
-        return pres
-
-    def _orbit_presentation(self, rank: int) -> Presentation:
-        m, char = self.m, self.base_char
-        n = rank ** m
-        if n > self.tensor_cap:
-            raise CapExceeded(n, self.tensor_cap)
-        orbit_of: Dict[int, int] = {}
-        reps: List[int] = []
-        for idx, t in enumerate(itertools.product(range(rank), repeat=m)):
-            if idx in orbit_of:
-                continue
-            col = len(reps)
-            reps.append(idx)
-            cur = t
-            while True:
-                orbit_of[_tuple_index(cur, rank)] = col
-                cur = (cur[-1],) + cur[:-1]
-                if cur == t:
-                    break
-        k = len(reps)
-        proj = IntMatrix(k, n, {(orbit_of[idx], idx): 1 for idx in range(n)})
-        lift = IntMatrix(n, k, {(reps[c], c): 1 for c in range(k)})
-        rel: Dict[Tuple[int, int], int] = {}
-        col = 0
-        for idx, t in enumerate(itertools.product(range(rank), repeat=m)):
-            src = _tuple_index((t[-1],) + t[:-1], rank)
-            if src != idx:
-                rel[(src, col)] = 1
-                rel[(idx, col)] = -1
-                col += 1
-        if char:
-            for idx in range(n):
-                rel[(idx, col)] = char
-                col += 1
-        relations = IntMatrix(n, col, rel)
-        group = FgAbGroup([char] * k)
-        return Presentation(n, relations, group, proj, lift)
-
-    def morphism(self, mat: IntMatrix) -> GroupHom:
-        src, dst = self.value(mat.cols), self.value(mat.rows)
-        return induced_hom(src, dst, _kron_power(mat, self.m))
-
-    def tau(self, a: int, b: int) -> GroupHom:
-        src, dst = self.value(a * b), self.value(b * a)
-        return induced_hom(src, dst, _exchange_perm(a, b, self.m))
-
-
-class RawPowerTraceTheory:
-    """T(M) = the raw m-fold tensor power, no orbits taken.
-
-    Same exchange map as the orbit theory; the exchange axioms are
-    expected to fail for m above one."""
+class _PowerTheory:
+    """Frame shared by the orbit and raw theories: the presentation a
+    subclass's `_presentation(rank, n)` builds on the n = rank^m tensor
+    power, cached per rank; morphisms are induced by Kronecker powers and
+    the exchange by `_exchange_perm`."""
 
     def __init__(self, m: int, base_char: int = 0, rank_cap: int = 2,
                  tensor_cap: int = DEFAULT_CAP):
@@ -194,20 +105,69 @@ class RawPowerTraceTheory:
             n = rank ** self.m
             if n > self.tensor_cap:
                 raise CapExceeded(n, self.tensor_cap)
-            char = self.base_char
-            ident = IntMatrix.identity(n)
-            relations = ident.scale(char) if char else IntMatrix.zero(n, 0)
-            pres = Presentation(n, relations, FgAbGroup([char] * n), ident, ident)
+            pres = self._presentation(rank, n)
             self._values[rank] = pres
         return pres
 
     def morphism(self, mat: IntMatrix) -> GroupHom:
         src, dst = self.value(mat.cols), self.value(mat.rows)
-        return induced_hom(src, dst, _kron_power(mat, self.m))
+        return induced_hom(src, dst, kron_power(mat, self.m))
 
     def tau(self, a: int, b: int) -> GroupHom:
         src, dst = self.value(a * b), self.value(b * a)
         return induced_hom(src, dst, _exchange_perm(a, b, self.m))
+
+
+class OrbitTraceTheory(_PowerTheory):
+    """T(M) = cyclic coinvariants of the m-fold tensor power.
+
+    The coinvariant presentation is written down directly on orbit
+    representatives; no normal-form computation is needed."""
+
+    def _presentation(self, rank: int, n: int) -> Presentation:
+        char = self.base_char
+        rot = {j: i for i, j in rotation_matrix(rank, self.m).data}
+        orbit_of: Dict[int, int] = {}
+        reps: List[int] = []
+        for idx in range(n):
+            if idx in orbit_of:
+                continue
+            col = len(reps)
+            reps.append(idx)
+            cur = idx
+            while cur not in orbit_of:
+                orbit_of[cur] = col
+                cur = rot[cur]
+        k = len(reps)
+        proj = IntMatrix(k, n, {(orbit_of[idx], idx): 1 for idx in range(n)})
+        lift = IntMatrix(n, k, {(reps[c], c): 1 for c in range(k)})
+        rel: Dict[Tuple[int, int], int] = {}
+        col = 0
+        for idx in range(n):
+            if rot[idx] != idx:
+                rel[(rot[idx], col)] = 1
+                rel[(idx, col)] = -1
+                col += 1
+        if char:
+            for idx in range(n):
+                rel[(idx, col)] = char
+                col += 1
+        relations = IntMatrix(n, col, rel)
+        group = FgAbGroup([char] * k)
+        return Presentation(n, relations, group, proj, lift)
+
+
+class RawPowerTraceTheory(_PowerTheory):
+    """T(M) = the raw m-fold tensor power, no orbits taken.
+
+    Same exchange map as the orbit theory; the exchange axioms are
+    expected to fail for m above one."""
+
+    def _presentation(self, rank: int, n: int) -> Presentation:
+        char = self.base_char
+        ident = IntMatrix.identity(n)
+        relations = ident.scale(char) if char else IntMatrix.zero(n, 0)
+        return Presentation(n, relations, FgAbGroup([char] * n), ident, ident)
 
 
 class NormTraceTheory:
@@ -220,6 +180,7 @@ class NormTraceTheory:
 
     def __init__(self, p: int, r: int, rank_cap: int = 2,
                  tensor_cap: int = DEFAULT_CAP):
+        require_prime(p)
         if r < 1:
             raise ValueError("truncation level must be >= 1")
         self.p = p
@@ -239,18 +200,9 @@ class NormTraceTheory:
             n = rank ** self.m
             if n > self.tensor_cap:
                 raise CapExceeded(n, self.tensor_cap)
-            alpha = _rotation_perm(rank, self.m)
-            ident = IntMatrix.identity(n)
-            fixed = kernel_basis(alpha - ident)
-            norm = IntMatrix.zero(n, n)
-            power = ident
-            for _ in range(self.m):
-                norm = norm + power
-                power = alpha * power
-            coords = solve_int_matrix(fixed, norm.scale(self.p))
-            if coords is None:
-                raise AssertionError("norm image must lie in the fixed lattice")
-            hit = (fixed, present_quotient(fixed.cols, coords))
+            # the rotation has order m, so the norm over the group of
+            # order p*m is p times the rotation-orbit sum
+            hit = fixed_mod_norm(rotation_matrix(rank, self.m), self.p * self.m)
             self._values[rank] = hit
         return hit
 
@@ -258,15 +210,10 @@ class NormTraceTheory:
         return self._fixed_and_pres(rank)[1]
 
     def _descend(self, amb: IntMatrix, src_rank: int, dst_rank: int) -> GroupHom:
-        src_fixed, src_pres = self._fixed_and_pres(src_rank)
-        dst_fixed, dst_pres = self._fixed_and_pres(dst_rank)
-        carried = solve_int_matrix(dst_fixed, amb * src_fixed)
-        if carried is None:
-            raise AssertionError("equivariant map must preserve fixed lattices")
-        return induced_hom(src_pres, dst_pres, carried)
+        return descend_map(amb, self._fixed_and_pres(src_rank), self._fixed_and_pres(dst_rank))
 
     def morphism(self, mat: IntMatrix) -> GroupHom:
-        return self._descend(_kron_power(mat, self.m), mat.cols, mat.rows)
+        return self._descend(kron_power(mat, self.m), mat.cols, mat.rows)
 
     def tau(self, a: int, b: int) -> GroupHom:
         return self._descend(_exchange_perm(a, b, self.m), a * b, b * a)

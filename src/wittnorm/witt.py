@@ -22,6 +22,7 @@ import itertools
 import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .intlinalg import require_prime
 from .multipoly import MPoly
 from .rings import GFPolyRing, ZModRing, ZRing
 
@@ -203,8 +204,7 @@ class WittRing:
     def __init__(self, p: int, r: int, base, degree_cap: Optional[int] = None):
         if r < 1:
             raise ValueError("truncation length must be >= 1")
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        require_prime(p)
         self.p = p
         self.r = r
         self.base = base

@@ -26,9 +26,6 @@ def test_suite_reports_are_byte_identical_per_seed():
     a = emit_json(run_suite("trace", seed=3))
     b = emit_json(run_suite("trace", seed=3))
     assert a == b
-    # scheduling on a pool must not change the bytes either
-    c = emit_json(run_suite("trace", seed=3, jobs=3))
-    assert a == c
     assert emit_json(run_suite("trace", seed=4)) != a
 
 
@@ -54,7 +51,7 @@ def test_emit_formats_round_trip():
     assert doc["records"][0]["inputs"] == {"p": "3"}
     assert doc["aggregate"] == {
         "passed": "1", "failed": "1", "skipped": "1", "total": "3"}
-    csv_text = emit_csv(rep)
+    csv_text = emit_csv([rep])
     assert len(csv_text.strip().splitlines()) == 1 + 3
     text = emit_text(rep)
     assert "FAIL a fail :: sum was wrong" in text
@@ -103,12 +100,46 @@ def test_cli_mackey_validate_and_resolve(capsys):
     assert doc["exact"] is True
 
 
+def _int_leaves(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _int_leaves(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _int_leaves(v)]
+    return [value] if isinstance(value, int) and not isinstance(value, bool) else []
+
+
 def test_cli_polywitt_compare(capsys):
     assert main(["polywitt", "compare", "--p", "2", "--d", "2", "--r", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
     assert doc["tate"] == ["2", "4", "4"]
+    assert doc["instance"] == {"p": "2", "d": "2", "r": "2"}
     assert "ms" not in doc
+    assert _int_leaves(doc) == []
+    assert main(["polywitt", "compare", "--p", "2", "--d", "2", "--r", "2",
+                 "--timings"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["ms"]) == {"tate", "norm"}
+    assert _int_leaves(doc) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "add", "--p", "4", "--r", "2", "--in", '[["1","0"],["1","0"]]'],
+    ["polywitt", "compare", "--p", "4", "--d", "2", "--r", "2"],
+    ["polywitt", "compare", "--p", "1", "--d", "2", "--r", "2"],
+    ["mackey", "build", "--p", "6"],
+    ["trace", "check", "--theory", "polywitt", "--p", "4"],
+])
+def test_cli_non_prime_p_is_config_error(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "must be a prime" in err
+
+
+@pytest.mark.parametrize("theory", ["orbit", "raw"])
+def test_cli_trace_characteristic_zero(theory, capsys):
+    assert main(["trace", "check", "--theory", theory, "--p", "0"]) == 0
 
 
 def test_cli_trace_reports(capsys):

@@ -18,6 +18,7 @@ from wittnorm.intlinalg import (
     lattice_contains_all,
     matrix_mod,
     random_unimodular,
+    require_prime,
     smith_diagonal,
     smith_normal_form,
     solve_int,
@@ -194,3 +195,11 @@ def test_random_unimodular_has_unit_det():
         for _ in range(5):
             u = random_unimodular(n, rng)
             assert abs(det(u)) == 1
+
+
+def test_require_prime():
+    for p in (2, 3, 5, 7, 97):
+        require_prime(p)
+    for p in (-3, 0, 1, 4, 6, 9, 91):
+        with pytest.raises(ValueError):
+            require_prime(p)
