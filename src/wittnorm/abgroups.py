@@ -190,9 +190,7 @@ def present_quotient(ambient_dim: int, lattice: IntMatrix) -> Presentation:
     """Canonical presentation of Z^ambient_dim / column-span(lattice)."""
     if lattice.rows != ambient_dim:
         raise ValueError("lattice ambient dimension mismatch")
-    u, d, _ = smith_normal_form(lattice)
-    u_inv = solve_int_matrix(u, IntMatrix.identity(ambient_dim))
-    assert u_inv is not None
+    u, d, _, u_inv = smith_normal_form(lattice)
     limit = min(ambient_dim, lattice.cols)
     moduli_full = [d.entry(i, i) if i < limit else 0 for i in range(ambient_dim)]
     kept = [i for i, m in enumerate(moduli_full) if m != 1]
@@ -227,13 +225,11 @@ class GroupHom:
         if matrix.rows != dst.n or matrix.cols != src.n:
             raise ValueError("hom matrix shape mismatch")
         m = matrix_mod(matrix, dst.moduli)
-        for j, s in enumerate(src.moduli):
-            if s == 0:
-                continue
-            for i, t in enumerate(dst.moduli):
-                v = s * m.entry(i, j)
-                if (t and v % t) or (not t and v):
-                    raise ValueError(f"map does not kill {s} * generator {j}")
+        s, t = src.moduli, dst.moduli
+        bad = [j for (i, j), v in m.data.items() if s[j] and (not t[i] or s[j] * v % t[i])]
+        if bad:
+            j = min(bad)
+            raise ValueError(f"map does not kill {s[j]} * generator {j}")
         self.src = src
         self.dst = dst
         self.matrix = m

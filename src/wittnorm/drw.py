@@ -35,7 +35,7 @@ from .abgroups import (
     induced_hom,
 )
 from .derham import DeRhamComplex
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, require_prime
 from .rings import GFPolyRing, ZModRing
 from .witt import WittRing, teichmuller_character
 
@@ -626,6 +626,7 @@ class TruncatedFVComplex:
     """
 
     def __init__(self, p: int, r: int, nvars: int = 1, weight_cap: int = 8):
+        require_prime(p)
         if nvars not in (1, 2):
             raise ValueError("only one or two variables are supported")
         if r < 1:

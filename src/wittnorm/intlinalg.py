@@ -3,8 +3,9 @@
 Everything here is pure integer arithmetic on sparse matrices.  The Smith
 normal form drives kernels, cokernels, lattice membership and quotient
 presentations for the rest of the library, so its contract is strict:
-``smith_normal_form(m)`` returns (U, D, V) with U*m*V = D exactly, U and V
-unimodular, and the diagonal of D nonnegative with d1 | d2 | ... .
+``smith_normal_form(m)`` returns (U, D, V, U^-1) with U*m*V = D exactly, U
+and V unimodular, U^-1 the inverse of U, and the diagonal of D nonnegative
+with d1 | d2 | ... .
 """
 
 from __future__ import annotations
@@ -206,6 +207,16 @@ class IntMatrix:
         return IntMatrix(len(idx), self.cols, data)
 
 
+def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int) -> None:
+    """dst -= q * src on sparse vectors, dropping entries that cancel."""
+    for j, v in src.items():
+        s = dst.get(j, 0) - q * v
+        if s:
+            dst[j] = s
+        else:
+            dst.pop(j, None)
+
+
 class _SmithWorker:
     """Mutable row-dict workspace for the Smith reduction."""
 
@@ -217,8 +228,11 @@ class _SmithWorker:
         for (i, j), v in m.data.items():
             self.rows[i][j] = v
             self.colindex[j].add(i)
-        # U tracks row ops (U*m), V tracks col ops (m*V); stored same way
+        # U tracks row ops (U*m), V tracks col ops (m*V); stored same way.
+        # U^-1 is kept by columns: a row op U -> E*U turns U^-1 into
+        # U^-1 * E^-1, which is a column op.
         self.urows: List[Dict[int, int]] = [{i: 1} for i in range(m.rows)]
+        self.uinvcols: List[Dict[int, int]] = [{i: 1} for i in range(m.rows)]
         self.vcols: List[Dict[int, int]] = [{j: 1} for j in range(m.cols)]
 
     def set_entry(self, i: int, j: int, v: int) -> None:
@@ -230,18 +244,13 @@ class _SmithWorker:
                 self.colindex[j].discard(i)
 
     def row_axpy(self, q: int, src: int, dst: int) -> None:
-        """row[dst] -= q * row[src], mirrored in U."""
+        """row[dst] -= q * row[src], mirrored in U and (as col[src] += q * col[dst]) in U^-1."""
         if q == 0:
             return
         for j, v in list(self.rows[src].items()):
             self.set_entry(dst, j, self.rows[dst].get(j, 0) - q * v)
-        u = self.urows
-        for j, v in u[src].items():
-            s = u[dst].get(j, 0) - q * v
-            if s:
-                u[dst][j] = s
-            else:
-                u[dst].pop(j, None)
+        _axpy(self.urows[dst], self.urows[src], q)
+        _axpy(self.uinvcols[src], self.uinvcols[dst], -q)
 
     def col_axpy(self, q: int, src: int, dst: int) -> None:
         """col[dst] -= q * col[src], mirrored in V."""
@@ -251,13 +260,7 @@ class _SmithWorker:
             v = self.rows[i].get(src, 0)
             if v:
                 self.set_entry(i, dst, self.rows[i].get(dst, 0) - q * v)
-        vc = self.vcols
-        for i, v in vc[src].items():
-            s = vc[dst].get(i, 0) - q * v
-            if s:
-                vc[dst][i] = s
-            else:
-                vc[dst].pop(i, None)
+        _axpy(self.vcols[dst], self.vcols[src], q)
 
     def swap_rows(self, a: int, b: int) -> None:
         if a == b:
@@ -271,6 +274,7 @@ class _SmithWorker:
         for j in self.rows[b]:
             self.colindex[j].add(b)
         self.urows[a], self.urows[b] = self.urows[b], self.urows[a]
+        self.uinvcols[a], self.uinvcols[b] = self.uinvcols[b], self.uinvcols[a]
 
     def swap_cols(self, a: int, b: int) -> None:
         if a == b:
@@ -283,10 +287,9 @@ class _SmithWorker:
         self.vcols[a], self.vcols[b] = self.vcols[b], self.vcols[a]
 
     def negate_row(self, i: int) -> None:
-        for j in self.rows[i]:
-            self.rows[i][j] = -self.rows[i][j]
-        for j in self.urows[i]:
-            self.urows[i][j] = -self.urows[i][j]
+        for vec in (self.rows[i], self.urows[i], self.uinvcols[i]):
+            for j in vec:
+                vec[j] = -vec[j]
 
     def pick_pivot(self, t: int) -> Optional[Tuple[int, int]]:
         """Nonzero entry of minimal |value| in the trailing block, ties by (i, j)."""
@@ -305,8 +308,8 @@ class _SmithWorker:
         return best[1], best[2]
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U*m*V = D, U and V unimodular, D in Smith form.
+def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V, U^-1) with U*m*V = D, U and V unimodular, D in Smith form.
 
     Pivot policy: minimal absolute value in the active block, deterministic
     (row, col) tie break, so outputs are bit-reproducible.
@@ -378,12 +381,13 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     D = IntMatrix(w.r, w.c, ddata)
     U = IntMatrix(w.r, w.r, {(i, j): v for i, row in enumerate(w.urows) for j, v in row.items()})
     V = IntMatrix(w.c, w.c, {(i, j): v for j, col in enumerate(w.vcols) for i, v in col.items()})
-    return U, D, V
+    U_inv = IntMatrix(w.r, w.r, {(i, j): v for j, col in enumerate(w.uinvcols) for i, v in col.items()})
+    return U, D, V, U_inv
 
 
 def smith_diagonal(m: IntMatrix) -> List[int]:
     """Nonzero-padded diagonal of the Smith form (length min(rows, cols))."""
-    _, d, _ = smith_normal_form(m)
+    d = smith_normal_form(m)[1]
     return [d.entry(i, i) for i in range(min(m.rows, m.cols))]
 
 
@@ -392,7 +396,7 @@ class _SolveContext:
 
     def __init__(self, a: IntMatrix):
         self.a = a
-        self.u, self.d, self.v = smith_normal_form(a)
+        self.u, self.d, self.v, _ = smith_normal_form(a)
         self.rank = sum(1 for i in range(min(a.rows, a.cols)) if self.d.entry(i, i))
 
     def solve(self, b: Sequence[int]) -> Optional[List[int]]:

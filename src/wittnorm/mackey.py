@@ -41,7 +41,7 @@ from .abgroups import (
     present_quotient,
     subgroups_equal,
 )
-from .intlinalg import IntMatrix, require_prime, solve_int
+from .intlinalg import IntMatrix, _SolveContext, require_prime
 
 
 class MackeyError(ValueError):
@@ -86,23 +86,29 @@ def hom_power(h: GroupHom, m: int) -> GroupHom:
     return out
 
 
+def _preimages(h: GroupHom, elts: Sequence[Sequence[int]]) -> List[Optional[Tuple[int, ...]]]:
+    """For each element, some x in the source with h(x) = elt, or None.
+
+    One factorization of [h | dst relations] answers every element.
+    """
+    ctx = _SolveContext(h.matrix.hstack(h.dst.relation_matrix()))
+    out = []
+    for elt in elts:
+        sol = ctx.solve(list(h.dst.normalize(elt)))
+        out.append(None if sol is None else h.src.normalize(sol[: h.src.n]))
+    return out
+
+
 def express_via(h: GroupHom, elt: Sequence[int]) -> Optional[Tuple[int, ...]]:
     """Some x in the source with h(x) = elt, or None."""
-    sat = h.matrix.hstack(h.dst.relation_matrix())
-    sol = solve_int(sat, list(h.dst.normalize(elt)))
-    if sol is None:
-        return None
-    return h.src.normalize(sol[: h.src.n])
+    return _preimages(h, [elt])[0]
 
 
 def express_matrix_via(h: GroupHom, cols: IntMatrix) -> IntMatrix:
     """Preimages under h of the columns (must exist)."""
-    out = []
-    for j in range(cols.cols):
-        x = express_via(h, cols.column(j))
-        if x is None:
-            raise MackeyError("element has no preimage where one is required")
-        out.append(list(x))
+    out = _preimages(h, cols.transpose().to_rows())
+    if any(x is None for x in out):
+        raise MackeyError("element has no preimage where one is required")
     return IntMatrix.from_columns(out, rows=h.src.n)
 
 

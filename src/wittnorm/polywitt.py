@@ -239,20 +239,28 @@ class ComparisonReport:
 
 def compare_pipelines(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> ComparisonReport:
     """Run both pipelines and compare invariant factors."""
+    return compare_with_norm(space, r, cap=cap)[0]
+
+
+def compare_with_norm(space: FpVectorSpace, r: int,
+                      cap: int = DEFAULT_CAP) -> Tuple[ComparisonReport, CyclicMackeyFunctor]:
+    """`compare_pipelines`, also returning the norm pipeline's Mackey functor
+    (`norm_over_W`) so that a caller checking it further builds it once."""
     t0 = time.perf_counter()
-    tate = tate_polywitt(space, r, cap=cap)
+    tate = tate_polywitt(space, r, cap=cap).invariant_factors()
     t1 = time.perf_counter()
-    norm = norm_polywitt(space, r, cap=cap)
+    w = norm_over_W(space, r, cap=cap)
+    norm = PolyWittResult(space.p, r, w.levels[r - 1], "norm").invariant_factors()
     t2 = time.perf_counter()
     return ComparisonReport(
         p=space.p,
         d=space.d,
         r=r,
-        tate=tate.invariant_factors(),
-        norm=norm.invariant_factors(),
-        passed=tate.invariant_factors() == norm.invariant_factors(),
+        tate=tate,
+        norm=norm,
+        passed=tate == norm,
         ms={"tate": int((t1 - t0) * 1000), "norm": int((t2 - t1) * 1000)},
-    )
+    ), w
 
 
 def comparison_grid() -> List[Tuple[int, int, int]]:
@@ -283,7 +291,12 @@ class FVReport:
 
 
 def fv_on_polywitt(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> FVReport:
-    """Frobenius and Verschiebung on the norm pipeline.
+    """Frobenius and Verschiebung on the norm pipeline (`fv_on_norm`)."""
+    return fv_on_norm(space, r, norm_over_W(space, r, cap=cap))
+
+
+def fv_on_norm(space: FpVectorSpace, r: int, w: CyclicMackeyFunctor) -> FVReport:
+    """Frobenius and Verschiebung on w = norm_over_W(space, r).
 
     Frobenius is the restriction out of the top level and Verschiebung
     the transfer into it; transfer after restriction is multiplication
@@ -295,7 +308,6 @@ def fv_on_polywitt(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> FVRe
     if r == 1:
         checks.append(("degenerate single level", True))
         return FVReport(p, space.d, r, checks)
-    w = norm_over_W(space, r, cap=cap)
     n = r - 1
     frob = w.res[n - 1]
     versch = w.tr[n - 1]

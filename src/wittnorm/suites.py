@@ -51,8 +51,9 @@ from .polywitt import (
     FpVectorSpace,
     canonical_lift,
     compare_pipelines,
+    compare_with_norm,
     comparison_grid,
-    fv_on_polywitt,
+    fv_on_norm,
     lift_independence_report,
     norm_over_W,
     norm_over_Z,
@@ -306,11 +307,12 @@ def _compare_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str,
         key = f"compare p={p} d={d} r={r}"
 
         def thunk(p=p, d=d, r=r) -> Optional[str]:
-            rep = compare_pipelines(FpVectorSpace(p, d), r, cap=cap)
+            space = FpVectorSpace(p, d)
+            rep, w = compare_with_norm(space, r, cap=cap)
             if not rep.passed:
                 return f"tate={rep.tate} norm={rep.norm}"
-            validate_mackey(norm_over_W(FpVectorSpace(p, d), r, cap=cap))
-            fv = fv_on_polywitt(FpVectorSpace(p, d), r, cap=cap)
+            validate_mackey(w)
+            fv = fv_on_norm(space, r, w)
             if not fv.ok:
                 return f"frobenius/verschiebung checks failed: {fv.checks}"
             return None

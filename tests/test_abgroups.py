@@ -27,7 +27,7 @@ from wittnorm.abgroups import (
     subgroup_group,
     subgroups_equal,
 )
-from wittnorm.intlinalg import IntMatrix
+from wittnorm.intlinalg import IntMatrix, smith_normal_form, solve_int_matrix
 
 
 def test_canonical_validation():
@@ -81,6 +81,21 @@ def test_present_quotient_diag():
         assert pres.project_vec(pres.lift_elt(e)) == e
 
 
+def test_present_quotient_lift_matches_solved_inverse():
+    # the lift comes from the U^-1 tracked inside the Smith reduction; the
+    # oracle inverts U by solving U * X = I on its own factorization
+    rng = random.Random(7)
+    for n, c in [(1, 1), (3, 2), (4, 4), (5, 3), (6, 7)]:
+        rows = [[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(c)]
+                for _ in range(n)]
+        lattice = IntMatrix.from_rows(rows, cols=c)
+        pres = present_quotient(n, lattice)
+        u, d, _, _ = smith_normal_form(lattice)
+        kept = [i for i in range(n) if (d.entry(i, i) if i < c else 0) != 1]
+        oracle = solve_int_matrix(u, IntMatrix.identity(n))
+        assert pres.lift == oracle.take_columns(kept)
+
+
 def test_present_quotient_nontrivial_coords():
     # Z^2 / <(2, 4)> = Z/2 + Z
     lat = IntMatrix.from_columns([[2, 4]])
@@ -99,6 +114,16 @@ def test_group_hom_well_defined():
     z = FgAbGroup([0])
     with pytest.raises(ValueError):
         GroupHom(a, z, IntMatrix.from_rows([[1]]))  # torsion cannot map to Z
+
+
+def test_group_hom_names_smallest_bad_generator():
+    # generators 1 and 2 of Z/2 + Z/4 + Z/4 are not killed by their
+    # orders; the entry of generator 2 comes first in the matrix's data
+    src = FgAbGroup([2, 4, 4])
+    dst = FgAbGroup([8, 0])
+    m = IntMatrix(2, 3, {(0, 2): 1, (1, 1): 3, (0, 0): 4})
+    with pytest.raises(ValueError, match=r"map does not kill 4 \* generator 1$"):
+        GroupHom(src, dst, m)
 
 
 def test_hom_apply_compose():

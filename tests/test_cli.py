@@ -129,6 +129,7 @@ def test_cli_polywitt_compare(capsys):
     ["polywitt", "compare", "--p", "1", "--d", "2", "--r", "2"],
     ["mackey", "build", "--p", "6"],
     ["trace", "check", "--theory", "polywitt", "--p", "4"],
+    ["drw", "check", "--p", "4", "--r", "2", "--weight-cap", "4"],
 ])
 def test_cli_non_prime_p_is_config_error(argv, capsys):
     assert main(argv) == 3

@@ -1,7 +1,8 @@
 """Smith normal form and integer solve tests.
 
 The oracle for every SNF call is structural: U*A*V must equal D exactly,
-U and V must be unimodular, and D must be a divisibility chain.  Expected
+U and V must be unimodular, the returned U^-1 must invert U on both
+sides, and D must be a divisibility chain.  Expected
 diagonals below were computed by hand.
 """
 
@@ -51,10 +52,13 @@ def det(m: IntMatrix) -> int:
 
 
 def assert_snf_contract(m: IntMatrix):
-    u, d, v = smith_normal_form(m)
+    u, d, v, u_inv = smith_normal_form(m)
     assert u * m * v == d
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
+    ident = IntMatrix.identity(m.rows)
+    assert u * u_inv == ident
+    assert u_inv * u == ident
     diag = [d.entry(i, i) for i in range(min(m.rows, m.cols))]
     # off-diagonal must vanish
     for (i, j), val in d.data.items():

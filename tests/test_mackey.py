@@ -1,7 +1,11 @@
 """Mackey functor layer: constructors, validator, box pairing, resolution."""
 
+import random
+from math import gcd
+
 import pytest
 
+from wittnorm import intlinalg
 from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_group
 from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import (
@@ -17,6 +21,8 @@ from wittnorm.mackey import (
     box_with_permutation,
     check_exact,
     constant_mackey,
+    express_matrix_via,
+    express_via,
     find_cyclic_iso,
     fixed_point_mackey,
     fixed_point_mackey_map,
@@ -289,3 +295,52 @@ def test_witt_mackey_matches_tower_orders():
         # the additive identification with Z/p^(k+1) matches the level group
         one = witt_fp_to_zmod(ring.one())
         assert one == 1
+
+
+def _seeded_homs(seed):
+    """Seeded homs between small groups, each with a few image elements."""
+    rng = random.Random(seed)
+    for src_mods, dst_mods in [((0, 0), (4,)), ((8, 0, 0), (2, 4, 0)),
+                               ((4, 4, 0), (2, 4)), ((0,), (3, 9, 0))]:
+        src, dst = FgAbGroup(src_mods), FgAbGroup(dst_mods)
+        data = {}
+        for j, s in enumerate(src.moduli):
+            for i, t in enumerate(dst.moduli):
+                if s == 0:
+                    data[(i, j)] = rng.randint(-5, 5)
+                elif t:  # s * entry must vanish mod t; torsion never reaches a free summand
+                    data[(i, j)] = rng.randint(-5, 5) * (t // gcd(s, t))
+        h = GroupHom(src, dst, IntMatrix(dst.n, src.n, data))
+        images = [h.apply(src.random_element(rng, bound=6)) for _ in range(rng.randint(2, 5))]
+        yield h, images
+
+
+def test_express_matrix_via_matches_express_via():
+    for h, images in _seeded_homs(11):
+        cols = IntMatrix.from_columns(images, rows=h.dst.n)
+        got = express_matrix_via(h, cols)
+        want = IntMatrix.from_columns([express_via(h, c) for c in images], rows=h.src.n)
+        assert got == want
+        assert [h.apply(got.column(j)) for j in range(got.cols)] == images
+
+
+def test_express_matrix_via_rejects_column_outside_image():
+    h = GroupHom.scalar(FgAbGroup([4]), 2)
+    assert express_via(h, (1,)) is None
+    with pytest.raises(MackeyError):
+        express_matrix_via(h, IntMatrix.from_columns([[2], [1], [0]]))
+
+
+def test_express_matrix_via_factors_once(monkeypatch):
+    calls = []
+    snf = intlinalg.smith_normal_form
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return snf(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    for h, images in _seeded_homs(5):
+        calls.clear()
+        express_matrix_via(h, IntMatrix.from_columns(images, rows=h.dst.n))
+        assert len(calls) == 1
