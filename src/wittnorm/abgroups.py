@@ -293,9 +293,6 @@ class GroupHom:
         lat = k.take_rows(list(range(self.src.n)))
         return lat.hstack(self.src.relation_matrix())
 
-    def image_lattice(self) -> IntMatrix:
-        return self.matrix
-
 
 def subgroup_contains(group: FgAbGroup, gens: IntMatrix, elt: Sequence[int]) -> bool:
     """Does elt lie in the subgroup of group generated by the columns of gens?"""

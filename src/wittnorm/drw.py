@@ -33,9 +33,10 @@ from .abgroups import (
     GroupHom,
     Presentation,
     induced_hom,
+    present_quotient,
 )
 from .derham import DeRhamComplex
-from .intlinalg import IntMatrix, require_prime
+from .intlinalg import IntMatrix, matrix_mod, require_prime
 from .rings import GFPolyRing, ZModRing
 from .witt import WittRing, teichmuller_character
 
@@ -326,6 +327,11 @@ class DRWSymbol:
 
 # ---------------------------------------------------------------------------
 # relation lattices modulo p^s
+#
+# A Howell-form lattice (Storjohann-Mulders 1998) does one job: incremental
+# insertion with growth detection while a piece saturates.  The finished
+# quotient is presented by the package's one Smith reduction,
+# abgroups.present_quotient, after the unit pivots are substituted away.
 
 
 def _val_p(x: int, p: int, cap: int) -> int:
@@ -350,6 +356,10 @@ class LatticeModQ:
         self.p = p
         self.s = s
         self.q = p ** s
+        # insert_batch and the unit-pivot substitution accumulate up to n
+        # products of reduced entries in int64
+        if n * self.q ** 2 > np.iinfo(np.int64).max:
+            raise ValueError(f"n * (p^s)^2 overflows int64 at n={n}, p^s={p}^{s}")
         # products of reduced entries must stay inside the dtype
         self.dtype = np.int16 if self.q <= 181 else np.int64
         self.rows: Dict[int, Tuple[int, np.ndarray]] = {}
@@ -370,22 +380,12 @@ class LatticeModQ:
                 if len(nz) == 0:
                     break
                 c = int(nz[0])
-                e = _val_p(int(v[c]), self.p, self.s)
                 held = self.rows.get(c)
-                if held is not None:
+                if held is not None and _val_p(int(v[c]), self.p, self.s) >= held[0]:
                     e0, row = held
-                    if e >= e0:
-                        v = (v - (int(v[c]) // self.p ** e0) * row.astype(np.int64)) % self.q
-                        continue
-                    ew, new = self._normalized(c, v)
-                    self.rows[c] = (ew, new)
-                    if ew == 0:
-                        self.unit_pivots += 1
-                    added.append(new)
-                    if ew:
-                        stack.append((new.astype(np.int64) * self.p ** (self.s - ew)) % self.q)
-                    v = row.astype(np.int64)
+                    v = (v - (int(v[c]) // self.p ** e0) * row.astype(np.int64)) % self.q
                     continue
+                # v takes over pivot column c; a displaced row is reinserted
                 ew, new = self._normalized(c, v)
                 self.rows[c] = (ew, new)
                 if ew == 0:
@@ -393,7 +393,9 @@ class LatticeModQ:
                 added.append(new)
                 if ew:
                     stack.append((new.astype(np.int64) * self.p ** (self.s - ew)) % self.q)
-                break
+                if held is None:
+                    break
+                v = held[1].astype(np.int64)
 
     def is_full(self) -> bool:
         """True once the span is all of (Z/q)^n; nothing can be added."""
@@ -406,7 +408,7 @@ class LatticeModQ:
         m = np.asarray(mat, dtype=np.int64) % self.q
         # one vectorized sweep against the current pivots, ascending cols;
         # only the factor column is reduced mod q per step, the matrix once
-        # at the end (growth stays below n * q^2, far inside int64)
+        # at the end (growth stays below n * q^2, which __init__ bounds)
         for c in sorted(self.rows):
             e0, row = self.rows[c]
             f = (m[:, c] % self.q) // self.p ** e0
@@ -435,97 +437,14 @@ class LatticeModQ:
     def pivot_valuations(self) -> Dict[int, int]:
         return {c: e for c, (e, _) in self.rows.items()}
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = np.asarray(list(vec), dtype=np.int64) % self.q
-        while True:
-            nz = np.nonzero(v)[0]
-            if len(nz) == 0:
-                return True
-            c = int(nz[0])
-            held = self.rows.get(c)
-            if held is None:
-                return False
-            e0, row = held
-            if _val_p(int(v[c]), self.p, self.s) < e0:
-                return False
-            v = (v - (int(v[c]) // self.p ** e0) * row.astype(np.int64)) % self.q
-
-
-def _snf_mod_ppower(rows: np.ndarray, n: int, p: int, s: int):
-    """Diagonalize span(rows) + p^s Z^n over Z/p^s with transform tracking.
-
-    Returns (diag, u, u_inv) where u records the row operations on Z^n and
-    u_inv its inverse.  Exact for this quotient because the lattice always
-    contains p^s Z^n.
-    """
-    q = p ** s
-    nrel = rows.shape[0] if rows.size else 0
-    m = nrel + n
-    a = np.zeros((n, m), dtype=np.int64)
-    if nrel:
-        a[:, :nrel] = rows.T % q
-    # explicit generators of p^s Z^n keep the mod-q computation faithful
-    for k in range(n):
-        a[k, nrel + k] = q
-    u = np.eye(n, dtype=np.int64)
-    u_inv = np.eye(n, dtype=np.int64)
-    diag: List[int] = []
-    top = 0
-    left = 0
-    while top < n and left < m:
-        sub = a[top:, left:] % q
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
-            break
-        vals = sub[nz]
-        vcount = np.zeros(len(vals), dtype=np.int64)
-        tmp = vals.copy()
-        for _ in range(s):
-            mask = (tmp % p == 0) & (tmp != 0)
-            vcount[mask] += 1
-            tmp[mask] //= p
-        best = int(np.argmin(vcount))
-        pi, pj = int(nz[0][best]) + top, int(nz[1][best]) + left
-        e = int(vcount[best])
-        if pi != top:
-            a[[top, pi]] = a[[pi, top]]
-            u[[top, pi]] = u[[pi, top]]
-            u_inv[:, [top, pi]] = u_inv[:, [pi, top]]
-        if pj != left:
-            a[:, [left, pj]] = a[:, [pj, left]]
-        piv = p ** e
-        unit = (int(a[top, left]) // piv) % q
-        inv = pow(unit, -1, q)
-        a[top] = (a[top] * inv) % q
-        u[top] = (u[top] * inv) % q
-        u_inv[:, top] = (u_inv[:, top] * unit) % q
-        col = a[top + 1:, left]
-        factors = col // piv
-        if np.any(factors):
-            a[top + 1:] = (a[top + 1:] - np.outer(factors, a[top])) % q
-            u[top + 1:] = (u[top + 1:] - np.outer(factors, u[top])) % q
-            u_inv[:, top] = (u_inv[:, top] + u_inv[:, top + 1:] @ factors) % q
-        row = a[top, left + 1:]
-        rfactors = row // piv
-        if np.any(rfactors):
-            # the pivot column holds piv alone, so these column moves
-            # touch no other row
-            a[top, left + 1:] = (a[top, left + 1:] - rfactors * piv) % q
-        diag.append(piv)
-        top += 1
-        left += 1
-    while len(diag) < n:
-        diag.append(q)
-    return diag, u, u_inv
-
 
 def _present_from_lattice(lat: LatticeModQ) -> Presentation:
     """Presentation of Z^n / (span + p^s Z^n) from a Howell-form lattice.
 
     Coordinates holding a unit pivot are substituted away first; the
-    Smith computation only sees the small remainder.
+    Smith reduction in `present_quotient` only sees the small remainder.
     """
-    n, p, s, q = lat.n, lat.p, lat.s, lat.q
+    n, q = lat.n, lat.q
     if n == 0:
         return Presentation(0, IntMatrix.zero(0, 0), FgAbGroup([]),
                             IntMatrix.zero(0, 0), IntMatrix.zero(0, 0))
@@ -544,6 +463,7 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
                 f = int(e_mat[k, elim_cols[k2]]) % q
                 if f:
                     e_mat[k] = (e_mat[k] - f * e_mat[k2]) % q
+        # in the quotient, e_{elim_cols[k]} = sum_j t_mat[k, j] e_{keep_cols[j]}
         t_mat = (-e_mat[:, keep_cols]) % q
     else:
         t_mat = np.zeros((0, nk), dtype=np.int64)
@@ -553,35 +473,22 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
         r_sub = (r_mat[:, keep_cols] + r_mat[:, elim_cols] @ t_mat) % q
     else:
         r_sub = np.zeros((0, nk), dtype=np.int64)
-    diag, u, u_inv = _snf_mod_ppower(r_sub, nk, p, s)
-    kept = sorted((d, k) for k, d in enumerate(diag) if d != 1)
-    moduli = [d for d, _ in kept]
-    group = FgAbGroup(moduli)
-    ng = len(kept)
-    proj_full = np.zeros((ng, n), dtype=np.int64)
-    if ng:
-        proj_keep = np.stack([u[k] for _, k in kept]) % q
-        proj_full[:, keep_cols] = proj_keep
-        if ne:
-            proj_full[:, elim_cols] = (proj_keep @ t_mat.T) % q
-        for gi, mmod in enumerate(moduli):
-            proj_full[gi] %= mmod
-    lift_full = np.zeros((n, ng), dtype=np.int64)
-    for gj, (_, k) in enumerate(kept):
-        lift_full[keep_cols, gj] = u_inv[:, k] % q
-    rel_entries = {}
-    basis = lat.row_list()
-    for j, row in enumerate(basis):
-        for i2 in np.nonzero(row % q)[0]:
-            rel_entries[(int(i2), j)] = int(row[i2]) % q
-    for k in range(n):
-        rel_entries[(k, len(basis) + k)] = q
-    relations = IntMatrix(n, len(basis) + n, rel_entries)
-    proj = IntMatrix(ng, n, {(i, j): int(v) for (i, rr) in enumerate(proj_full)
-                             for j, v in enumerate(rr) if v})
-    lift = IntMatrix(n, ng, {(i, j): int(v) for (i, rr) in enumerate(lift_full)
-                             for j, v in enumerate(rr) if v})
-    return Presentation(n, relations, group, proj, lift)
+    nr = r_sub.shape[0]
+    sub = {(int(j), int(i)): int(r_sub[i, j]) for i, j in zip(*np.nonzero(r_sub))}
+    sub.update({(k, nr + k): q for k in range(nk)})
+    small = present_quotient(nk, IntMatrix(nk, nr + nk, sub))
+    # Z^n -> Z^nk: identity on keep_cols, t_mat^T on elim_cols
+    to_small = {(j, c): 1 for j, c in enumerate(keep_cols)}
+    to_small.update({(int(j), elim_cols[k]): int(t_mat[k, j])
+                     for k, j in zip(*np.nonzero(t_mat))})
+    proj = matrix_mod(small.proj * IntMatrix(nk, n, to_small), small.group.moduli)
+    lift = IntMatrix(n, small.group.n,
+                     {(keep_cols[i], j): v for (i, j), v in small.lift.data.items()})
+    rel = {(int(i), j): int(row[i]) for j, row in enumerate(lat.row_list())
+           for i in np.nonzero(row)[0]}
+    rel.update({(k, len(lat.rows) + k): q for k in range(n)})
+    relations = IntMatrix(n, len(lat.rows) + n, rel)
+    return Presentation(n, relations, small.group, proj, lift)
 
 
 def present_quotient_ppower(n: int, rows: Iterable[Sequence[int]], p: int, s: int) -> Presentation:

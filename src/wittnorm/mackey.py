@@ -86,6 +86,16 @@ def hom_power(h: GroupHom, m: int) -> GroupHom:
     return out
 
 
+def translate_sum(step: GroupHom, p: int) -> GroupHom:
+    """1 + step + ... + step^(p-1): the sum of the p translates by step."""
+    acc = GroupHom.zero(step.src, step.src)
+    cur = GroupHom.identity(step.src)
+    for _ in range(p):
+        acc = acc + cur
+        cur = step.compose(cur)
+    return acc
+
+
 def _preimages(h: GroupHom, elts: Sequence[Sequence[int]]) -> List[Optional[Tuple[int, ...]]]:
     """For each element, some x in the source with h(x) = elt, or None.
 
@@ -245,13 +255,7 @@ def validate_mackey(m: CyclicMackeyFunctor) -> None:
             raise MackeyError(f"transfer {k} is not equivariant")
         if m.tr[k].compose(m.res[k]) != GroupHom.scalar(m.levels[k + 1], p):
             raise MackeyError(f"transfer after restriction at level {k} is not multiplication by p")
-        acc = GroupHom.zero(m.levels[k], m.levels[k])
-        step = hom_power(m.weyl[k], p ** (n - k - 1))
-        cur = GroupHom.identity(m.levels[k])
-        for _ in range(p):
-            acc = acc + cur
-            cur = step.compose(cur)
-        if m.res[k].compose(m.tr[k]) != acc:
+        if m.res[k].compose(m.tr[k]) != translate_sum(hom_power(m.weyl[k], p ** (n - k - 1)), p):
             raise MackeyError(f"double-coset formula fails at level {k}")
 
 
@@ -382,12 +386,7 @@ def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
         incl_k = kernels[k].incl
         incl_k1 = kernels[k + 1].incl
         res.append(GroupHom(levels[k + 1], levels[k], express_matrix_via(incl_k, incl_k1.matrix)))
-        step = hom_power(mod.action, p ** (n - k - 1))
-        trace = GroupHom.zero(mod.carrier, mod.carrier)
-        cur = ident
-        for _ in range(p):
-            trace = trace + cur
-            cur = step.compose(cur)
+        trace = translate_sum(hom_power(mod.action, p ** (n - k - 1)), p)
         tr.append(
             GroupHom(
                 levels[k], levels[k + 1], express_matrix_via(incl_k1, trace.matrix * incl_k.matrix)
@@ -569,10 +568,6 @@ def augmentation(p: int, n: int, k: int = 0) -> MackeyMap:
     return box_counit(constant_mackey(p, n), k)
 
 
-def scaled_augmentation(p: int, n: int, k: int = 0) -> MackeyMap:
-    return augmentation(p, n, k).scale(p)
-
-
 # kernels, cokernels, derived constructions
 
 
@@ -689,10 +684,6 @@ def augmentation_cokernel(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
 def base_change_to_witt(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
     """Cokernel of p times the counit from the free-orbit pairing."""
     return mackey_cokernel(box_counit(m, 0).scale(m.p))
-
-
-def base_change_to_witt_data(m: CyclicMackeyFunctor) -> MackeyCokernelData:
-    return mackey_cokernel_data(box_counit(m, 0).scale(m.p))
 
 
 def inflate_mackey(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:

@@ -37,6 +37,7 @@ from .mackey import (
     GModule,
     base_change_to_witt,
     fixed_point_mackey,
+    translate_sum,
     witt_mackey,
 )
 
@@ -316,14 +317,9 @@ def fv_on_norm(space: FpVectorSpace, r: int, w: CyclicMackeyFunctor) -> FVReport
         ("transfer after restriction is p on the top level",
          versch.compose(frob) == GroupHom.scalar(top, p))
     )
-    translate_sum = GroupHom.zero(w.levels[n - 1], w.levels[n - 1])
-    cur = GroupHom.identity(w.levels[n - 1])
-    for _ in range(p):
-        translate_sum = translate_sum + cur
-        cur = w.weyl[n - 1].compose(cur)
     checks.append(
         ("restriction after transfer is the translate sum one level down",
-         frob.compose(versch) == translate_sum)
+         frob.compose(versch) == translate_sum(w.weyl[n - 1], p))
     )
     if space.d == 1:
         wm = witt_mackey(p, n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .abgroups import FgAbGroup, GroupHom
+from .abgroups import FgAbGroup
 from .intlinalg import IntMatrix
 
 SCHEMA_VERSION = "1"
@@ -168,13 +168,6 @@ def matrix_json(m: IntMatrix) -> dict:
 def group_json(g: FgAbGroup) -> dict:
     return {"kind": "abelian-group",
             "invariant_factors": [str(m) for m in g.moduli]}
-
-
-def hom_json(h: GroupHom) -> dict:
-    return {"kind": "group-hom",
-            "src": group_json(h.src)["invariant_factors"],
-            "dst": group_json(h.dst)["invariant_factors"],
-            "matrix": matrix_json(h.matrix)["matrix"]}
 
 
 def mackey_json(m) -> dict:

@@ -311,7 +311,6 @@ def _compare_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str,
             rep, w = compare_with_norm(space, r, cap=cap)
             if not rep.passed:
                 return f"tate={rep.tate} norm={rep.norm}"
-            validate_mackey(w)
             fv = fv_on_norm(space, r, w)
             if not fv.ok:
                 return f"frobenius/verschiebung checks failed: {fv.checks}"

@@ -81,10 +81,10 @@ def _exchange_perm(a: int, b: int, m: int) -> IntMatrix:
 
 
 class _PowerTheory:
-    """Frame shared by the orbit and raw theories: the presentation a
-    subclass's `_presentation(rank, n)` builds on the n = rank^m tensor
-    power, cached per rank; morphisms are induced by Kronecker powers and
-    the exchange by `_exchange_perm`."""
+    """Frame shared by the trace theories: what a subclass's
+    `_presentation(rank, n)` builds on the n = rank^m tensor power,
+    cached per rank; morphisms are Kronecker powers and the exchange is
+    `_exchange_perm`, each taken to the values by `descend_map`."""
 
     def __init__(self, m: int, base_char: int = 0, rank_cap: int = 2,
                  tensor_cap: int = DEFAULT_CAP):
@@ -93,29 +93,34 @@ class _PowerTheory:
         self.m = m
         self.category = TensorCategory(base_char, rank_cap)
         self.tensor_cap = tensor_cap
-        self._values: Dict[int, Presentation] = {}
+        self._values: Dict[int, object] = {}
 
     @property
     def base_char(self) -> int:
         return self.category.base_char
 
-    def value(self, rank: int) -> Presentation:
-        pres = self._values.get(rank)
-        if pres is None:
+    def _cached(self, rank: int):
+        hit = self._values.get(rank)
+        if hit is None:
             n = rank ** self.m
             if n > self.tensor_cap:
                 raise CapExceeded(n, self.tensor_cap)
-            pres = self._presentation(rank, n)
-            self._values[rank] = pres
-        return pres
+            hit = self._presentation(rank, n)
+            self._values[rank] = hit
+        return hit
+
+    def value(self, rank: int) -> Presentation:
+        return self._cached(rank)
+
+    def descend_map(self, amb: IntMatrix, src_rank: int, dst_rank: int) -> GroupHom:
+        """The map of values induced by a matrix on the tensor powers."""
+        return induced_hom(self.value(src_rank), self.value(dst_rank), amb)
 
     def morphism(self, mat: IntMatrix) -> GroupHom:
-        src, dst = self.value(mat.cols), self.value(mat.rows)
-        return induced_hom(src, dst, kron_power(mat, self.m))
+        return self.descend_map(kron_power(mat, self.m), mat.cols, mat.rows)
 
     def tau(self, a: int, b: int) -> GroupHom:
-        src, dst = self.value(a * b), self.value(b * a)
-        return induced_hom(src, dst, _exchange_perm(a, b, self.m))
+        return self.descend_map(_exchange_perm(a, b, self.m), a * b, b * a)
 
 
 class OrbitTraceTheory(_PowerTheory):
@@ -170,53 +175,34 @@ class RawPowerTraceTheory(_PowerTheory):
         return Presentation(n, relations, FgAbGroup([char] * n), ident, ident)
 
 
-class NormTraceTheory:
+class NormTraceTheory(_PowerTheory):
     """T(M) = fixed vectors of the p^(r-1) tensor power of the integral
     lift, modulo p times the image of the total group norm.
 
     This is the top level of the norm pipeline; morphisms transport
     integral representative matrices (entries 0..p-1 for the canonical
-    lift of an F_p-linear map)."""
+    lift of an F_p-linear map).  A cached value is the pair
+    `fixed_mod_norm` returns: the fixed lattice and its quotient."""
 
     def __init__(self, p: int, r: int, rank_cap: int = 2,
                  tensor_cap: int = DEFAULT_CAP):
         require_prime(p)
         if r < 1:
             raise ValueError("truncation level must be >= 1")
+        super().__init__(p ** (r - 1), p, rank_cap, tensor_cap)
         self.p = p
         self.r = r
-        self.m = p ** (r - 1)
-        self.category = TensorCategory(p, rank_cap)
-        self.tensor_cap = tensor_cap
-        self._values: Dict[int, Tuple[IntMatrix, Presentation]] = {}
 
-    @property
-    def base_char(self) -> int:
-        return self.p
-
-    def _fixed_and_pres(self, rank: int) -> Tuple[IntMatrix, Presentation]:
-        hit = self._values.get(rank)
-        if hit is None:
-            n = rank ** self.m
-            if n > self.tensor_cap:
-                raise CapExceeded(n, self.tensor_cap)
-            # the rotation has order m, so the norm over the group of
-            # order p*m is p times the rotation-orbit sum
-            hit = fixed_mod_norm(rotation_matrix(rank, self.m), self.p * self.m)
-            self._values[rank] = hit
-        return hit
+    def _presentation(self, rank: int, n: int) -> Tuple[IntMatrix, Presentation]:
+        # the rotation has order m, so the norm over the group of
+        # order p*m is p times the rotation-orbit sum
+        return fixed_mod_norm(rotation_matrix(rank, self.m), self.p * self.m)
 
     def value(self, rank: int) -> Presentation:
-        return self._fixed_and_pres(rank)[1]
+        return self._cached(rank)[1]
 
-    def _descend(self, amb: IntMatrix, src_rank: int, dst_rank: int) -> GroupHom:
-        return descend_map(amb, self._fixed_and_pres(src_rank), self._fixed_and_pres(dst_rank))
-
-    def morphism(self, mat: IntMatrix) -> GroupHom:
-        return self._descend(kron_power(mat, self.m), mat.cols, mat.rows)
-
-    def tau(self, a: int, b: int) -> GroupHom:
-        return self._descend(_exchange_perm(a, b, self.m), a * b, b * a)
+    def descend_map(self, amb: IntMatrix, src_rank: int, dst_rank: int) -> GroupHom:
+        return descend_map(amb, self._cached(src_rank), self._cached(dst_rank))
 
 
 def tensor_power_orbit_trace(m: int, base_char: int = 0, rank_cap: int = 2,

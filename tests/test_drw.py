@@ -1,14 +1,17 @@
 """Truncated F-V towers: saturation output, axioms, comparisons."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from wittnorm.abgroups import FgAbGroup
+from wittnorm.abgroups import FgAbGroup, GroupHom, is_isomorphism, present_quotient
 from wittnorm.derham import DeRhamComplex
 from wittnorm.drw import (
     DRWSymbol,
+    LatticeModQ,
     build_drw,
     check_fv_axioms,
     degree_zero_witt_comparison,
@@ -25,6 +28,7 @@ from wittnorm.drw import (
     weight_total,
     witt_coefficient_group,
 )
+from wittnorm.intlinalg import IntMatrix, matrix_mod
 
 
 def expected_piece_moduli(p, s, deg, w):
@@ -72,6 +76,45 @@ def test_presentation_from_plain_lattice():
     for vec in ([1, 0], [0, 3], [1, 2]):
         elt = pres.project_vec(vec)
         assert pres.project_vec(pres.lift_elt(elt)) == elt
+
+
+def assert_matches_full_lattice(pres, n, rows, q):
+    # oracle: one Smith reduction of the whole relation lattice rows + q Z^n
+    lattice = IntMatrix.from_columns([list(r) for r in rows], n)
+    oracle = present_quotient(n, lattice.hstack(IntMatrix.diagonal([q] * n)))
+    mods = pres.group.moduli
+    assert pres.group == oracle.group
+    ident = IntMatrix.identity(pres.group.n)
+    assert matrix_mod(pres.proj * pres.lift, mods) == matrix_mod(ident, mods)
+    assert matrix_mod(pres.proj * oracle.relations, mods).is_zero()
+    assert is_isomorphism(GroupHom(oracle.group, pres.group, pres.proj * oracle.lift))
+
+
+def test_ppower_presentation_matches_full_lattice_oracle():
+    rng = random.Random(5)
+    for p in (2, 3):
+        for s in (1, 2, 3):
+            q = p ** s
+            for n in range(1, 7):
+                cases = [[], [[int(i == j) for j in range(n)] for i in range(n)]]
+                for _ in range(4):
+                    cases.append([[rng.choice([0, 0, 1, p, q - 1, rng.randrange(q)])
+                                   for _ in range(n)] for _ in range(rng.randint(1, n + 1))])
+                for rows in cases:
+                    pres = present_quotient_ppower(n, rows, p, s)
+                    assert_matches_full_lattice(pres, n, rows, q)
+    tw = build_drw(2, 2, 1, 4)
+    for (s, _, _), piece in tw.pieces.items():
+        n, rows = len(piece.symbols), piece.lattice.row_list()
+        assert_matches_full_lattice(piece.pres, n, rows, 2 ** s)
+        assert_matches_full_lattice(present_quotient_ppower(n, rows, 2, s), n, rows, 2 ** s)
+
+
+def test_lattice_rejects_int64_overflow():
+    with pytest.raises(ValueError):
+        LatticeModQ(4, 2, 62)
+    lat = LatticeModQ(4, 3, 3)
+    assert lat.insert_batch(np.array([[1, 2, 0, 0]])) != []
 
 
 def test_hand_fixtures_p2_r2():
