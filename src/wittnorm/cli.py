@@ -40,9 +40,8 @@ from .mackey import (
     zero_mackey,
 )
 from .polywitt import DEFAULT_CAP, FpVectorSpace, compare_pipelines
-from .rings import GFPolyRing, QuotPolyRing, ZModRing, ZRing
+from .rings import GFPolyRing, ZModRing, ZRing
 from .serialize import (
-    base_elt_json,
     dumps_value,
     emit,
     emit_csv,
@@ -54,7 +53,6 @@ from .serialize import (
 )
 from .suites import SUITE_IDS, run_suites
 from .traces import (
-    NormTraceTheory,
     OrbitTraceTheory,
     RawPowerTraceTheory,
     negative_raw_power,

@@ -8,7 +8,7 @@ contributes one.  Coefficients live in Z/p^N.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .abgroups import FgAbGroup, GroupHom
 from .intlinalg import IntMatrix
@@ -78,37 +78,3 @@ class DeRhamComplex:
                     data[(i, j)] = (data.get((i, j), 0) + sign * mono[v]) % self.q
         return GroupHom(self.group(deg, w), self.group(deg + 1, w),
                         IntMatrix(len(dst), len(src), {k: v for k, v in data.items() if v}))
-
-    def mul_vec(self, deg1: int, w1: int, vec1, deg2: int, w2: int, vec2):
-        """Product of two elements, landing in (deg1+deg2, w1+w2)."""
-        src1 = self._basis.get((deg1, w1), [])
-        src2 = self._basis.get((deg2, w2), [])
-        dst = self._basis.get((deg1 + deg2, w1 + w2), [])
-        dst_pos = {bk: i for i, bk in enumerate(dst)}
-        out = [0] * len(dst)
-        for j1, c1 in enumerate(vec1):
-            if c1 == 0:
-                continue
-            for j2, c2 in enumerate(vec2):
-                if c2 == 0:
-                    continue
-                (m1, f1), (m2, f2) = src1[j1], src2[j2]
-                if set(f1) & set(f2):
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                frame = tuple(sorted(f1 + f2))
-                # sign of sorting the concatenated frame
-                sign = 1
-                items = list(f1 + f2)
-                for a in range(len(items)):
-                    for b in range(a + 1, len(items)):
-                        if items[a] > items[b]:
-                            sign = -sign
-                i = dst_pos.get((mono, frame))
-                if i is not None:
-                    out[i] = (out[i] + sign * c1 * c2) % self.q
-        return out
-
-
-def de_rham_complex(p: int, nvars: int = 1, weight_cap: int = 8, char_exp: int = 1) -> DeRhamComplex:
-    return DeRhamComplex(p, nvars, weight_cap, char_exp)

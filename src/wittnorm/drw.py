@@ -1024,15 +1024,6 @@ class TruncatedFVComplex:
         return self._op_hom("r", (s, deg, w), (s - 1, deg, w),
                             lambda sym: self.calc.apply_r(s - 1, sym))
 
-    def restriction_to_level_one(self, deg: int, w) -> GroupHom:
-        """Composite of truncations from the top level down to level 1."""
-        w = self.coerce_weight(w)
-        piece = self.pieces[(self.r, deg, w)]
-        hom = GroupHom.identity(piece.group)
-        for s in range(self.r, 1, -1):
-            hom = self.r_hom(s, deg, w).compose(hom)
-        return hom
-
     def mul_elts(self, s: int, piece_a: TowerPiece, elt_a, piece_b: TowerPiece, elt_b):
         """Product of two classes, computed on canonical lifts."""
         va = piece_a.pres.lift_elt(list(elt_a))

@@ -11,7 +11,7 @@ with d1 | d2 | ... .
 from __future__ import annotations
 
 from math import isqrt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class IntMatrix:
@@ -234,6 +234,8 @@ class _SmithWorker:
         self.urows: List[Dict[int, int]] = [{i: 1} for i in range(m.rows)]
         self.uinvcols: List[Dict[int, int]] = [{i: 1} for i in range(m.rows)]
         self.vcols: List[Dict[int, int]] = [{j: 1} for j in range(m.cols)]
+        # the last pivot placed; it divides every entry of the trailing block
+        self.floor = 1
 
     def set_entry(self, i: int, j: int, v: int) -> None:
         if v:
@@ -292,27 +294,50 @@ class _SmithWorker:
                 vec[j] = -vec[j]
 
     def pick_pivot(self, t: int) -> Optional[Tuple[int, int]]:
-        """Nonzero entry of minimal |value| in the trailing block, ties by (i, j)."""
+        """A nonzero entry of minimal |value| in the trailing block.
+
+        In row t the first unit in dict order wins; otherwise the least
+        (|value|, i, j) wins.  No entry is smaller than ``floor``, so once a
+        row holds an entry of that size no later row can beat it, and the
+        scan stops there.
+        """
         best = None
         for i in range(t, self.r):
             for j, v in self.rows[i].items():
                 if j < t:
                     continue
                 key = (abs(v), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
+                if best is None or key < best:
+                    best = key
                     if key[0] == 1 and i == t:
                         break
+            if best is not None and best[0] == self.floor:
+                break
         if best is None:
             return None
         return best[1], best[2]
+
+    def offending_row(self, t: int) -> Optional[int]:
+        """First row below t with an entry right of t not divisible by the pivot.
+
+        A pivot of size ``floor`` divides every entry already.
+        """
+        p = self.rows[t][t]
+        if abs(p) == self.floor:
+            return None
+        for i in range(t + 1, self.r):
+            if any(j > t and v % p for j, v in self.rows[i].items()):
+                return i
+        return None
 
 
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V, U^-1) with U*m*V = D, U and V unimodular, D in Smith form.
 
-    Pivot policy: minimal absolute value in the active block, deterministic
-    (row, col) tie break, so outputs are bit-reproducible.
+    Pivot policy: see ``_SmithWorker.pick_pivot``.  It reads rows in the
+    entry order of ``m.data``, so that order is an input: two matrices with
+    equal entries listed in a different order can give different U and V.
+    Outputs are bit-reproducible for a fixed entry order.
     """
     w = _SmithWorker(m)
     t = 0
@@ -358,20 +383,13 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, In
                 continue
             break
         # divisibility sweep: pivot must divide the rest of the block
-        p = w.rows[t].get(t, 0)
-        bad = None
-        for i in range(t + 1, w.r):
-            for j, v in w.rows[i].items():
-                if j > t and v % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = w.offending_row(t)
         if bad is not None:
             w.row_axpy(-1, bad, t)  # add offending row onto pivot row
             continue  # redo this pivot index
-        if p < 0:
+        if w.rows[t][t] < 0:
             w.negate_row(t)
+        w.floor = w.rows[t][t]
         t += 1
     # assemble dense-free outputs
     ddata = {}
@@ -392,49 +410,43 @@ def smith_diagonal(m: IntMatrix) -> List[int]:
 
 
 class _SolveContext:
-    """Factor A once, answer many A*x = b queries."""
+    """Factor A once, answer many A*X = B queries."""
 
     def __init__(self, a: IntMatrix):
         self.a = a
-        self.u, self.d, self.v, _ = smith_normal_form(a)
-        self.rank = sum(1 for i in range(min(a.rows, a.cols)) if self.d.entry(i, i))
+        self.u, d, self.v, _ = smith_normal_form(a)
+        self.diag = {i: v for (i, _), v in d.data.items()}
+        self.rank = len(self.diag)
 
-    def solve(self, b: Sequence[int]) -> Optional[List[int]]:
-        """One integer solution of A*x = b, or None."""
-        ub = self.u.apply(list(b))
-        y = [0] * self.a.cols
-        for i in range(self.a.rows):
-            di = self.d.entry(i, i) if i < self.a.cols else 0
-            if di:
-                if ub[i] % di:
-                    return None
-                y[i] = ub[i] // di
-            else:
-                if ub[i]:
-                    return None
-        return self.v.apply(y)
+    def solve_matrix(self, b: IntMatrix) -> Optional[IntMatrix]:
+        """X = V * D^-1 * U * B with A*X = B, or None when a column has no solution.
+
+        X lists its entries column-major, rows ascending within a column.
+        """
+        y = {}
+        for (i, j), s in (self.u * b).data.items():
+            di = self.diag.get(i)
+            if di is None or s % di:
+                return None
+            y[(i, j)] = s // di
+        x = self.v * IntMatrix(self.a.cols, b.cols, y)
+        by_col = sorted(x.data.items(), key=lambda e: (e[0][1], e[0][0]))
+        return IntMatrix(x.rows, x.cols, dict(by_col))
 
     def kernel(self) -> IntMatrix:
         """Columns form a basis of the integer kernel of A."""
-        free = [j for j in range(self.a.cols) if j >= self.rank or self.d.entry(j, j) == 0]
-        return self.v.take_columns(free)
+        return self.v.take_columns(range(self.rank, self.a.cols))
 
 
 def solve_int(a: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:
     """One integer solution x of a*x = b, or None when none exists."""
-    return _SolveContext(a).solve(b)
+    x = _SolveContext(a).solve_matrix(IntMatrix.from_columns([b], rows=a.rows))
+    return None if x is None else [row[0] for row in x.to_rows()]
 
 
 def solve_int_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """X with a*X = b over the integers, or None."""
-    ctx = _SolveContext(a)
-    cols = []
-    for j in range(b.cols):
-        x = ctx.solve(b.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return IntMatrix.from_columns(cols, rows=a.cols)
+    return _SolveContext(a).solve_matrix(b)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

@@ -41,7 +41,7 @@ from .abgroups import (
     present_quotient,
     subgroups_equal,
 )
-from .intlinalg import IntMatrix, _SolveContext, require_prime
+from .intlinalg import IntMatrix, _SolveContext, matrix_mod, require_prime
 
 
 class MackeyError(ValueError):
@@ -96,34 +96,40 @@ def translate_sum(step: GroupHom, p: int) -> GroupHom:
     return acc
 
 
-def _preimages(h: GroupHom, elts: Sequence[Sequence[int]]) -> List[Optional[Tuple[int, ...]]]:
-    """For each element, some x in the source with h(x) = elt, or None.
+def _solve_via(h: GroupHom, cols: IntMatrix) -> Optional[IntMatrix]:
+    """Preimages under h of the columns, or None when one has none.
 
-    One factorization of [h | dst relations] answers every element.
+    One factorization of [h | dst relations] answers every column.
     """
+    if cols.rows != h.dst.n:
+        raise ValueError("element length mismatch")
     ctx = _SolveContext(h.matrix.hstack(h.dst.relation_matrix()))
-    out = []
-    for elt in elts:
-        sol = ctx.solve(list(h.dst.normalize(elt)))
-        out.append(None if sol is None else h.src.normalize(sol[: h.src.n]))
-    return out
+    sol = ctx.solve_matrix(matrix_mod(cols, h.dst.moduli))
+    if sol is None:
+        return None
+    return matrix_mod(sol.take_rows(range(h.src.n)), h.src.moduli)
 
 
 def express_via(h: GroupHom, elt: Sequence[int]) -> Optional[Tuple[int, ...]]:
     """Some x in the source with h(x) = elt, or None."""
-    return _preimages(h, [elt])[0]
+    sol = _solve_via(h, IntMatrix.from_columns([elt], rows=h.dst.n))
+    return None if sol is None else tuple(row[0] for row in sol.to_rows())
 
 
 def express_matrix_via(h: GroupHom, cols: IntMatrix) -> IntMatrix:
     """Preimages under h of the columns (must exist)."""
-    out = _preimages(h, cols.transpose().to_rows())
-    if any(x is None for x in out):
+    out = _solve_via(h, cols)
+    if out is None:
         raise MackeyError("element has no preimage where one is required")
-    return IntMatrix.from_columns(out, rows=h.src.n)
+    return out
 
 
 class GModule:
-    """A f.g. abelian group with an action of a fixed generator of C_{p^n}."""
+    """A f.g. abelian group with an action of a fixed generator of C_{p^n}.
+
+    The constructor checks action^(p^n) = id, which also makes the action
+    invertible, with inverse action^(p^n - 1).
+    """
 
     __slots__ = ("spec", "carrier", "action")
 
@@ -132,8 +138,6 @@ class GModule:
             raise ValueError("action must be an endomorphism of the carrier")
         if hom_power(action, spec.order()) != GroupHom.identity(carrier):
             raise MackeyError("generator action order does not divide the group order")
-        if not is_isomorphism(action):
-            raise MackeyError("generator action must be invertible")
         self.spec = spec
         self.carrier = carrier
         self.action = action

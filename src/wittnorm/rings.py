@@ -15,7 +15,7 @@ degree while still producing exact mod-p answers.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 

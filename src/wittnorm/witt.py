@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .intlinalg import require_prime
 from .multipoly import MPoly
-from .rings import GFPolyRing, ZModRing, ZRing
+from .rings import GFPolyRing, ZModRing
 
 
 class WittDegreeOverflow(ValueError):

@@ -3,7 +3,10 @@
 The oracle for every SNF call is structural: U*A*V must equal D exactly,
 U and V must be unimodular, the returned U^-1 must invert U on both
 sides, and D must be a divisibility chain.  Expected
-diagonals below were computed by hand.
+diagonals below were computed by hand.  The pivot scan's early stops are
+checked against the full scan kept here as a reference: both must give
+the same (U, D, V, U^-1), entry order included, since entry order feeds
+later pivot choices.
 """
 
 import random
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittnorm import intlinalg
 from wittnorm.intlinalg import (
     IntMatrix,
     kernel_basis,
@@ -207,3 +211,128 @@ def test_require_prime():
     for p in (-3, 0, 1, 4, 6, 9, 91):
         with pytest.raises(ValueError):
             require_prime(p)
+
+
+class _ReferenceWorker(intlinalg._SmithWorker):
+    """Pivot choice and divisibility sweep as they were before the early stops."""
+
+    def pick_pivot(self, t):
+        best = None
+        for i in range(t, self.r):
+            for j, v in self.rows[i].items():
+                if j < t:
+                    continue
+                key = (abs(v), i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+                    if key[0] == 1 and i == t:
+                        break
+        if best is None:
+            return None
+        return best[1], best[2]
+
+    def offending_row(self, t):
+        p = self.rows[t].get(t, 0)
+        for i in range(t + 1, self.r):
+            for j, v in self.rows[i].items():
+                if j > t and v % p:
+                    return i
+        return None
+
+
+def _shuffled(rows, cols, data, rng):
+    """IntMatrix with its entries listed in a seeded random order."""
+    items = list(data.items())
+    rng.shuffle(items)
+    return IntMatrix(rows, cols, dict(items))
+
+
+def _snf_cases(seed, count):
+    """Seeded matrices of the shapes the library factors."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = k % 5
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        if kind == 0:  # sparse 0/+-1
+            data = {(i, j): rng.choice([-1, 1]) for i in range(r) for j in range(c)
+                    if rng.random() < 0.3}
+        elif kind == 1:  # dense small entries
+            data = {(i, j): rng.randint(-6, 6) for i in range(r) for j in range(c)}
+        elif kind == 2:  # rank-deficient: a product through a thin middle
+            inner = rng.randint(1, max(1, min(r, c) - 1))
+            left = IntMatrix(r, inner, {(i, j): rng.randint(-3, 3) for i in range(r)
+                                        for j in range(inner)})
+            right = IntMatrix(inner, c, {(i, j): rng.randint(-3, 3) for i in range(inner)
+                                         for j in range(c)})
+            data = (left * right).data
+        elif kind == 3:  # non-square, with entries sharing a common factor
+            r, c = rng.choice([(2, 7), (7, 2), (3, 9), (9, 4)])
+            g = rng.choice([2, 3, 4])
+            data = {(i, j): g * rng.randint(-4, 4) + (1 if rng.random() < 0.1 else 0)
+                    for i in range(r) for j in range(c)}
+        else:  # permutation minus identity, as fixed_mod_norm factors
+            r = c = rng.randint(2, 24)
+            perm = list(range(r))
+            rng.shuffle(perm)
+            data = {}
+            for j in range(r):
+                data[(perm[j], j)] = data.get((perm[j], j), 0) + 1
+                data[(j, j)] = data.get((j, j), 0) - 1
+        yield _shuffled(r, c, data, rng)
+
+
+def test_snf_matches_reference_pivoting(monkeypatch):
+    mats = list(_snf_cases(2024, 300))
+    got = [smith_normal_form(m) for m in mats]
+    monkeypatch.setattr(intlinalg, "_SmithWorker", _ReferenceWorker)
+    for m, out in zip(mats, got):
+        want = smith_normal_form(m)
+        for x, y in zip(out, want):
+            assert (x.rows, x.cols) == (y.rows, y.cols)
+            assert list(x.data.items()) == list(y.data.items())
+
+
+def _oracle_solve_column(a, b):
+    """One solution of a*x = b read off smith_normal_form, or None."""
+    u, d, v, _ = smith_normal_form(a)
+    ub = u.apply(b)
+    y = [0] * a.cols
+    for i in range(a.rows):
+        di = d.entry(i, i) if i < a.cols else 0
+        if di:
+            if ub[i] % di:
+                return None
+            y[i] = ub[i] // di
+        elif ub[i]:
+            return None
+    return v.apply(y)
+
+
+def _solve_cases(seed):
+    rng = random.Random(seed)
+    for a in _snf_cases(seed, 60):
+        x = IntMatrix(a.cols, 4, {(i, j): rng.randint(-3, 3) for i in range(a.cols)
+                                  for j in range(4) if rng.random() < 0.5})
+        b = (a * x).to_rows()
+        if rng.random() < 0.5:  # an extra column, often outside the image
+            extra = rng.randrange(len(b[0]))
+            for row in b:
+                row[extra] += rng.randint(-2, 2)
+        yield a, IntMatrix.from_rows(b)
+
+
+def test_solve_int_matrix_matches_per_column_oracle():
+    unsolvable = 0
+    for a, b in _solve_cases(31):
+        cols = [_oracle_solve_column(a, col) for col in b.transpose().to_rows()]
+        got = solve_int_matrix(a, b)
+        for col, want in zip(b.transpose().to_rows(), cols):
+            assert solve_int(a, col) == want
+        if any(c is None for c in cols):
+            unsolvable += 1
+            assert got is None
+            continue
+        want = IntMatrix.from_columns(cols, rows=a.cols)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert list(got.data.items()) == list(want.data.items())
+    assert unsolvable

@@ -329,6 +329,8 @@ def test_express_matrix_via_rejects_column_outside_image():
     assert express_via(h, (1,)) is None
     with pytest.raises(MackeyError):
         express_matrix_via(h, IntMatrix.from_columns([[2], [1], [0]]))
+    with pytest.raises(ValueError):
+        express_matrix_via(h, IntMatrix.from_columns([[2, 0]]))
 
 
 def test_express_matrix_via_factors_once(monkeypatch):
@@ -344,3 +346,47 @@ def test_express_matrix_via_factors_once(monkeypatch):
         calls.clear()
         express_matrix_via(h, IntMatrix.from_columns(images, rows=h.dst.n))
         assert len(calls) == 1
+
+
+def _oracle_preimage(h, elt):
+    """A preimage of elt under h solved column by column off smith_normal_form."""
+    a = h.matrix.hstack(h.dst.relation_matrix())
+    u, d, v, _ = intlinalg.smith_normal_form(a)
+    ub = u.apply(list(h.dst.normalize(elt)))
+    y = [0] * a.cols
+    for i in range(a.rows):
+        di = d.entry(i, i) if i < a.cols else 0
+        if di:
+            if ub[i] % di:
+                return None
+            y[i] = ub[i] // di
+        elif ub[i]:
+            return None
+    return h.src.normalize(v.apply(y)[: h.src.n])
+
+
+def test_express_via_matches_per_column_oracle():
+    rng = random.Random(17)
+    outside = 0
+    for seed in range(6):
+        for h, images in _seeded_homs(seed):
+            elts = images + [h.dst.random_element(rng, bound=6) for _ in range(2)]
+            want = [_oracle_preimage(h, e) for e in elts]
+            assert [express_via(h, e) for e in elts] == want
+            cols = IntMatrix.from_columns(elts, rows=h.dst.n)
+            if any(w is None for w in want):
+                outside += 1
+                with pytest.raises(MackeyError):
+                    express_matrix_via(h, cols)
+                continue
+            got = express_matrix_via(h, cols)
+            expected = IntMatrix.from_columns(want, rows=h.src.n)
+            assert (got.rows, got.cols) == (expected.rows, expected.cols)
+            assert list(got.data.items()) == list(expected.data.items())
+    assert outside
+
+
+def test_gmodule_rejects_non_invertible_action():
+    z = FgAbGroup([0])
+    with pytest.raises(MackeyError):
+        GModule(CyclicGroupSpec(2, 1), z, GroupHom.scalar(z, 2))

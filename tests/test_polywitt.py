@@ -1,5 +1,8 @@
 """Polynomial Witt vectors: Tate and norm pipelines, comparison, F/V."""
 
+import os
+import sys
+
 import pytest
 
 from wittnorm.abgroups import FgAbGroup, GroupHom
@@ -8,6 +11,7 @@ from wittnorm.mackey import (
     CyclicGroupSpec,
     constant_mackey,
     find_cyclic_iso,
+    fixed_point_mackey,
     regular_gmodule,
     trivial_gmodule,
     witt_mackey,
@@ -33,6 +37,10 @@ from wittnorm.polywitt import (
     tate_polywitt,
     tensor_power_action,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+import oracles  # noqa: E402
 
 
 def test_tate_h0_frozen():
@@ -259,3 +267,21 @@ def test_kron():
         [0, 3, 0, 4],
         [3, 0, 4, 0],
     ]
+
+
+def test_pipelines_never_read_single_columns(monkeypatch):
+    # IntMatrix.column scans every nonzero, so a solve that reads its
+    # right-hand side one column at a time is quadratic in the columns
+    def column(self, j):
+        raise AssertionError("IntMatrix.column on a pipeline path")
+
+    monkeypatch.setattr(IntMatrix, "column", column)
+    assert all(lift_independence_report(FpVectorSpace(2, 2), 2, samples=4))
+    fixed_point_mackey(regular_gmodule(2, 2))
+
+
+def test_pipelines_match_orbit_count_at_dimension_1296():
+    # compare_pipelines runs tate_polywitt and the norm pipeline
+    rep = compare_pipelines(FpVectorSpace(2, 6), 3)
+    assert oracles.check_factors(2, 6, 3, rep.tate) == []
+    assert oracles.check_factors(2, 6, 3, rep.norm) == []
