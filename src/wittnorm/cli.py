@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .drw import (
+    SaturationError,
     build_drw,
     check_fv_axioms,
     mixed_char_weight_piece,
@@ -460,6 +461,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except SaturationError as exc:
+        # the tower did not reach its fixpoint: a check failed, not the input
+        sys.stderr.write(f"check failed: {exc}\n")
+        return 2
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -19,6 +19,7 @@ the quotient only ever shrinks toward the initial object, never past it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections import Counter, defaultdict
@@ -126,7 +127,7 @@ def enumerate_weights(p: int, r: int, nvars: int, cap: int) -> List[Weight]:
 
 
 def _is_zero_mono(m: Mono) -> bool:
-    return all(v == 0 for v in m)
+    return not any(m)
 
 
 def _mono_div_p(m: Mono, p: int) -> bool:
@@ -329,9 +330,17 @@ class DRWSymbol:
 # relation lattices modulo p^s
 #
 # A Howell-form lattice (Storjohann-Mulders 1998) does one job: incremental
-# insertion with growth detection while a piece saturates.  The finished
-# quotient is presented by the package's one Smith reduction,
+# insertion with growth detection while a piece saturates.  Relation rows
+# are sparse, {column: nonzero residue mod p^s} with Python ints: the
+# relations of a tower piece touch a handful of its symbols, so a dense
+# row would be almost all zeros.  Rows are offered in batches: each batch
+# is first swept against the pivots held when it starts, ascending pivot
+# column, and then every surviving row is inserted on its own, in order.
+# That order fixes the stored rows, so it is part of the output contract.
+# The finished quotient is presented by the package's one Smith reduction,
 # abgroups.present_quotient, after the unit pivots are substituted away.
+
+Row = Dict[int, int]
 
 
 def _val_p(x: int, p: int, cap: int) -> int:
@@ -344,11 +353,21 @@ def _val_p(x: int, p: int, cap: int) -> int:
     return v
 
 
-class LatticeModQ:
-    """Row span inside (Z/p^s)^n in Howell echelon form.
+def _densify(row: Row, n: int) -> List[int]:
+    out = [0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
 
-    Supports batch insertion with growth detection; kept in a form where
-    membership is decided by straight reduction against the pivot rows.
+
+class LatticeModQ:
+    """Row span inside (Z/p^s)^n in Howell echelon form, with sparse rows.
+
+    `rows` maps each pivot column c to (e, row): the row leads at column
+    c with entry exactly p^e, and every row is a {column: residue} map
+    holding nonzero residues only.  Membership is decided by straight
+    reduction against the pivot rows.  `insert_batch` takes and returns
+    rows in the same sparse form; the returned rows are the new basis rows.
     """
 
     def __init__(self, n: int, p: int, s: int):
@@ -356,34 +375,64 @@ class LatticeModQ:
         self.p = p
         self.s = s
         self.q = p ** s
-        # insert_batch and the unit-pivot substitution accumulate up to n
-        # products of reduced entries in int64
+        # the unit-pivot substitution in _present_from_lattice accumulates
+        # up to n products of reduced entries in int64
         if n * self.q ** 2 > np.iinfo(np.int64).max:
             raise ValueError(f"n * (p^s)^2 overflows int64 at n={n}, p^s={p}^{s}")
-        # products of reduced entries must stay inside the dtype
-        self.dtype = np.int16 if self.q <= 181 else np.int64
-        self.rows: Dict[int, Tuple[int, np.ndarray]] = {}
+        self._ppow = [p ** e for e in range(s + 1)]
+        self.rows: Dict[int, Tuple[int, Row]] = {}
         self.unit_pivots = 0
 
-    def _normalized(self, col: int, vec: np.ndarray) -> Tuple[int, np.ndarray]:
-        e = _val_p(int(vec[col]), self.p, self.s)
-        unit = int(vec[col]) // self.p ** e
-        inv = pow(unit, -1, self.q)
-        return e, ((vec.astype(np.int64) * inv) % self.q).astype(self.dtype)
+    def _subtract(self, v: Row, f: int, row: Row) -> List[int]:
+        """v -= f * row (mod q) in place; returns the columns it created."""
+        q = self.q
+        created = []
+        for j, y in row.items():
+            old = v.get(j)
+            z = ((old or 0) - f * y) % q
+            if z:
+                v[j] = z
+                if old is None:
+                    created.append(j)
+            elif old is not None:
+                del v[j]
+        return created
 
-    def _insert_single(self, vec: np.ndarray, added: List[np.ndarray]) -> None:
-        stack = [vec.astype(np.int64) % self.q]
+    def _sweep(self, v: Row) -> None:
+        """Reduce v against the held pivots, ascending pivot column.
+
+        Subtracting the row held at c only touches columns c and above, so
+        a heap of the pivot columns present in v visits each in order."""
+        rows, ppow = self.rows, self._ppow
+        heap = [c for c in v if c in rows]
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            x = v.get(c)
+            if x is None:
+                continue
+            e0, row = rows[c]
+            f = x // ppow[e0]
+            if f:
+                for j in self._subtract(v, f, row):
+                    if j in rows:
+                        heapq.heappush(heap, j)
+
+    def _normalized(self, col: int, v: Row) -> Tuple[int, Row]:
+        e = _val_p(v[col], self.p, self.s)
+        inv = pow(v[col] // self._ppow[e], -1, self.q)
+        return e, {j: x * inv % self.q for j, x in v.items()}
+
+    def _insert_single(self, vec: Row, added: List[Row]) -> None:
+        p, s, q, ppow = self.p, self.s, self.q, self._ppow
+        stack = [vec]
         while stack:
             v = stack.pop()
-            while True:
-                nz = np.nonzero(v)[0]
-                if len(nz) == 0:
-                    break
-                c = int(nz[0])
+            while v:
+                c = min(v)
                 held = self.rows.get(c)
-                if held is not None and _val_p(int(v[c]), self.p, self.s) >= held[0]:
-                    e0, row = held
-                    v = (v - (int(v[c]) // self.p ** e0) * row.astype(np.int64)) % self.q
+                if held is not None and _val_p(v[c], p, s) >= held[0]:
+                    self._subtract(v, v[c] // ppow[held[0]], held[1])
                     continue
                 # v takes over pivot column c; a displaced row is reinserted
                 ew, new = self._normalized(c, v)
@@ -392,46 +441,38 @@ class LatticeModQ:
                     self.unit_pivots += 1
                 added.append(new)
                 if ew:
-                    stack.append((new.astype(np.int64) * self.p ** (self.s - ew)) % self.q)
+                    push = ((j, x * ppow[s - ew] % q) for j, x in new.items())
+                    stack.append({j: x for j, x in push if x})
                 if held is None:
                     break
-                v = held[1].astype(np.int64)
+                v = dict(held[1])
 
     def is_full(self) -> bool:
         """True once the span is all of (Z/q)^n; nothing can be added."""
         return self.unit_pivots == self.n
 
-    def insert_batch(self, mat: np.ndarray) -> List[np.ndarray]:
-        """Insert the rows of mat; returns basis rows that are new."""
-        if self.n == 0 or mat.size == 0 or self.is_full():
+    def insert_batch(self, rows: Sequence[Row]) -> List[Row]:
+        """Insert sparse rows; returns the basis rows that are new."""
+        if self.n == 0 or not rows or self.is_full():
             return []
-        m = np.asarray(mat, dtype=np.int64) % self.q
-        # one vectorized sweep against the current pivots, ascending cols;
-        # only the factor column is reduced mod q per step, the matrix once
-        # at the end (growth stays below n * q^2, which __init__ bounds)
-        for c in sorted(self.rows):
-            e0, row = self.rows[c]
-            f = (m[:, c] % self.q) // self.p ** e0
-            fnz = np.nonzero(f)[0]
-            if fnz.size == 0:
-                continue
-            row64 = row.astype(np.int64)
-            if fnz.size * 3 < m.shape[0]:
-                m[fnz] -= np.outer(f[fnz], row64)
-            else:
-                np.subtract(m, np.outer(f, row64), out=m)
-        m %= self.q
-        added: List[np.ndarray] = []
-        for k in range(m.shape[0]):
-            if m[k].any():
-                self._insert_single(m[k], added)
+        q = self.q
+        batch = []
+        for row in rows:
+            v = {j: x % q for j, x in row.items() if x % q}
+            self._sweep(v)
+            if v:
+                batch.append(v)
+        added: List[Row] = []
+        for v in batch:
+            self._insert_single(v, added)
         return added
 
-    def row_list(self) -> List[np.ndarray]:
-        return [self.rows[c][1].astype(np.int64) for c in sorted(self.rows)]
+    def row_list(self) -> List[List[int]]:
+        """Dense copies of the stored rows, ascending pivot column."""
+        return [_densify(row, self.n) for row in self.basis_rows()]
 
-    def basis_rows(self) -> List[np.ndarray]:
-        """Stored pivot rows in native dtype, ascending pivot column."""
+    def basis_rows(self) -> List[Row]:
+        """Stored pivot rows, ascending pivot column."""
         return [self.rows[c][1] for c in sorted(self.rows)]
 
     def pivot_valuations(self) -> Dict[int, int]:
@@ -448,16 +489,20 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
     if n == 0:
         return Presentation(0, IntMatrix.zero(0, 0), FgAbGroup([]),
                             IntMatrix.zero(0, 0), IntMatrix.zero(0, 0))
-    pivots = {c: (e, row.astype(np.int64)) for c, (e, row) in lat.rows.items()}
-    elim_cols = sorted(c for c, (e, _) in pivots.items() if e == 0)
-    keep_cols = [c for c in range(n) if c not in set(elim_cols)]
+    elim_cols = sorted(c for c, (e, _) in lat.rows.items() if e == 0)
+    elim_set = set(elim_cols)
+    keep_cols = [c for c in range(n) if c not in elim_set]
     nk = len(keep_cols)
     if nk == 0:
         return Presentation(n, IntMatrix.identity(n), FgAbGroup([]),
                             IntMatrix.zero(0, n), IntMatrix.zero(n, 0))
+
+    def dense(rows: List[Row]) -> np.ndarray:
+        return np.array([_densify(row, n) for row in rows], dtype=np.int64)
+
     ne = len(elim_cols)
     if ne:
-        e_mat = np.stack([pivots[c][1] for c in elim_cols]) % q
+        e_mat = dense([lat.rows[c][1] for c in elim_cols])
         for k in range(ne - 1, -1, -1):
             for k2 in range(k + 1, ne):
                 f = int(e_mat[k, elim_cols[k2]]) % q
@@ -467,9 +512,9 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
         t_mat = (-e_mat[:, keep_cols]) % q
     else:
         t_mat = np.zeros((0, nk), dtype=np.int64)
-    other_rows = [pivots[c][1] for c in sorted(pivots) if pivots[c][0] > 0]
+    other_rows = [row for c, (e, row) in sorted(lat.rows.items()) if e > 0]
     if other_rows:
-        r_mat = np.stack(other_rows) % q
+        r_mat = dense(other_rows)
         r_sub = (r_mat[:, keep_cols] + r_mat[:, elim_cols] @ t_mat) % q
     else:
         r_sub = np.zeros((0, nk), dtype=np.int64)
@@ -484,8 +529,7 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
     proj = matrix_mod(small.proj * IntMatrix(nk, n, to_small), small.group.moduli)
     lift = IntMatrix(n, small.group.n,
                      {(keep_cols[i], j): v for (i, j), v in small.lift.data.items()})
-    rel = {(int(i), j): int(row[i]) for j, row in enumerate(lat.row_list())
-           for i in np.nonzero(row)[0]}
+    rel = {(i, j): row[i] for j, row in enumerate(lat.basis_rows()) for i in sorted(row)}
     rel.update({(k, len(lat.rows) + k): q for k in range(n)})
     relations = IntMatrix(n, len(lat.rows) + n, rel)
     return Presentation(n, relations, small.group, proj, lift)
@@ -494,9 +538,12 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
 def present_quotient_ppower(n: int, rows: Iterable[Sequence[int]], p: int, s: int) -> Presentation:
     """Presentation of Z^n / (span(rows) + p^s Z^n)."""
     lat = LatticeModQ(n, p, s)
-    mat = [list(r) for r in rows]
-    if mat:
-        lat.insert_batch(np.asarray(mat, dtype=np.int64))
+    batch = []
+    for r in rows:
+        if len(r) != n:
+            raise ValueError(f"relation row of length {len(r)}, expected {n}")
+        batch.append({j: int(x) for j, x in enumerate(r) if x})
+    lat.insert_batch(batch)
     return _present_from_lattice(lat)
 
 
@@ -547,7 +594,11 @@ class TruncatedFVComplex:
         self._weight_set = set(self.weights)
         self.pieces: Dict[PieceKey, TowerPiece] = {}
         self._hom_cache: Dict[Tuple, GroupHom] = {}
-        self._coo_cache: Optional[Dict] = None
+        self._image_cache: Optional[Dict] = None
+        # both depend only on the pieces and their symbols, fixed once
+        # self.pieces exists; kept per tower, so separate builds share nothing
+        self._gen_cache: Dict[Tuple[int, Weight], Optional[Symbol]] = {}
+        self._moves_cache: Dict[PieceKey, List[Tuple[Tuple, PieceKey]]] = {}
         self._build()
 
     # -- symbol enumeration --------------------------------------------------
@@ -600,11 +651,17 @@ class TruncatedFVComplex:
                     syms.append((2, lead[0], lead[1], lo[0], lo[1], hi[0], hi[1]))
         return sorted(set(syms))
 
-    def _vec(self, piece: TowerPiece, terms: Iterable[Tuple[int, Symbol]]) -> np.ndarray:
-        v = np.zeros(len(piece.symbols), dtype=np.int64)
+    def _vec(self, piece: TowerPiece, terms: Iterable[Tuple[int, Symbol]]) -> Row:
+        """Sparse row mod q of a combination of the piece's symbols."""
+        acc: Row = {}
         for c, sym in terms:
-            v[piece.index[sym]] += c
-        return v % piece.lattice.q
+            k = piece.index[sym]
+            acc[k] = acc.get(k, 0) + c
+        q = piece.lattice.q
+        return {k: c % q for k, c in acc.items() if c % q}
+
+    def _project(self, piece: TowerPiece, terms: Iterable[Tuple[int, Symbol]]):
+        return piece.pres.project_vec(_densify(self._vec(piece, terms), len(piece.symbols)))
 
     # -- construction ----------------------------------------------------
 
@@ -616,26 +673,24 @@ class TruncatedFVComplex:
                     self.pieces[(s, deg, w)] = TowerPiece(
                         s, deg, w, syms, {sym: k for k, sym in enumerate(syms)},
                         LatticeModQ(len(syms), self.p, s))
-        pending: Dict[PieceKey, List[np.ndarray]] = defaultdict(list)
+        pending: Dict[PieceKey, List[Row]] = defaultdict(list)
         for key, piece in self.pieces.items():
             if not piece.symbols or key[1] == 2:
                 continue
-            rows = self._local_seeds(piece)
-            if rows:
-                added = piece.lattice.insert_batch(np.stack(rows))
-                if added:
-                    pending[key].extend(added)
+            added = piece.lattice.insert_batch(self._local_seeds(piece))
+            if added:
+                pending[key].extend(added)
         self._saturate(dict(pending), low_only=True)
         self._build_degree_two()
         # one full pass over every basis catches the deferred flows
         # (V/F/R between top-degree pieces and anything the greedy
         # product choices missed); quiescence certifies the fixpoint
-        final: Dict[PieceKey, List[np.ndarray]] = {
+        final: Dict[PieceKey, List[Row]] = {
             key: piece.lattice.basis_rows()
             for key, piece in self.pieces.items()
             if piece.symbols and piece.lattice.rows}
         self._saturate(final)
-        self._coo_cache = None
+        self._image_cache = None
         for piece in self.pieces.values():
             piece.pres = _present_from_lattice(piece.lattice)
 
@@ -650,9 +705,7 @@ class TruncatedFVComplex:
             s, _, w = key
             piece = self.pieces[key]
             lat = piece.lattice
-            rows = self._local_seeds(piece)
-            if rows:
-                lat.insert_batch(np.stack(rows))
+            lat.insert_batch(self._local_seeds(piece))
             if lat.is_full():
                 continue
             floods = [((s, 1, w), ("d",)),
@@ -666,7 +719,7 @@ class TruncatedFVComplex:
                     continue
                 imgs = self._transport_rows(
                     src.lattice.basis_rows(), src_key, tag, key)
-                if imgs is not None and imgs.any():
+                if imgs:
                     lat.insert_batch(imgs)
             tried: set = set()
             while not lat.is_full():
@@ -695,39 +748,34 @@ class TruncatedFVComplex:
                 u = weight_sub(w, src_key[2])
                 imgs = self._transport_rows(
                     self.pieces[src_key].lattice.basis_rows(), src_key, ("m0", u), key)
-                if imgs is not None and imgs.any():
+                if imgs:
                     lat.insert_batch(imgs)
 
-    def _local_seeds(self, piece: TowerPiece) -> List[np.ndarray]:
+    def _local_seeds(self, piece: TowerPiece) -> List[Row]:
         s, deg = piece.level, piece.degree
         calc = self.calc
         p = self.p
-        seeds: List[np.ndarray] = []
-        n = len(piece.symbols)
-        for k, sym in enumerate(piece.symbols):
+        seeds: List[Row] = []
+        for sym in piece.symbols:
             i, mono, atoms = calc.parts(sym)
             top = max([i] + [t for t, _ in atoms])
-            vec = np.zeros(n, dtype=np.int64)
-            vec[k] = p ** (s - top)
-            seeds.append(vec)
+            seeds.append(self._vec(piece, [(p ** (s - top), sym)]))
             if s >= 2:
                 # p = V F holds on every piece over an F_p-algebra base
-                back: List[Tuple[int, Symbol]] = []
+                rel: List[Tuple[int, Symbol]] = [(p, sym)]
                 for cf, mid in calc.apply_f(s, sym):
                     for cv, out in calc.apply_v(s - 1, mid):
-                        back.append((cf * cv, out))
-                vec = np.zeros(n, dtype=np.int64)
-                vec[k] = p
-                seeds.append(vec - self._vec(piece, _combine(back)))
+                        rel.append((-cf * cv, out))
+                seeds.append(self._vec(piece, rel))
             if deg >= 1 and i >= 1:
-                seeds.append(self._pullthrough_seed(piece, k, sym))
+                seeds.append(self._pullthrough_seed(piece, sym))
         if deg == 1:
             seeds.extend(self._leibniz_pairs(piece))
         if deg == 2:
             seeds.extend(self._leibniz_triples(piece))
         return seeds
 
-    def _pullthrough_seed(self, piece: TowerPiece, k: int, sym: Symbol) -> np.ndarray:
+    def _pullthrough_seed(self, piece: TowerPiece, sym: Symbol) -> Row:
         """V^i(xi) * eta = V^i(xi * F^i(eta)) for the differential part eta.
 
         F^i of an atom dV^t[x^m] with t < i is [x^(m(p^(i-t)-1))] d[x^m];
@@ -752,17 +800,16 @@ class TruncatedFVComplex:
             for c, sm in terms:
                 lifted.extend((c * cv, out) for cv, out in calc.apply_v(s - i + step, sm))
             terms = _combine(lifted)
-        vec = np.zeros(len(piece.symbols), dtype=np.int64)
-        vec[k] = 1
-        return vec - self._vec(piece, terms)
+        return self._vec(piece, [(1, sym)] + [(-c, sm) for c, sm in terms])
 
     def _gen_symbol(self, s: int, u: Weight) -> Optional[Symbol]:
-        if weight_total(u) == 0:
-            return None
-        lead = self._lead_for(s, u)
-        return (0, lead[0], lead[1]) if lead is not None else None
+        ck = (s, u)
+        if ck not in self._gen_cache:
+            lead = self._lead_for(s, u) if weight_total(u) != 0 else None
+            self._gen_cache[ck] = (0, lead[0], lead[1]) if lead is not None else None
+        return self._gen_cache[ck]
 
-    def _leibniz_pairs(self, piece: TowerPiece) -> List[np.ndarray]:
+    def _leibniz_pairs(self, piece: TowerPiece) -> List[Row]:
         s, w = piece.level, piece.weight
         calc = self.calc
         out = []
@@ -782,10 +829,10 @@ class TruncatedFVComplex:
                 rhs.extend((c * cm, sm) for cm, sm in calc.mul(s, su, dsv))
             for c, dsu in calc.apply_d(s, su):
                 rhs.extend((c * cm, sm) for cm, sm in calc.mul(s, sv, dsu))
-            out.append(self._vec(piece, _combine(lhs)) - self._vec(piece, _combine(rhs)))
+            out.append(self._vec(piece, lhs + [(-c, sm) for c, sm in rhs]))
         return out
 
-    def _leibniz_triples(self, piece: TowerPiece) -> List[np.ndarray]:
+    def _leibniz_triples(self, piece: TowerPiece) -> List[Row]:
         # d(x_j * sigma) = d[x_j] sigma + [x_j] d(sigma) against every
         # degree-1 symbol; wider products arrive through the transports
         s, w = piece.level, piece.weight
@@ -812,12 +859,17 @@ class TruncatedFVComplex:
                     rhs.extend((c * cm, sm) for cm, sm in calc.mul(s, dsu, sym1))
                 for c, ds1 in calc.apply_d(s, sym1):
                     rhs.extend((c * cm, sm) for cm, sm in calc.mul(s, su, ds1))
-                out.append(self._vec(piece, _combine(lhs)) - self._vec(piece, _combine(rhs)))
+                out.append(self._vec(piece, lhs + [(-c, sm) for c, sm in rhs]))
         return out
 
     # relation transports between pieces
 
     def _moves(self, key: PieceKey) -> List[Tuple[Tuple, PieceKey]]:
+        if key not in self._moves_cache:
+            self._moves_cache[key] = self._derive_moves(key)
+        return self._moves_cache[key]
+
+    def _derive_moves(self, key: PieceKey) -> List[Tuple[Tuple, PieceKey]]:
         s, deg, w = key
         moves: List[Tuple[Tuple, PieceKey]] = []
         if s < self.r:
@@ -869,58 +921,39 @@ class TruncatedFVComplex:
             return lambda sym: calc.mul(s, sym, other)
         raise ValueError(f"unknown transport {tag}")
 
-    def _coo(self, key: PieceKey, tag: Tuple, tgt_key: PieceKey):
-        if self._coo_cache is None:
-            self._coo_cache = {}
+    def _symbol_images(self, key: PieceKey, tag: Tuple, tgt_key: PieceKey) -> List[Row]:
+        """Per source symbol, its image as a sparse row mod the target q."""
+        if self._image_cache is None:
+            self._image_cache = {}
         ck = (key, tag)
-        if ck in self._coo_cache:
-            return self._coo_cache[ck]
-        src = self.pieces[key]
-        tgt = self.pieces[tgt_key]
-        term_map = self._term_map(tag, key[0])
-        src_idx: List[int] = []
-        dst_idx: List[int] = []
-        coefs: List[int] = []
-        for j, sym in enumerate(src.symbols):
-            for c, out in term_map(sym):
-                src_idx.append(j)
-                dst_idx.append(tgt.index[out])
-                coefs.append(c)
-        if not src_idx:
-            self._coo_cache[ck] = None
-            return None
-        si = np.asarray(src_idx, dtype=np.int64)
-        di = np.asarray(dst_idx, dtype=np.int64)
-        cf = np.asarray(coefs, dtype=np.int64)
-        # group by destination column so images scatter via one reduceat
-        order = np.argsort(di, kind="stable")
-        si, di, cf = si[order], di[order], cf[order]
-        unique_dst, seg_starts = np.unique(di, return_index=True)
-        entry = (si, cf, seg_starts, unique_dst)
-        self._coo_cache[ck] = entry
-        return entry
+        if ck not in self._image_cache:
+            tgt = self.pieces[tgt_key]
+            term_map = self._term_map(tag, key[0])
+            self._image_cache[ck] = [self._vec(tgt, term_map(sym))
+                                   for sym in self.pieces[key].symbols]
+        return self._image_cache[ck]
 
-    def _transport_rows(self, rows: List[np.ndarray], key: PieceKey,
-                        tag: Tuple, tgt_key: PieceKey) -> Optional[np.ndarray]:
+    def _transport_rows(self, rows: List[Row], key: PieceKey,
+                        tag: Tuple, tgt_key: PieceKey) -> List[Row]:
+        """Images of sparse rows, computed on their stored residues and
+        reduced mod the target q; images that vanish are dropped."""
         tgt = self.pieces[tgt_key]
         if not tgt.symbols:
-            return None
-        coo = self._coo(key, tag, tgt_key)
-        if coo is None:
-            return None
-        src_idx, coefs, seg_starts, unique_dst = coo
-        mat = np.stack(rows)
-        k = mat.shape[0]
-        nnz = len(src_idx)
-        out = np.zeros((k, len(tgt.symbols)), dtype=np.int64)
-        chunk = max(1, 4_000_000 // nnz)
-        for lo in range(0, k, chunk):
-            hi = min(k, lo + chunk)
-            contrib = mat[lo:hi, src_idx].astype(np.int64) * coefs
-            out[lo:hi, unique_dst] = np.add.reduceat(contrib, seg_starts, axis=1)
+            return []
+        images = self._symbol_images(key, tag, tgt_key)
+        q = tgt.lattice.q
+        out = []
+        for row in rows:
+            acc: Row = {}
+            for j, x in row.items():
+                for t, c in images[j].items():
+                    acc[t] = acc.get(t, 0) + x * c
+            img = {t: c % q for t, c in acc.items() if c % q}
+            if img:
+                out.append(img)
         return out
 
-    def _saturate(self, pending: Dict[PieceKey, List[np.ndarray]],
+    def _saturate(self, pending: Dict[PieceKey, List[Row]],
                   low_only: bool = False) -> None:
         rounds = 0
         while pending:
@@ -932,7 +965,7 @@ class TruncatedFVComplex:
                     f" rounds at level {key[0]} degree {key[1]} weight {key[2]}")
             # insert each transported batch at once so images never pile up;
             # light sources go first so heavy targets can fill and be skipped
-            nxt: Dict[PieceKey, List[np.ndarray]] = defaultdict(list)
+            nxt: Dict[PieceKey, List[Row]] = defaultdict(list)
             order = sorted(pending, key=lambda k2: (weight_total(k2[2]), k2[0], k2[1]))
             for key in order:
                 rows = pending[key]
@@ -943,7 +976,7 @@ class TruncatedFVComplex:
                     if tgt.lattice.is_full():
                         continue
                     images = self._transport_rows(rows, key, tag, tgt_key)
-                    if images is None or not images.any():
+                    if not images:
                         continue
                     added = tgt.lattice.insert_batch(images)
                     if added:
@@ -981,8 +1014,7 @@ class TruncatedFVComplex:
         deg = terms[0][1][0]
         w = self.calc.weight(terms[0][1])
         piece = self.pieces[(s, deg, w)]
-        vec = self._vec(piece, terms)
-        return piece, piece.pres.project_vec([int(x) for x in vec])
+        return piece, self._project(piece, terms)
 
     def _ambient_matrix(self, src: TowerPiece, dst: TowerPiece, term_map) -> IntMatrix:
         data: Dict[Tuple[int, int], int] = {}
@@ -1037,14 +1069,9 @@ class TruncatedFVComplex:
                     continue
                 for cm, sym in self.calc.mul(s, piece_a.symbols[j1], piece_b.symbols[j2]):
                     terms.append((c1 * c2 * cm, sym))
-        terms = _combine(terms)
         tgt = self.pieces[(s, piece_a.degree + piece_b.degree,
                            weight_add(piece_a.weight, piece_b.weight))]
-        if terms:
-            vec = self._vec(tgt, terms)
-        else:
-            vec = np.zeros(len(tgt.symbols), dtype=np.int64)
-        return tgt, tgt.pres.project_vec([int(x) for x in vec])
+        return tgt, self._project(tgt, terms)
 
     # -- structure map from weight-graded Witt vectors ----------------------
 
@@ -1069,8 +1096,7 @@ class TruncatedFVComplex:
         if w is None:
             raise ValueError("the zero vector does not name a weight")
         piece = self.pieces[(s, 0, w)]
-        vec = self._vec(piece, _combine(terms))
-        return piece, piece.pres.project_vec([int(x) for x in vec])
+        return piece, self._project(piece, terms)
 
 
 def build_drw(p: int, r: int, nvars: int = 1, weight_cap: int = 8) -> TruncatedFVComplex:
@@ -1168,9 +1194,8 @@ def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0)
             tgt = tower.pieces[key2]
             for sa in pa.symbols[:3]:
                 for sb in pb.symbols[:3]:
-                    terms = _combine(list(tower.calc.mul(s, sa, sb))
-                                     + list(tower.calc.mul(s, sb, sa)))
-                    elt = tgt.pres.project_vec([int(x) for x in tower._vec(tgt, terms)])
+                    elt = tower._project(tgt, tower.calc.mul(s, sa, sb)
+                                         + tower.calc.mul(s, sb, sa))
                     if any(elt):
                         okay, wit = False, f"uv + vu != 0 at level {s}"
                         break
@@ -1586,7 +1611,7 @@ def universal_map_check(tower: TruncatedFVComplex, target: str = "self") -> Univ
                 data[(pos[key2], j)] = 1
         amb = IntMatrix(len(basis), len(piece.symbols), data)
         for row in piece.lattice.row_list():
-            img = amb.apply([int(x) for x in row])
+            img = amb.apply(row)
             if any(v % tower.p for v in img):
                 well, details = False, f"relations not killed at weight {w}"
                 break

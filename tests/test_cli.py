@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wittnorm import drw
 from wittnorm.cli import main
 from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import witt_mackey
@@ -136,6 +137,17 @@ def test_cli_non_prime_p_is_config_error(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "must be a prime" in err
+
+
+def test_cli_saturation_failure_is_check_failure(monkeypatch, capsys):
+    # a tower that cannot reach its fixpoint is a failed check (exit 2),
+    # reported in one line, never a traceback
+    monkeypatch.setattr(drw, "SATURATION_ROUND_LIMIT", 0)
+    assert main(["drw", "check", "--p", "2", "--r", "2", "--weight-cap", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("check failed: relation saturation unstable")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("theory", ["orbit", "raw"])

@@ -72,6 +72,8 @@ def test_presentation_from_plain_lattice():
     assert full.group.is_trivial()
     free = present_quotient_ppower(2, [], 2, 2)
     assert free.group == FgAbGroup([4, 4])
+    with pytest.raises(ValueError):
+        present_quotient_ppower(2, [[1, 0, 0]], 2, 2)
     # projection and lift stay inverse to each other
     for vec in ([1, 0], [0, 3], [1, 2]):
         elt = pres.project_vec(vec)
@@ -114,7 +116,126 @@ def test_lattice_rejects_int64_overflow():
     with pytest.raises(ValueError):
         LatticeModQ(4, 2, 62)
     lat = LatticeModQ(4, 3, 3)
-    assert lat.insert_batch(np.array([[1, 2, 0, 0]])) != []
+    assert lat.insert_batch([{0: 1, 1: 2}]) != []
+
+
+def _val_p(x, p, cap):
+    if x == 0:
+        return cap
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+class _DenseReferenceLattice:
+    """The dense numpy Howell lattice the sparse LatticeModQ replaced.
+
+    It keeps the elimination order the sparse lattice must reproduce: one
+    sweep of the batch against the pivots held at its start, ascending
+    pivot column, then each surviving row inserted on its own.  It counts
+    displacements so the test can show it exercised them."""
+
+    def __init__(self, n, p, s):
+        self.n, self.p, self.s, self.q = n, p, s, p ** s
+        self.rows = {}
+        self.unit_pivots = 0
+        self.displaced = 0
+
+    def _normalized(self, col, vec):
+        e = _val_p(int(vec[col]), self.p, self.s)
+        inv = pow(int(vec[col]) // self.p ** e, -1, self.q)
+        return e, (vec.astype(np.int64) * inv) % self.q
+
+    def _insert_single(self, vec, added):
+        stack = [vec.astype(np.int64) % self.q]
+        while stack:
+            v = stack.pop()
+            while True:
+                nz = np.nonzero(v)[0]
+                if len(nz) == 0:
+                    break
+                c = int(nz[0])
+                held = self.rows.get(c)
+                if held is not None and _val_p(int(v[c]), self.p, self.s) >= held[0]:
+                    e0, row = held
+                    v = (v - (int(v[c]) // self.p ** e0) * row) % self.q
+                    continue
+                ew, new = self._normalized(c, v)
+                self.rows[c] = (ew, new)
+                if ew == 0:
+                    self.unit_pivots += 1
+                added.append(new)
+                if ew:
+                    stack.append((new * self.p ** (self.s - ew)) % self.q)
+                if held is None:
+                    break
+                self.displaced += 1
+                v = held[1].copy()
+
+    def insert_batch(self, mat):
+        if self.n == 0 or mat.size == 0 or self.unit_pivots == self.n:
+            return []
+        m = np.asarray(mat, dtype=np.int64) % self.q
+        for c in sorted(self.rows):
+            e0, row = self.rows[c]
+            f = (m[:, c] % self.q) // self.p ** e0
+            m -= np.outer(f, row)
+        m %= self.q
+        added = []
+        for k in range(m.shape[0]):
+            if m[k].any():
+                self._insert_single(m[k], added)
+        return added
+
+
+def _random_batch(rng, n, p, q, earlier):
+    def entry():
+        return rng.choice([0, 0, 0, 0, 1, p, p * p, q - 1, -1, q + p,
+                           rng.randrange(q)])
+
+    batch = []
+    for _ in range(rng.randint(1, 2 * n)):
+        roll = rng.random()
+        if roll < 0.1:
+            batch.append([0] * n)
+        elif roll < 0.25 and (batch or earlier):
+            batch.append(list(rng.choice(batch + earlier)))
+        else:
+            lead = rng.randrange(n)
+            batch.append([0] * lead + [entry() for _ in range(n - lead)])
+    return batch
+
+
+def test_sparse_lattice_matches_dense_reference():
+    def dense(row, n):
+        return [row.get(j, 0) for j in range(n)]
+
+    rng = random.Random(7)
+    displaced = 0
+    for p in (2, 3, 5):
+        for s in (1, 2, 3):
+            q = p ** s
+            for _ in range(40):
+                n = rng.randint(1, 12)
+                lat, ref = LatticeModQ(n, p, s), _DenseReferenceLattice(n, p, s)
+                earlier = []
+                for _ in range(rng.randint(1, 5)):
+                    batch = _random_batch(rng, n, p, q, earlier)
+                    earlier += batch
+                    got = lat.insert_batch(
+                        [{j: x for j, x in enumerate(row) if x} for row in batch])
+                    want = ref.insert_batch(np.array(batch, dtype=np.int64))
+                    assert [dense(row, n) for row in got] == [row.tolist() for row in want]
+                    assert {c: (e, dense(row, n)) for c, (e, row) in lat.rows.items()} \
+                        == {c: (e, row.tolist()) for c, (e, row) in ref.rows.items()}
+                    assert all(0 < x < q for _, row in lat.rows.values()
+                               for x in row.values())
+                    assert lat.unit_pivots == ref.unit_pivots
+                    assert lat.is_full() == (ref.unit_pivots == n)
+                displaced += ref.displaced
+    assert displaced > 0
 
 
 def test_hand_fixtures_p2_r2():
