@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -22,9 +23,7 @@ from .drw import (
     build_drw,
     check_fv_axioms,
     mixed_char_weight_piece,
-    weight_down,
     weight_total,
-    weight_up,
 )
 from .mackey import (
     augmentation_cokernel,
@@ -128,10 +127,27 @@ def _base_ring(name: str, p: int):
     raise SystemExit(3)
 
 
+def _parse_int(raw) -> int:
+    """A JSON integer or a decimal-integer string; bools and floats are not."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str) and re.fullmatch(r"[+-]?[0-9]+", raw):
+        return int(raw)
+    raise ValueError(f"--in: expected an integer, got {json.dumps(raw)}")
+
+
 def _parse_elt(raw, ring):
-    if isinstance(raw, list):
-        return tuple(int(c) for c in raw)
-    return ring.from_int(int(raw))
+    # an F_p[x] element may also be written as its coefficient array,
+    # reduced mod p and trimmed like every other element
+    if isinstance(raw, list) and isinstance(ring, GFPolyRing):
+        return ring.add(ring.zero(), [_parse_int(c) for c in raw])
+    return ring.from_int(_parse_int(raw))
+
+
+def _parse_vec(raw, w: WittRing):
+    if not isinstance(raw, list):
+        raise ValueError(f"--in: expected an array of components, got {json.dumps(raw)}")
+    return w.vector([_parse_elt(c, w.base) for c in raw])
 
 
 def _cmd_witt(args) -> int:
@@ -139,13 +155,15 @@ def _cmd_witt(args) -> int:
     w = WittRing(args.p, args.r, ring)
     payload = json.loads(args.infile)
     if args.verb in ("add", "mul"):
-        a = w.vector([_parse_elt(c, ring) for c in payload[0]])
-        b = w.vector([_parse_elt(c, ring) for c in payload[1]])
+        if not (isinstance(payload, list) and len(payload) == 2):
+            raise ValueError(f"--in: {args.verb} expects an array of two vectors,"
+                             f" got {json.dumps(payload)}")
+        a, b = (_parse_vec(v, w) for v in payload)
         out = a + b if args.verb == "add" else a * b
     elif args.verb == "teich":
         out = w.teichmuller(_parse_elt(payload, ring))
     else:
-        vec = w.vector([_parse_elt(c, ring) for c in payload])
+        vec = _parse_vec(payload, w)
         if args.verb == "F":
             out = w.frobenius(vec)
         elif args.verb == "V":
@@ -244,22 +262,11 @@ def _drw_build_doc(args) -> dict:
             "invariant_factors": group_json(piece.group)["invariant_factors"],
             "symbols": [v.label for v in tower.symbol_views(s, deg, w)],
         })
-        targets = [
-            ("d", (s, deg + 1, w), lambda: tower.d_hom(s, deg, w)),
-            ("v", (s + 1, deg, weight_down(w, args.p)), lambda: tower.v_hom(s, deg, w)),
-        ]
-        if s >= 2:
-            targets.append(("f", (s - 1, deg, weight_up(w, args.p)),
-                            lambda: tower.f_hom(s, deg, w)))
-            targets.append(("r", (s - 1, deg, w), lambda: tower.r_hom(s, deg, w)))
-        for tag, target_key, build in targets:
-            if target_key not in tower.pieces:
-                continue
-            hom = build()
+        for op, _ in tower.operators(key):
             operators.append({
-                "op": tag,
+                "op": op,
                 "from": {"level": str(s), "degree": str(deg), "weight": weight_str(w)},
-                "matrix": matrix_json(hom.matrix)["matrix"],
+                "matrix": matrix_json(tower.operator_hom(op, key).matrix)["matrix"],
             })
     return {"kind": "drw-tower", "p": str(args.p), "r": str(args.r),
             "vars": str(args.vars), "weight_cap": str(args.weight_cap),

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .abgroups import (
     FgAbGroup,
     GroupHom,
@@ -219,7 +217,8 @@ class SymbolCalculus:
             (t1, m1), (t2, m2) = (t2, m2), (t1, m1)
         return [(coeff, (2, i, mono, t1, m1, t2, m2))]
 
-    def parts(self, sym: Symbol):
+    @staticmethod
+    def parts(sym: Symbol):
         deg = sym[0]
         atoms = []
         if deg >= 1:
@@ -304,13 +303,8 @@ def symbol_label(sym: Symbol, varnames: Sequence[str] = ("x", "y")) -> str:
         body = f"[{mono_str(m)}]"
         return f"V^{i}{body}" if i else body
 
-    deg = sym[0]
-    out = [lead_str(sym[1], sym[2])]
-    atoms = []
-    if deg >= 1:
-        atoms.append((sym[3], sym[4]))
-    if deg == 2:
-        atoms.append((sym[5], sym[6]))
+    i, mono, atoms = SymbolCalculus.parts(sym)
+    out = [lead_str(i, mono)]
     for t, mv in atoms:
         body = f"[{mono_str(mv)}]"
         out.append(f"dV^{t}{body}" if t else f"d{body}")
@@ -338,7 +332,9 @@ class DRWSymbol:
 # column, and then every surviving row is inserted on its own, in order.
 # That order fixes the stored rows, so it is part of the output contract.
 # The finished quotient is presented by the package's one Smith reduction,
-# abgroups.present_quotient, after the unit pivots are substituted away.
+# abgroups.present_quotient, after the unit pivots are substituted away on
+# the same sparse rows.  Every step works on Python ints, so p^s is not
+# bounded by a machine word.
 
 Row = Dict[int, int]
 
@@ -375,10 +371,6 @@ class LatticeModQ:
         self.p = p
         self.s = s
         self.q = p ** s
-        # the unit-pivot substitution in _present_from_lattice accumulates
-        # up to n products of reduced entries in int64
-        if n * self.q ** 2 > np.iinfo(np.int64).max:
-            raise ValueError(f"n * (p^s)^2 overflows int64 at n={n}, p^s={p}^{s}")
         self._ppow = [p ** e for e in range(s + 1)]
         self.rows: Dict[int, Tuple[int, Row]] = {}
         self.unit_pivots = 0
@@ -497,35 +489,31 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
         return Presentation(n, IntMatrix.identity(n), FgAbGroup([]),
                             IntMatrix.zero(0, n), IntMatrix.zero(n, 0))
 
-    def dense(rows: List[Row]) -> np.ndarray:
-        return np.array([_densify(row, n) for row in rows], dtype=np.int64)
+    keep_at = {c: j for j, c in enumerate(keep_cols)}
+    # back-substitute, highest unit pivot first: each reduced row keeps its
+    # own pivot and no other unit-pivot column
+    reduced: Dict[int, Row] = {}
 
-    ne = len(elim_cols)
-    if ne:
-        e_mat = dense([lat.rows[c][1] for c in elim_cols])
-        for k in range(ne - 1, -1, -1):
-            for k2 in range(k + 1, ne):
-                f = int(e_mat[k, elim_cols[k2]]) % q
-                if f:
-                    e_mat[k] = (e_mat[k] - f * e_mat[k2]) % q
-        # in the quotient, e_{elim_cols[k]} = sum_j t_mat[k, j] e_{keep_cols[j]}
-        t_mat = (-e_mat[:, keep_cols]) % q
-    else:
-        t_mat = np.zeros((0, nk), dtype=np.int64)
-    other_rows = [row for c, (e, row) in sorted(lat.rows.items()) if e > 0]
-    if other_rows:
-        r_mat = dense(other_rows)
-        r_sub = (r_mat[:, keep_cols] + r_mat[:, elim_cols] @ t_mat) % q
-    else:
-        r_sub = np.zeros((0, nk), dtype=np.int64)
-    nr = r_sub.shape[0]
-    sub = {(int(j), int(i)): int(r_sub[i, j]) for i, j in zip(*np.nonzero(r_sub))}
+    def substituted(row: Row) -> Row:
+        v = dict(row)
+        for c2 in sorted(j for j in v if j in reduced):
+            lat._subtract(v, v[c2], reduced[c2])
+        return v
+
+    for c in reversed(elim_cols):
+        reduced[c] = substituted(lat.rows[c][1])
+    # the non-unit rows, with the unit-pivot coordinates substituted away
+    others = [substituted(row) for c, (e, row) in sorted(lat.rows.items()) if e > 0]
+    nr = len(others)
+    sub = {(keep_at[j], i): v[j] for i, v in enumerate(others) for j in sorted(v)}
     sub.update({(k, nr + k): q for k in range(nk)})
     small = present_quotient(nk, IntMatrix(nk, nr + nk, sub))
-    # Z^n -> Z^nk: identity on keep_cols, t_mat^T on elim_cols
+    # Z^n -> Z^nk: identity on keep_cols; in the quotient a unit-pivot
+    # coordinate c equals -(rest of its reduced row)
     to_small = {(j, c): 1 for j, c in enumerate(keep_cols)}
-    to_small.update({(int(j), elim_cols[k]): int(t_mat[k, j])
-                     for k, j in zip(*np.nonzero(t_mat))})
+    for c in elim_cols:
+        v = reduced[c]
+        to_small.update(((keep_at[j], c), -v[j] % q) for j in sorted(v) if j != c)
     proj = matrix_mod(small.proj * IntMatrix(nk, n, to_small), small.group.moduli)
     lift = IntMatrix(n, small.group.n,
                      {(keep_cols[i], j): v for (i, j), v in small.lift.data.items()})
@@ -568,6 +556,9 @@ class TowerPiece:
 
 
 PieceKey = Tuple[int, int, Weight]
+
+# the structure maps exposed as homs, in the order reports list them
+OPERATORS = ("d", "v", "f", "r")
 
 
 class TruncatedFVComplex:
@@ -871,20 +862,9 @@ class TruncatedFVComplex:
 
     def _derive_moves(self, key: PieceKey) -> List[Tuple[Tuple, PieceKey]]:
         s, deg, w = key
-        moves: List[Tuple[Tuple, PieceKey]] = []
-        if s < self.r:
-            tgt = (s + 1, deg, weight_down(w, self.p))
-            if tgt in self.pieces:
-                moves.append((("v",), tgt))
-        if s > 1:
-            tgt = (s - 1, deg, weight_up(w, self.p))
-            if tgt in self.pieces:
-                moves.append((("f",), tgt))
-            tgt = (s - 1, deg, w)
-            if tgt in self.pieces:
-                moves.append((("r",), tgt))
-        if deg < 2:
-            moves.append((("d",), (s, deg + 1, w)))
+        # v, f, r, then d: the transport order fixes the stored rows
+        ops = dict(self.operators(key))
+        moves = [((op,), ops[op]) for op in "vfrd" if op in ops]
         # products against the canonical generator of each extra weight
         for u in self.weights:
             if weight_total(u) == 0:
@@ -1016,45 +996,45 @@ class TruncatedFVComplex:
         piece = self.pieces[(s, deg, w)]
         return piece, self._project(piece, terms)
 
-    def _ambient_matrix(self, src: TowerPiece, dst: TowerPiece, term_map) -> IntMatrix:
-        data: Dict[Tuple[int, int], int] = {}
-        for j, sym in enumerate(src.symbols):
-            for c, out in term_map(sym):
-                ij = (dst.index[out], j)
-                data[ij] = data.get(ij, 0) + c
-        return IntMatrix(len(dst.symbols), len(src.symbols),
-                         {k: v for k, v in data.items() if v})
+    def operators(self, key: PieceKey) -> List[Tuple[str, PieceKey]]:
+        """The OPERATORS out of a piece whose target is a piece, with it."""
+        s, deg, w = key
+        targets = ((s, deg + 1, w), (s + 1, deg, weight_down(w, self.p)),
+                   (s - 1, deg, weight_up(w, self.p)), (s - 1, deg, w))
+        return [(op, tgt) for op, tgt in zip(OPERATORS, targets) if tgt in self.pieces]
 
-    def _op_hom(self, tag: str, src_key: PieceKey, dst_key: PieceKey, term_map) -> GroupHom:
-        ck = (tag, src_key)
-        hit = self._hom_cache.get(ck)
+    def operator_hom(self, op: str, key: PieceKey) -> GroupHom:
+        """The operator op, one of OPERATORS, out of the piece at key."""
+        hit = self._hom_cache.get((op, key))
         if hit is None:
-            src, dst = self.pieces[src_key], self.pieces[dst_key]
-            amb = self._ambient_matrix(src, dst, term_map)
-            hit = induced_hom(src.pres, dst.pres, amb)
-            self._hom_cache[ck] = hit
+            src = self.piece(*key)
+            dst_key = dict(self.operators(key)).get(op)
+            if dst_key is None:
+                raise KeyError(f"no {op} out of level {key[0]}, degree {key[1]},"
+                               f" weight {key[2]}")
+            dst = self.pieces[dst_key]
+            term_map = self._term_map((op,), key[0])
+            data: Dict[Tuple[int, int], int] = {}
+            for j, sym in enumerate(src.symbols):
+                for c, out in term_map(sym):
+                    ij = (dst.index[out], j)
+                    data[ij] = data.get(ij, 0) + c
+            amb = IntMatrix(len(dst.symbols), len(src.symbols), data)
+            hit = self._hom_cache[(op, key)] = induced_hom(src.pres, dst.pres, amb)
         return hit
 
     def d_hom(self, s: int, deg: int, w) -> GroupHom:
-        w = self.coerce_weight(w)
-        return self._op_hom("d", (s, deg, w), (s, deg + 1, w),
-                            lambda sym: self.calc.apply_d(s, sym))
+        return self.operator_hom("d", (s, deg, self.coerce_weight(w)))
 
     def v_hom(self, s: int, deg: int, w) -> GroupHom:
-        w = self.coerce_weight(w)
-        return self._op_hom("v", (s, deg, w), (s + 1, deg, weight_down(w, self.p)),
-                            lambda sym: self.calc.apply_v(s, sym))
+        return self.operator_hom("v", (s, deg, self.coerce_weight(w)))
 
     def f_hom(self, s: int, deg: int, w) -> GroupHom:
         """F out of level s (s at least 2), landing in weight p*w."""
-        w = self.coerce_weight(w)
-        return self._op_hom("f", (s, deg, w), (s - 1, deg, weight_up(w, self.p)),
-                            lambda sym: self.calc.apply_f(s, sym))
+        return self.operator_hom("f", (s, deg, self.coerce_weight(w)))
 
     def r_hom(self, s: int, deg: int, w) -> GroupHom:
-        w = self.coerce_weight(w)
-        return self._op_hom("r", (s, deg, w), (s - 1, deg, w),
-                            lambda sym: self.calc.apply_r(s - 1, sym))
+        return self.operator_hom("r", (s, deg, self.coerce_weight(w)))
 
     def mul_elts(self, s: int, piece_a: TowerPiece, elt_a, piece_b: TowerPiece, elt_b):
         """Product of two classes, computed on canonical lifts."""
@@ -1576,8 +1556,7 @@ def universal_map_check(tower: TruncatedFVComplex, target: str = "self") -> Univ
         for piece in tower.pieces.values():
             if not piece.symbols:
                 continue
-            hom = induced_hom(piece.pres, piece.pres,
-                              tower._ambient_matrix(piece, piece, lambda sym: [(1, sym)]))
+            hom = induced_hom(piece.pres, piece.pres, IntMatrix.identity(len(piece.symbols)))
             if hom != GroupHom.identity(piece.group):
                 okay = False
                 break

@@ -40,6 +40,11 @@ class TensorCategory:
     base_char: int
     rank_cap: int
 
+    def __post_init__(self):
+        if self.rank_cap < 1:
+            raise ValueError("the rank cap (--rank-cap) must be at least 1,"
+                             f" got {self.rank_cap}")
+
     def objects(self) -> List[int]:
         return list(range(1, self.rank_cap + 1))
 

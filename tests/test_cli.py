@@ -18,6 +18,7 @@ from wittnorm.serialize import (
     group_json,
     mackey_json,
     matrix_json,
+    weight_str,
 )
 from wittnorm.abgroups import FgAbGroup
 from wittnorm.suites import SUITE_IDS, run_suite
@@ -91,6 +92,13 @@ def test_cli_witt_poly_base(capsys):
                  "--in", "[[[0,1],[]],[[0,1],[]]]"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["components"] == [["0", "0", "1"], []]
+
+
+def test_cli_witt_poly_components_are_reduced(capsys):
+    # 3 + 0x in F_2[x] is 1; restriction alone must not leak the raw array
+    assert main(["witt", "R", "--p", "2", "--r", "2", "--ring", "fpx",
+                 "--in", '[[3,"0"],[]]']) == 0
+    assert json.loads(capsys.readouterr().out)["components"] == [["1"]]
 
 
 def test_cli_mackey_validate_and_resolve(capsys):
@@ -196,6 +204,58 @@ def test_cli_run_csv_rows(tmp_path, capsys):
 def test_cli_bad_input_is_config_error(capsys):
     assert main(["witt", "add", "--p", "2", "--r", "2", "--in", "notjson"]) == 3
     assert main(["witt", "add", "--p", "2"]) == 3
+
+
+@pytest.mark.parametrize("verb,ring,raw,named", [
+    ("add", "z", "5", "5"),
+    ("add", "z", "[5]", "[5]"),
+    ("teich", "fpx", "[1,[2]]", "[2]"),
+    ("add", "z", "[[null,0],[1,0]]", "null"),
+    ("add", "z", "[[1.5,0],[1,0]]", "1.5"),
+    ("add", "z", "[[true,0],[1,0]]", "true"),
+    ("add", "z", '{"a":1}', '{"a": 1}'),
+    ("add", "z", '[["1x","0"],["1","0"]]', '"1x"'),
+    ("F", "z", "[[1],[0]]", "[1]"),
+])
+def test_cli_witt_rejects_malformed_input(verb, ring, raw, named, capsys):
+    # only integers, decimal-integer strings and (for fpx) arrays of them
+    assert main(["witt", verb, "--p", "2", "--r", "2", "--ring", ring, "--in", raw]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert named in err
+
+
+@pytest.mark.parametrize("theory", ["orbit", "raw", "polywitt"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cli_trace_rank_cap_below_one(theory, cap, capsys):
+    assert main(["trace", "check", "--theory", theory, "--rank-cap", cap]) == 3
+    assert "--rank-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,nvars,cap", [
+    (["--weight-cap", "4"], 1, 4),
+    (["--vars", "2", "--weight-cap", "3"], 2, 3),
+])
+def test_cli_drw_build_lists_each_operator(argv, nvars, cap, capsys):
+    assert main(["drw", "build", "--p", "2", "--r", "2"] + argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    tower = drw.build_drw(2, 2, nvars, cap)
+    listed = {}
+    for entry in doc["operators"]:
+        src = entry["from"]
+        at = (src["level"], src["degree"], tuple(src["weight"]))
+        listed.setdefault(at, []).append((entry["op"], entry["matrix"]))
+    assert len(doc["pieces"]) == sum(1 for pc in tower.pieces.values() if pc.symbols)
+    for (s, deg, w), piece in tower.pieces.items():
+        if not piece.symbols:
+            continue
+        # d, v, f, r in that order, each one whose target is a piece
+        targets = [("d", (s, deg + 1, w)), ("v", (s + 1, deg, drw.weight_down(w, 2))),
+                   ("f", (s - 1, deg, drw.weight_up(w, 2))), ("r", (s - 1, deg, w))]
+        want = [(op, matrix_json(getattr(tower, f"{op}_hom")(s, deg, w).matrix)["matrix"])
+                for op, tgt in targets if tgt in tower.pieces]
+        assert listed.pop((str(s), str(deg), tuple(weight_str(w))), []) == want
+    assert listed == {}
 
 
 def test_suite_ids_complete():

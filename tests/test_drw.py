@@ -112,11 +112,17 @@ def test_ppower_presentation_matches_full_lattice_oracle():
         assert_matches_full_lattice(present_quotient_ppower(n, rows, 2, s), n, rows, 2 ** s)
 
 
-def test_lattice_rejects_int64_overflow():
-    with pytest.raises(ValueError):
-        LatticeModQ(4, 2, 62)
-    lat = LatticeModQ(4, 3, 3)
-    assert lat.insert_batch([{0: 1, 1: 2}]) != []
+@pytest.mark.parametrize("p,s", [(2, 62), (3, 45)])
+def test_presentation_beyond_int64(p, s):
+    # every step runs on Python ints, so q^2 far past 2^63 is exact
+    q = p ** s
+    rows = [[1, q - 1, p ** 40 + 1, q - 7, q - 2],
+            [0, p ** 3, q - p, p * p, p ** 30 + 1],
+            [0, 0, 1, q // p - 1, q - 3],
+            [q - 1, 5, 0, 0, 1]]
+    pres = present_quotient_ppower(5, rows, p, s)
+    assert_matches_full_lattice(pres, 5, rows, q)
+    assert q in pres.group.moduli
 
 
 def _val_p(x, p, cap):

@@ -1,0 +1,49 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wittnorm"
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read_names(tree):
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a quoted annotation such as -> "IntMatrix" reads the names inside it
+    for ann in _annotations(tree):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                expr = ast.parse(const.value, mode="eval")
+                names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_are_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = sorted(set(_imported_names(tree)) - _read_names(tree))
+    assert unused == [], f"{path.name} imports {unused} without reading them"
