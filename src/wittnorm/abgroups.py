@@ -393,30 +393,43 @@ def induced_hom(
     return GroupHom(src.group, dst.group, dst.proj * (ambient * src.lift))
 
 
+def _block_matrix(
+    row_ranges: Sequence[Tuple[int, int]],
+    col_ranges: Sequence[Tuple[int, int]],
+    blocks: Dict[Tuple[int, int], IntMatrix],
+) -> IntMatrix:
+    """Place block (bi, bj) at the start of row range bi and column range bj.
+
+    The matrix spans to the end of the last range.  Entries go in block by
+    block, each in its own order: the Smith form reads entry order.
+    """
+    data: Dict[Tuple[int, int], int] = {}
+    for (bi, bj), mat in blocks.items():
+        r0, c0 = row_ranges[bi][0], col_ranges[bj][0]
+        for (i, j), v in mat.data.items():
+            data[(r0 + i, c0 + j)] = v
+    rows = row_ranges[-1][1] if row_ranges else 0
+    cols = col_ranges[-1][1] if col_ranges else 0
+    return IntMatrix(rows, cols, data)
+
+
+def _ranges(sizes: Sequence[int]) -> List[Tuple[int, int]]:
+    """Consecutive (start, end) ranges of the given sizes, from 0."""
+    ends = list(itertools.accumulate(sizes))
+    return list(zip([0] + ends[:-1], ends))
+
+
 def direct_sum_presentation(groups: Sequence[FgAbGroup]) -> Tuple[Presentation, List[Tuple[int, int]]]:
     """Presentation of the direct sum on stacked canonical coordinates.
 
     Returns the presentation together with the (start, end) ambient
     coordinate range of each summand.
     """
-    ranges: List[Tuple[int, int]] = []
-    off = 0
-    rel_blocks: List[IntMatrix] = []
-    for g in groups:
-        ranges.append((off, off + g.n))
-        rel_blocks.append(g.relation_matrix())
-        off += g.n
-    total = off
-    data = {}
-    coff = 0
-    roff = 0
-    for blk in rel_blocks:
-        for (i, j), v in blk.data.items():
-            data[(roff + i, coff + j)] = v
-        roff += blk.rows
-        coff += blk.cols
-    lattice = IntMatrix(total, coff, data)
-    return present_quotient(total, lattice), ranges
+    rels = [g.relation_matrix() for g in groups]
+    ranges = _ranges([g.n for g in groups])
+    blocks = {(t, t): r for t, r in enumerate(rels)}
+    lattice = _block_matrix(ranges, _ranges([r.cols for r in rels]), blocks)
+    return present_quotient(lattice.rows, lattice), ranges
 
 
 def direct_sum_group(groups: Sequence[FgAbGroup]) -> FgAbGroup:

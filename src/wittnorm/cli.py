@@ -26,6 +26,7 @@ from .drw import (
     weight_total,
 )
 from .mackey import (
+    MackeyError,
     augmentation_cokernel,
     base_change_to_witt,
     box_with_permutation,
@@ -468,8 +469,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except SaturationError as exc:
-        # the tower did not reach its fixpoint: a check failed, not the input
+    except (SaturationError, MackeyError, AssertionError) as exc:
+        # a tower without a fixpoint, a failed Mackey axiom or an internal
+        # invariant: a check failed, not the input (MackeyError is a
+        # ValueError, so it is caught first)
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

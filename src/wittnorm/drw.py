@@ -1608,11 +1608,10 @@ def dimension_signature(tower: TruncatedFVComplex) -> Dict[PieceKey, Tuple[int, 
     return {key: piece.group.moduli for key, piece in tower.pieces.items()}
 
 
-def stable_under_cap_increase(p: int, r: int, nvars: int, cap: int, bump: int = 2) -> bool:
-    """Pieces of weight within cap must not change when the cap grows."""
-    small = build_drw(p, r, nvars, cap)
-    big = build_drw(p, r, nvars, cap + bump)
-    for key, piece in small.pieces.items():
+def stable_under_cap_increase(tower: TruncatedFVComplex, bump: int = 2) -> bool:
+    """Pieces of weight within the tower's cap must not change when the cap grows."""
+    big = build_drw(tower.p, tower.r, tower.nvars, tower.weight_cap + bump)
+    for key, piece in tower.pieces.items():
         if piece.group.moduli != big.pieces[key].group.moduli:
             return False
     return True

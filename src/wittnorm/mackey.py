@@ -32,13 +32,13 @@ from .abgroups import (
     FgAbGroup,
     GroupHom,
     Presentation,
+    _block_matrix,
     canonical_presentation,
     direct_sum_presentation,
     hom_cokernel,
     hom_kernel,
     induced_hom,
     is_isomorphism,
-    present_quotient,
     subgroups_equal,
 )
 from .intlinalg import IntMatrix, _SolveContext, matrix_mod, require_prime
@@ -174,14 +174,8 @@ def gmodule_direct_sum(mods: Sequence[GModule]) -> GModule:
         if m.spec != spec:
             raise ValueError("direct sum needs a common group")
     pres, ranges = direct_sum_presentation([m.carrier for m in mods])
-    total = pres.ambient_dim
-    data: Dict[Tuple[int, int], int] = {}
-    for (start, _), mod in zip(ranges, mods):
-        for (i, j), v in mod.action.matrix.data.items():
-            data[(start + i, start + j)] = v
-    amb = IntMatrix(total, total, data)
-    act = induced_hom(pres, pres, amb)
-    return GModule(spec, pres.group, act)
+    amb = _block_matrix(ranges, ranges, {(t, t): m.action.matrix for t, m in enumerate(mods)})
+    return GModule(spec, pres.group, induced_hom(pres, pres, amb))
 
 
 class CyclicMackeyFunctor:
@@ -365,38 +359,63 @@ def witt_mackey(p: int, n: int) -> CyclicMackeyFunctor:
     return CyclicMackeyFunctor(CyclicGroupSpec(p, n), levels, res, tr, weyl)
 
 
-def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
-    """Levels = fixed subgroups of the carrier, with inclusion/trace/action."""
+def _restrict(amb: Optional[IntMatrix], src: GroupHom, dst: GroupHom) -> GroupHom:
+    """The ambient map amb (None for the identity) between the subgroups
+    that src and dst include."""
+    cols = src.matrix if amb is None else amb * src.matrix
+    return GroupHom(src.src, dst.src, express_matrix_via(dst, cols))
+
+
+def _functor_on_subgroups(
+    spec: CyclicGroupSpec,
+    incls: Sequence[GroupHom],
+    res: Sequence[Optional[IntMatrix]],
+    tr: Sequence[Optional[IntMatrix]],
+    weyl: Sequence[Optional[IntMatrix]],
+) -> CyclicMackeyFunctor:
+    """Level k is the subgroup incls[k] includes; each ambient structure map
+    (None for the identity) restricts to the levels."""
+    n = spec.n
+    return CyclicMackeyFunctor(
+        spec,
+        [i.src for i in incls],
+        [_restrict(res[k], incls[k + 1], incls[k]) for k in range(n)],
+        [_restrict(tr[k], incls[k], incls[k + 1]) for k in range(n)],
+        [_restrict(weyl[k], incls[k], incls[k]) for k in range(n + 1)],
+    )
+
+
+def _functor_on_quotients(
+    spec: CyclicGroupSpec,
+    pres: Sequence[Presentation],
+    res: Sequence[IntMatrix],
+    tr: Sequence[IntMatrix],
+    weyl: Sequence[IntMatrix],
+) -> CyclicMackeyFunctor:
+    """Level k is the quotient pres[k]; each ambient structure map descends."""
+    n = spec.n
+    try:
+        res_h = [induced_hom(pres[k + 1], pres[k], res[k]) for k in range(n)]
+        tr_h = [induced_hom(pres[k], pres[k + 1], tr[k]) for k in range(n)]
+        weyl_h = [induced_hom(pres[k], pres[k], weyl[k]) for k in range(n + 1)]
+    except ValueError as exc:
+        raise MackeyError(f"structure maps do not descend: {exc}") from exc
+    return CyclicMackeyFunctor(spec, [pr.group for pr in pres], res_h, tr_h, weyl_h)
+
+
+def _fixed_points(mod: GModule) -> Tuple[CyclicMackeyFunctor, List[GroupHom]]:
+    """The fixed-point functor and the inclusions of its levels in the carrier."""
     p, n = mod.spec.p, mod.spec.n
     ident = GroupHom.identity(mod.carrier)
-    kernels = []
-    for k in range(n + 1):
-        power = hom_power(mod.action, p ** (n - k))
-        kernels.append(hom_kernel(power - ident))
-    levels = [kd.group for kd in kernels]
-    res = []
-    tr = []
-    weyl = []
-    for k in range(n + 1):
-        incl_k = kernels[k].incl
-        weyl.append(
-            GroupHom(
-                levels[k],
-                levels[k],
-                express_matrix_via(incl_k, mod.action.matrix * incl_k.matrix),
-            )
-        )
-    for k in range(n):
-        incl_k = kernels[k].incl
-        incl_k1 = kernels[k + 1].incl
-        res.append(GroupHom(levels[k + 1], levels[k], express_matrix_via(incl_k, incl_k1.matrix)))
-        trace = translate_sum(hom_power(mod.action, p ** (n - k - 1)), p)
-        tr.append(
-            GroupHom(
-                levels[k], levels[k + 1], express_matrix_via(incl_k1, trace.matrix * incl_k.matrix)
-            )
-        )
-    return CyclicMackeyFunctor(mod.spec, levels, res, tr, weyl)
+    incls = [hom_kernel(hom_power(mod.action, p ** (n - k)) - ident).incl for k in range(n + 1)]
+    traces = [translate_sum(hom_power(mod.action, p ** (n - k - 1)), p).matrix for k in range(n)]
+    fun = _functor_on_subgroups(mod.spec, incls, [None] * n, traces, [mod.action.matrix] * (n + 1))
+    return fun, incls
+
+
+def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
+    """Levels = fixed subgroups of the carrier, with inclusion/trace/action."""
+    return _fixed_points(mod)[0]
 
 
 def fixed_point_mackey_map(
@@ -407,16 +426,9 @@ def fixed_point_mackey_map(
         raise MackeyError("modules live over different groups")
     if f.compose(src.action) != dst.action.compose(f):
         raise MackeyError("module map is not equivariant")
-    p, n = src.spec.p, src.spec.n
-    ms, mt = fixed_point_mackey(src), fixed_point_mackey(dst)
-    comps = []
-    for k in range(n + 1):
-        incl_s = hom_kernel(hom_power(src.action, p ** (n - k)) - GroupHom.identity(src.carrier)).incl
-        incl_t = hom_kernel(hom_power(dst.action, p ** (n - k)) - GroupHom.identity(dst.carrier)).incl
-        comps.append(
-            GroupHom(ms.levels[k], mt.levels[k], express_matrix_via(incl_t, f.matrix * incl_s.matrix))
-        )
-    return MackeyMap(ms, mt, comps)
+    ms, incl_s = _fixed_points(src)
+    mt, incl_t = _fixed_points(dst)
+    return MackeyMap(ms, mt, [_restrict(f.matrix, a, b) for a, b in zip(incl_s, incl_t)])
 
 
 def permutation_mackey(p: int, n: int, orbits: Sequence[int]) -> CyclicMackeyFunctor:
@@ -449,26 +461,15 @@ class InducedData:
 
     __slots__ = ("functor", "pres", "ranges")
 
-    def __init__(self, functor: CyclicMackeyFunctor, pres: List[Presentation], ranges: List[List[Tuple[int, int]]]):
+    def __init__(
+        self,
+        functor: CyclicMackeyFunctor,
+        pres: Sequence[Presentation],
+        ranges: Sequence[List[Tuple[int, int]]],
+    ):
         self.functor = functor
         self.pres = pres
         self.ranges = ranges
-
-
-def _block_matrix(
-    row_ranges: Sequence[Tuple[int, int]],
-    col_ranges: Sequence[Tuple[int, int]],
-    total_rows: int,
-    total_cols: int,
-    blocks: Dict[Tuple[int, int], IntMatrix],
-) -> IntMatrix:
-    data: Dict[Tuple[int, int], int] = {}
-    for (bi, bj), mat in blocks.items():
-        r0 = row_ranges[bi][0]
-        c0 = col_ranges[bj][0]
-        for (i, j), v in mat.data.items():
-            data[(r0 + i, c0 + j)] = v
-    return IntMatrix(total_rows, total_cols, data)
 
 
 def mackey_induce_data(nfun: CyclicMackeyFunctor, n: int) -> InducedData:
@@ -482,24 +483,16 @@ def mackey_induce_data(nfun: CyclicMackeyFunctor, n: int) -> InducedData:
         raise ValueError("target group must contain the source group")
     copies = [p ** (n - max(h, j)) for j in range(n + 1)]
     blocks = [nfun.levels[min(h, j)] for j in range(n + 1)]
-    pres: List[Presentation] = []
-    ranges: List[List[Tuple[int, int]]] = []
-    for j in range(n + 1):
-        pr, rg = direct_sum_presentation([blocks[j]] * copies[j])
-        pres.append(pr)
-        ranges.append(rg)
-    res: List[GroupHom] = []
-    tr: List[GroupHom] = []
-    weyl: List[GroupHom] = []
+    pres, ranges = zip(*(direct_sum_presentation([blocks[j]] * copies[j]) for j in range(n + 1)))
+    res: List[IntMatrix] = []
+    tr: List[IntMatrix] = []
+    weyl: List[IntMatrix] = []
     for j in range(n + 1):
         c = copies[j]
         ident = IntMatrix.identity(blocks[j].n)
         twist = nfun.weyl[min(j, h)].matrix
-        blk: Dict[Tuple[int, int], IntMatrix] = {}
-        for a in range(c):
-            blk[((a + 1) % c, a)] = twist if a == c - 1 else ident
-        amb = _block_matrix(ranges[j], ranges[j], pres[j].ambient_dim, pres[j].ambient_dim, blk)
-        weyl.append(induced_hom(pres[j], pres[j], amb))
+        blk = {((a + 1) % c, a): twist if a == c - 1 else ident for a in range(c)}
+        weyl.append(_block_matrix(ranges[j], ranges[j], blk))
     for j in range(n):
         cj, cj1 = copies[j], copies[j + 1]
         if j + 1 <= h:
@@ -510,11 +503,9 @@ def mackey_induce_data(nfun: CyclicMackeyFunctor, n: int) -> InducedData:
             ident = IntMatrix.identity(blocks[j + 1].n)
             rblk = {(a, a % cj1): ident for a in range(cj)}
             tblk = {(a % cj1, a): ident for a in range(cj)}
-        ramb = _block_matrix(ranges[j], ranges[j + 1], pres[j].ambient_dim, pres[j + 1].ambient_dim, rblk)
-        tamb = _block_matrix(ranges[j + 1], ranges[j], pres[j + 1].ambient_dim, pres[j].ambient_dim, tblk)
-        res.append(induced_hom(pres[j + 1], pres[j], ramb))
-        tr.append(induced_hom(pres[j], pres[j + 1], tamb))
-    fun = CyclicMackeyFunctor(CyclicGroupSpec(p, n), [pr.group for pr in pres], res, tr, weyl)
+        res.append(_block_matrix(ranges[j], ranges[j + 1], rblk))
+        tr.append(_block_matrix(ranges[j + 1], ranges[j], tblk))
+    fun = _functor_on_quotients(CyclicGroupSpec(p, n), pres, res, tr, weyl)
     return InducedData(fun, pres, ranges)
 
 
@@ -560,9 +551,7 @@ def box_counit(m: CyclicMackeyFunctor, k: int = 0) -> MackeyMap:
         for a in range(c):
             blocks[(0, a)] = tr_up.compose(wpow).matrix
             wpow = m.weyl[lo].compose(wpow)
-        amb = _block_matrix(
-            [(0, m.levels[j].n)], data.ranges[j], m.levels[j].n, data.pres[j].ambient_dim, blocks
-        )
+        amb = _block_matrix([(0, m.levels[j].n)], data.ranges[j], blocks)
         comps.append(induced_hom(data.pres[j], target_pres, amb))
     return MackeyMap(box, m, comps)
 
@@ -575,109 +564,38 @@ def augmentation(p: int, n: int, k: int = 0) -> MackeyMap:
 # kernels, cokernels, derived constructions
 
 
-class MackeyCokernelData:
-    __slots__ = ("functor", "proj", "pres")
-
-    def __init__(self, functor: CyclicMackeyFunctor, proj: MackeyMap, pres: List[Presentation]):
-        self.functor = functor
-        self.proj = proj
-        self.pres = pres
-
-
-def mackey_cokernel_data(f: MackeyMap) -> MackeyCokernelData:
-    t = f.target
-    pres: List[Presentation] = []
-    for k in range(t.n + 1):
-        lattice = f.components[k].matrix.hstack(t.levels[k].relation_matrix())
-        pres.append(present_quotient(t.levels[k].n, lattice))
-    levels = [pr.group for pr in pres]
-    try:
-        res = [induced_hom(pres[k + 1], pres[k], t.res[k].matrix) for k in range(t.n)]
-        tr = [induced_hom(pres[k], pres[k + 1], t.tr[k].matrix) for k in range(t.n)]
-        weyl = [induced_hom(pres[k], pres[k], t.weyl[k].matrix) for k in range(t.n + 1)]
-    except ValueError as exc:
-        raise MackeyError(f"cokernel structure maps do not descend: {exc}") from exc
-    fun = CyclicMackeyFunctor(t.spec, levels, res, tr, weyl)
-    proj = MackeyMap(
-        t, fun, [GroupHom(t.levels[k], levels[k], pres[k].proj) for k in range(t.n + 1)]
-    )
-    return MackeyCokernelData(fun, proj, pres)
-
-
 def mackey_cokernel(f: MackeyMap) -> CyclicMackeyFunctor:
-    return mackey_cokernel_data(f).functor
-
-
-class MackeyKernelData:
-    __slots__ = ("functor", "incl")
-
-    def __init__(self, functor: CyclicMackeyFunctor, incl: MackeyMap):
-        self.functor = functor
-        self.incl = incl
-
-
-def mackey_kernel_data(f: MackeyMap) -> MackeyKernelData:
-    s = f.source
-    kds = [hom_kernel(f.components[k]) for k in range(s.n + 1)]
-    levels = [kd.group for kd in kds]
-    res = [
-        GroupHom(
-            levels[k + 1],
-            levels[k],
-            express_matrix_via(kds[k].incl, s.res[k].matrix * kds[k + 1].incl.matrix),
-        )
-        for k in range(s.n)
-    ]
-    tr = [
-        GroupHom(
-            levels[k],
-            levels[k + 1],
-            express_matrix_via(kds[k + 1].incl, s.tr[k].matrix * kds[k].incl.matrix),
-        )
-        for k in range(s.n)
-    ]
-    weyl = [
-        GroupHom(
-            levels[k],
-            levels[k],
-            express_matrix_via(kds[k].incl, s.weyl[k].matrix * kds[k].incl.matrix),
-        )
-        for k in range(s.n + 1)
-    ]
-    fun = CyclicMackeyFunctor(s.spec, levels, res, tr, weyl)
-    incl = MackeyMap(fun, s, [kd.incl for kd in kds])
-    return MackeyKernelData(fun, incl)
+    t = f.target
+    pres = [hom_cokernel(c).pres for c in f.components]
+    return _functor_on_quotients(
+        t.spec, pres, [h.matrix for h in t.res], [h.matrix for h in t.tr], [h.matrix for h in t.weyl]
+    )
 
 
 def mackey_kernel(f: MackeyMap) -> CyclicMackeyFunctor:
-    return mackey_kernel_data(f).functor
+    s = f.source
+    incls = [hom_kernel(c).incl for c in f.components]
+    return _functor_on_subgroups(
+        s.spec, incls, [h.matrix for h in s.res], [h.matrix for h in s.tr], [h.matrix for h in s.weyl]
+    )
 
 
 def mackey_direct_sum(a: CyclicMackeyFunctor, b: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
     if a.spec != b.spec:
         raise MackeyError("direct sum needs a common group")
+    pres, ranges = zip(*(direct_sum_presentation([ga, gb]) for ga, gb in zip(a.levels, b.levels)))
+
+    def block(k_src: int, k_dst: int, ha: GroupHom, hb: GroupHom) -> IntMatrix:
+        return _block_matrix(ranges[k_dst], ranges[k_src], {(0, 0): ha.matrix, (1, 1): hb.matrix})
+
     n = a.n
-    pres = []
-    ranges = []
-    for k in range(n + 1):
-        pr, rg = direct_sum_presentation([a.levels[k], b.levels[k]])
-        pres.append(pr)
-        ranges.append(rg)
-
-    def block(k_src: int, k_dst: int, ha: GroupHom, hb: GroupHom) -> GroupHom:
-        amb = _block_matrix(
-            ranges[k_dst],
-            ranges[k_src],
-            pres[k_dst].ambient_dim,
-            pres[k_src].ambient_dim,
-            {(0, 0): ha.matrix, (1, 1): hb.matrix},
-        )
-        return induced_hom(pres[k_src], pres[k_dst], amb)
-
-    res = [block(k + 1, k, a.res[k], b.res[k]) for k in range(n)]
-    tr = [block(k, k + 1, a.tr[k], b.tr[k]) for k in range(n)]
-    weyl = [block(k, k, a.weyl[k], b.weyl[k]) for k in range(n + 1)]
-    return CyclicMackeyFunctor(a.spec, [pr.group for pr in pres], res, tr, weyl)
+    return _functor_on_quotients(
+        a.spec,
+        pres,
+        [block(k + 1, k, a.res[k], b.res[k]) for k in range(n)],
+        [block(k, k + 1, a.tr[k], b.tr[k]) for k in range(n)],
+        [block(k, k, a.weyl[k], b.weyl[k]) for k in range(n + 1)],
+    )
 
 
 def augmentation_cokernel(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
@@ -780,11 +698,8 @@ class WittResolution:
         # section: 1 at level j maps to the sum of all copies
         sec_comps = []
         for j in range(n + 1):
-            c = p ** (n - j)
-            amb = _block_matrix(
-                data.ranges[j], [(0, 1)], data.pres[j].ambient_dim, 1,
-                {(a, 0): IntMatrix.from_rows([[1]]) for a in range(c)},
-            )
+            one = IntMatrix.from_rows([[1]])
+            amb = _block_matrix(data.ranges[j], [(0, 1)], {(a, 0): one for a in range(p ** (n - j))})
             sec_comps.append(induced_hom(canonical_presentation(const.levels[j]), data.pres[j], amb))
         section = MackeyMap(const, perm, sec_comps)
         shift = MackeyMap(

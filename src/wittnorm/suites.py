@@ -15,6 +15,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .drw import (
+    TruncatedFVComplex,
     build_drw,
     check_fv_axioms,
     degree_zero_witt_comparison,
@@ -362,6 +363,16 @@ def _lift_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, di
 
 def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
     out = []
+    # the tower and stability instances of one (p, r) share the cap-8
+    # build: the first to run builds it, the second takes it out again
+    towers: Dict[Tuple[int, int], TruncatedFVComplex] = {}
+
+    def cap8(p: int, r: int) -> TruncatedFVComplex:
+        if (p, r) in towers:
+            return towers.pop((p, r))
+        towers[(p, r)] = tower = build_drw(p, r, 1, 8)
+        return tower
+
     for p in (2, 3):
         for r in (1, 2, 3):
             if not _grid_allows(grid, p=p, r=r):
@@ -369,7 +380,7 @@ def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]
             key = f"drw tower p={p} r={r} cap=8"
 
             def thunk(p=p, r=r, key=key) -> Optional[str]:
-                tower = build_drw(p, r, 1, 8)
+                tower = cap8(p, r)
                 rep = check_fv_axioms(tower, samples=40,
                                       seed=_instance_seed(seed, key))
                 if not rep.ok:
@@ -391,7 +402,7 @@ def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]
             key2 = f"drw stability p={p} r={r} cap=8->10"
 
             def thunk2(p=p, r=r) -> Optional[str]:
-                if not stable_under_cap_increase(p, r, 1, 8, bump=2):
+                if not stable_under_cap_increase(cap8(p, r), bump=2):
                     return "piece moduli changed when the weight cap grew"
                 return None
 

@@ -19,7 +19,6 @@ cross-checks the two paths wherever the tables are cheap to build.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable, List, Optional, Sequence
 
 from .intlinalg import require_prime
@@ -117,21 +116,14 @@ class WittPolyTable:
 
 
 _TABLE_CACHE: dict = {}
-_TABLE_LOCK = threading.Lock()
 
 
 def get_table(p: int, r: int) -> WittPolyTable:
-    """Memoized universal polynomial table (thread-safe single build)."""
+    """Memoized universal polynomial table."""
     key = (p, r)
-    tab = _TABLE_CACHE.get(key)
-    if tab is not None:
-        return tab
-    with _TABLE_LOCK:
-        tab = _TABLE_CACHE.get(key)
-        if tab is None:
-            tab = WittPolyTable(p, r)
-            _TABLE_CACHE[key] = tab
-    return tab
+    if key not in _TABLE_CACHE:
+        _TABLE_CACHE[key] = WittPolyTable(p, r)
+    return _TABLE_CACHE[key]
 
 
 def table_is_cheap(p: int, r: int) -> bool:

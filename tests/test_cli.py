@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from wittnorm import drw
+from wittnorm import cli, drw, polywitt
 from wittnorm.cli import main
 from wittnorm.intlinalg import IntMatrix
-from wittnorm.mackey import witt_mackey
+from wittnorm.mackey import CyclicMackeyFunctor, witt_mackey
 from wittnorm.serialize import (
     InstanceRecord,
     SuiteReport,
@@ -156,6 +156,45 @@ def test_cli_saturation_failure_is_check_failure(monkeypatch, capsys):
     assert "Traceback" not in err
     assert err.startswith("check failed: relation saturation unstable")
     assert err.count("\n") == 1
+
+
+def _broken_witt_mackey(p, n):
+    # transfer after restriction is 2p, not p: the cohomological axiom fails
+    w = witt_mackey(p, n)
+    return CyclicMackeyFunctor(w.spec, w.levels, w.res, [t.scale(2) for t in w.tr],
+                               w.weyl, validate=False)
+
+
+def test_cli_failed_mackey_axiom_is_check_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "witt_mackey", _broken_witt_mackey)
+    assert main(["mackey", "validate", "--kind", "witt", "--p", "2", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("check failed: transfer after restriction")
+    assert err.count("\n") == 1
+
+
+def test_cli_failed_internal_invariant_is_check_failure(monkeypatch, capsys):
+    # the norm image has no coordinates in the fixed lattice: an internal
+    # invariant of the Tate pipeline fails, reported in one line
+    monkeypatch.setattr(polywitt, "solve_int_matrix", lambda a, b: None)
+    assert main(["polywitt", "compare", "--p", "2", "--d", "2", "--r", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "check failed: norm image must lie in the fixed lattice\n"
+
+
+@pytest.mark.parametrize("verb", ["build", "boxperm", "q", "witt-basechange"])
+@pytest.mark.parametrize("kind", cli._MACKEY_KINDS)
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1)])
+def test_cli_mackey_derived_functors(verb, kind, p, n, capsys):
+    assert main(["mackey", verb, "--kind", kind, "--p", str(p), "--n", str(n)]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["kind"] == "cyclic-mackey-functor"
+    assert doc["p"] == str(p) and doc["n"] == str(n)
+    assert _int_leaves(doc) == []
 
 
 @pytest.mark.parametrize("theory", ["orbit", "raw"])

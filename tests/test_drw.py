@@ -323,7 +323,7 @@ def test_structure_map_is_ring_map(p, r):
 
 
 def test_stable_under_cap_increase():
-    assert stable_under_cap_increase(2, 2, 1, 6, bump=2)
+    assert stable_under_cap_increase(build_drw(2, 2, 1, 6), bump=2)
 
 
 def test_two_variables():

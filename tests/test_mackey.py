@@ -1,11 +1,12 @@
 """Mackey functor layer: constructors, validator, box pairing, resolution."""
 
+import json
 import random
 from math import gcd
 
 import pytest
 
-from wittnorm import intlinalg
+from wittnorm import intlinalg, mackey
 from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_group
 from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import (
@@ -43,6 +44,7 @@ from wittnorm.mackey import (
     zero_mackey,
 )
 from wittnorm.rings import ZModRing
+from wittnorm.serialize import mackey_json
 
 
 def level_moduli(m):
@@ -259,9 +261,75 @@ def test_fixed_point_functoriality():
     induced = fixed_point_mackey_map(reg, triv, total)
     assert induced.source == fixed_point_mackey(reg)
     assert induced.target == fixed_point_mackey(triv)
+    assert [c.matrix.to_rows() for c in induced.components] == [[[1, 1]], [[2]]]
     bad = GroupHom(reg.carrier, triv.carrier, IntMatrix.from_rows([[1, 0]]))
     with pytest.raises(MackeyError):
         fixed_point_mackey_map(reg, triv, bad)
+
+
+# each derived functor's levels and structure maps, generators included
+DERIVED_FROZEN = {
+    "kernel": (
+        lambda: mackey_kernel(augmentation(2, 2)),
+        '{"kind":"cyclic-mackey-functor","levels":[["0","0","0"],["0"],[]],"n":"2","p":"2",'
+        '"res":[[["1"],["-1"],["1"]],[[]]],"tr":[[["1","0","1"]],[]],'
+        '"weyl":[[["-1","-1","-1"],["1","0","0"],["0","1","0"]],[["-1"]],[]]}',
+    ),
+    "cokernel": (
+        lambda: mackey_cokernel(augmentation(2, 2)),
+        '{"kind":"cyclic-mackey-functor","levels":[[],["2"],["4"]],"n":"2","p":"2",'
+        '"res":[[],[["1"]]],"tr":[[[]],[["2"]]],"weyl":[[],[["1"]],[["1"]]]}',
+    ),
+    "witt base change": (
+        lambda: base_change_to_witt(constant_mackey(2, 2)),
+        '{"kind":"cyclic-mackey-functor","levels":[["2"],["4"],["8"]],"n":"2","p":"2",'
+        '"res":[[["1"]],[["1"]]],"tr":[[["2"]],[["2"]]],"weyl":[[["1"]],[["1"]],[["1"]]]}',
+    ),
+    "direct sum": (
+        lambda: mackey_direct_sum(witt_mackey(2, 1), constant_mackey(2, 1)),
+        '{"kind":"cyclic-mackey-functor","levels":[["2","0"],["4","0"]],"n":"1","p":"2",'
+        '"res":[[["1","0"],["0","1"]]],"tr":[[["2","0"],["0","2"]]],'
+        '"weyl":[[["1","0"],["0","1"]],[["1","0"],["0","1"]]]}',
+    ),
+    "induction": (
+        lambda: mackey_induce(constant_mackey(2, 1), 2),
+        '{"kind":"cyclic-mackey-functor","levels":[["0","0"],["0","0"],["0"]],"n":"2","p":"2",'
+        '"res":[[["1","0"],["0","1"]],[["1"],["1"]]],"tr":[[["2","0"],["0","2"]],[["1","1"]]],'
+        '"weyl":[[["0","1"],["1","0"]],[["0","1"],["1","0"]],[["1"]]]}',
+    ),
+    "fixed points of an orbit": (
+        lambda: fixed_point_mackey(orbit_gmodule(3, 2, 1)),
+        '{"kind":"cyclic-mackey-functor","levels":[["0","0","0"],["0","0","0"],["0"]],"n":"2","p":"3",'
+        '"res":[[["1","0","0"],["0","1","0"],["0","0","1"]],[["1"],["1"],["1"]]],'
+        '"tr":[[["3","0","0"],["0","3","0"],["0","0","3"]],[["1","1","1"]]],'
+        '"weyl":[[["0","0","1"],["1","0","0"],["0","1","0"]],'
+        '[["0","0","1"],["1","0","0"],["0","1","0"]],[["1"]]]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_FROZEN))
+def test_derived_functor_maps_frozen(name):
+    build, expected = DERIVED_FROZEN[name]
+    got = json.dumps(mackey_json(build()), sort_keys=True, separators=(",", ":"))
+    assert got == expected
+
+
+def test_fixed_point_map_builds_each_inclusion_once(monkeypatch):
+    calls = []
+    real = mackey.hom_kernel
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(mackey, "hom_kernel", counting)
+    for n in (1, 2):
+        calls.clear()
+        reg = regular_gmodule(2, n)
+        fixed_point_mackey_map(reg, reg, GroupHom.identity(reg.carrier))
+        # n + 1 fixed-point inclusions for each of the two modules
+        assert len(calls) == 2 * (n + 1)
 
 
 def test_tambara_power_check():
