@@ -376,9 +376,7 @@ def is_isomorphism(h: GroupHom) -> bool:
     return is_injective(h) and is_surjective(h)
 
 
-def induced_hom(
-    src: Presentation, dst: Presentation, ambient: IntMatrix, check: bool = True
-) -> GroupHom:
+def induced_hom(src: Presentation, dst: Presentation, ambient: IntMatrix) -> GroupHom:
     """Descend a matrix on ambient coordinates to a hom of the quotients.
 
     Requires ambient * (src relations) to land in the dst relation lattice;
@@ -386,10 +384,9 @@ def induced_hom(
     """
     if ambient.rows != dst.ambient_dim or ambient.cols != src.ambient_dim:
         raise ValueError("ambient matrix shape mismatch")
-    if check:
-        moved = dst.proj * (ambient * src.relations)
-        if not matrix_mod(moved, dst.group.moduli).is_zero():
-            raise ValueError("matrix does not descend to the quotients")
+    moved = dst.proj * (ambient * src.relations)
+    if not matrix_mod(moved, dst.group.moduli).is_zero():
+        raise ValueError("matrix does not descend to the quotients")
     return GroupHom(src.group, dst.group, dst.proj * (ambient * src.lift))
 
 

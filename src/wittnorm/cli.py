@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -35,7 +34,6 @@ from .mackey import (
     orbit_gmodule,
     permutation_mackey,
     regular_gmodule,
-    validate_mackey,
     witt_mackey,
     witt_mackey_resolution,
     zero_mackey,
@@ -44,11 +42,12 @@ from .polywitt import DEFAULT_CAP, FpVectorSpace, compare_pipelines
 from .rings import GFPolyRing, ZModRing, ZRing
 from .serialize import (
     dumps_value,
-    emit,
     emit_csv,
+    emit_text,
     group_json,
     mackey_json,
     matrix_json,
+    report_dict,
     weight_str,
     witt_json,
 )
@@ -70,24 +69,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _env_cap() -> int:
-    raw = os.environ.get("WITTNORM_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(3)
+# the flags several subcommands share; each registers only those it reads
+_SHARED_FLAGS = {
+    "json": dict(metavar="PATH", default=None,
+                 help="write the JSON document to PATH ('-' for stdout)"),
+    "seed": dict(type=int, default=0),
+    "cap": dict(type=int, default=DEFAULT_CAP,
+                help=f"tensor dimension cap (default {DEFAULT_CAP})"),
+    "timings": dict(action="store_true",
+                    help="include wall times (output no longer byte-stable)"),
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", metavar="PATH", default=None,
-                     help="write the JSON document to PATH ('-' for stdout)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--cap", type=int, default=None,
-                     help="tensor dimension cap (default: WITTNORM_CAP or 4096)")
-    sub.add_argument("--timings", action="store_true",
-                     help="include wall times (output no longer byte-stable)")
+def _add_shared(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        sub.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _write(doc_text: str, path: Optional[str]) -> None:
@@ -217,7 +213,7 @@ def _cmd_mackey(args) -> int:
         return 0 if rep.ok else 2
     m = _build_mackey(args)
     if args.verb == "validate":
-        validate_mackey(m)
+        # the constructor has validated m
         _write(dumps_value({"kind": "mackey-validation", "ok": True}), args.json)
         return 0
     if args.verb == "boxperm":
@@ -235,8 +231,7 @@ def _cmd_mackey(args) -> int:
 
 
 def _cmd_polywitt(args) -> int:
-    cap = args.cap if args.cap is not None else _env_cap()
-    rep = compare_pipelines(FpVectorSpace(args.p, args.d), args.r, cap=cap)
+    rep = compare_pipelines(FpVectorSpace(args.p, args.d), args.r, cap=args.cap)
     _write(dumps_value(rep.to_dict(with_timings=args.timings)), args.json)
     return 0 if rep.passed else 2
 
@@ -331,7 +326,7 @@ def _cmd_trace(args) -> int:
         else:
             neg = negative_raw_power(args.m, args.p, rank_cap=args.rank_cap)
             ok = neg.passed
-            extra = {"counterexample": list(neg.found) if neg.found else None,
+            extra = {"counterexample": [str(k) for k in neg.found] if neg.found else None,
                      "counterexample_found": neg.passed}
     doc = {
         "kind": "trace-report",
@@ -365,12 +360,10 @@ def _cmd_run(args) -> int:
             except ValueError:
                 sys.stderr.write(f"bad range for --{name}: {raw!r}\n")
                 return 3
-    cap = args.cap if args.cap is not None else _env_cap()
-    reports = run_suites(ids, seed=args.seed, cap=cap, grid=grid or None)
+    reports = run_suites(ids, seed=args.seed, cap=args.cap, grid=grid or None)
     for rep in reports:
-        sys.stdout.write(emit(rep, "text", timings=args.timings))
+        sys.stdout.write(emit_text(rep, timings=args.timings))
     if args.json:
-        from .serialize import report_dict
         if len(reports) == 1:
             doc = report_dict(reports[0], timings=args.timings)
         else:
@@ -398,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--ring", choices=_RING_CHOICES, default="z")
     w.add_argument("--in", dest="infile", required=True,
                    help="JSON component tuples (array, or array pair for add/mul)")
-    _add_common(w)
+    _add_shared(w, "json")
     w.set_defaults(fn=_cmd_witt)
 
     m = subs.add_parser("mackey", help="cyclic Mackey functors")
@@ -411,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--h", type=int, default=0, help="orbit stabilizer level")
     m.add_argument("--k", type=int, default=0, help="boxperm orbit level")
     m.add_argument("--orbits", default=None, help="comma-separated orbit levels")
-    _add_common(m)
+    _add_shared(m, "json")
     m.set_defaults(fn=_cmd_mackey)
 
     pw = subs.add_parser("polywitt", help="polynomial Witt vector pipelines")
@@ -419,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--p", type=int, required=True)
     pw.add_argument("--d", type=int, required=True)
     pw.add_argument("--r", type=int, required=True)
-    _add_common(pw)
+    _add_shared(pw, "json", "cap", "timings")
     pw.set_defaults(fn=_cmd_polywitt)
 
     d = subs.add_parser("drw", help="truncated de Rham-Witt towers")
@@ -432,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zpN emits the degree-zero weight pieces over Z/p^N")
     d.add_argument("--char-exp", type=int, default=2,
                    help="N for --base zpN")
-    _add_common(d)
+    _add_shared(d, "json", "seed")
     d.set_defaults(fn=_cmd_drw)
 
     t = subs.add_parser("trace", help="trace exchange axioms")
@@ -444,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--r", type=int, default=2, help="polywitt truncation")
     t.add_argument("--m", type=int, default=2, help="tensor power")
     t.add_argument("--rank-cap", type=int, default=2)
-    _add_common(t)
+    _add_shared(t, "json", "seed")
     t.set_defaults(fn=_cmd_trace)
 
     r = subs.add_parser("run", help="verification suites")
@@ -455,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--r", default=None)
     r.add_argument("--m", default=None)
     r.add_argument("--csv", metavar="PATH", default=None)
-    _add_common(r)
+    _add_shared(r, "json", "seed", "cap", "timings")
     r.set_defaults(fn=_cmd_run)
 
     return top
@@ -469,10 +462,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (SaturationError, MackeyError, AssertionError) as exc:
-        # a tower without a fixpoint, a failed Mackey axiom or an internal
-        # invariant: a check failed, not the input (MackeyError is a
-        # ValueError, so it is caught first)
+    except (SaturationError, MackeyError, AssertionError, ArithmeticError) as exc:
+        # a tower without a fixpoint, a failed Mackey axiom, an internal
+        # invariant or an inexact division in the Witt recursion: a check
+        # failed, not the input (MackeyError is a ValueError, so it is
+        # caught first)
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -3,7 +3,7 @@
 Serves as the truncation-level-one oracle for the F-V-tower construction
 and as a standalone target for universal-map checks.  Pieces are graded
 by total weight, where a monomial contributes its degree and each dx_j
-contributes one.  Coefficients live in Z/p^N.
+contributes one.  Coefficients live in F_p.
 """
 
 from __future__ import annotations
@@ -18,18 +18,14 @@ Frame = Tuple[int, ...]  # strictly increasing variable indices under d
 
 
 class DeRhamComplex:
-    """Differential forms of k[x] or k[x, y] with k = Z/p^N, weight-truncated."""
+    """Differential forms of F_p[x] or F_p[x, y], weight-truncated."""
 
-    def __init__(self, p: int, nvars: int = 1, weight_cap: int = 8, char_exp: int = 1):
+    def __init__(self, p: int, nvars: int = 1, weight_cap: int = 8):
         if nvars not in (1, 2):
             raise ValueError("only one or two variables are supported")
-        if char_exp < 1:
-            raise ValueError("coefficient ring must be Z/p^N with N >= 1")
         self.p = p
         self.nvars = nvars
         self.weight_cap = weight_cap
-        self.char_exp = char_exp
-        self.q = p ** char_exp
         self._basis: Dict[Tuple[int, int], List[Tuple[Mono, Frame]]] = {}
         for w in range(weight_cap + 1):
             for deg in range(nvars + 1):
@@ -55,7 +51,7 @@ class DeRhamComplex:
         return list(self._basis.get((deg, w), []))
 
     def group(self, deg: int, w: int) -> FgAbGroup:
-        return FgAbGroup([self.q] * len(self._basis.get((deg, w), [])))
+        return FgAbGroup([self.p] * len(self._basis.get((deg, w), [])))
 
     def index(self, deg: int, w: int, mono: Mono, frame: Frame) -> int:
         return self._basis[(deg, w)].index((mono, frame))
@@ -75,6 +71,6 @@ class DeRhamComplex:
                 sign = (-1) ** sum(1 for t in frame if t < v)
                 i = dst_pos.get((new_mono, new_frame))
                 if i is not None:
-                    data[(i, j)] = (data.get((i, j), 0) + sign * mono[v]) % self.q
+                    data[(i, j)] = (data.get((i, j), 0) + sign * mono[v]) % self.p
         return GroupHom(self.group(deg, w), self.group(deg + 1, w),
                         IntMatrix(len(dst), len(src), {k: v for k, v in data.items() if v}))

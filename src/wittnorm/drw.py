@@ -294,9 +294,9 @@ def _combine(terms: Iterable[Tuple[int, Symbol]]) -> List[Tuple[int, Symbol]]:
     return [(c, sym) for sym, c in acc.items() if c]
 
 
-def symbol_label(sym: Symbol, varnames: Sequence[str] = ("x", "y")) -> str:
+def symbol_label(sym: Symbol) -> str:
     def mono_str(m: Mono) -> str:
-        parts = [f"{varnames[j]}^{e}" for j, e in enumerate(m) if e]
+        parts = [f"{'xy'[j]}^{e}" for j, e in enumerate(m) if e]
         return "*".join(parts) if parts else "1"
 
     def lead_str(i: int, m: Mono) -> str:
@@ -1550,7 +1550,7 @@ class UniversalMapReport:
 
 def universal_map_check(tower: TruncatedFVComplex, target: str = "self") -> UniversalMapReport:
     """The canonical map determined on lifted coordinates, into the tower
-    itself, the zero tower, or the classical one-level complex."""
+    itself or the classical one-level complex."""
     if target == "self":
         okay = True
         for piece in tower.pieces.values():
@@ -1561,10 +1561,8 @@ def universal_map_check(tower: TruncatedFVComplex, target: str = "self") -> Univ
                 okay = False
                 break
         return UniversalMapReport("self", True, True, okay)
-    if target == "zero":
-        return UniversalMapReport("zero", True, True, True)
     if target != "de_rham":
-        raise ValueError("target must be self, zero, or de_rham")
+        raise ValueError("target must be self or de_rham")
     dr = DeRhamComplex(tower.p, tower.nvars, tower.weight_cap)
     well, details = True, None
     for (s, deg, w), piece in tower.pieces.items():
@@ -1608,9 +1606,10 @@ def dimension_signature(tower: TruncatedFVComplex) -> Dict[PieceKey, Tuple[int, 
     return {key: piece.group.moduli for key, piece in tower.pieces.items()}
 
 
-def stable_under_cap_increase(tower: TruncatedFVComplex, bump: int = 2) -> bool:
-    """Pieces of weight within the tower's cap must not change when the cap grows."""
-    big = build_drw(tower.p, tower.r, tower.nvars, tower.weight_cap + bump)
+def stable_under_cap_increase(tower: TruncatedFVComplex) -> bool:
+    """Pieces of weight within the tower's cap must not change when the cap
+    grows by two."""
+    big = build_drw(tower.p, tower.r, tower.nvars, tower.weight_cap + 2)
     for key, piece in tower.pieces.items():
         if piece.group.moduli != big.pieces[key].group.moduli:
             return False

@@ -475,10 +475,10 @@ def matrix_mod(m: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     return IntMatrix(m.rows, m.cols, data)
 
 
-def random_unimodular(n: int, rng, steps: int = 12) -> IntMatrix:
-    """Seeded unimodular matrix built from elementary row operations."""
+def random_unimodular(n: int, rng) -> IntMatrix:
+    """Seeded unimodular matrix built from up to twelve elementary row operations."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(12):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:

@@ -190,15 +190,13 @@ class CyclicMackeyFunctor:
         res: Sequence[GroupHom],
         tr: Sequence[GroupHom],
         weyl: Sequence[GroupHom],
-        validate: bool = True,
     ):
         self.spec = spec
         self.levels = list(levels)
         self.res = list(res)
         self.tr = list(tr)
         self.weyl = list(weyl)
-        if validate:
-            validate_mackey(self)
+        validate_mackey(self)
 
     @property
     def p(self) -> int:

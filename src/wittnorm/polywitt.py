@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom, present_quotient
 from .intlinalg import (
@@ -62,14 +62,11 @@ class FpVectorSpace:
 
     p: int
     d: int
-    basis: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         require_prime(self.p)
         if self.d < 0:
             raise ValueError("dimension must be >= 0")
-        if self.basis is not None and len(self.basis) != self.d:
-            raise ValueError("named basis must match the dimension")
 
 
 @dataclass(frozen=True)
@@ -136,9 +133,9 @@ def tensor_power_action(lift: FreeLift, spec: CyclicGroupSpec, cap: int = DEFAUL
     return GModule(spec, carrier, GroupHom(carrier, carrier, rotation_matrix(d, m)))
 
 
-def inflate_action(mod: GModule, levels_up: int = 1) -> GModule:
-    """Same carrier and matrix, regarded over the larger cyclic group."""
-    spec = CyclicGroupSpec(mod.spec.p, mod.spec.n + levels_up)
+def inflate_action(mod: GModule) -> GModule:
+    """Same carrier and matrix, regarded over the cyclic group one level up."""
+    spec = CyclicGroupSpec(mod.spec.p, mod.spec.n + 1)
     return GModule(spec, mod.carrier, mod.action)
 
 

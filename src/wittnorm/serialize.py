@@ -145,16 +145,6 @@ def emit_text(report: SuiteReport, timings: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: SuiteReport, fmt: str, timings: bool = False) -> str:
-    if fmt == "json":
-        return emit_json(report, timings)
-    if fmt == "csv":
-        return emit_csv([report], timings)
-    if fmt == "text":
-        return emit_text(report, timings)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 # ---------------------------------------------------------------------------
 # value serializers shared by the CLI subcommands
 

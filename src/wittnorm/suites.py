@@ -41,7 +41,6 @@ from .mackey import (
     orbit_gmodule,
     permutation_mackey,
     regular_gmodule,
-    validate_mackey,
     witt_mackey,
     witt_mackey_resolution,
     zero_mackey,
@@ -200,8 +199,7 @@ def _cartier_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thu
 
         def thunk(p=p, factory=factory, key=key) -> Optional[str]:
             try:
-                cartier_tower(factory(), p, 3, pair_samples=150,
-                              seed=_instance_seed(seed, key))
+                cartier_tower(factory(), p, 3, seed=_instance_seed(seed, key))
             except AssertionError as exc:
                 return str(exc)
             return None
@@ -249,7 +247,7 @@ def _mackey_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thun
         key = f"mackey validate {label}"
 
         def thunk(build=build) -> Optional[str]:
-            validate_mackey(build())
+            build()  # the constructor validates the functor
             return None
 
         out.append((key, {"constructor": label}, thunk))
@@ -270,10 +268,7 @@ def _resolution_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, 
             key = f"resolution exact p={p} r={r}"
 
             def thunk(p=p, r=r) -> Optional[str]:
-                res = witt_mackey_resolution(p, r)
-                for obj in res.objects:
-                    validate_mackey(obj)
-                rep = res.check()
+                rep = witt_mackey_resolution(p, r).check()
                 if not rep.ok:
                     return f"exactness failures: {rep.failures()}"
                 return None
@@ -402,7 +397,7 @@ def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]
             key2 = f"drw stability p={p} r={r} cap=8->10"
 
             def thunk2(p=p, r=r) -> Optional[str]:
-                if not stable_under_cap_increase(cap8(p, r), bump=2):
+                if not stable_under_cap_increase(cap8(p, r)):
                     return "piece moduli changed when the weight cap grew"
                 return None
 
@@ -486,19 +481,18 @@ def _run_one(key: str, inputs: dict, thunk: Thunk) -> InstanceRecord:
                           witness=witness, ms=ms)
 
 
-def run_suite(suite: str, seed: int = 0, cap: Optional[int] = None,
+def run_suite(suite: str, seed: int = 0, cap: int = DEFAULT_CAP,
               grid: GridFilter = None) -> SuiteReport:
     if suite not in _BUILDERS:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITE_IDS)}")
-    cap_val = DEFAULT_CAP if cap is None else cap
-    instances = _BUILDERS[suite](seed, cap_val, grid)
-    report = SuiteReport(suite=suite, seed=seed, cap=cap_val)
+    instances = _BUILDERS[suite](seed, cap, grid)
+    report = SuiteReport(suite=suite, seed=seed, cap=cap)
     report.records = [_run_one(k, i, t) for k, i, t in instances]
     report.sort()
     return report
 
 
-def run_suites(suites: Sequence[str], seed: int = 0, cap: Optional[int] = None,
+def run_suites(suites: Sequence[str], seed: int = 0, cap: int = DEFAULT_CAP,
                grid: GridFilter = None) -> List[SuiteReport]:
     ids = list(SUITE_IDS) if list(suites) == ["all"] else list(suites)
     return [run_suite(s, seed=seed, cap=cap, grid=grid) for s in ids]

@@ -91,13 +91,11 @@ class _PowerTheory:
     cached per rank; morphisms are Kronecker powers and the exchange is
     `_exchange_perm`, each taken to the values by `descend_map`."""
 
-    def __init__(self, m: int, base_char: int = 0, rank_cap: int = 2,
-                 tensor_cap: int = DEFAULT_CAP):
+    def __init__(self, m: int, base_char: int = 0, rank_cap: int = 2):
         if m < 1:
             raise ValueError("the tensor power must be positive")
         self.m = m
         self.category = TensorCategory(base_char, rank_cap)
-        self.tensor_cap = tensor_cap
         self._values: Dict[int, object] = {}
 
     @property
@@ -108,8 +106,8 @@ class _PowerTheory:
         hit = self._values.get(rank)
         if hit is None:
             n = rank ** self.m
-            if n > self.tensor_cap:
-                raise CapExceeded(n, self.tensor_cap)
+            if n > DEFAULT_CAP:
+                raise CapExceeded(n, DEFAULT_CAP)
             hit = self._presentation(rank, n)
             self._values[rank] = hit
         return hit
@@ -189,12 +187,11 @@ class NormTraceTheory(_PowerTheory):
     lift of an F_p-linear map).  A cached value is the pair
     `fixed_mod_norm` returns: the fixed lattice and its quotient."""
 
-    def __init__(self, p: int, r: int, rank_cap: int = 2,
-                 tensor_cap: int = DEFAULT_CAP):
+    def __init__(self, p: int, r: int, rank_cap: int = 2):
         require_prime(p)
         if r < 1:
             raise ValueError("truncation level must be >= 1")
-        super().__init__(p ** (r - 1), p, rank_cap, tensor_cap)
+        super().__init__(p ** (r - 1), p, rank_cap)
         self.p = p
         self.r = r
 
@@ -210,17 +207,17 @@ class NormTraceTheory(_PowerTheory):
         return descend_map(amb, self._cached(src_rank), self._cached(dst_rank))
 
 
-def tensor_power_orbit_trace(m: int, base_char: int = 0, rank_cap: int = 2,
-                             tensor_cap: int = DEFAULT_CAP) -> OrbitTraceTheory:
-    return OrbitTraceTheory(m, base_char, rank_cap, tensor_cap)
+def tensor_power_orbit_trace(m: int, base_char: int = 0,
+                             rank_cap: int = 2) -> OrbitTraceTheory:
+    return OrbitTraceTheory(m, base_char, rank_cap)
 
 
 # ---------------------------------------------------------------------------
 # axiom checks; each is an exhaustive matrix identity up to the rank cap
 
 
-def check_unity(theory, rank_cap: Optional[int] = None) -> TraceAxiomReport:
-    cap = rank_cap or theory.category.rank_cap
+def check_unity(theory) -> TraceAxiomReport:
+    cap = theory.category.rank_cap
     checked = 0
     for d in range(1, cap + 1):
         checked += 1
@@ -230,8 +227,8 @@ def check_unity(theory, rank_cap: Optional[int] = None) -> TraceAxiomReport:
     return TraceAxiomReport("unity", True, checked)
 
 
-def check_acyclicity(theory, rank_cap: Optional[int] = None) -> TraceAxiomReport:
-    cap = rank_cap or theory.category.rank_cap
+def check_acyclicity(theory) -> TraceAxiomReport:
+    cap = theory.category.rank_cap
     checked = 0
     for a in range(1, cap + 1):
         for b in range(1, cap + 1):
@@ -246,8 +243,8 @@ def check_acyclicity(theory, rank_cap: Optional[int] = None) -> TraceAxiomReport
     return TraceAxiomReport("acyclicity", True, checked)
 
 
-def check_involution(theory, rank_cap: Optional[int] = None) -> TraceAxiomReport:
-    cap = rank_cap or theory.category.rank_cap
+def check_involution(theory) -> TraceAxiomReport:
+    cap = theory.category.rank_cap
     checked = 0
     for a in range(1, cap + 1):
         for b in range(1, cap + 1):
@@ -260,9 +257,8 @@ def check_involution(theory, rank_cap: Optional[int] = None) -> TraceAxiomReport
     return TraceAxiomReport("involution", True, checked)
 
 
-def check_naturality(theory, samples: int = 12, seed: int = 0,
-                     rank_cap: Optional[int] = None) -> TraceAxiomReport:
-    cap = rank_cap or theory.category.rank_cap
+def check_naturality(theory, samples: int = 12, seed: int = 0) -> TraceAxiomReport:
+    cap = theory.category.rank_cap
     rng = random.Random(seed)
     cat = theory.category
     checked = 0
@@ -281,13 +277,13 @@ def check_naturality(theory, samples: int = 12, seed: int = 0,
     return TraceAxiomReport("naturality", True, checked)
 
 
-def run_axiom_checks(theory, rank_cap: Optional[int] = None,
-                     samples: int = 12, seed: int = 0) -> List[TraceAxiomReport]:
+def run_axiom_checks(theory, samples: int = 12,
+                     seed: int = 0) -> List[TraceAxiomReport]:
     return [
-        check_unity(theory, rank_cap),
-        check_acyclicity(theory, rank_cap),
-        check_involution(theory, rank_cap),
-        check_naturality(theory, samples, seed, rank_cap),
+        check_unity(theory),
+        check_acyclicity(theory),
+        check_involution(theory),
+        check_naturality(theory, samples, seed),
     ]
 
 
@@ -339,10 +335,10 @@ class SubdividedTraceData:
 
 
 def polywitt_trace(p: int, r: int, rank_cap: int = 2, samples: int = 12,
-                   seed: int = 0, tensor_cap: int = DEFAULT_CAP) -> SubdividedTraceData:
+                   seed: int = 0) -> SubdividedTraceData:
     """Builds the norm-functor trace data and certifies its descent by
     running every exchange axiom on the descended maps."""
-    theory = NormTraceTheory(p, r, rank_cap, tensor_cap)
-    reports = run_axiom_checks(theory, rank_cap, samples, seed)
+    theory = NormTraceTheory(p, r, rank_cap)
+    reports = run_axiom_checks(theory, samples, seed)
     return SubdividedTraceData(theory, theory.m, reports,
                                all(rep.ok for rep in reports))

@@ -19,15 +19,11 @@ cross-checks the two paths wherever the tables are cheap to build.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from .intlinalg import require_prime
 from .multipoly import MPoly
-from .rings import GFPolyRing, ZModRing
-
-
-class WittDegreeOverflow(ValueError):
-    """A polynomial Witt component exceeded the caller-supplied degree cap."""
+from .rings import ZModRing
 
 
 # universal polynomial tables
@@ -193,24 +189,22 @@ class _PowerChains:
 class WittRing:
     """W_r(base) for a prime p, with F, V, R, Teichmuller and ghost."""
 
-    def __init__(self, p: int, r: int, base, degree_cap: Optional[int] = None):
+    def __init__(self, p: int, r: int, base):
         if r < 1:
             raise ValueError("truncation length must be >= 1")
         require_prime(p)
         self.p = p
         self.r = r
         self.base = base
-        self.degree_cap = degree_cap
 
     def __eq__(self, other):
         return (
             isinstance(other, WittRing)
-            and (self.p, self.r, self.base, self.degree_cap)
-            == (other.p, other.r, other.base, other.degree_cap)
+            and (self.p, self.r, self.base) == (other.p, other.r, other.base)
         )
 
     def __hash__(self):
-        return hash((self.p, self.r, self.base, self.degree_cap))
+        return hash((self.p, self.r, self.base))
 
     def __repr__(self):
         return f"WittRing(p={self.p}, r={self.r}, base={self.base.label()})"
@@ -295,16 +289,7 @@ class WittRing:
         return comps
 
     def _finish(self, target_ring: "WittRing", cover, comps: List) -> WittVector:
-        base = self.base
-        reduced = tuple(base.reduce(v, cover) for v in comps)
-        cap = target_ring.degree_cap
-        if cap is not None and isinstance(base, GFPolyRing):
-            for c in reduced:
-                if base.degree(c) > cap:
-                    raise WittDegreeOverflow(
-                        f"component degree {base.degree(c)} exceeds cap {cap}"
-                    )
-        return WittVector(target_ring, reduced)
+        return WittVector(target_ring, tuple(self.base.reduce(v, cover) for v in comps))
 
     def _ghost_binary(self, a: WittVector, b: WittVector, combine: Callable) -> WittVector:
         if a.ring != b.ring:
@@ -342,12 +327,12 @@ class WittRing:
         """Drop the last component: W_r -> W_{r-1}."""
         if self.r < 2:
             raise ValueError("restriction needs length >= 2")
-        target = WittRing(self.p, self.r - 1, self.base, self.degree_cap)
+        target = WittRing(self.p, self.r - 1, self.base)
         return WittVector(target, w.components[:-1])
 
     def verschiebung(self, w: WittVector) -> WittVector:
         """Prepend zero: W_r -> W_{r+1}."""
-        target = WittRing(self.p, self.r + 1, self.base, self.degree_cap)
+        target = WittRing(self.p, self.r + 1, self.base)
         return WittVector(target, (self.base.zero(),) + w.components)
 
     def frobenius(self, w: WittVector) -> WittVector:
@@ -356,28 +341,8 @@ class WittRing:
             raise ValueError("Frobenius needs length >= 2")
         cover = self.base.witt_cover(self.p, self.r)
         ga = self._lifted_ghost(cover, self._lift(cover, w), self.r)
-        target = WittRing(self.p, self.r - 1, self.base, self.degree_cap)
+        target = WittRing(self.p, self.r - 1, self.base)
         return self._finish(target, cover, self._components_from_ghost(cover, ga[1:]))
-
-
-def frobenius(w: WittVector) -> WittVector:
-    return w.ring.frobenius(w)
-
-
-def verschiebung(w: WittVector) -> WittVector:
-    return w.ring.verschiebung(w)
-
-
-def restrict(w: WittVector) -> WittVector:
-    return w.ring.restrict(w)
-
-
-def ghost(w: WittVector) -> List:
-    return w.ring.ghost(w)
-
-
-def teichmuller(ring: WittRing, x) -> WittVector:
-    return ring.teichmuller(x)
 
 
 # the identification W_t(F_p) = Z/p^t
@@ -419,6 +384,10 @@ def zmod_to_witt_fp(ring: WittRing, n: int) -> WittVector:
 # Cartier tower over a finite base
 
 
+# seeded (w, u) and (x, y) pairs per level for the binary identities
+_PAIR_SAMPLES = 150
+
+
 class CartierTower:
     """Levels W_1(A)..W_Rmax(A) of a finite ring with R, F, V between them.
 
@@ -429,7 +398,7 @@ class CartierTower:
     identities, on seeded samples for the binary ones.
     """
 
-    def __init__(self, base, p: int, r_max: int, pair_samples: int = 150, seed: int = 0):
+    def __init__(self, base, p: int, r_max: int, seed: int = 0):
         if not getattr(base, "is_finite", False):
             raise ValueError("Cartier tower needs a finite base ring")
         if r_max < 1:
@@ -438,12 +407,12 @@ class CartierTower:
         self.p = p
         self.r_max = r_max
         self.levels = [WittRing(p, r, base) for r in range(1, r_max + 1)]
-        self._verify(pair_samples, seed)
+        self._verify(seed)
 
     def level(self, r: int) -> WittRing:
         return self.levels[r - 1]
 
-    def _verify(self, pair_samples: int, seed: int) -> None:
+    def _verify(self, seed: int) -> None:
         import random
 
         rng = random.Random(seed)
@@ -470,7 +439,7 @@ class CartierTower:
                     raise AssertionError("FV = p failed")
             pool_hi = list(upper.elements())
             pool_lo = list(lower.elements())
-            for _ in range(pair_samples):
+            for _ in range(_PAIR_SAMPLES):
                 w = rng.choice(pool_hi)
                 u = rng.choice(pool_lo)
                 # V(F(w) u) = w V(u)
@@ -490,5 +459,5 @@ class CartierTower:
         return [self.p ** r for r in range(1, self.r_max + 1)]
 
 
-def cartier_tower(base, p: int, r_max: int, pair_samples: int = 150, seed: int = 0) -> CartierTower:
-    return CartierTower(base, p, r_max, pair_samples=pair_samples, seed=seed)
+def cartier_tower(base, p: int, r_max: int, seed: int = 0) -> CartierTower:
+    return CartierTower(base, p, r_max, seed=seed)

@@ -1,17 +1,20 @@
 """CLI surface, report emission, and suite determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wittnorm import cli, drw, polywitt
+from wittnorm import cli, drw, mackey, polywitt, rings
 from wittnorm.cli import main
 from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import CyclicMackeyFunctor, witt_mackey
 from wittnorm.serialize import (
     InstanceRecord,
     SuiteReport,
-    emit,
     emit_csv,
     emit_json,
     emit_text,
@@ -58,8 +61,6 @@ def test_emit_formats_round_trip():
     text = emit_text(rep)
     assert "FAIL a fail :: sum was wrong" in text
     assert "SKIP c skip" in text
-    with pytest.raises(ValueError):
-        emit(rep, "xml")
 
 
 def test_timings_only_when_requested():
@@ -159,10 +160,10 @@ def test_cli_saturation_failure_is_check_failure(monkeypatch, capsys):
 
 
 def _broken_witt_mackey(p, n):
-    # transfer after restriction is 2p, not p: the cohomological axiom fails
+    # transfer after restriction is 2p, not p: the cohomological axiom
+    # fails, and the constructor raises inside the CLI call
     w = witt_mackey(p, n)
-    return CyclicMackeyFunctor(w.spec, w.levels, w.res, [t.scale(2) for t in w.tr],
-                               w.weyl, validate=False)
+    return CyclicMackeyFunctor(w.spec, w.levels, w.res, [t.scale(2) for t in w.tr], w.weyl)
 
 
 def test_cli_failed_mackey_axiom_is_check_failure(monkeypatch, capsys):
@@ -208,7 +209,7 @@ def test_cli_trace_reports(capsys):
     assert all(a["ok"] for a in doc["axioms"])
     assert main(["trace", "check", "--theory", "raw", "--m", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["counterexample"] == ["1", "2"] or doc["counterexample"] == [1, 2]
+    assert doc["counterexample"] == ["1", "2"]
     # a rank cap of one leaves no room for a counterexample
     assert main(["trace", "check", "--theory", "raw", "--m", "2",
                  "--rank-cap", "1"]) == 2
@@ -301,3 +302,119 @@ def test_suite_ids_complete():
     assert set(SUITE_IDS) == {
         "witt", "cartier", "mackey", "resolution", "compare",
         "lift", "drw", "trace"}
+
+
+def test_cli_validates_each_mackey_functor_once(monkeypatch, capsys):
+    calls = []
+    real = mackey.validate_mackey
+
+    def counting(m):
+        calls.append(m)
+        real(m)
+
+    for mod in (mackey, cli):
+        monkeypatch.setattr(mod, "validate_mackey", counting, raising=False)
+    assert main(["mackey", "validate", "--kind", "fixed-regular", "--p", "3", "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "mackey-validation", "ok": True}
+    assert len(calls) == 1
+
+
+def test_cli_inexact_division_is_check_failure(monkeypatch, capsys):
+    def inexact(self, a, i):
+        raise ArithmeticError("inexact division in Witt recursion")
+
+    monkeypatch.setattr(rings.PadicPolyCover, "div_pow_p", inexact)
+    assert main(["witt", "mul", "--p", "2", "--r", "2", "--ring", "fpx",
+                 "--in", "[[[1,1],[1]],[[0,1],[1]]]"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "check failed: inexact division in Witt recursion\n"
+
+
+# the shared flags each subcommand no longer registers, with a value
+_UNREAD_FLAGS = {
+    "witt": [["--seed", "1"], ["--cap", "4"], ["--timings"]],
+    "mackey": [["--seed", "1"], ["--cap", "4"], ["--timings"]],
+    "polywitt": [["--seed", "1"]],
+    "drw": [["--cap", "4"], ["--timings"]],
+    "trace": [["--cap", "4"], ["--timings"]],
+}
+
+_SMALL_INVOCATIONS = {
+    "witt": ["witt", "add", "--p", "2", "--r", "2", "--in", "[[1,0],[1,0]]"],
+    "mackey": ["mackey", "build", "--p", "2", "--n", "1"],
+    "polywitt": ["polywitt", "compare", "--p", "2", "--d", "1", "--r", "2"],
+    "drw": ["drw", "check", "--p", "2", "--r", "1", "--weight-cap", "2"],
+    "trace": ["trace", "check", "--theory", "polywitt", "--p", "2", "--r", "3"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(command, flag, id=f"{command}{flag[0]}")
+    for command, flags in _UNREAD_FLAGS.items() for flag in flags])
+def test_cli_unread_flag_is_invalid(command, flag, capsys):
+    assert main(_SMALL_INVOCATIONS[command] + flag) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: wittnorm ")
+    assert "Traceback" not in err
+
+
+_WITT_VERBS = ("add", "mul", "F", "V", "R", "teich")
+
+
+def _small(valid, lo, hi):
+    # a valid value half of the time, else any value in lo..hi
+    return st.sampled_from(valid) | st.integers(lo, hi)
+
+
+@st.composite
+def _invocations(draw):
+    """A small CLI invocation, invalid values included, and whether it
+    carries a flag its subcommand does not read."""
+    command = draw(st.sampled_from(sorted(_UNREAD_FLAGS)))
+    p, r = draw(_small((2, 3), -1, 4)), draw(_small((1, 2), -1, 2))
+    if command == "witt":
+        verb = draw(st.sampled_from(_WITT_VERBS))
+        ring = draw(st.sampled_from(cli._RING_CHOICES))
+        comp = st.integers(-3, 3)
+        if ring == "fpx":
+            comp |= st.lists(st.integers(-3, 3), max_size=2)
+        vec = st.lists(comp, min_size=max(r, 0), max_size=max(r, 0))
+        payload = draw({"teich": comp, "add": st.tuples(vec, vec),
+                        "mul": st.tuples(vec, vec)}.get(verb, vec))
+        argv = ["witt", verb, "--p", str(p), "--r", str(r), "--ring", ring,
+                "--in", json.dumps(payload)]
+    elif command == "mackey":
+        argv = ["mackey", draw(st.sampled_from(("build", "validate", "resolve", "boxperm",
+                                                "q", "witt-basechange"))),
+                "--kind", draw(st.sampled_from(cli._MACKEY_KINDS)),
+                "--p", str(p), "--n", str(draw(st.integers(-1, 2))), "--r", str(r)]
+    elif command == "polywitt":
+        argv = ["polywitt", "compare", "--p", str(p), "--d", str(draw(st.integers(-1, 3))),
+                "--r", str(r)]
+    elif command == "drw":
+        argv = ["drw", draw(st.sampled_from(("build", "check"))), "--p", str(p),
+                "--r", str(r), "--weight-cap", str(draw(st.integers(-1, 3))),
+                "--base", draw(st.sampled_from(("fp", "zpN")))]
+    else:
+        argv = ["trace", "check", "--theory", draw(st.sampled_from(("orbit", "raw", "polywitt"))),
+                "--p", str(p), "--r", str(r), "--m", str(draw(st.integers(-1, 3)))]
+    if draw(st.integers(0, 3)):
+        return argv, False
+    return argv + draw(st.sampled_from(_UNREAD_FLAGS[command])), True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_invocations())
+def test_cli_sweep_exits_cleanly(invocation):
+    argv, unread = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if unread:
+        assert code == 3
+    assert code in (0, 2, 3)
+    if code != 3:
+        assert _int_leaves(json.loads(out.getvalue())) == []

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+no module reads the environment."""
 
 import ast
 import pathlib
@@ -47,3 +48,20 @@ def test_module_imports_are_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported_names(tree)) - _read_names(tree))
     assert unused == [], f"{path.name} imports {unused} without reading them"
+
+
+def _environment_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_environment(path):
+    # every setting is an argument or a flag, never an environment variable
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = list(_environment_reads(tree))
+    assert lines == [], f"{path.name} reads the environment at lines {lines}"

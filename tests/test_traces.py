@@ -118,4 +118,4 @@ def test_tensor_cap_enforced():
     with pytest.raises(CapExceeded):
         OrbitTraceTheory(13, 2, rank_cap=2).value(2)
     with pytest.raises(CapExceeded):
-        NormTraceTheory(2, 2, tensor_cap=3).value(2)
+        NormTraceTheory(2, 4).value(3)  # dimension 3^8 = 6561

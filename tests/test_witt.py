@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from wittnorm.rings import GFPolyRing, QuotPolyRing, ZModRing, ZRing
 from wittnorm.witt import (
     CartierTower,
-    WittDegreeOverflow,
     WittRing,
     WittVector,
     cartier_tower,
     get_table,
-    ghost,
     table_is_cheap,
     teichmuller_character,
     witt_fp_to_zmod,
@@ -24,8 +22,8 @@ from wittnorm.witt import (
 Z = ZRing()
 
 
-def W(p, r, base=None, cap=None):
-    return WittRing(p, r, base if base is not None else Z, degree_cap=cap)
+def W(p, r, base=None):
+    return WittRing(p, r, base if base is not None else Z)
 
 
 def test_ghost_frozen_values():
@@ -196,17 +194,6 @@ def test_teichmuller_character():
     # the lift of 2 in Z/27 must be the cube root of unity congruent to 2
     w = teichmuller_character(3, 3, 2)
     assert w % 3 == 2 and pow(w, 3, 27) == w
-
-
-def test_degree_cap():
-    fx = GFPolyRing(2)
-    w = WittRing(2, 2, fx, degree_cap=3)
-    a = w.vector([(0, 0, 1), ()])
-    with pytest.raises(WittDegreeOverflow):
-        _ = a * a  # x^2 squared has ghost degree 4 in component 1
-    wide = WittRing(2, 2, fx, degree_cap=64)
-    b = wide.vector([(0, 0, 1), ()])
-    assert (b * b).components[0] == (0, 0, 0, 0, 1)
 
 
 def test_quot_ring_witt():
