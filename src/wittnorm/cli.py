@@ -22,7 +22,6 @@ from .drw import (
     build_drw,
     check_fv_axioms,
     mixed_char_weight_piece,
-    weight_total,
 )
 from .mackey import (
     MackeyError,
@@ -242,8 +241,7 @@ def _cmd_polywitt(args) -> int:
 
 def _drw_build_doc(args) -> dict:
     tower = build_drw(args.p, args.r, args.vars, args.weight_cap)
-    keys = sorted(tower.pieces,
-                  key=lambda k: (k[0], k[1], weight_total(k[2]), k[2]))
+    keys = sorted(tower.pieces, key=lambda k: (k[0], k[1], sum(k[2]), k[2]))
     pieces = []
     operators = []
     for key in keys:
@@ -258,11 +256,11 @@ def _drw_build_doc(args) -> dict:
             "invariant_factors": group_json(piece.group)["invariant_factors"],
             "symbols": [v.label for v in tower.symbol_views(s, deg, w)],
         })
-        for op, _ in tower.operators(key):
+        for op, _ in tower.operators(piece.key):
             operators.append({
                 "op": op,
                 "from": {"level": str(s), "degree": str(deg), "weight": weight_str(w)},
-                "matrix": matrix_json(tower.operator_hom(op, key).matrix)["matrix"],
+                "matrix": matrix_json(tower.operator_hom(op, piece.key).matrix)["matrix"],
             })
     return {"kind": "drw-tower", "p": str(args.p), "r": str(args.r),
             "vars": str(args.vars), "weight_cap": str(args.weight_cap),

@@ -25,6 +25,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .abgroups import (
@@ -40,6 +41,7 @@ from .rings import GFPolyRing, ZModRing
 from .witt import WittRing, teichmuller_character
 
 Weight = Tuple[Fraction, ...]
+Num = Tuple[int, ...]
 Mono = Tuple[int, ...]
 Symbol = Tuple
 
@@ -52,68 +54,38 @@ class SaturationError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # weights
+#
+# Every weight component is n/p^e with e < r, so inside a tower a weight is
+# the tuple of its integer numerators over D = p^(r-1).  Integer tuples sort
+# like the rational tuples they stand for, so the piece order is the same in
+# both.  `tower.pieces`, `TowerPiece.weight` and the accessors speak
+# rational weights; `TruncatedFVComplex.fraction` is the one conversion.
 
 
-def weight_of_mono(mono: Mono, idx: int, p: int) -> Weight:
-    return tuple(Fraction(m, p ** idx) for m in mono)
-
-
-def weight_add(a: Weight, b: Weight) -> Weight:
+def weight_add(a: Num, b: Num) -> Num:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def weight_sub(a: Weight, b: Weight) -> Weight:
+def weight_sub(a: Num, b: Num) -> Num:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def weight_down(w: Weight, p: int) -> Weight:
-    return tuple(x / p for x in w)
+def weight_down(w: Num, p: int) -> Optional[Num]:
+    """w / p, or None when a numerator is prime to p: that weight has
+    denominator p^r and is never a piece."""
+    if any(c % p for c in w):
+        return None
+    return tuple(c // p for c in w)
 
 
-def weight_up(w: Weight, p: int) -> Weight:
-    return tuple(x * p for x in w)
+def weight_up(w: Num, p: int) -> Num:
+    return tuple(c * p for c in w)
 
 
-def weight_total(w: Weight) -> Fraction:
-    return sum(w, Fraction(0))
-
-
-def denom_exp(w, p: int) -> int:
-    """Largest e such that p^e divides a component denominator."""
-    if not isinstance(w, tuple):
-        w = (Fraction(w),)
-    e = 0
-    for comp in w:
-        d = Fraction(comp).denominator
-        k = 0
-        while d > 1:
-            if d % p:
-                raise ValueError("weight denominator is not a p-power")
-            d //= p
-            k += 1
-        e = max(e, k)
-    return e
-
-
-def weight_is_nonneg(w: Weight) -> bool:
-    return all(c >= 0 for c in w)
-
-
-def enumerate_weights(p: int, r: int, nvars: int, cap: int) -> List[Weight]:
-    """Componentwise weights n/p^e with e < r and total at most cap."""
-    per_comp: List[Fraction] = []
-    for e in range(r):
-        q = p ** e
-        for n in range(0, cap * q + 1):
-            if e > 0 and n % p == 0:
-                continue
-            per_comp.append(Fraction(n, q))
-    per_comp = sorted(set(per_comp))
-    out = []
-    for combo in itertools.product(per_comp, repeat=nvars):
-        if weight_total(combo) <= cap:
-            out.append(combo)
-    return sorted(set(out))
+def enumerate_weights(p: int, r: int, nvars: int, cap: int) -> List[Num]:
+    """Numerators over p^(r-1) of the weights with total at most cap."""
+    top = cap * p ** (r - 1)
+    return [w for w in itertools.product(range(top + 1), repeat=nvars) if sum(w) <= top]
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +96,14 @@ def enumerate_weights(p: int, r: int, nvars: int, cap: int) -> List[Weight]:
 # degree 2: (2, i, mono, t1, dm1, t2, dm2)   with (t1, dm1) < (t2, dm2)
 
 
-def _is_zero_mono(m: Mono) -> bool:
-    return not any(m)
-
-
-def _mono_div_p(m: Mono, p: int) -> bool:
-    return (not _is_zero_mono(m)) and all(v % p == 0 for v in m)
+def _p_power_in(m: Mono, p: int, cap: int) -> int:
+    """Largest k <= cap such that p^k divides every entry of m (m nonzero)."""
+    g = gcd(*m)
+    k = 0
+    while k < cap and g % p == 0:
+        g //= p
+        k += 1
+    return k
 
 
 def _unit_slot(m: Mono) -> int:
@@ -148,14 +122,18 @@ class SymbolCalculus:
         self.zero_mono: Mono = (0,) * nvars
 
     def _canon_lead(self, s: int, coeff: int, i: int, mono: Mono):
+        # V^i[x^(p m)] = p V^(i-1)[x^m] over F_p, and V^i[1] = p^i
         p = self.p
-        while i >= 1 and _mono_div_p(mono, p):
-            coeff *= p
-            i -= 1
-            mono = tuple(v // p for v in mono)
-        if _is_zero_mono(mono):
-            coeff *= p ** i
-            i = 0
+        if i:
+            if not any(mono):
+                coeff *= p ** i
+                i = 0
+            elif gcd(*mono) % p == 0:
+                k = _p_power_in(mono, p, i)
+                pk = p ** k
+                coeff *= pk
+                i -= k
+                mono = tuple(v // pk for v in mono)
         if i >= s:
             return None
         return coeff, i, mono
@@ -165,7 +143,8 @@ class SymbolCalculus:
         p = self.p
         if i > j:
             i, j, a, b = j, i, b, a
-        mono = tuple(x * p ** (j - i) + y for x, y in zip(a, b))
+        f = p ** (j - i)
+        mono = tuple(x * f + y for x, y in zip(a, b))
         return coeff * p ** i, j, mono
 
     def canon(self, s: int, coeff: int, i: int, mono: Mono,
@@ -176,21 +155,24 @@ class SymbolCalculus:
         if lead is None:
             return []
         coeff, i, mono = lead
-        pending = list(atoms)
         done: List[Tuple[int, Mono]] = []
-        while pending:
-            t, mv = pending.pop(0)
-            if _is_zero_mono(mv):
+        for at, (t, mv) in enumerate(atoms):
+            if not any(mv):
                 return []
-            while t >= 1 and _mono_div_p(mv, p):
-                coeff *= p
-                t -= 1
-                mv = tuple(v // p for v in mv)
+            if t and gcd(*mv) % p == 0:
+                # dV^t[x^(p m)] = p dV^(t-1)[x^m]
+                k = _p_power_in(mv, p, t)
+                pk = p ** k
+                coeff *= pk
+                t -= k
+                mv = tuple(v // pk for v in mv)
             if t >= s:
                 return []
-            if t == 0 and _unit_slot(mv) < 0:
+            if t == 0 and sum(mv) != 1:
+                # d[x^mv] is not d[x_j] (monomials are nonnegative):
                 # d[x^mv] = sum_j mv_j [x^(mv - e_j)] d[x_j]; the plain
                 # factor merges into the lead
+                rest_atoms = list(atoms[at + 1:])
                 out: List[Tuple[int, Symbol]] = []
                 for j, mj in enumerate(mv):
                     if mj == 0:
@@ -200,7 +182,7 @@ class SymbolCalculus:
                     c2, i2, mono2 = self._merge_leads(coeff * mj, i, mono, 0, rest)
                     unit = tuple(1 if k == j else 0 for k in range(self.nvars))
                     out.extend(self.canon(s, c2, i2, mono2,
-                                          done + [(0, unit)] + pending))
+                                          done + [(0, unit)] + rest_atoms))
                 return _combine(out)
             done.append((t, mv))
         deg = len(done)
@@ -220,19 +202,11 @@ class SymbolCalculus:
     @staticmethod
     def parts(sym: Symbol):
         deg = sym[0]
-        atoms = []
-        if deg >= 1:
-            atoms.append((sym[3], sym[4]))
-        if deg == 2:
-            atoms.append((sym[5], sym[6]))
-        return sym[1], sym[2], atoms
-
-    def weight(self, sym: Symbol) -> Weight:
-        i, mono, atoms = self.parts(sym)
-        w = weight_of_mono(mono, i, self.p)
-        for t, mv in atoms:
-            w = weight_add(w, weight_of_mono(mv, t, self.p))
-        return w
+        if deg == 0:
+            return sym[1], sym[2], []
+        if deg == 1:
+            return sym[1], sym[2], [(sym[3], sym[4])]
+        return sym[1], sym[2], [(sym[3], sym[4]), (sym[5], sym[6])]
 
     # operators, each sending a canonical symbol to canonical combinations
 
@@ -273,7 +247,7 @@ class SymbolCalculus:
         if deg == 2:
             raise ValueError("d out of the stored degree range")
         i, mono, atoms = self.parts(sym)
-        if i == 0 and _is_zero_mono(mono):
+        if i == 0 and not any(mono):
             return []  # d of a pure-differential symbol vanishes
         return self.canon(s, 1, 0, self.zero_mono, [(i, mono)] + atoms)
 
@@ -544,6 +518,7 @@ class TowerPiece:
     level: int
     degree: int
     weight: Weight
+    num: Num
     symbols: List[Symbol]
     index: Dict[Symbol, int]
     lattice: LatticeModQ
@@ -554,8 +529,13 @@ class TowerPiece:
         assert self.pres is not None
         return self.pres.group
 
+    @property
+    def key(self) -> "PieceKey":
+        """The tower's internal key: level, degree and weight numerators."""
+        return self.level, self.degree, self.num
 
-PieceKey = Tuple[int, int, Weight]
+
+PieceKey = Tuple[int, int, Num]
 
 # the structure maps exposed as homs, in the order reports list them
 OPERATORS = ("d", "v", "f", "r")
@@ -568,6 +548,10 @@ class TruncatedFVComplex:
     exposed as GroupHom between presented quotients.  Construction
     saturates relation lattices under d, F, V, R and multiplication until
     stable, erroring when SATURATION_ROUND_LIMIT rounds do not suffice.
+
+    `pieces` is keyed by rational weights.  Internally a weight is the
+    tuple of its numerators over D = p^(r-1) (`nums`, `_pieces`, and the
+    PieceKey taken by `operators` and `operator_hom`).
     """
 
     def __init__(self, p: int, r: int, nvars: int = 1, weight_cap: int = 8):
@@ -580,51 +564,80 @@ class TruncatedFVComplex:
         self.r = r
         self.nvars = nvars
         self.weight_cap = weight_cap
+        self.D = p ** (r - 1)
+        # a V^i or dV^i factor of monomial m has weight m p^(r-1-i) / D
+        self._scale = [p ** (r - 1 - i) for i in range(r)]
         self.calc = SymbolCalculus(p, nvars)
-        self.weights = enumerate_weights(p, r, nvars, weight_cap)
-        self._weight_set = set(self.weights)
-        self.pieces: Dict[PieceKey, TowerPiece] = {}
+        self.nums = enumerate_weights(p, r, nvars, weight_cap)
+        self._num_set = set(self.nums)
+        self._pieces: Dict[PieceKey, TowerPiece] = {}
         self._hom_cache: Dict[Tuple, GroupHom] = {}
         self._image_cache: Optional[Dict] = None
         # both depend only on the pieces and their symbols, fixed once
-        # self.pieces exists; kept per tower, so separate builds share nothing
-        self._gen_cache: Dict[Tuple[int, Weight], Optional[Symbol]] = {}
+        # self._pieces exists; kept per tower, so separate builds share nothing
+        self._gen_cache: Dict[Tuple[int, Num], Optional[Symbol]] = {}
         self._moves_cache: Dict[PieceKey, List[Tuple[Tuple, PieceKey]]] = {}
         self._build()
+        self.pieces: Dict[Tuple[int, int, Weight], TowerPiece] = {
+            (pc.level, pc.degree, pc.weight): pc for pc in self._pieces.values()}
+
+    # -- weights -------------------------------------------------------------
+
+    def fraction(self, w: Num) -> Weight:
+        """The rational weight with numerators w over D."""
+        return tuple(Fraction(c, self.D) for c in w)
+
+    def mono_weight(self, mono: Mono, i: int) -> Num:
+        """Weight of V^i[x^mono], or of dV^i[x^mono]."""
+        f = self._scale[i]
+        return tuple(v * f for v in mono)
+
+    def denom_exp(self, w: Num) -> int:
+        """Largest e such that p^e divides a component denominator."""
+        g = gcd(*w)
+        top = self.r - 1
+        return top - _p_power_in((g,), self.p, top) if g else 0
+
+    def _symbol_weight(self, sym: Symbol) -> Num:
+        i, mono, atoms = self.calc.parts(sym)
+        w = self.mono_weight(mono, i)
+        for t, mv in atoms:
+            w = weight_add(w, self.mono_weight(mv, t))
+        return w
 
     # -- symbol enumeration --------------------------------------------------
 
-    def _datoms_up_to(self, s: int, bound: Weight) -> List[Tuple[int, Mono]]:
+    def _datoms_up_to(self, s: int, bound: Num) -> List[Tuple[int, Mono]]:
         out = []
         for j in range(self.nvars):
-            if bound[j] >= 1:
+            if bound[j] >= self.D:
                 out.append((0, tuple(1 if k == j else 0 for k in range(self.nvars))))
         for t in range(1, s):
-            q = self.p ** t
-            ranges = [range(0, int(b * q) + 1) for b in bound]
+            f = self._scale[t]
+            ranges = [range(0, b // f + 1) for b in bound]
             for mono in itertools.product(*ranges):
-                if _is_zero_mono(mono) or all(v % self.p == 0 for v in mono):
+                if not any(mono) or all(v % self.p == 0 for v in mono):
                     continue
-                if all(Fraction(v, q) <= b for v, b in zip(mono, bound)):
-                    out.append((t, mono))
+                out.append((t, mono))
         return out
 
-    def _lead_for(self, s: int, w: Weight) -> Optional[Tuple[int, Mono]]:
-        if not weight_is_nonneg(w):
+    def _lead_for(self, s: int, w: Num) -> Optional[Tuple[int, Mono]]:
+        if any(c < 0 for c in w):
             return None
-        e = denom_exp(w, self.p)
+        e = self.denom_exp(w)
         if e >= s:
             return None
-        return e, tuple(int(c * self.p ** e) for c in w)
+        f = self._scale[e]
+        return e, tuple(c // f for c in w)
 
-    def _symbols_for(self, s: int, deg: int, w: Weight) -> List[Symbol]:
+    def _symbols_for(self, s: int, deg: int, w: Num) -> List[Symbol]:
         if deg == 0:
             lead = self._lead_for(s, w)
             return [(0, lead[0], lead[1])] if lead is not None else []
         if deg == 1:
             syms = []
             for t, mv in self._datoms_up_to(s, w):
-                lead = self._lead_for(s, weight_sub(w, weight_of_mono(mv, t, self.p)))
+                lead = self._lead_for(s, weight_sub(w, self.mono_weight(mv, t)))
                 if lead is not None:
                     syms.append((1, lead[0], lead[1], t, mv))
             return sorted(set(syms))
@@ -632,10 +645,10 @@ class TruncatedFVComplex:
         atoms = self._datoms_up_to(s, w)
         for a1 in range(len(atoms)):
             t1, m1 = atoms[a1]
-            w1 = weight_of_mono(m1, t1, self.p)
+            w1 = self.mono_weight(m1, t1)
             for a2 in range(a1 + 1, len(atoms)):
                 t2, m2 = atoms[a2]
-                rest = weight_sub(w, weight_add(w1, weight_of_mono(m2, t2, self.p)))
+                rest = weight_sub(w, weight_add(w1, self.mono_weight(m2, t2)))
                 lead = self._lead_for(s, rest)
                 if lead is not None:
                     lo, hi = sorted([(t1, m1), (t2, m2)])
@@ -659,13 +672,14 @@ class TruncatedFVComplex:
     def _build(self) -> None:
         for s in range(1, self.r + 1):
             for deg in range(3):
-                for w in self.weights:
+                for w in self.nums:
                     syms = self._symbols_for(s, deg, w)
-                    self.pieces[(s, deg, w)] = TowerPiece(
-                        s, deg, w, syms, {sym: k for k, sym in enumerate(syms)},
+                    self._pieces[(s, deg, w)] = TowerPiece(
+                        s, deg, self.fraction(w), w, syms,
+                        {sym: k for k, sym in enumerate(syms)},
                         LatticeModQ(len(syms), self.p, s))
         pending: Dict[PieceKey, List[Row]] = defaultdict(list)
-        for key, piece in self.pieces.items():
+        for key, piece in self._pieces.items():
             if not piece.symbols or key[1] == 2:
                 continue
             added = piece.lattice.insert_batch(self._local_seeds(piece))
@@ -678,11 +692,11 @@ class TruncatedFVComplex:
         # product choices missed); quiescence certifies the fixpoint
         final: Dict[PieceKey, List[Row]] = {
             key: piece.lattice.basis_rows()
-            for key, piece in self.pieces.items()
+            for key, piece in self._pieces.items()
             if piece.symbols and piece.lattice.rows}
         self._saturate(final)
         self._image_cache = None
-        for piece in self.pieces.values():
+        for piece in self._pieces.values():
             piece.pres = _present_from_lattice(piece.lattice)
 
     def _build_degree_two(self) -> None:
@@ -690,11 +704,11 @@ class TruncatedFVComplex:
         # transports flow strictly upward in weight and R flows down in
         # level, so those sources are final when the target is visited
         order = sorted(
-            (key for key, pc in self.pieces.items() if key[1] == 2 and pc.symbols),
-            key=lambda k2: (weight_total(k2[2]), -k2[0]))
+            (key for key, pc in self._pieces.items() if key[1] == 2 and pc.symbols),
+            key=lambda k2: (sum(k2[2]), -k2[0]))
         for key in order:
             s, _, w = key
-            piece = self.pieces[key]
+            piece = self._pieces[key]
             lat = piece.lattice
             lat.insert_batch(self._local_seeds(piece))
             if lat.is_full():
@@ -705,7 +719,7 @@ class TruncatedFVComplex:
             for src_key, tag in floods:
                 if lat.is_full():
                     break
-                src = self.pieces.get(src_key)
+                src = self._pieces.get(src_key)
                 if src is None or not src.lattice.rows:
                     continue
                 imgs = self._transport_rows(
@@ -722,23 +736,23 @@ class TruncatedFVComplex:
                     if vals.get(col, 1) == 0:
                         continue
                     i, mono, _ = self.calc.parts(sym)
-                    if i == 0 and _is_zero_mono(mono):
+                    if i == 0 and not any(mono):
                         continue
-                    u = weight_of_mono(mono, i, self.p)
+                    u = self.mono_weight(mono, i)
                     src_key = (s, 2, weight_sub(w, u))
                     if src_key == key or src_key in tried:
                         continue
-                    spc = self.pieces.get(src_key)
+                    spc = self._pieces.get(src_key)
                     if (spc is not None and spc.lattice.rows
                             and self._gen_symbol(s, u) is not None):
                         votes[src_key] += 1
                 if not votes:
                     break
-                src_key = min(votes, key=lambda k2: (-votes[k2], weight_total(k2[2])))
+                src_key = min(votes, key=lambda k2: (-votes[k2], sum(k2[2])))
                 tried.add(src_key)
                 u = weight_sub(w, src_key[2])
                 imgs = self._transport_rows(
-                    self.pieces[src_key].lattice.basis_rows(), src_key, ("m0", u), key)
+                    self._pieces[src_key].lattice.basis_rows(), src_key, ("m0", u), key)
                 if imgs:
                     lat.insert_batch(imgs)
 
@@ -793,20 +807,20 @@ class TruncatedFVComplex:
             terms = _combine(lifted)
         return self._vec(piece, [(1, sym)] + [(-c, sm) for c, sm in terms])
 
-    def _gen_symbol(self, s: int, u: Weight) -> Optional[Symbol]:
+    def _gen_symbol(self, s: int, u: Num) -> Optional[Symbol]:
         ck = (s, u)
         if ck not in self._gen_cache:
-            lead = self._lead_for(s, u) if weight_total(u) != 0 else None
+            lead = self._lead_for(s, u) if sum(u) != 0 else None
             self._gen_cache[ck] = (0, lead[0], lead[1]) if lead is not None else None
         return self._gen_cache[ck]
 
     def _leibniz_pairs(self, piece: TowerPiece) -> List[Row]:
-        s, w = piece.level, piece.weight
+        s, w = piece.level, piece.num
         calc = self.calc
         out = []
-        for u in self.weights:
+        for u in self.nums:
             v = weight_sub(w, u)
-            if v not in self._weight_set or u > v:
+            if v not in self._num_set or u > v:
                 continue
             su = self._gen_symbol(s, u)
             sv = self._gen_symbol(s, v)
@@ -826,19 +840,18 @@ class TruncatedFVComplex:
     def _leibniz_triples(self, piece: TowerPiece) -> List[Row]:
         # d(x_j * sigma) = d[x_j] sigma + [x_j] d(sigma) against every
         # degree-1 symbol; wider products arrive through the transports
-        s, w = piece.level, piece.weight
+        s, w = piece.level, piece.num
         calc = self.calc
         out = []
-        one = Fraction(1)
         for j in range(self.nvars):
-            u = tuple(one if k == j else Fraction(0) for k in range(self.nvars))
+            u = tuple(self.D if k == j else 0 for k in range(self.nvars))
             rest = weight_sub(w, u)
-            if rest not in self._weight_set:
+            if rest not in self._num_set:
                 continue
             su = self._gen_symbol(s, u)
             if su is None:
                 continue
-            src = self.pieces.get((s, 1, rest))
+            src = self._pieces.get((s, 1, rest))
             if src is None:
                 continue
             for sym1 in src.symbols:
@@ -866,18 +879,18 @@ class TruncatedFVComplex:
         ops = dict(self.operators(key))
         moves = [((op,), ops[op]) for op in "vfrd" if op in ops]
         # products against the canonical generator of each extra weight
-        for u in self.weights:
-            if weight_total(u) == 0:
+        for u in self.nums:
+            if sum(u) == 0:
                 continue
             tgt = (s, deg, weight_add(w, u))
-            if tgt not in self.pieces or self._gen_symbol(s, u) is None:
+            if tgt not in self._pieces or self._gen_symbol(s, u) is None:
                 continue
             moves.append((("m0", u), tgt))
         if self.nvars == 2 and deg == 1:
-            for u in self.weights:
-                src = self.pieces.get((s, 1, u))
+            for u in self.nums:
+                src = self._pieces.get((s, 1, u))
                 tgt = (s, 2, weight_add(w, u))
-                if src is None or tgt not in self.pieces or not src.symbols:
+                if src is None or tgt not in self._pieces or not src.symbols:
                     continue
                 for other_idx in range(len(src.symbols)):
                     moves.append((("m1", u, other_idx), tgt))
@@ -897,7 +910,7 @@ class TruncatedFVComplex:
             gen = self._gen_symbol(s, tag[1])
             return lambda sym: calc.mul(s, gen, sym)
         if tag[0] == "m1":
-            other = self.pieces[(s, 1, tag[1])].symbols[tag[2]]
+            other = self._pieces[(s, 1, tag[1])].symbols[tag[2]]
             return lambda sym: calc.mul(s, sym, other)
         raise ValueError(f"unknown transport {tag}")
 
@@ -907,17 +920,17 @@ class TruncatedFVComplex:
             self._image_cache = {}
         ck = (key, tag)
         if ck not in self._image_cache:
-            tgt = self.pieces[tgt_key]
+            tgt = self._pieces[tgt_key]
             term_map = self._term_map(tag, key[0])
             self._image_cache[ck] = [self._vec(tgt, term_map(sym))
-                                   for sym in self.pieces[key].symbols]
+                                   for sym in self._pieces[key].symbols]
         return self._image_cache[ck]
 
     def _transport_rows(self, rows: List[Row], key: PieceKey,
                         tag: Tuple, tgt_key: PieceKey) -> List[Row]:
         """Images of sparse rows, computed on their stored residues and
         reduced mod the target q; images that vanish are dropped."""
-        tgt = self.pieces[tgt_key]
+        tgt = self._pieces[tgt_key]
         if not tgt.symbols:
             return []
         images = self._symbol_images(key, tag, tgt_key)
@@ -942,17 +955,18 @@ class TruncatedFVComplex:
                 key = sorted(pending)[0]
                 raise SaturationError(
                     f"relation saturation unstable after {SATURATION_ROUND_LIMIT}"
-                    f" rounds at level {key[0]} degree {key[1]} weight {key[2]}")
+                    f" rounds at level {key[0]} degree {key[1]}"
+                    f" weight {self.fraction(key[2])}")
             # insert each transported batch at once so images never pile up;
             # light sources go first so heavy targets can fill and be skipped
             nxt: Dict[PieceKey, List[Row]] = defaultdict(list)
-            order = sorted(pending, key=lambda k2: (weight_total(k2[2]), k2[0], k2[1]))
+            order = sorted(pending, key=lambda k2: (sum(k2[2]), k2[0], k2[1]))
             for key in order:
                 rows = pending[key]
                 for tag, tgt_key in self._moves(key):
                     if low_only and tgt_key[1] == 2:
                         continue
-                    tgt = self.pieces[tgt_key]
+                    tgt = self._pieces[tgt_key]
                     if tgt.lattice.is_full():
                         continue
                     images = self._transport_rows(rows, key, tag, tgt_key)
@@ -992,27 +1006,27 @@ class TruncatedFVComplex:
         if not terms:
             raise ValueError("empty combination does not name a piece")
         deg = terms[0][1][0]
-        w = self.calc.weight(terms[0][1])
-        piece = self.pieces[(s, deg, w)]
+        piece = self._pieces[(s, deg, self._symbol_weight(terms[0][1]))]
         return piece, self._project(piece, terms)
 
     def operators(self, key: PieceKey) -> List[Tuple[str, PieceKey]]:
-        """The OPERATORS out of a piece whose target is a piece, with it."""
+        """The OPERATORS out of the piece at key (a TowerPiece.key) whose
+        target is a piece, with that target's key."""
         s, deg, w = key
         targets = ((s, deg + 1, w), (s + 1, deg, weight_down(w, self.p)),
                    (s - 1, deg, weight_up(w, self.p)), (s - 1, deg, w))
-        return [(op, tgt) for op, tgt in zip(OPERATORS, targets) if tgt in self.pieces]
+        return [(op, tgt) for op, tgt in zip(OPERATORS, targets) if tgt in self._pieces]
 
     def operator_hom(self, op: str, key: PieceKey) -> GroupHom:
         """The operator op, one of OPERATORS, out of the piece at key."""
         hit = self._hom_cache.get((op, key))
         if hit is None:
-            src = self.piece(*key)
+            src = self._pieces[key]
             dst_key = dict(self.operators(key)).get(op)
             if dst_key is None:
                 raise KeyError(f"no {op} out of level {key[0]}, degree {key[1]},"
-                               f" weight {key[2]}")
-            dst = self.pieces[dst_key]
+                               f" weight {src.weight}")
+            dst = self._pieces[dst_key]
             term_map = self._term_map((op,), key[0])
             data: Dict[Tuple[int, int], int] = {}
             for j, sym in enumerate(src.symbols):
@@ -1024,17 +1038,17 @@ class TruncatedFVComplex:
         return hit
 
     def d_hom(self, s: int, deg: int, w) -> GroupHom:
-        return self.operator_hom("d", (s, deg, self.coerce_weight(w)))
+        return self.operator_hom("d", self.piece(s, deg, w).key)
 
     def v_hom(self, s: int, deg: int, w) -> GroupHom:
-        return self.operator_hom("v", (s, deg, self.coerce_weight(w)))
+        return self.operator_hom("v", self.piece(s, deg, w).key)
 
     def f_hom(self, s: int, deg: int, w) -> GroupHom:
         """F out of level s (s at least 2), landing in weight p*w."""
-        return self.operator_hom("f", (s, deg, self.coerce_weight(w)))
+        return self.operator_hom("f", self.piece(s, deg, w).key)
 
     def r_hom(self, s: int, deg: int, w) -> GroupHom:
-        return self.operator_hom("r", (s, deg, self.coerce_weight(w)))
+        return self.operator_hom("r", self.piece(s, deg, w).key)
 
     def mul_elts(self, s: int, piece_a: TowerPiece, elt_a, piece_b: TowerPiece, elt_b):
         """Product of two classes, computed on canonical lifts."""
@@ -1049,8 +1063,8 @@ class TruncatedFVComplex:
                     continue
                 for cm, sym in self.calc.mul(s, piece_a.symbols[j1], piece_b.symbols[j2]):
                     terms.append((c1 * c2 * cm, sym))
-        tgt = self.pieces[(s, piece_a.degree + piece_b.degree,
-                           weight_add(piece_a.weight, piece_b.weight))]
+        tgt = self._pieces[(s, piece_a.degree + piece_b.degree,
+                            weight_add(piece_a.num, piece_b.num))]
         return tgt, self._project(tgt, terms)
 
     # -- structure map from weight-graded Witt vectors ----------------------
@@ -1061,11 +1075,11 @@ class TruncatedFVComplex:
         components maps slot i to (c_i, m_i); every nonzero slot must
         carry the same weight.  Returns (piece, element)."""
         terms: List[Tuple[int, Symbol]] = []
-        w: Optional[Weight] = None
+        w: Optional[Num] = None
         for i, (c, mono) in sorted(components.items()):
             if c % self.p == 0:
                 continue
-            wi = weight_of_mono(mono, i, self.p)
+            wi = self.mono_weight(mono, i)
             if w is None:
                 w = wi
             elif w != wi:
@@ -1075,7 +1089,7 @@ class TruncatedFVComplex:
                          for cc, sym in self.calc.canon(s, 1, i, mono, []))
         if w is None:
             raise ValueError("the zero vector does not name a weight")
-        piece = self.pieces[(s, 0, w)]
+        piece = self._pieces[(s, 0, w)]
         return piece, self._project(piece, terms)
 
 
@@ -1117,21 +1131,24 @@ def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0)
     """Evaluate the ten structural identities on generators and random pairs."""
     rng = random.Random(seed)
     p = tower.p
+    # integer-keyed pieces and homs; witnesses print the rational weights
+    pieces, hom = tower._pieces, tower.operator_hom
+    cap = tower.weight_cap * tower.D
     entries: List[Tuple[str, bool, Optional[str]]] = []
 
     def record(name: str, okay: bool, witness: Optional[str]):
         entries.append((name, okay, None if okay else witness))
 
-    deg0 = [(k, pc) for k, pc in tower.pieces.items()
+    deg0 = [(k, pc) for k, pc in pieces.items()
             if k[1] == 0 and pc.symbols and pc.group.n]
 
     # 1: d then d vanishes out of degree 0
     okay, wit = True, None
-    for (s, deg, w), piece in tower.pieces.items():
+    for (s, deg, w), piece in pieces.items():
         if deg != 0 or not piece.symbols:
             continue
-        if not tower.d_hom(s, 1, w).compose(tower.d_hom(s, 0, w)).is_zero():
-            okay, wit = False, f"d^2 != 0 at level {s} weight {w}"
+        if not hom("d", (s, 1, w)).compose(hom("d", (s, 0, w))).is_zero():
+            okay, wit = False, f"d^2 != 0 at level {s} weight {piece.weight}"
             break
     record(FV_AXIOM_NAMES[0], okay, wit)
 
@@ -1142,26 +1159,26 @@ def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0)
             break
         (s1, _, w1), pa = rng.choice(deg0)
         cands = [(k, pc) for k, pc in deg0
-                 if k[0] == s1 and (s1, 0, weight_add(w1, k[2])) in tower.pieces]
+                 if k[0] == s1 and (s1, 0, weight_add(w1, k[2])) in pieces]
         if not cands:
             continue
         (_, _, w2), pb = rng.choice(cands)
         ea = pa.group.random_element(rng)
         eb = pb.group.random_element(rng)
         prod_piece, prod = tower.mul_elts(s1, pa, ea, pb, eb)
-        lhs = tower.d_hom(s1, 0, prod_piece.weight).apply(prod)
-        p1, t1 = tower.mul_elts(s1, pa, ea, tower.pieces[(s1, 1, w2)],
-                                tower.d_hom(s1, 0, w2).apply(eb))
-        _, t2 = tower.mul_elts(s1, pb, eb, tower.pieces[(s1, 1, w1)],
-                               tower.d_hom(s1, 0, w1).apply(ea))
+        lhs = hom("d", prod_piece.key).apply(prod)
+        p1, t1 = tower.mul_elts(s1, pa, ea, pieces[(s1, 1, w2)],
+                                hom("d", (s1, 0, w2)).apply(eb))
+        _, t2 = tower.mul_elts(s1, pb, eb, pieces[(s1, 1, w1)],
+                               hom("d", (s1, 0, w1)).apply(ea))
         if tuple(lhs) != tuple(p1.group.add(t1, t2)):
-            okay, wit = False, f"Leibniz fails at level {s1} weights {w1}+{w2}"
+            okay, wit = False, f"Leibniz fails at level {s1} weights {pa.weight}+{pb.weight}"
             break
     record(FV_AXIOM_NAMES[1], okay, wit)
 
     # 3: products of degree-1 generator lifts anticommute
     okay, wit = True, None
-    deg1 = [(k, pc) for k, pc in tower.pieces.items() if k[1] == 1 and pc.symbols]
+    deg1 = [(k, pc) for k, pc in pieces.items() if k[1] == 1 and pc.symbols]
     for (s, _, w1), pa in deg1:
         if not okay:
             break
@@ -1169,9 +1186,9 @@ def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0)
             if s2 != s:
                 continue
             key2 = (s, 2, weight_add(w1, w2))
-            if key2 not in tower.pieces or not tower.pieces[key2].symbols:
+            if key2 not in pieces or not pieces[key2].symbols:
                 continue
-            tgt = tower.pieces[key2]
+            tgt = pieces[key2]
             for sa in pa.symbols[:3]:
                 for sb in pb.symbols[:3]:
                     elt = tower._project(tgt, tower.calc.mul(s, sa, sb)
@@ -1193,18 +1210,18 @@ def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0)
             break
         (s, _, w1), pa = rng.choice(pool4)
         cands = [(k, pc) for k, pc in deg0 if k[0] == s
-                 and (s, 0, weight_add(w1, k[2])) in tower.pieces
-                 and weight_total(weight_up(weight_add(w1, k[2]), p)) <= tower.weight_cap]
+                 and (s, 0, weight_add(w1, k[2])) in pieces
+                 and p * sum(weight_add(w1, k[2])) <= cap]
         if not cands:
             continue
         (_, _, w2), pb = rng.choice(cands)
         ea, eb = pa.group.random_element(rng), pb.group.random_element(rng)
         prod_piece, prod = tower.mul_elts(s, pa, ea, pb, eb)
-        lhs = tower.f_hom(s, 0, prod_piece.weight).apply(prod)
-        qa = tower.pieces[(s - 1, 0, weight_up(w1, p))]
-        qb = tower.pieces[(s - 1, 0, weight_up(w2, p))]
-        _, rhs = tower.mul_elts(s - 1, qa, tower.f_hom(s, 0, w1).apply(ea),
-                                qb, tower.f_hom(s, 0, w2).apply(eb))
+        lhs = hom("f", prod_piece.key).apply(prod)
+        qa = pieces[(s - 1, 0, weight_up(w1, p))]
+        qb = pieces[(s - 1, 0, weight_up(w2, p))]
+        _, rhs = tower.mul_elts(s - 1, qa, hom("f", (s, 0, w1)).apply(ea),
+                                qb, hom("f", (s, 0, w2)).apply(eb))
         if tuple(lhs) != tuple(rhs):
             okay, wit = False, f"F(xy) != F(x)F(y) at level {s}"
             break
@@ -1218,18 +1235,18 @@ def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0)
             break
         (s, _, w1), pa = rng.choice(pool5)
         cands = [(k, pc) for k, pc in deg0 if k[0] == s
-                 and (s, 0, weight_add(w1, k[2])) in tower.pieces]
+                 and (s, 0, weight_add(w1, k[2])) in pieces]
         if not cands:
             continue
         (_, _, w2), pb = rng.choice(cands)
         ea, eb = pa.group.random_element(rng), pb.group.random_element(rng)
-        qa = tower.pieces[(s + 1, 0, weight_down(w1, p))]
-        qb = tower.pieces[(s + 1, 0, weight_down(w2, p))]
-        _, lhs = tower.mul_elts(s + 1, qa, tower.v_hom(s, 0, w1).apply(ea),
-                                qb, tower.v_hom(s, 0, w2).apply(eb))
+        qa = pieces[(s + 1, 0, weight_down(w1, p))]
+        qb = pieces[(s + 1, 0, weight_down(w2, p))]
+        _, lhs = tower.mul_elts(s + 1, qa, hom("v", (s, 0, w1)).apply(ea),
+                                qb, hom("v", (s, 0, w2)).apply(eb))
         prod_piece, prod = tower.mul_elts(s, pa, ea, pb, eb)
-        tgt = tower.pieces[(s + 1, 0, weight_down(prod_piece.weight, p))]
-        rhs = tgt.group.scale(p, tower.v_hom(s, 0, prod_piece.weight).apply(prod))
+        tgt = pieces[(s + 1, 0, weight_down(prod_piece.num, p))]
+        rhs = tgt.group.scale(p, hom("v", prod_piece.key).apply(prod))
         if tuple(lhs) != tuple(rhs):
             okay, wit = False, f"V(x)V(y) != pV(xy) at level {s}"
             break
@@ -1237,105 +1254,104 @@ def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0)
 
     # 6: R commutes with F and V
     okay, wit = True, None
-    for (s, deg, w), piece in tower.pieces.items():
+    for (s, deg, w), piece in pieces.items():
         if not piece.symbols or s < 3:
             continue
         wu = weight_up(w, p)
-        if weight_total(wu) > tower.weight_cap:
+        if sum(wu) > cap:
             continue
-        a = tower.f_hom(s - 1, deg, w).compose(tower.r_hom(s, deg, w))
-        b = tower.r_hom(s - 1, deg, wu).compose(tower.f_hom(s, deg, w))
+        a = hom("f", (s - 1, deg, w)).compose(hom("r", (s, deg, w)))
+        b = hom("r", (s - 1, deg, wu)).compose(hom("f", (s, deg, w)))
         if a != b:
-            okay, wit = False, f"RF != FR at level {s} weight {w}"
+            okay, wit = False, f"RF != FR at level {s} weight {piece.weight}"
             break
     if okay:
-        for (s, deg, w), piece in tower.pieces.items():
+        for (s, deg, w), piece in pieces.items():
             if not piece.symbols or s < 2 or s >= tower.r:
                 continue
-            a = tower.v_hom(s - 1, deg, w).compose(tower.r_hom(s, deg, w))
-            b = tower.r_hom(s + 1, deg, weight_down(w, p)).compose(tower.v_hom(s, deg, w))
+            a = hom("v", (s - 1, deg, w)).compose(hom("r", (s, deg, w)))
+            b = hom("r", (s + 1, deg, weight_down(w, p))).compose(hom("v", (s, deg, w)))
             if a != b:
-                okay, wit = False, f"RV != VR at level {s} weight {w}"
+                okay, wit = False, f"RV != VR at level {s} weight {piece.weight}"
                 break
     record(FV_AXIOM_NAMES[5], okay, wit)
 
     # 7: FV = p
     okay, wit = True, None
-    for (s, deg, w), piece in tower.pieces.items():
+    for (s, deg, w), piece in pieces.items():
         if not piece.symbols or s >= tower.r:
             continue
-        comp = tower.f_hom(s + 1, deg, weight_down(w, p)).compose(tower.v_hom(s, deg, w))
+        comp = hom("f", (s + 1, deg, weight_down(w, p))).compose(hom("v", (s, deg, w)))
         if comp != GroupHom.scalar(piece.group, p):
-            okay, wit = False, f"FV != p at level {s} degree {deg} weight {w}"
+            okay, wit = False, f"FV != p at level {s} degree {deg} weight {piece.weight}"
             break
     record(FV_AXIOM_NAMES[6], okay, wit)
 
     # 8: FdV = d in degree 0
     okay, wit = True, None
-    for (s, deg, w), piece in tower.pieces.items():
+    for (s, deg, w), piece in pieces.items():
         if deg != 0 or not piece.symbols or s >= tower.r:
             continue
         wd = weight_down(w, p)
-        comp = tower.f_hom(s + 1, 1, wd).compose(
-            tower.d_hom(s + 1, 0, wd)).compose(tower.v_hom(s, 0, w))
-        if comp != tower.d_hom(s, 0, w):
-            okay, wit = False, f"FdV != d at level {s} weight {w}"
+        comp = hom("f", (s + 1, 1, wd)).compose(
+            hom("d", (s + 1, 0, wd))).compose(hom("v", (s, 0, w)))
+        if comp != hom("d", (s, 0, w)):
+            okay, wit = False, f"FdV != d at level {s} weight {piece.weight}"
             break
     record(FV_AXIOM_NAMES[7], okay, wit)
 
     # 9: projection formula on sampled pairs
     okay, wit = True, None
-    pool9 = [(k, pc) for k, pc in tower.pieces.items()
+    pool9 = [(k, pc) for k, pc in pieces.items()
              if k[0] >= 2 and pc.symbols and pc.group.n]
     for _ in range(samples):
         if not pool9:
             break
         (s, dega, w1), pa = rng.choice(pool9)
         wf = weight_up(w1, p)
-        if weight_total(wf) > tower.weight_cap:
+        if sum(wf) > cap:
             continue
-        cands = [(k, pc) for k, pc in tower.pieces.items()
+        cands = [(k, pc) for k, pc in pieces.items()
                  if k[0] == s - 1 and pc.symbols and pc.group.n
                  and k[1] + dega <= 2
-                 and (s - 1, dega + k[1], weight_add(wf, k[2])) in tower.pieces]
+                 and (s - 1, dega + k[1], weight_add(wf, k[2])) in pieces]
         if not cands:
             continue
         (_, degb, w2), pb = rng.choice(cands)
         x = pa.group.random_element(rng)
         y = pb.group.random_element(rng)
-        fx_piece = tower.pieces[(s - 1, dega, wf)]
+        fx_piece = pieces[(s - 1, dega, wf)]
         mid_piece, mid = tower.mul_elts(s - 1, fx_piece,
-                                        tower.f_hom(s, dega, w1).apply(x), pb, y)
-        lhs = tower.v_hom(s - 1, mid_piece.degree, mid_piece.weight).apply(mid)
-        vy_piece = tower.pieces[(s, degb, weight_down(w2, p))]
+                                        hom("f", (s, dega, w1)).apply(x), pb, y)
+        lhs = hom("v", mid_piece.key).apply(mid)
+        vy_piece = pieces[(s, degb, weight_down(w2, p))]
         rhs_piece, rhs = tower.mul_elts(s, pa, x, vy_piece,
-                                        tower.v_hom(s - 1, degb, w2).apply(y))
-        lhs_key = (s, mid_piece.degree, weight_down(mid_piece.weight, p))
-        if lhs_key != (s, rhs_piece.degree, rhs_piece.weight) or tuple(lhs) != tuple(rhs):
+                                        hom("v", (s - 1, degb, w2)).apply(y))
+        lhs_key = (s, mid_piece.degree, weight_down(mid_piece.num, p))
+        if lhs_key != rhs_piece.key or tuple(lhs) != tuple(rhs):
             okay, wit = False, f"projection formula fails at level {s}"
             break
     record(FV_AXIOM_NAMES[8], okay, wit)
 
     # 10: F of d on the lifted coordinate generators
     okay, wit = True, None
-    one = Fraction(1)
     for j in range(tower.nvars):
-        w1 = tuple(one if k == j else Fraction(0) for k in range(tower.nvars))
+        w1 = tuple(tower.D if k == j else 0 for k in range(tower.nvars))
         for s in range(2, tower.r + 1):
-            if weight_total(weight_up(w1, p)) > tower.weight_cap:
+            if sum(weight_up(w1, p)) > cap:
                 continue
-            gen_piece = tower.pieces[(s, 0, w1)]
+            gen_piece = pieces[(s, 0, w1)]
             if len(gen_piece.symbols) != 1:
                 continue
             gen = gen_piece.pres.project_vec([1])
-            lhs = tower.f_hom(s, 1, w1).apply(tower.d_hom(s, 0, w1).apply(gen))
+            lhs = hom("f", (s, 1, w1)).apply(hom("d", (s, 0, w1)).apply(gen))
             unit = tuple(1 if k == j else 0 for k in range(tower.nvars))
             pw_piece, pw = tower.class_of(
                 s - 1, tower.calc.canon(s - 1, 1, 0,
                                         tuple((p - 1) * v for v in unit), []))
-            low_piece = tower.pieces[(s - 1, 1, w1)]
-            dlow = tower.d_hom(s - 1, 0, w1).apply(
-                tower.pieces[(s - 1, 0, w1)].pres.project_vec([1]))
+            low_piece = pieces[(s - 1, 1, w1)]
+            dlow = hom("d", (s - 1, 0, w1)).apply(
+                pieces[(s - 1, 0, w1)].pres.project_vec([1]))
             _, rhs = tower.mul_elts(s - 1, pw_piece, pw, low_piece, dlow)
             if tuple(lhs) != tuple(rhs):
                 okay, wit = False, f"Teichmuller rule fails at level {s} var {j}"
@@ -1355,13 +1371,12 @@ def lambda_ring_check(tower: TruncatedFVComplex, samples: int = 30, seed: int = 
     rng = random.Random(seed)
     p, r = tower.p, tower.r
 
-    def random_components(s: int, w: Fraction):
-        v = denom_exp((w,), p)
+    def random_components(s: int, w: int):
         comps = {}
-        for i in range(v, s):
+        for i in range(tower.denom_exp((w,)), s):
             c = rng.randrange(p)
             if c:
-                comps[i] = (c, (int(w * p ** i),))
+                comps[i] = (c, (w // tower._scale[i],))
         return comps
 
     def to_witt(ring: WittRing, s: int, comps: Dict[int, Tuple[int, Mono]]):
@@ -1390,10 +1405,10 @@ def lambda_ring_check(tower: TruncatedFVComplex, samples: int = 30, seed: int = 
 
     for s in range(1, r + 1):
         ring = WittRing(p, s, GFPolyRing(p))
-        fracs = sorted({w[0] for w in tower.weights
-                        if w[0] > 0 and denom_exp(w, p) < s})
+        nums = sorted({w[0] for w in tower.nums
+                       if w[0] > 0 and tower.denom_exp(w) < s})
         for _ in range(samples):
-            w1 = rng.choice(fracs)
+            w1 = rng.choice(nums)
             a = random_components(s, w1)
             b = random_components(s, w1)
             if a and b:
@@ -1407,8 +1422,8 @@ def lambda_ring_check(tower: TruncatedFVComplex, samples: int = 30, seed: int = 
                     rhs = pa.group.zero()
                 if tuple(lhs) != tuple(rhs):
                     return False
-            w2 = rng.choice(fracs)
-            if w1 + w2 > tower.weight_cap or not a:
+            w2 = rng.choice(nums)
+            if w1 + w2 > tower.weight_cap * tower.D or not a:
                 continue
             c = random_components(s, w2)
             if not c:
@@ -1439,10 +1454,10 @@ def degree_zero_witt_comparison(tower: TruncatedFVComplex) -> bool:
     p = tower.p
     for s in range(1, tower.r + 1):
         ring = WittRing(p, s, GFPolyRing(p))
-        for w in tower.weights:
-            piece = tower.pieces[(s, 0, w)]
+        for w in tower.nums:
+            piece = tower._pieces[(s, 0, w)]
             wf = w[0]
-            e = denom_exp(w, p)
+            e = tower.denom_exp(w)
             if wf == 0:
                 want = [p ** s]
             elif e < s:
@@ -1457,7 +1472,7 @@ def degree_zero_witt_comparison(tower: TruncatedFVComplex) -> bool:
                 g = ring.one()
                 order = p ** s
             else:
-                m = int(wf * p ** e)
+                m = wf // tower._scale[e]
                 poly = [0] * (m + 1)
                 poly[m] = 1
                 comps = [ring.base.zero()] * s
@@ -1494,25 +1509,26 @@ def _symbol_of_basis(tower: TruncatedFVComplex, mono: Mono, frame) -> List[Tuple
 def level_one_matches_de_rham(tower: TruncatedFVComplex) -> bool:
     """Level 1 equals the classical complex, differentials included."""
     dr = DeRhamComplex(tower.p, tower.nvars, tower.weight_cap)
-    for w in tower.weights:
-        if denom_exp(w, tower.p) != 0:
-            if any(tower.pieces[(1, deg, w)].group.order() != 1 for deg in range(3)):
+    D = tower.D
+    for w in tower.nums:
+        if tower.denom_exp(w) != 0:
+            if any(tower._pieces[(1, deg, w)].group.order() != 1 for deg in range(3)):
                 return False
             continue
-        w_int = int(weight_total(w))
+        w_int = sum(w) // D
         for deg in range(3):
-            piece = tower.pieces[(1, deg, w)]
+            piece = tower._pieces[(1, deg, w)]
             if deg <= tower.nvars:
                 basis = [bk for bk in dr.basis(deg, w_int)
                          if _basis_weight_vec(bk, tower.nvars)
-                         == tuple(int(c) for c in w)]
+                         == tuple(c // D for c in w)]
             else:
                 basis = []
             if piece.group.order() != tower.p ** len(basis):
                 return False
             if deg >= 2 or not basis:
                 continue
-            mat = tower.d_hom(1, deg, w)
+            mat = tower.operator_hom("d", (1, deg, w))
             for mono, frame in basis:
                 _, elt = tower.class_of(1, _symbol_of_basis(tower, mono, frame))
                 img = mat.apply(elt)
@@ -1529,7 +1545,7 @@ def level_one_matches_de_rham(tower: TruncatedFVComplex) -> bool:
                 if ref_terms:
                     _, ref = tower.class_of(1, ref_terms)
                 else:
-                    ref = tower.pieces[(1, deg + 1, w)].group.zero()
+                    ref = tower._pieces[(1, deg + 1, w)].group.zero()
                 if tuple(img) != tuple(ref):
                     return False
     return True
@@ -1564,16 +1580,17 @@ def universal_map_check(tower: TruncatedFVComplex, target: str = "self") -> Univ
     if target != "de_rham":
         raise ValueError("target must be self or de_rham")
     dr = DeRhamComplex(tower.p, tower.nvars, tower.weight_cap)
+    D = tower.D
     well, details = True, None
-    for (s, deg, w), piece in tower.pieces.items():
+    for (s, deg, w), piece in tower._pieces.items():
         if s != 1 or not piece.symbols:
             continue
-        tot = weight_total(w)
-        if tot.denominator != 1:
+        tot = sum(w)
+        if tot % D:
             basis = []
         elif deg <= tower.nvars:
-            basis = [bk for bk in dr.basis(deg, int(tot))
-                     if _basis_weight_vec(bk, tower.nvars) == tuple(int(c) for c in w)]
+            basis = [bk for bk in dr.basis(deg, tot // D)
+                     if _basis_weight_vec(bk, tower.nvars) == tuple(c // D for c in w)]
         else:
             basis = []
         pos = {bk: idx for idx, bk in enumerate(basis)}
@@ -1590,7 +1607,7 @@ def universal_map_check(tower: TruncatedFVComplex, target: str = "self") -> Univ
         for row in piece.lattice.row_list():
             img = amb.apply(row)
             if any(v % tower.p for v in img):
-                well, details = False, f"relations not killed at weight {w}"
+                well, details = False, f"relations not killed at weight {piece.weight}"
                 break
         if not well:
             break
@@ -1659,7 +1676,12 @@ def mixed_char_weight_piece(p: int, r: int, char_exp: int, s: int, w) -> FgAbGro
     denominator; v at or above s gives the zero group."""
     if s > r:
         raise ValueError("level exceeds the tower length")
-    v = denom_exp((Fraction(w),), p)
+    den, v = Fraction(w).denominator, 0
+    while den > 1:
+        if den % p:
+            raise ValueError("weight denominator is not a p-power")
+        den //= p
+        v += 1
     if v >= s:
         return FgAbGroup([])
     if char_exp == 1:

@@ -1,12 +1,16 @@
 """Truncated F-V towers: saturation output, axioms, comparisons."""
 
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import langer_zink
+from wittnorm import drw
 from wittnorm.abgroups import FgAbGroup, GroupHom, is_isomorphism, present_quotient
 from wittnorm.derham import DeRhamComplex
 from wittnorm.drw import (
@@ -15,7 +19,6 @@ from wittnorm.drw import (
     build_drw,
     check_fv_axioms,
     degree_zero_witt_comparison,
-    denom_exp,
     dimension_signature,
     enumerate_weights,
     lambda_ring_check,
@@ -25,33 +28,28 @@ from wittnorm.drw import (
     stable_under_cap_increase,
     symbol_label,
     universal_map_check,
-    weight_total,
     witt_coefficient_group,
 )
 from wittnorm.intlinalg import IntMatrix, matrix_mod
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+import oracles  # noqa: E402
+
 
 def expected_piece_moduli(p, s, deg, w):
-    # independently derived closed form for one variable over F_p
-    wt = weight_total(w)
-    e = denom_exp(w, p)
-    if deg == 0:
-        if wt == 0:
-            return [p ** s]
-        return [p ** (s - e)] if e < s else []
-    if deg == 1:
-        if wt == 0:
-            return []
-        return [p ** (s - e)] if e < s else []
-    return []
+    return list(langer_zink.piece_moduli(p, s, deg, w))
 
 
 def test_weight_enumeration_frozen():
+    # numerators over p^(r-1) = 2: the weights 0, 1/2, 1, 3/2, 2
     ws = enumerate_weights(2, 2, 1, 2)
-    assert ws == [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),),
-                  (Fraction(3, 2),), (Fraction(2),)]
+    assert ws == [(0,), (1,), (2,), (3,), (4,)]
+    tw = build_drw(2, 2, 1, 2)
+    assert [tw.fraction(w) for w in ws] == [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),),
+                                            (Fraction(3, 2),), (Fraction(2),)]
     # denominators above p^(r-1) never appear
-    assert all(denom_exp(w, 2) <= 1 for w in ws)
+    assert all(tw.denom_exp(w) <= 1 for w in ws)
 
 
 def test_classical_complex_small():
@@ -276,9 +274,9 @@ def test_differential_kernel_orders():
     # integral weight w: d is multiplication by w, kernel of size gcd(w, p^s);
     # fractional weight: d sends the V generator to the dV generator bijectively
     tw = build_drw(2, 2, 1, 8)
-    for w in tw.weights:
-        wt = weight_total(w)
-        if wt == 0 or denom_exp(w, 2) >= 2:
+    for (s, deg, w) in tw.pieces:
+        wt = w[0]
+        if s != 2 or deg != 0 or wt == 0:
             continue
         d = tw.d_hom(2, 0, w)
         ker = sum(1 for elt in d.src.elements() if d.apply(elt) == d.dst.zero())
@@ -371,3 +369,98 @@ def test_dimension_signature_keys():
     sig = dimension_signature(tw)
     assert set(sig) == set(tw.pieces)
     assert sig[(1, 0, (Fraction(0),))] == (2,)
+
+
+@pytest.mark.parametrize("p,r,nvars,cap", [(2, 2, 2, 4), (3, 2, 2, 3), (2, 3, 2, 3)])
+def test_two_variable_pieces_match_langer_zink(p, r, nvars, cap):
+    tw = build_drw(p, r, nvars, cap)
+    for (s, deg, w), piece in tw.pieces.items():
+        assert piece.group.moduli == langer_zink.piece_moduli(p, s, deg, w), (s, deg, w)
+    assert set(langer_zink.nonzero_pieces(p, r, nvars, cap)) <= set(tw.pieces)
+
+
+def test_tower_meets_benchmark_oracle():
+    # the summary perfbench/workloads.py makes of a build: weights read as
+    # w[0] of the rational piece keys
+    tw = build_drw(2, 3, 1, 8)
+    summary = {(s, deg, w[0]): pc.group.moduli for (s, deg, w), pc in tw.pieces.items()}
+    assert all(isinstance(w, Fraction) for _, _, w in summary)
+    assert oracles.check_tower(2, 3, 8, summary) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("nvars,cap", [(1, 2), (1, 5), (2, 1), (2, 2)])
+def test_integer_weights_sort_like_fractions(p, r, nvars, cap):
+    # sorted weights order the pieces and the `drw build` listing
+    nums = enumerate_weights(p, r, nvars, cap)
+    fracs = [tuple(Fraction(c, p ** (r - 1)) for c in w) for w in nums]
+    assert len(set(fracs)) == len(fracs)
+    assert sorted(nums) == nums and sorted(fracs) == fracs
+    by_num = sorted(range(len(nums)), key=lambda k: (sum(nums[k]), nums[k]))
+    by_frac = sorted(range(len(fracs)), key=lambda k: (sum(fracs[k]), fracs[k]))
+    assert by_num == by_frac
+
+
+@pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 4), (3, 2, 1, 3), (2, 2, 2, 2)])
+def test_rational_weights_at_the_boundary(p, r, nvars, cap):
+    tw = build_drw(p, r, nvars, cap)
+    assert list(tw.pieces) == sorted(tw.pieces)
+    assert [pc.key for pc in tw.pieces.values()] == sorted(pc.key for pc in tw.pieces.values())
+    for (s, deg, w), piece in tw.pieces.items():
+        assert tw.fraction(piece.num) == piece.weight == w
+        assert tw.coerce_weight(w) == w
+        assert tw.piece(s, deg, w) is piece
+        if nvars == 1:
+            assert tw.coerce_weight(w[0]) == w
+            assert tw.piece(s, deg, w[0]) is piece
+
+
+def test_weight_off_the_grid_is_a_key_error():
+    # a denominator prime to p, or above p^(r-1), names no piece
+    tw = build_drw(2, 2, 1, 4)
+    for w in (Fraction(1, 3), Fraction(1, 4), (Fraction(5, 4),)):
+        with pytest.raises(KeyError) as err:
+            tw.piece(2, 0, w)
+        shown = w if isinstance(w, tuple) else (w,)
+        assert err.value.args[0] == f"no piece at level 2, degree 0, weight {shown}"
+        with pytest.raises(KeyError) as err2:
+            tw.d_hom(2, 0, w)
+        assert err2.value.args == err.value.args
+    with pytest.raises(KeyError) as err:
+        tw.group(1, 1, Fraction(1, 6))
+    assert err.value.args[0] == "no piece at level 1, degree 1, weight (Fraction(1, 6),)"
+
+
+def test_axiom_witnesses_print_rational_weights(monkeypatch):
+    # every witness that names a weight prints the rational tuple
+    towers = [build_drw(2, 3, 1, 4), build_drw(2, 2, 2, 3)]
+    monkeypatch.setattr(GroupHom, "is_zero", lambda self: False)
+    monkeypatch.setattr(GroupHom, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(GroupHom, "__ne__", lambda self, other: True)
+    monkeypatch.setattr(FgAbGroup, "add", lambda self, a, b: ("x",))
+    zero1 = "(Fraction(0, 1),)"
+    assert check_fv_axioms(towers[0], samples=5, seed=0).failures() == [
+        ("d squares to zero", f"d^2 != 0 at level 1 weight {zero1}"),
+        ("Leibniz rule",
+         "Leibniz fails at level 3 weights (Fraction(13, 4),)+(Fraction(3, 4),)"),
+        ("R commutes with F and V", f"RF != FR at level 3 weight {zero1}"),
+        ("FV = p", f"FV != p at level 1 degree 0 weight {zero1}"),
+        ("FdV = d", f"FdV != d at level 1 weight {zero1}"),
+    ]
+    zero2 = "(Fraction(0, 1), Fraction(0, 1))"
+    assert check_fv_axioms(towers[1], samples=5, seed=0).failures() == [
+        ("d squares to zero", f"d^2 != 0 at level 1 weight {zero2}"),
+        ("Leibniz rule", "Leibniz fails at level 2 weights"
+         " (Fraction(1, 1), Fraction(1, 2))+(Fraction(1, 2), Fraction(1, 1))"),
+        ("FV = p", f"FV != p at level 1 degree 0 weight {zero2}"),
+        ("FdV = d", f"FdV != d at level 1 weight {zero2}"),
+    ]
+
+
+def test_saturation_error_prints_rational_weight(monkeypatch):
+    monkeypatch.setattr(drw, "SATURATION_ROUND_LIMIT", 0)
+    with pytest.raises(drw.SaturationError) as err:
+        build_drw(2, 2, 1, 4)
+    assert str(err.value) == ("relation saturation unstable after 0 rounds"
+                              " at level 2 degree 0 weight (Fraction(1, 2),)")
