@@ -5,7 +5,8 @@ weight-graded differential graded pieces carrying operators d, F, V, R and
 a structure map from weight-graded truncated Witt vectors.  Pieces are not
 hardcoded from a basis theorem: each piece starts from a finite spanning
 set of operator words and is cut down by saturating a relation lattice
-under the structural identities until nothing grows.
+under the structural identities until nothing grows.  Only the vanishing
+above the top degree is taken as known (see TruncatedFVComplex).
 
 Degree-n spanning symbols are products
 
@@ -25,7 +26,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .abgroups import (
@@ -417,6 +418,11 @@ class LatticeModQ:
         """True once the span is all of (Z/q)^n; nothing can be added."""
         return self.unit_pivots == self.n
 
+    def fill(self) -> None:
+        """Make the span all of (Z/q)^n, held as the unit rows."""
+        self.rows = {c: (0, {c: 1}) for c in range(self.n)}
+        self.unit_pivots = self.n
+
     def insert_batch(self, rows: Sequence[Row]) -> List[Row]:
         """Insert sparse rows; returns the basis rows that are new."""
         if self.n == 0 or not rows or self.is_full():
@@ -548,6 +554,10 @@ class TruncatedFVComplex:
     exposed as GroupHom between presented quotients.  Construction
     saturates relation lattices under d, F, V, R and multiplication until
     stable, erroring when SATURATION_ROUND_LIMIT rounds do not suffice.
+    Pieces of degree above `nvars` are zero by Illusie's vanishing
+    [Ill79, I.1] (a Langer-Zink basic Witt differential of degree n needs
+    n variables), so they are set full, not derived; they keep their
+    symbols.
 
     `pieces` is keyed by rational weights.  Internally a weight is the
     tuple of its numerators over D = p^(r-1) (`nums`, `_pieces`, and the
@@ -674,10 +684,14 @@ class TruncatedFVComplex:
             for deg in range(3):
                 for w in self.nums:
                     syms = self._symbols_for(s, deg, w)
+                    lat = LatticeModQ(len(syms), self.p, s)
+                    if deg > self.nvars:
+                        # zero above the top degree; no transport lowers
+                        # the degree, so no lower piece sees the fill
+                        lat.fill()
                     self._pieces[(s, deg, w)] = TowerPiece(
                         s, deg, self.fraction(w), w, syms,
-                        {sym: k for k, sym in enumerate(syms)},
-                        LatticeModQ(len(syms), self.p, s))
+                        {sym: k for k, sym in enumerate(syms)}, lat)
         pending: Dict[PieceKey, List[Row]] = defaultdict(list)
         for key, piece in self._pieces.items():
             if not piece.symbols or key[1] == 2:
@@ -710,9 +724,9 @@ class TruncatedFVComplex:
             s, _, w = key
             piece = self._pieces[key]
             lat = piece.lattice
-            lat.insert_batch(self._local_seeds(piece))
             if lat.is_full():
                 continue
+            lat.insert_batch(self._local_seeds(piece))
             floods = [((s, 1, w), ("d",)),
                       ((s + 1, 2, weight_down(w, self.p)), ("f",)),
                       ((s + 1, 2, w), ("r",))]
@@ -1631,6 +1645,32 @@ def stable_under_cap_increase(tower: TruncatedFVComplex) -> bool:
         if piece.group.moduli != big.pieces[key].group.moduli:
             return False
     return True
+
+
+def langer_zink_moduli(p: int, s: int, deg: int, k: Weight) -> Tuple[int, ...]:
+    """Invariant factors of W_s Omega^deg of F_p[x_1..x_d] at weight k,
+    counted on Langer-Zink's basic Witt differentials: C(|supp k|, deg)
+    copies of Z/p^(s-u), with p^u the largest component denominator, when
+    k is nonzero and u < s; Z/p^s in degree 0 at k = 0; else 0."""
+    support = sum(1 for c in k if c)
+    if support == 0:
+        return (p ** s,) if deg == 0 else ()
+    den, u = max(Fraction(c).denominator for c in k), 0
+    while den % p == 0:
+        den //= p
+        u += 1
+    return (p ** (s - u),) * comb(support, deg) if u < s else ()
+
+
+def langer_zink_mismatch(tower: TruncatedFVComplex) -> Optional[str]:
+    """Names the first piece whose invariant factors differ from the
+    Langer-Zink count; None when every piece agrees."""
+    for (s, deg, w), piece in tower.pieces.items():
+        want = langer_zink_moduli(tower.p, s, deg, w)
+        if piece.group.moduli != want:
+            return (f"piece at level {s} degree {deg} weight {w} has moduli"
+                    f" {piece.group.moduli}; the Langer-Zink count is {want}")
+    return None
 
 
 def witt_coefficient_group(p: int, m: int, char_exp: int) -> FgAbGroup:

@@ -20,6 +20,7 @@ from .drw import (
     check_fv_axioms,
     degree_zero_witt_comparison,
     lambda_ring_check,
+    langer_zink_mismatch,
     level_one_matches_de_rham,
     stable_under_cap_increase,
     universal_map_check,
@@ -352,8 +353,9 @@ def _lift_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, di
 
 
 # ---------------------------------------------------------------------------
-# drw: the ten structure axioms, the level-one and degree-zero
-# identifications, and cap stability for every tower in the grid
+# drw: every piece against the Langer-Zink count, the ten structure
+# axioms, the level-one and degree-zero identifications, and cap
+# stability for every tower in the grid
 
 
 def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
@@ -376,6 +378,9 @@ def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]
 
             def thunk(p=p, r=r, key=key) -> Optional[str]:
                 tower = cap8(p, r)
+                wrong = langer_zink_mismatch(tower)
+                if wrong is not None:
+                    return wrong
                 rep = check_fv_axioms(tower, samples=40,
                                       seed=_instance_seed(seed, key))
                 if not rep.ok:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import langer_zink
-from wittnorm import drw
+from wittnorm import drw, suites
 from wittnorm.abgroups import FgAbGroup, GroupHom, is_isomorphism, present_quotient
 from wittnorm.derham import DeRhamComplex
 from wittnorm.drw import (
@@ -464,3 +464,80 @@ def test_saturation_error_prints_rational_weight(monkeypatch):
         build_drw(2, 2, 1, 4)
     assert str(err.value) == ("relation saturation unstable after 0 rounds"
                               " at level 2 degree 0 weight (Fraction(1, 2),)")
+
+
+@pytest.mark.parametrize("p,r,cap", [(2, 2, 4), (3, 2, 3)])
+def test_one_variable_tower_matches_two_variable_axes(p, r, cap):
+    # one variable sets degree 2 full; two variables still derive their axis
+    # pieces of degree 2 from relations, so they check that the fill is right
+    one, two = build_drw(p, r, 1, cap), build_drw(p, r, 2, cap)
+    zero = Fraction(0)
+    for (s, deg, (k,)), piece in one.pieces.items():
+        for w in ((k, zero), (zero, k)):
+            assert two.pieces[(s, deg, w)].group.moduli == piece.group.moduli, (s, deg, w)
+    derived = [key for key, pc in two.pieces.items()
+               if key[1] == 2 and zero in key[2] and pc.symbols]
+    assert derived
+
+
+@pytest.mark.parametrize("p,r,nvars,cap", [(2, 2, 1, 6), (2, 2, 2, 4)])
+def test_transports_never_lower_the_degree(p, r, nvars, cap):
+    # why the pieces above the top degree can be set full up front: no
+    # relation they hold is ever carried into a lower degree
+    tw = build_drw(p, r, nvars, cap)
+    for key in tw._pieces:
+        for tag, tgt in tw._moves(key):
+            assert tgt[1] >= key[1], (key, tag, tgt)
+
+
+def test_one_variable_build_seeds_no_degree_two_piece(monkeypatch):
+    degrees = []
+    seeds = drw.TruncatedFVComplex._local_seeds
+
+    def counting(self, piece):
+        degrees.append(piece.degree)
+        return seeds(self, piece)
+
+    monkeypatch.setattr(drw.TruncatedFVComplex, "_local_seeds", counting)
+    build_drw(2, 2, 1, 6)
+    assert degrees and 2 not in degrees
+    degrees.clear()
+    build_drw(2, 2, 2, 3)
+    assert 2 in degrees
+
+
+def test_one_variable_degree_two_is_full():
+    tw = build_drw(3, 2, 1, 6)
+    top = [pc for (s, deg, w), pc in tw.pieces.items() if deg == 2]
+    assert any(pc.symbols for pc in top)
+    for pc in top:
+        assert pc.lattice.is_full() and pc.group.is_trivial(), pc.key
+
+
+@pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 8), (3, 2, 2, 3)])
+def test_suite_count_agrees_with_test_count(p, r, nvars, cap):
+    # the count the drw suite checks and the independent one in langer_zink.py
+    tw = build_drw(p, r, nvars, cap)
+    for (s, deg, w) in tw.pieces:
+        assert drw.langer_zink_moduli(p, s, deg, w) == langer_zink.piece_moduli(p, s, deg, w)
+    assert drw.langer_zink_mismatch(tw) is None
+
+
+def test_drw_suite_fails_on_a_wrong_piece(monkeypatch):
+    grid = {"p": {2}, "r": {1}}
+    tower_key = "drw tower p=2 r=1 cap=8"
+    assert next(rec for rec in suites.run_suite("drw", seed=0, grid=grid).records
+                if rec.key == tower_key).ok
+
+    def wrong_build(p, r, nvars, cap):
+        # give the zero piece Omega^1 at weight 0 the group Z/2 of weight 0 in degree 0
+        tw = build_drw(p, r, nvars, cap)
+        tw.piece(1, 1, 0).pres = tw.piece(1, 0, 0).pres
+        return tw
+
+    monkeypatch.setattr(suites, "build_drw", wrong_build)
+    rec = next(rec for rec in suites.run_suite("drw", seed=0, grid=grid).records
+               if rec.key == tower_key)
+    assert not rec.ok
+    assert rec.witness == ("piece at level 1 degree 1 weight (Fraction(0, 1),) has moduli"
+                           " (2,); the Langer-Zink count is ()")
