@@ -138,8 +138,8 @@ class FgAbGroup:
     def relation_matrix(self) -> IntMatrix:
         """Columns generate the relation lattice diag(torsion moduli) in Z^n."""
         cols = [j for j, m in enumerate(self.moduli) if m]
-        data = {(j, t): self.moduli[j] for t, j in enumerate(cols)}
-        return IntMatrix(self.n, len(cols), data)
+        by_row = {j: {t: self.moduli[j]} for t, j in enumerate(cols)}
+        return IntMatrix._trusted(self.n, len(cols), by_row)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FgAbGroup) and self.moduli == other.moduli
@@ -216,7 +216,9 @@ class GroupHom:
 
     Column j is the image of the j-th generator of src; rows are reduced
     modulo the dst moduli.  Construction verifies the map respects the
-    orders of the source generators.
+    orders of the source generators.  ``GroupHom._reduced`` skips that
+    check for a composite, sum or multiple of homs, which respects the
+    orders already; only this module calls it.
     """
 
     __slots__ = ("src", "dst", "matrix")
@@ -226,13 +228,23 @@ class GroupHom:
             raise ValueError("hom matrix shape mismatch")
         m = matrix_mod(matrix, dst.moduli)
         s, t = src.moduli, dst.moduli
-        bad = [j for (i, j), v in m.data.items() if s[j] and (not t[i] or s[j] * v % t[i])]
+        bad = [j for i, row in m.by_row.items() for j, v in row.items()
+               if s[j] and (not t[i] or s[j] * v % t[i])]
         if bad:
             j = min(bad)
             raise ValueError(f"map does not kill {s[j]} * generator {j}")
         self.src = src
         self.dst = dst
         self.matrix = m
+
+    @classmethod
+    def _reduced(cls, src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> "GroupHom":
+        """The hom src -> dst of a matrix known to respect the source orders."""
+        h = object.__new__(cls)
+        h.src = src
+        h.dst = dst
+        h.matrix = matrix_mod(matrix, dst.moduli)
+        return h
 
     @staticmethod
     def identity(group: FgAbGroup) -> "GroupHom":
@@ -253,18 +265,18 @@ class GroupHom:
         """self after other."""
         if other.dst != self.src:
             raise ValueError("composition mismatch")
-        return GroupHom(other.src, self.dst, self.matrix * other.matrix)
+        return GroupHom._reduced(other.src, self.dst, self.matrix * other.matrix)
 
     def __add__(self, other: "GroupHom") -> "GroupHom":
         if self.src != other.src or self.dst != other.dst:
             raise ValueError("hom sum mismatch")
-        return GroupHom(self.src, self.dst, self.matrix + other.matrix)
+        return GroupHom._reduced(self.src, self.dst, self.matrix + other.matrix)
 
     def __sub__(self, other: "GroupHom") -> "GroupHom":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "GroupHom":
-        return GroupHom(self.src, self.dst, self.matrix.scale(c))
+        return GroupHom._reduced(self.src, self.dst, self.matrix.scale(c))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -397,17 +409,18 @@ def _block_matrix(
 ) -> IntMatrix:
     """Place block (bi, bj) at the start of row range bi and column range bj.
 
-    The matrix spans to the end of the last range.  Entries go in block by
-    block, each in its own order: the Smith form reads entry order.
+    The matrix spans to the end of the last range.  Each row lists its
+    entries block by block, each block in its own order: the Smith form
+    reads entry order.
     """
-    data: Dict[Tuple[int, int], int] = {}
+    by_row: Dict[int, Dict[int, int]] = {}
     for (bi, bj), mat in blocks.items():
         r0, c0 = row_ranges[bi][0], col_ranges[bj][0]
-        for (i, j), v in mat.data.items():
-            data[(r0 + i, c0 + j)] = v
+        for i, row in mat.by_row.items():
+            by_row.setdefault(r0 + i, {}).update((c0 + j, v) for j, v in row.items())
     rows = row_ranges[-1][1] if row_ranges else 0
     cols = col_ranges[-1][1] if col_ranges else 0
-    return IntMatrix(rows, cols, data)
+    return IntMatrix._trusted(rows, cols, by_row)
 
 
 def _ranges(sizes: Sequence[int]) -> List[Tuple[int, int]]:

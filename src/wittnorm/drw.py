@@ -496,7 +496,8 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
         to_small.update(((keep_at[j], c), -v[j] % q) for j in sorted(v) if j != c)
     proj = matrix_mod(small.proj * IntMatrix(nk, n, to_small), small.group.moduli)
     lift = IntMatrix(n, small.group.n,
-                     {(keep_cols[i], j): v for (i, j), v in small.lift.data.items()})
+                     {(keep_cols[i], j): v for i, row in small.lift.by_row.items()
+                      for j, v in row.items()})
     rel = {(i, j): row[i] for j, row in enumerate(lat.basis_rows()) for i in sorted(row)}
     rel.update({(k, len(lat.rows) + k): q for k in range(n)})
     relations = IntMatrix(n, len(lat.rows) + n, rel)

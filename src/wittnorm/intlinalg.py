@@ -11,27 +11,49 @@ with d1 | d2 | ... .
 from __future__ import annotations
 
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 class IntMatrix:
-    """Immutable sparse integer matrix (dict of nonzero entries)."""
+    """Immutable sparse integer matrix, stored by rows.
 
-    __slots__ = ("rows", "cols", "data")
+    ``by_row`` maps a row index to ``{column: value}`` for the nonzero
+    entries of that row; a row with no nonzero entry is absent.  The entry
+    order inside each row is part of the value: ``smith_normal_form``
+    reads it to choose pivots, so every operation here keeps it.  Row
+    dicts are shared between matrices and never mutated.
+
+    ``IntMatrix(rows, cols, data)`` takes a dict of ``(i, j): value``
+    entries, checks the shape and the indices, drops zeros and coerces to
+    ``int``.  ``IntMatrix._trusted`` takes ready-made rows and checks
+    nothing; only this module and ``abgroups`` call it.
+    """
+
+    __slots__ = ("rows", "cols", "by_row")
 
     def __init__(self, rows: int, cols: int, data: Optional[Dict[Tuple[int, int], int]] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        d: Dict[Tuple[int, int], int] = {}
+        by_row: Dict[int, Dict[int, int]] = {}
         if data:
             for (i, j), v in data.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError("entry out of range")
-                if v:
-                    d[(i, j)] = int(v)
-        self.data = d
+                if v and (v := int(v)):
+                    by_row.setdefault(i, {})[j] = v
+        self.by_row = by_row
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, by_row: Dict[int, Dict[int, int]]) -> "IntMatrix":
+        """A matrix on ready-made rows: in range, nonzero ints, no empty row."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.by_row = by_row
+        return m
 
     # construction helpers
 
@@ -39,18 +61,22 @@ class IntMatrix:
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
         r = len(rows)
         c = cols if cols is not None else (len(rows[0]) if r else 0)
-        data = {}
+        if c < 0:
+            raise ValueError("negative matrix dimensions")
+        by_row = {}
         for i, row in enumerate(rows):
             if len(row) != c:
                 raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = int(v)
-        return IntMatrix(r, c, data)
+            out = {j: w for j, v in enumerate(row) if v and (w := int(v))}
+            if out:
+                by_row[i] = out
+        return IntMatrix._trusted(r, c, by_row)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, {(i, i): 1 for i in range(n)})
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
+        return IntMatrix._trusted(n, n, {i: {i: 1} for i in range(n)})
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -59,72 +85,91 @@ class IntMatrix:
     @staticmethod
     def diagonal(entries: Sequence[int]) -> "IntMatrix":
         n = len(entries)
-        return IntMatrix(n, n, {(i, i): int(v) for i, v in enumerate(entries) if v})
+        by_row = {i: {i: w} for i, v in enumerate(entries) if v and (w := int(v))}
+        return IntMatrix._trusted(n, n, by_row)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         c = len(cols)
         r = rows if rows is not None else (len(cols[0]) if c else 0)
-        data = {}
-        for j, col in enumerate(cols):
-            if len(col) != r:
-                raise ValueError("ragged columns")
-            for i, v in enumerate(col):
-                if v:
-                    data[(i, j)] = int(v)
-        return IntMatrix(r, c, data)
+        if r < 0:
+            raise ValueError("negative matrix dimensions")
+        if any(len(col) != r for col in cols):
+            raise ValueError("ragged columns")
+        sparse = [{i: w for i, v in enumerate(col) if v and (w := int(v))} for col in cols]
+        return IntMatrix._trusted(r, c, _rows_of_columns(sparse))
 
     # basic queries
 
+    @property
+    def data(self) -> Mapping[Tuple[int, int], int]:
+        """Read-only ``{(i, j): value}`` of the entries, row by row."""
+        return MappingProxyType(
+            {(i, j): v for i, row in self.by_row.items() for j, v in row.items()}
+        )
+
     def entry(self, i: int, j: int) -> int:
-        return self.data.get((i, j), 0)
+        row = self.by_row.get(i)
+        return row.get(j, 0) if row else 0
 
     def to_rows(self) -> List[List[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.data.items():
-            out[i][j] = v
+        for i, row in self.by_row.items():
+            for j, v in row.items():
+                out[i][j] = v
         return out
 
     def column(self, j: int) -> List[int]:
         col = [0] * self.rows
-        for (i, jj), v in self.data.items():
-            if jj == j:
+        for i, row in self.by_row.items():
+            v = row.get(j)
+            if v:
                 col[i] = v
         return col
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.by_row
 
     def nnz(self) -> int:
-        return len(self.data)
+        return sum(map(len, self.by_row.values()))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.by_row == other.by_row
         )
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(sorted(self.data.items()))))
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, nnz={len(self.data)})"
+        return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
     # arithmetic
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            s = data.get(k, 0) + v
-            if s:
-                data[k] = s
+        by_row = dict(self.by_row)
+        for i, orow in other.by_row.items():
+            row = by_row.get(i)
+            if row is None:
+                by_row[i] = orow
+                continue
+            row = dict(row)
+            for j, v in orow.items():
+                s = row.get(j, 0) + v
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            if row:
+                by_row[i] = row
             else:
-                data.pop(k, None)
-        return IntMatrix(self.rows, self.cols, data)
+                del by_row[i]
+        return IntMatrix._trusted(self.rows, self.cols, by_row)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + other.scale(-1)
@@ -132,20 +177,25 @@ class IntMatrix:
     def scale(self, c: int) -> "IntMatrix":
         if c == 0:
             return IntMatrix.zero(self.rows, self.cols)
-        return IntMatrix(self.rows, self.cols, {k: c * v for k, v in self.data.items()})
+        return IntMatrix._trusted(
+            self.rows,
+            self.cols,
+            {i: {j: c * v for j, v in row.items()} for i, row in self.by_row.items()},
+        )
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        # row-major sparse product
+        other_rows = other.by_row
         by_row: Dict[int, Dict[int, int]] = {}
-        for (i, j), v in self.data.items():
-            by_row.setdefault(i, {})[j] = v
-        other_rows: Dict[int, Dict[int, int]] = {}
-        for (i, j), v in other.data.items():
-            other_rows.setdefault(i, {})[j] = v
-        data: Dict[Tuple[int, int], int] = {}
-        for i, row in by_row.items():
+        for i, row in self.by_row.items():
+            if len(row) == 1:
+                # a multiple of one row of other; a unit shares that row
+                [(k, a)] = row.items()
+                orow = other_rows.get(k)
+                if orow:
+                    by_row[i] = orow if a == 1 else {j: a * b for j, b in orow.items()}
+                continue
             acc: Dict[int, int] = {}
             for k, a in row.items():
                 orow = other_rows.get(k)
@@ -153,58 +203,59 @@ class IntMatrix:
                     continue
                 for j, b in orow.items():
                     acc[j] = acc.get(j, 0) + a * b
-            for j, s in acc.items():
-                if s:
-                    data[(i, j)] = s
-        return IntMatrix(self.rows, other.cols, data)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.data.items()})
+            if not all(acc.values()):
+                acc = {j: s for j, s in acc.items() if s}
+            if acc:
+                by_row[i] = acc
+        return IntMatrix._trusted(self.rows, other.cols, by_row)
 
     def apply(self, vec: Sequence[int]) -> List[int]:
         """Matrix-vector product (vector as a plain list)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [0] * self.rows
-        for (i, j), v in self.data.items():
-            x = vec[j]
-            if x:
-                out[i] += v * x
+        for i, row in self.by_row.items():
+            out[i] = sum(v * vec[j] for j, v in row.items())
         return out
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        data = dict(self.data)
-        for (i, j), v in other.data.items():
-            data[(i, j + self.cols)] = v
-        return IntMatrix(self.rows, self.cols + other.cols, data)
+        shift = self.cols
+        by_row = dict(self.by_row)
+        for i, orow in other.by_row.items():
+            moved = {j + shift: v for j, v in orow.items()}
+            row = by_row.get(i)
+            if row is None:
+                by_row[i] = moved
+            else:
+                row = dict(row)
+                row.update(moved)
+                by_row[i] = row
+        return IntMatrix._trusted(self.rows, self.cols + other.cols, by_row)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        data = dict(self.data)
-        for (i, j), v in other.data.items():
-            data[(i + self.rows, j)] = v
-        return IntMatrix(self.rows + other.rows, self.cols, data)
+        shift = self.rows
+        by_row = dict(self.by_row)
+        for i, row in other.by_row.items():
+            by_row[i + shift] = row
+        return IntMatrix._trusted(self.rows + other.rows, self.cols, by_row)
 
     def take_columns(self, idx: Sequence[int]) -> "IntMatrix":
         pos = {j: t for t, j in enumerate(idx)}
-        data = {}
-        for (i, j), v in self.data.items():
-            t = pos.get(j)
-            if t is not None:
-                data[(i, t)] = v
-        return IntMatrix(self.rows, len(idx), data)
+        by_row = {}
+        for i, row in self.by_row.items():
+            out = {pos[j]: v for j, v in row.items() if j in pos}
+            if out:
+                by_row[i] = out
+        return IntMatrix._trusted(self.rows, len(idx), by_row)
 
     def take_rows(self, idx: Sequence[int]) -> "IntMatrix":
         pos = {i: t for t, i in enumerate(idx)}
-        data = {}
-        for (i, j), v in self.data.items():
-            t = pos.get(i)
-            if t is not None:
-                data[(t, j)] = v
-        return IntMatrix(len(idx), self.cols, data)
+        by_row = {pos[i]: row for i, row in self.by_row.items() if i in pos}
+        return IntMatrix._trusted(len(idx), self.cols, by_row)
 
 
 def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int) -> None:
@@ -225,9 +276,10 @@ class _SmithWorker:
         self.c = m.cols
         self.rows: List[Dict[int, int]] = [dict() for _ in range(m.rows)]
         self.colindex: List[set] = [set() for _ in range(m.cols)]
-        for (i, j), v in m.data.items():
-            self.rows[i][j] = v
-            self.colindex[j].add(i)
+        for i, row in m.by_row.items():
+            self.rows[i] = dict(row)
+            for j in row:
+                self.colindex[j].add(i)
         # U tracks row ops (U*m), V tracks col ops (m*V); stored same way.
         # U^-1 is kept by columns: a row op U -> E*U turns U^-1 into
         # U^-1 * E^-1, which is a column op.
@@ -334,10 +386,13 @@ class _SmithWorker:
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V, U^-1) with U*m*V = D, U and V unimodular, D in Smith form.
 
-    Pivot policy: see ``_SmithWorker.pick_pivot``.  It reads rows in the
-    entry order of ``m.data``, so that order is an input: two matrices with
-    equal entries listed in a different order can give different U and V.
-    Outputs are bit-reproducible for a fixed entry order.
+    Pivot policy: see ``_SmithWorker.pick_pivot``.  It reads each row of
+    ``m`` in its entry order, so that order is an input: two matrices with
+    equal entries listed in a different order within a row can give
+    different U and V.  Outputs are bit-reproducible for a fixed entry
+    order.  D and U take the rows the reduction leaves; V and U^-1 are
+    assembled column by column, so each of their rows lists its entries
+    by ascending column.
     """
     w = _SmithWorker(m)
     t = 0
@@ -391,22 +446,23 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, In
             w.negate_row(t)
         w.floor = w.rows[t][t]
         t += 1
-    # assemble dense-free outputs
-    ddata = {}
-    for i in range(w.r):
-        for j, v in w.rows[i].items():
-            ddata[(i, j)] = v
-    D = IntMatrix(w.r, w.c, ddata)
-    U = IntMatrix(w.r, w.r, {(i, j): v for i, row in enumerate(w.urows) for j, v in row.items()})
-    V = IntMatrix(w.c, w.c, {(i, j): v for j, col in enumerate(w.vcols) for i, v in col.items()})
-    U_inv = IntMatrix(w.r, w.r, {(i, j): v for j, col in enumerate(w.uinvcols) for i, v in col.items()})
+    D = IntMatrix._trusted(w.r, w.c, {i: row for i, row in enumerate(w.rows) if row})
+    U = IntMatrix._trusted(w.r, w.r, dict(enumerate(w.urows)))
+    V = IntMatrix._trusted(w.c, w.c, _rows_of_columns(w.vcols))
+    U_inv = IntMatrix._trusted(w.r, w.r, _rows_of_columns(w.uinvcols))
     return U, D, V, U_inv
 
 
-def smith_diagonal(m: IntMatrix) -> List[int]:
-    """Nonzero-padded diagonal of the Smith form (length min(rows, cols))."""
-    d = smith_normal_form(m)[1]
-    return [d.entry(i, i) for i in range(min(m.rows, m.cols))]
+def _rows_of_columns(cols: List[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """Rows of the matrix with the given sparse columns, rows in first-column order."""
+    by_row: Dict[int, Dict[int, int]] = {}
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            row = by_row.get(i)
+            if row is None:
+                by_row[i] = row = {}
+            row[j] = v
+    return by_row
 
 
 class _SolveContext:
@@ -415,23 +471,31 @@ class _SolveContext:
     def __init__(self, a: IntMatrix):
         self.a = a
         self.u, d, self.v, _ = smith_normal_form(a)
-        self.diag = {i: v for (i, _), v in d.data.items()}
+        self.diag = {i: row[i] for i, row in d.by_row.items()}
         self.rank = len(self.diag)
 
     def solve_matrix(self, b: IntMatrix) -> Optional[IntMatrix]:
         """X = V * D^-1 * U * B with A*X = B, or None when a column has no solution.
 
-        X lists its entries column-major, rows ascending within a column.
+        Each row of X lists its entries by ascending column, and the rows
+        come in order of their first column, then of row index: X is laid
+        out as if built from its entries listed column-major.
         """
         y = {}
-        for (i, j), s in (self.u * b).data.items():
+        for i, row in (self.u * b).by_row.items():
             di = self.diag.get(i)
-            if di is None or s % di:
+            if di is None:
                 return None
-            y[(i, j)] = s // di
-        x = self.v * IntMatrix(self.a.cols, b.cols, y)
-        by_col = sorted(x.data.items(), key=lambda e: (e[0][1], e[0][0]))
-        return IntMatrix(x.rows, x.cols, dict(by_col))
+            out = {}
+            for j, s in row.items():
+                if s % di:
+                    return None
+                out[j] = s // di
+            y[i] = out
+        x = self.v * IntMatrix._trusted(self.a.cols, b.cols, y)
+        rows = {i: dict(sorted(row.items())) for i, row in x.by_row.items()}
+        order = sorted(rows, key=lambda i: (next(iter(rows[i])), i))
+        return IntMatrix._trusted(x.rows, x.cols, {i: rows[i] for i in order})
 
     def kernel(self) -> IntMatrix:
         """Columns form a basis of the integer kernel of A."""
@@ -454,25 +518,20 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return _SolveContext(a).kernel()
 
 
-def lattice_contains(gens: IntMatrix, vec: Sequence[int]) -> bool:
-    """Is vec in the column span (over Z) of gens?"""
-    return solve_int(gens, vec) is not None
-
-
-def lattice_contains_all(gens: IntMatrix, other: IntMatrix) -> bool:
-    """Is every column of other in the column span of gens?"""
-    return solve_int_matrix(gens, other) is not None
-
-
 def matrix_mod(m: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
-    """Reduce row i modulo moduli[i] (0 means no reduction)."""
-    data = {}
-    for (i, j), v in m.data.items():
+    """Reduce row i modulo moduli[i] (0 means no reduction).
+
+    A row that is already reduced is shared with m, not copied.
+    """
+    by_row = {}
+    for i, row in m.by_row.items():
         mod = moduli[i]
-        w = v % mod if mod else v
-        if w:
-            data[(i, j)] = w
-    return IntMatrix(m.rows, m.cols, data)
+        if mod and any(not 0 <= v < mod for v in row.values()):
+            row = {j: w for j, v in row.items() if (w := v % mod)}
+            if not row:
+                continue
+        by_row[i] = row
+    return IntMatrix._trusted(m.rows, m.cols, by_row)
 
 
 def random_unimodular(n: int, rng) -> IntMatrix:
@@ -496,12 +555,17 @@ def random_unimodular(n: int, rng) -> IntMatrix:
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product, block (i, j) equal to a[i, j] * b."""
-    data = {}
-    for (i, j), u in a.data.items():
-        for (k, l), v in b.data.items():
-            data[(i * b.rows + k, j * b.cols + l)] = u * v
-    return IntMatrix(a.rows * b.rows, a.cols * b.cols, data)
+    """Kronecker product, block (i, j) equal to a[i, j] * b.
+
+    Row (i, k) lists its entries by a's row i, then by b's row k.
+    """
+    br, bc = b.rows, b.cols
+    by_row = {}
+    for i, arow in a.by_row.items():
+        for k, brow in b.by_row.items():
+            by_row[i * br + k] = {j * bc + l: u * v for j, u in arow.items()
+                                  for l, v in brow.items()}
+    return IntMatrix._trusted(a.rows * br, a.cols * bc, by_row)
 
 
 def kron_power(a: IntMatrix, m: int) -> IntMatrix:

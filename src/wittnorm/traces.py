@@ -134,7 +134,7 @@ class OrbitTraceTheory(_PowerTheory):
 
     def _presentation(self, rank: int, n: int) -> Presentation:
         char = self.base_char
-        rot = {j: i for i, j in rotation_matrix(rank, self.m).data}
+        rot = {j: i for i, row in rotation_matrix(rank, self.m).by_row.items() for j in row}
         orbit_of: Dict[int, int] = {}
         reps: List[int] = []
         for idx in range(n):

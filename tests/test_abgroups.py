@@ -1,6 +1,7 @@
 """Canonical abelian group, presentation, and hom tests."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,36 @@ def test_group_hom_names_smallest_bad_generator():
     m = IntMatrix(2, 3, {(0, 2): 1, (1, 1): 3, (0, 0): 4})
     with pytest.raises(ValueError, match=r"map does not kill 4 \* generator 1$"):
         GroupHom(src, dst, m)
+
+
+def _random_hom(rng, src, dst):
+    """A seeded valid hom: each image entry is killed by its generator's order."""
+    data = {}
+    for j, s in enumerate(src.moduli):
+        for i, t in enumerate(dst.moduli):
+            if s == 0:
+                data[(i, j)] = rng.randint(-9, 9)
+            elif t:  # torsion never reaches a free summand
+                data[(i, j)] = rng.randint(-9, 9) * (t // gcd(s, t))
+    return GroupHom(src, dst, IntMatrix(dst.n, src.n, data))
+
+
+def test_hom_arithmetic_matches_validating_constructor():
+    # compose, +, - and scale skip the order check; their results must be
+    # what the checking constructor builds from the raw matrices
+    rng = random.Random(606)
+    groups = [FgAbGroup(m) for m in [(), (0,), (4,), (2, 4), (2, 0), (3, 9, 0), (2, 2, 8, 0, 0)]]
+    for _ in range(150):
+        a, b, c = (rng.choice(groups) for _ in range(3))
+        f, f2, g = _random_hom(rng, a, b), _random_hom(rng, a, b), _random_hom(rng, b, c)
+        k = rng.randint(-6, 6)
+        for got, raw in [(g.compose(f), (a, c, g.matrix * f.matrix)),
+                         (f + f2, (a, b, f.matrix + f2.matrix)),
+                         (f - f2, (a, b, f.matrix - f2.matrix)),
+                         (f.scale(k), (a, b, f.matrix.scale(k)))]:
+            want = GroupHom(*raw)
+            assert got == want
+            assert list(got.matrix.data.items()) == list(want.matrix.data.items())
 
 
 def test_hom_apply_compose():

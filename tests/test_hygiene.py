@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-no module reads the environment."""
+"""Source hygiene: every module-level import in the package is used, no
+module reads the environment, and only the modules that own them build
+matrices and homs without validation."""
 
 import ast
 import pathlib
@@ -65,3 +66,33 @@ def test_module_reads_no_environment(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = list(_environment_reads(tree))
     assert lines == [], f"{path.name} reads the environment at lines {lines}"
+
+
+# the constructors that skip validation: name -> (class, the module that owns it)
+UNCHECKED = {"_trusted": ("IntMatrix", "intlinalg.py"), "_reduced": ("GroupHom", "abgroups.py")}
+UNCHECKED_OWNERS = {module for _, module in UNCHECKED.values()}
+
+
+def _unchecked_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in UNCHECKED:
+            yield f"{UNCHECKED[node.attr][0]}.{node.attr} at line {node.lineno}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_unchecked_constructors_stay_in_their_modules(path):
+    if path.name in UNCHECKED_OWNERS:
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = list(_unchecked_uses(tree))
+    assert uses == [], f"{path.name} skips validation: {uses}"
+
+
+@pytest.mark.parametrize("name", sorted(UNCHECKED))
+def test_unchecked_constructor_is_defined(name):
+    # the scan above looks for these names; a rename would leave it passing vacuously
+    cls, module = UNCHECKED[name]
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    classes = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    assert [f for c in classes for f in c.body
+            if isinstance(f, ast.FunctionDef) and f.name == name]

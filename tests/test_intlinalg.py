@@ -19,16 +19,27 @@ from wittnorm import intlinalg
 from wittnorm.intlinalg import (
     IntMatrix,
     kernel_basis,
-    lattice_contains,
-    lattice_contains_all,
     matrix_mod,
     random_unimodular,
     require_prime,
-    smith_diagonal,
     smith_normal_form,
     solve_int,
     solve_int_matrix,
 )
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.data.items()})
+
+
+def lattice_contains(gens: IntMatrix, vec) -> bool:
+    """Is vec in the column span (over Z) of gens?"""
+    return solve_int(gens, vec) is not None
+
+
+def lattice_contains_all(gens: IntMatrix, other: IntMatrix) -> bool:
+    """Is every column of other in the column span of gens?"""
+    return solve_int_matrix(gens, other) is not None
 
 
 def det(m: IntMatrix) -> int:
@@ -130,7 +141,7 @@ def test_matrix_arithmetic():
     assert (a * b).to_rows() == [[2, 1], [4, 3]]
     assert (a + b).to_rows() == [[1, 3], [4, 4]]
     assert (a - a).is_zero()
-    assert a.transpose().to_rows() == [[1, 3], [2, 4]]
+    assert transpose(a).to_rows() == [[1, 3], [2, 4]]
     assert a.apply([1, 1]) == [3, 7]
     assert a.hstack(b).to_rows() == [[1, 2, 0, 1], [3, 4, 1, 0]]
     assert a.vstack(b).to_rows() == [[1, 2], [3, 4], [0, 1], [1, 0]]
@@ -324,9 +335,9 @@ def _solve_cases(seed):
 def test_solve_int_matrix_matches_per_column_oracle():
     unsolvable = 0
     for a, b in _solve_cases(31):
-        cols = [_oracle_solve_column(a, col) for col in b.transpose().to_rows()]
+        cols = [_oracle_solve_column(a, col) for col in transpose(b).to_rows()]
         got = solve_int_matrix(a, b)
-        for col, want in zip(b.transpose().to_rows(), cols):
+        for col, want in zip(transpose(b).to_rows(), cols):
             assert solve_int(a, col) == want
         if any(c is None for c in cols):
             unsolvable += 1
@@ -336,3 +347,268 @@ def test_solve_int_matrix_matches_per_column_oracle():
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert list(got.data.items()) == list(want.data.items())
     assert unsolvable
+
+
+# Layout oracle: the flat-dict matrix that IntMatrix stored before it kept
+# rows.  Its entry order is one flat list; the pivot scan reads each row in
+# the order that list gives it, so the row-major IntMatrix must give every
+# row the same entries in the same order.
+
+
+class _FlatReference:
+    """Integer matrix as one dict {(i, j): value}, entries in insertion order."""
+
+    def __init__(self, rows, cols, data=None):
+        self.rows, self.cols = rows, cols
+        self.data = {k: int(v) for k, v in (data or {}).items() if v}
+
+    @staticmethod
+    def from_rows(rows, cols=None):
+        c = cols if cols is not None else (len(rows[0]) if rows else 0)
+        return _FlatReference(len(rows), c, {(i, j): v for i, row in enumerate(rows)
+                                             for j, v in enumerate(row)})
+
+    @staticmethod
+    def from_columns(cols, rows=None):
+        r = rows if rows is not None else (len(cols[0]) if cols else 0)
+        return _FlatReference(r, len(cols), {(i, j): v for j, col in enumerate(cols)
+                                             for i, v in enumerate(col)})
+
+    @staticmethod
+    def identity(n):
+        return _FlatReference(n, n, {(i, i): 1 for i in range(n)})
+
+    def __add__(self, other):
+        data = dict(self.data)
+        for k, v in other.data.items():
+            s = data.get(k, 0) + v
+            if s:
+                data[k] = s
+            else:
+                data.pop(k, None)
+        return _FlatReference(self.rows, self.cols, data)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return _FlatReference(self.rows, self.cols, {k: c * v for k, v in self.data.items()})
+
+    def __mul__(self, other):
+        by_row, other_rows = {}, {}
+        for (i, j), v in self.data.items():
+            by_row.setdefault(i, {})[j] = v
+        for (i, j), v in other.data.items():
+            other_rows.setdefault(i, {})[j] = v
+        data = {}
+        for i, row in by_row.items():
+            acc = {}
+            for k, a in row.items():
+                for j, b in other_rows.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + a * b
+            data.update(((i, j), s) for j, s in acc.items() if s)
+        return _FlatReference(self.rows, other.cols, data)
+
+    def hstack(self, other):
+        data = dict(self.data)
+        data.update(((i, j + self.cols), v) for (i, j), v in other.data.items())
+        return _FlatReference(self.rows, self.cols + other.cols, data)
+
+    def vstack(self, other):
+        data = dict(self.data)
+        data.update(((i + self.rows, j), v) for (i, j), v in other.data.items())
+        return _FlatReference(self.rows + other.rows, self.cols, data)
+
+    def take_columns(self, idx):
+        pos = {j: t for t, j in enumerate(idx)}
+        return _FlatReference(self.rows, len(idx), {(i, pos[j]): v for (i, j), v in
+                                                    self.data.items() if j in pos})
+
+    def take_rows(self, idx):
+        pos = {i: t for t, i in enumerate(idx)}
+        return _FlatReference(len(idx), self.cols, {(pos[i], j): v for (i, j), v in
+                                                     self.data.items() if i in pos})
+
+
+def _flat_matrix_mod(m, moduli):
+    return _FlatReference(m.rows, m.cols, {(i, j): v % moduli[i] if moduli[i] else v
+                                           for (i, j), v in m.data.items()})
+
+
+def _flat_kron(a, b):
+    return _FlatReference(a.rows * b.rows, a.cols * b.cols, {
+        (i * b.rows + k, j * b.cols + l): u * v
+        for (i, j), u in a.data.items() for (k, l), v in b.data.items()})
+
+
+def _flat_snf(m, monkeypatch):
+    """(U, D, V, U^-1) of a flat matrix: the worker reads its entries in flat order."""
+    workers = []
+
+    class _FlatWorker(intlinalg._SmithWorker):
+        def __init__(self, flat):
+            self.r, self.c = flat.rows, flat.cols
+            self.rows = [dict() for _ in range(flat.rows)]
+            self.colindex = [set() for _ in range(flat.cols)]
+            for (i, j), v in flat.data.items():
+                self.rows[i][j] = v
+                self.colindex[j].add(i)
+            self.urows = [{i: 1} for i in range(flat.rows)]
+            self.uinvcols = [{i: 1} for i in range(flat.rows)]
+            self.vcols = [{j: 1} for j in range(flat.cols)]
+            self.floor = 1
+            workers.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(intlinalg, "_SmithWorker", _FlatWorker)
+        smith_normal_form(m)
+    w = workers[0]
+
+    def by_rows(rows, n, c):
+        return _FlatReference(n, c, {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
+
+    def by_cols(cols, n, c):
+        return _FlatReference(n, c, {(i, j): v for j, col in enumerate(cols) for i, v in col.items()})
+
+    return (by_rows(w.urows, w.r, w.r), by_rows(w.rows, w.r, w.c),
+            by_cols(w.vcols, w.c, w.c), by_cols(w.uinvcols, w.r, w.r))
+
+
+def _flat_solve(a, b, monkeypatch):
+    u, d, v, _ = _flat_snf(a, monkeypatch)
+    diag = {i: x for (i, _), x in d.data.items()}
+    y = {}
+    for (i, j), s in (u * b).data.items():
+        if i not in diag or s % diag[i]:
+            return None
+        y[(i, j)] = s // diag[i]
+    x = v * _FlatReference(a.cols, b.cols, y)
+    return _FlatReference(x.rows, x.cols, dict(sorted(x.data.items(), key=lambda e: e[0][::-1])))
+
+
+def _assert_same_layout(got: IntMatrix, ref: _FlatReference):
+    """Same shape and entries, and each row lists them in the reference's order."""
+    assert (got.rows, got.cols) == (ref.rows, ref.cols)
+    ref_rows = {}
+    for (i, j), v in ref.data.items():
+        ref_rows.setdefault(i, []).append((j, v))
+    assert {i: list(row.items()) for i, row in got.by_row.items()} == ref_rows
+
+
+def _layout_pair(r, c, data):
+    """The same shuffled entries as an IntMatrix and as a flat reference."""
+    return IntMatrix(r, c, data), _FlatReference(r, c, data)
+
+
+def _layout_cases(seed):
+    """Seeded (IntMatrix, flat reference) pairs of every shape the library builds."""
+    rng = random.Random(seed)
+    for m in _snf_cases(seed, 60):
+        yield _layout_pair(m.rows, m.cols, m.data)
+    for r, c in [(0, 0), (0, 3), (3, 0), (3, 4)]:  # empty and all-zero
+        yield _layout_pair(r, c, {})
+    for _ in range(6):  # permutations
+        n = rng.randint(1, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        items = [((perm[j], j), rng.choice([-1, 1])) for j in range(n)]
+        rng.shuffle(items)
+        yield _layout_pair(n, n, dict(items))
+
+
+def _random_flat(rng, r, c, density=0.4):
+    items = [((i, j), rng.randint(-4, 4)) for i in range(r) for j in range(c)
+             if rng.random() < density]
+    rng.shuffle(items)
+    return dict(items)
+
+
+def test_row_layout_matches_flat_reference(monkeypatch):
+    rng = random.Random(4242)
+    for m, ref in _layout_cases(4242):
+        r, c = m.rows, m.cols
+        _assert_same_layout(m, ref)
+        # products on both sides, including a one-entry-per-row factor
+        k = rng.randint(0, 6)
+        for om, oref in (_layout_pair(c, k, _random_flat(rng, c, k)),
+                         (IntMatrix.identity(c), ref.identity(c))):
+            _assert_same_layout(m * om, ref * oref)
+        for om, oref in (_layout_pair(k, r, _random_flat(rng, k, r)),
+                         (IntMatrix.identity(r), ref.identity(r))):
+            _assert_same_layout(om * m, oref * ref)
+        # sums that cancel whole rows, and single entries within rows
+        flip = {k: -v for k, v in m.data.items() if rng.random() < 0.5}
+        other = dict(list(flip.items()) + list(_random_flat(rng, r, c, 0.3).items()))
+        items = list(other.items())
+        rng.shuffle(items)
+        om, oref = _layout_pair(r, c, dict(items))
+        _assert_same_layout(m + om, ref + oref)
+        _assert_same_layout(m - om, ref - oref)
+        _assert_same_layout(om + m, oref + ref)
+        for s in (-2, -1, 0, 1, 3):
+            _assert_same_layout(m.scale(s), ref.scale(s))
+        om, oref = _layout_pair(r, 3, _random_flat(rng, r, 3))
+        _assert_same_layout(m.hstack(om), ref.hstack(oref))
+        _assert_same_layout(om.hstack(m), oref.hstack(ref))
+        om, oref = _layout_pair(2, c, _random_flat(rng, 2, c))
+        _assert_same_layout(m.vstack(om), ref.vstack(oref))
+        _assert_same_layout(om.vstack(m), oref.vstack(ref))
+        rows = rng.sample(range(r), rng.randint(0, r))
+        cols = rng.sample(range(c), rng.randint(0, c))
+        _assert_same_layout(m.take_rows(rows), ref.take_rows(rows))
+        _assert_same_layout(m.take_columns(cols), ref.take_columns(cols))
+        moduli = [rng.choice([0, 1, 2, 3, 4, 9]) for _ in range(r)]
+        _assert_same_layout(matrix_mod(m, moduli), _flat_matrix_mod(ref, moduli))
+        if r * c <= 16:
+            om, oref = _layout_pair(2, 3, _random_flat(rng, 2, 3, 0.6))
+            _assert_same_layout(intlinalg.kron(m, om), _flat_kron(ref, oref))
+            _assert_same_layout(intlinalg.kron(om, m), _flat_kron(oref, ref))
+        dense = m.to_rows()
+        _assert_same_layout(IntMatrix.from_rows(dense, cols=c), ref.from_rows(dense, cols=c))
+        columns = [[row[j] for row in dense] for j in range(c)]
+        _assert_same_layout(IntMatrix.from_columns(columns, rows=r),
+                            ref.from_columns(columns, rows=r))
+        _assert_same_layout(IntMatrix.identity(r), ref.identity(r))
+        for got, want in zip(smith_normal_form(m), _flat_snf(ref, monkeypatch)):
+            _assert_same_layout(got, want)
+
+
+def test_solve_layout_matches_flat_reference(monkeypatch):
+    solved = 0
+    for a, b in _solve_cases(77):
+        fa, fb = _FlatReference(a.rows, a.cols, a.data), _FlatReference(b.rows, b.cols, b.data)
+        got, want = solve_int_matrix(a, b), _flat_solve(fa, fb, monkeypatch)
+        assert (got is None) == (want is None)
+        if got is not None:
+            solved += 1
+            _assert_same_layout(got, want)
+            # rows in the order the column-major entries first reach them
+            assert list(got.data.items()) == list(IntMatrix(want.rows, want.cols,
+                                                            want.data).data.items())
+    assert solved
+
+
+def test_public_constructor_validates():
+    with pytest.raises(ValueError):
+        IntMatrix(-1, 2)
+    with pytest.raises(ValueError):
+        IntMatrix(2, -1)
+    for key in [(2, 0), (0, 3), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            IntMatrix(2, 3, {key: 1})
+    m = IntMatrix(2, 3, {(0, 2): 0, (1, 0): True, (1, 2): 5.0, (0, 1): -3})
+    assert m.nnz() == 3
+    assert list(m.data.items()) == [((1, 0), 1), ((1, 2), 5), ((0, 1), -3)]
+    assert all(type(v) is int for v in m.data.values())
+    assert m == IntMatrix.from_rows([[0, -3, 0], [1, 0, 5]])
+    for bad in (lambda: IntMatrix.identity(-1), lambda: IntMatrix.from_rows([], cols=-1),
+                lambda: IntMatrix.from_columns([], rows=-1)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_data_is_a_read_only_view():
+    m = IntMatrix.from_rows([[1, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        m.data[(0, 1)] = 5
+    assert m.entry(0, 1) == 0
