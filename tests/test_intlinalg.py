@@ -531,10 +531,10 @@ def test_row_layout_matches_flat_reference(monkeypatch):
         # products on both sides, including a one-entry-per-row factor
         k = rng.randint(0, 6)
         for om, oref in (_layout_pair(c, k, _random_flat(rng, c, k)),
-                         (IntMatrix.identity(c), ref.identity(c))):
+                         (IntMatrix.identity(c), _FlatReference.identity(c))):
             _assert_same_layout(m * om, ref * oref)
         for om, oref in (_layout_pair(k, r, _random_flat(rng, k, r)),
-                         (IntMatrix.identity(r), ref.identity(r))):
+                         (IntMatrix.identity(r), _FlatReference.identity(r))):
             _assert_same_layout(om * m, oref * ref)
         # sums that cancel whole rows, and single entries within rows
         flip = {k: -v for k, v in m.data.items() if rng.random() < 0.5}
@@ -564,11 +564,11 @@ def test_row_layout_matches_flat_reference(monkeypatch):
             _assert_same_layout(intlinalg.kron(m, om), _flat_kron(ref, oref))
             _assert_same_layout(intlinalg.kron(om, m), _flat_kron(oref, ref))
         dense = m.to_rows()
-        _assert_same_layout(IntMatrix.from_rows(dense, cols=c), ref.from_rows(dense, cols=c))
+        _assert_same_layout(IntMatrix.from_rows(dense, cols=c), _FlatReference.from_rows(dense, cols=c))
         columns = [[row[j] for row in dense] for j in range(c)]
         _assert_same_layout(IntMatrix.from_columns(columns, rows=r),
-                            ref.from_columns(columns, rows=r))
-        _assert_same_layout(IntMatrix.identity(r), ref.identity(r))
+                            _FlatReference.from_columns(columns, rows=r))
+        _assert_same_layout(IntMatrix.identity(r), _FlatReference.identity(r))
         for got, want in zip(smith_normal_form(m), _flat_snf(ref, monkeypatch)):
             _assert_same_layout(got, want)
 
