@@ -24,7 +24,6 @@ from .intlinalg import (
     kernel_basis,
     matrix_mod,
     smith_normal_form,
-    solve_int,
     solve_int_matrix,
 )
 
@@ -48,12 +47,6 @@ class FgAbGroup:
                 raise ValueError(f"moduli not a divisibility chain: {mods}")
             prev = m
         self.moduli = mods
-
-    @staticmethod
-    def from_moduli(moduli: Sequence[int]) -> "FgAbGroup":
-        """Canonicalize an arbitrary list of cyclic orders (0 means Z, 1 drops)."""
-        pres = present_quotient(len(moduli), IntMatrix.diagonal(list(moduli)))
-        return pres.group
 
     # structure
 
@@ -200,10 +193,6 @@ def present_quotient(ambient_dim: int, lattice: IntMatrix) -> Presentation:
     return Presentation(ambient_dim, lattice, group, proj, lift)
 
 
-def present_free(n: int) -> Presentation:
-    return present_quotient(n, IntMatrix.zero(n, 0))
-
-
 def canonical_presentation(group: FgAbGroup) -> Presentation:
     """A group viewed as ambient Z^n modulo its own relation lattice."""
     n = group.n
@@ -217,8 +206,9 @@ class GroupHom:
     Column j is the image of the j-th generator of src; rows are reduced
     modulo the dst moduli.  Construction verifies the map respects the
     orders of the source generators.  ``GroupHom._reduced`` skips that
-    check for a composite, sum or multiple of homs, which respects the
-    orders already; only this module calls it.
+    check for an identity, zero or scalar hom and for a composite, sum or
+    multiple of homs, which respect the orders already; only this module
+    calls it.
     """
 
     __slots__ = ("src", "dst", "matrix")
@@ -248,15 +238,15 @@ class GroupHom:
 
     @staticmethod
     def identity(group: FgAbGroup) -> "GroupHom":
-        return GroupHom(group, group, IntMatrix.identity(group.n))
+        return GroupHom._reduced(group, group, IntMatrix.identity(group.n))
 
     @staticmethod
     def zero(src: FgAbGroup, dst: FgAbGroup) -> "GroupHom":
-        return GroupHom(src, dst, IntMatrix.zero(dst.n, src.n))
+        return GroupHom._reduced(src, dst, IntMatrix.zero(dst.n, src.n))
 
     @staticmethod
     def scalar(group: FgAbGroup, c: int) -> "GroupHom":
-        return GroupHom(group, group, IntMatrix.identity(group.n).scale(c))
+        return GroupHom._reduced(group, group, IntMatrix.identity(group.n).scale(c))
 
     def apply(self, elt: Sequence[int]) -> Tuple[int, ...]:
         return self.dst.normalize(self.matrix.apply(list(elt)))
@@ -306,12 +296,6 @@ class GroupHom:
         return lat.hstack(self.src.relation_matrix())
 
 
-def subgroup_contains(group: FgAbGroup, gens: IntMatrix, elt: Sequence[int]) -> bool:
-    """Does elt lie in the subgroup of group generated by the columns of gens?"""
-    sat = gens.hstack(group.relation_matrix())
-    return solve_int(sat, list(group.normalize(elt))) is not None
-
-
 def subgroups_equal(group: FgAbGroup, a: IntMatrix, b: IntMatrix) -> bool:
     """Do two generating matrices span the same subgroup of group?"""
     sat_a = a.hstack(group.relation_matrix())
@@ -320,14 +304,6 @@ def subgroups_equal(group: FgAbGroup, a: IntMatrix, b: IntMatrix) -> bool:
         solve_int_matrix(sat_a, matrix_mod(b, group.moduli)) is not None
         and solve_int_matrix(sat_b, matrix_mod(a, group.moduli)) is not None
     )
-
-
-def subgroup_group(group: FgAbGroup, gens: IntMatrix) -> FgAbGroup:
-    """Isomorphism class of the subgroup generated by the columns of gens."""
-    rel = kernel_basis(gens.hstack(group.relation_matrix())).take_rows(
-        list(range(gens.cols))
-    )
-    return present_quotient(gens.cols, rel).group
 
 
 class CokernelData:
@@ -370,10 +346,6 @@ def hom_kernel(h: GroupHom) -> KernelData:
     pres = present_quotient(lat.cols, rel)
     incl = GroupHom(pres.group, h.src, lat * pres.lift)
     return KernelData(pres.group, incl)
-
-
-def hom_image_group(h: GroupHom) -> FgAbGroup:
-    return subgroup_group(h.dst, h.matrix)
 
 
 def is_injective(h: GroupHom) -> bool:
@@ -440,8 +412,3 @@ def direct_sum_presentation(groups: Sequence[FgAbGroup]) -> Tuple[Presentation, 
     blocks = {(t, t): r for t, r in enumerate(rels)}
     lattice = _block_matrix(ranges, _ranges([r.cols for r in rels]), blocks)
     return present_quotient(lattice.rows, lattice), ranges
-
-
-def direct_sum_group(groups: Sequence[FgAbGroup]) -> FgAbGroup:
-    pres, _ = direct_sum_presentation(groups)
-    return pres.group

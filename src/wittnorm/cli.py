@@ -22,9 +22,11 @@ from .drw import (
     build_drw,
     check_fv_axioms,
     mixed_char_weight_piece,
+    symbol_label,
 )
 from .mackey import (
     MackeyError,
+    WittResolution,
     augmentation_cokernel,
     base_change_to_witt,
     box_with_permutation,
@@ -34,7 +36,6 @@ from .mackey import (
     permutation_mackey,
     regular_gmodule,
     witt_mackey,
-    witt_mackey_resolution,
     zero_mackey,
 )
 from .polywitt import DEFAULT_CAP, FpVectorSpace, compare_pipelines
@@ -42,6 +43,7 @@ from .rings import GFPolyRing, ZModRing, ZRing
 from .serialize import (
     dumps_value,
     emit_csv,
+    emit_json,
     emit_text,
     group_json,
     mackey_json,
@@ -198,7 +200,7 @@ def _build_mackey(args):
 
 def _cmd_mackey(args) -> int:
     if args.verb == "resolve":
-        res = witt_mackey_resolution(args.p, args.r)
+        res = WittResolution(args.p, args.r)
         rep = res.check()
         doc = {
             "kind": "resolution-report",
@@ -254,7 +256,7 @@ def _drw_build_doc(args) -> dict:
             "degree": str(deg),
             "weight": weight_str(w),
             "invariant_factors": group_json(piece.group)["invariant_factors"],
-            "symbols": [v.label for v in tower.symbol_views(s, deg, w)],
+            "symbols": [symbol_label(sym) for sym in piece.symbols],
         })
         for op, _ in tower.operators(piece.key):
             operators.append({
@@ -363,10 +365,11 @@ def _cmd_run(args) -> int:
         sys.stdout.write(emit_text(rep, timings=args.timings))
     if args.json:
         if len(reports) == 1:
-            doc = report_dict(reports[0], timings=args.timings)
+            text = emit_json(reports[0], timings=args.timings)
         else:
             doc = [report_dict(r, timings=args.timings) for r in reports]
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.json)
+            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        _write(text, args.json)
     if args.csv:
         _write(emit_csv(reports, args.timings), args.csv)
     return 0 if all(r.ok for r in reports) else 2

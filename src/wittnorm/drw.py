@@ -270,6 +270,7 @@ def _combine(terms: Iterable[Tuple[int, Symbol]]) -> List[Tuple[int, Symbol]]:
 
 
 def symbol_label(sym: Symbol) -> str:
+    """The label `drw build` lists for a canonical symbol, e.g. "[x^1] dV^1[x^1]"."""
     def mono_str(m: Mono) -> str:
         parts = [f"{'xy'[j]}^{e}" for j, e in enumerate(m) if e]
         return "*".join(parts) if parts else "1"
@@ -284,15 +285,6 @@ def symbol_label(sym: Symbol) -> str:
         body = f"[{mono_str(mv)}]"
         out.append(f"dV^{t}{body}" if t else f"d{body}")
     return " ".join(out)
-
-
-@dataclass(frozen=True)
-class DRWSymbol:
-    """Presentation-friendly view of one canonical spanning symbol."""
-    degree: int
-    weight: Weight
-    data: Symbol
-    label: str
 
 
 # ---------------------------------------------------------------------------
@@ -1010,11 +1002,6 @@ class TruncatedFVComplex:
     def group(self, s: int, deg: int, w) -> FgAbGroup:
         return self.piece(s, deg, w).group
 
-    def symbol_views(self, s: int, deg: int, w) -> List[DRWSymbol]:
-        piece = self.piece(s, deg, w)
-        return [DRWSymbol(deg, piece.weight, sym, symbol_label(sym))
-                for sym in piece.symbols]
-
     def class_of(self, s: int, terms: Iterable[Tuple[int, Symbol]]):
         """Project a combination of canonical symbols; returns (piece, element)."""
         terms = list(terms)
@@ -1054,16 +1041,6 @@ class TruncatedFVComplex:
 
     def d_hom(self, s: int, deg: int, w) -> GroupHom:
         return self.operator_hom("d", self.piece(s, deg, w).key)
-
-    def v_hom(self, s: int, deg: int, w) -> GroupHom:
-        return self.operator_hom("v", self.piece(s, deg, w).key)
-
-    def f_hom(self, s: int, deg: int, w) -> GroupHom:
-        """F out of level s (s at least 2), landing in weight p*w."""
-        return self.operator_hom("f", self.piece(s, deg, w).key)
-
-    def r_hom(self, s: int, deg: int, w) -> GroupHom:
-        return self.operator_hom("r", self.piece(s, deg, w).key)
 
     def mul_elts(self, s: int, piece_a: TowerPiece, elt_a, piece_b: TowerPiece, elt_b):
         """Product of two classes, computed on canonical lifts."""
@@ -1632,10 +1609,6 @@ def universal_map_check(tower: TruncatedFVComplex, target: str = "self") -> Univ
 
 # ---------------------------------------------------------------------------
 # stability and mixed-characteristic degree-zero pieces
-
-
-def dimension_signature(tower: TruncatedFVComplex) -> Dict[PieceKey, Tuple[int, ...]]:
-    return {key: piece.group.moduli for key, piece in tower.pieces.items()}
 
 
 def stable_under_cap_increase(tower: TruncatedFVComplex) -> bool:

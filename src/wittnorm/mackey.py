@@ -151,10 +151,6 @@ def cyclic_shift_matrix(m: int) -> IntMatrix:
     return IntMatrix(m, m, {((j + 1) % m, j): 1 for j in range(m)})
 
 
-def trivial_gmodule(p: int, n: int, carrier: FgAbGroup) -> GModule:
-    return GModule(CyclicGroupSpec(p, n), carrier, GroupHom.identity(carrier))
-
-
 def orbit_gmodule(p: int, n: int, h: int) -> GModule:
     """Z[C_{p^n}/C_{p^h}] with the generator acting as the coset shift."""
     if not 0 <= h <= n:
@@ -302,7 +298,8 @@ class MackeyMap:
         return MackeyMap(other.source, self.target, comps, validate=False)
 
     def scale(self, c: int) -> "MackeyMap":
-        return MackeyMap(self.source, self.target, [h.scale(c) for h in self.components])
+        return MackeyMap(self.source, self.target, [h.scale(c) for h in self.components],
+                         validate=False)
 
     def __sub__(self, other: "MackeyMap") -> "MackeyMap":
         if self.source != other.source or self.target != other.target:
@@ -401,32 +398,13 @@ def _functor_on_quotients(
     return CyclicMackeyFunctor(spec, [pr.group for pr in pres], res_h, tr_h, weyl_h)
 
 
-def _fixed_points(mod: GModule) -> Tuple[CyclicMackeyFunctor, List[GroupHom]]:
-    """The fixed-point functor and the inclusions of its levels in the carrier."""
+def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
+    """Levels = fixed subgroups of the carrier, with inclusion/trace/action."""
     p, n = mod.spec.p, mod.spec.n
     ident = GroupHom.identity(mod.carrier)
     incls = [hom_kernel(hom_power(mod.action, p ** (n - k)) - ident).incl for k in range(n + 1)]
     traces = [translate_sum(hom_power(mod.action, p ** (n - k - 1)), p).matrix for k in range(n)]
-    fun = _functor_on_subgroups(mod.spec, incls, [None] * n, traces, [mod.action.matrix] * (n + 1))
-    return fun, incls
-
-
-def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
-    """Levels = fixed subgroups of the carrier, with inclusion/trace/action."""
-    return _fixed_points(mod)[0]
-
-
-def fixed_point_mackey_map(
-    src: GModule, dst: GModule, f: GroupHom
-) -> MackeyMap:
-    """The map of fixed-point functors induced by an equivariant module map."""
-    if src.spec != dst.spec:
-        raise MackeyError("modules live over different groups")
-    if f.compose(src.action) != dst.action.compose(f):
-        raise MackeyError("module map is not equivariant")
-    ms, incl_s = _fixed_points(src)
-    mt, incl_t = _fixed_points(dst)
-    return MackeyMap(ms, mt, [_restrict(f.matrix, a, b) for a, b in zip(incl_s, incl_t)])
+    return _functor_on_subgroups(mod.spec, incls, [None] * n, traces, [mod.action.matrix] * (n + 1))
 
 
 def permutation_mackey(p: int, n: int, orbits: Sequence[int]) -> CyclicMackeyFunctor:
@@ -714,10 +692,6 @@ class WittResolution:
 
     def check(self) -> ExactnessReport:
         return check_exact(self.maps, left_exact=True, right_exact=True)
-
-
-def witt_mackey_resolution(p: int, r: int) -> WittResolution:
-    return WittResolution(p, r)
 
 
 # explicit isomorphism search for functors with cyclic levels

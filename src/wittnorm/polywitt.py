@@ -208,11 +208,6 @@ def norm_over_W(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> CyclicM
     return base_change_to_witt(norm_over_Z(canonical_lift(space), space.p, r, cap=cap))
 
 
-def norm_polywitt(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> PolyWittResult:
-    top = norm_over_W(space, r, cap=cap).levels[r - 1]
-    return PolyWittResult(space.p, r, top, "norm")
-
-
 @dataclass
 class ComparisonReport:
     p: int
@@ -288,11 +283,6 @@ class FVReport:
         return all(flag for _, flag in self.checks)
 
 
-def fv_on_polywitt(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> FVReport:
-    """Frobenius and Verschiebung on the norm pipeline (`fv_on_norm`)."""
-    return fv_on_norm(space, r, norm_over_W(space, r, cap=cap))
-
-
 def fv_on_norm(space: FpVectorSpace, r: int, w: CyclicMackeyFunctor) -> FVReport:
     """Frobenius and Verschiebung on w = norm_over_W(space, r).
 
@@ -336,18 +326,6 @@ def conjugate_gmodule(mod: GModule, base_change: IntMatrix) -> GModule:
         raise ValueError("change of basis must be invertible over the integers")
     conj = base_change * mod.action.matrix * inv
     return GModule(mod.spec, mod.carrier, GroupHom(mod.carrier, mod.carrier, conj))
-
-
-def conjugate_tensor_action(mod: GModule, base_change: IntMatrix, m: int) -> GModule:
-    """Rewrite the rotation action after a unimodular change of lift basis.
-
-    base_change is a d x d unimodular matrix acting on the tensor power
-    through its m-fold Kronecker power.  Because the rotation commutes
-    with every such diagonal tensor map, the resulting action matrix is
-    literally unchanged; this is the mechanism behind independence of
-    the chosen lift.
-    """
-    return conjugate_gmodule(mod, kron_power(base_change, m))
 
 
 def lift_independence_report(space: FpVectorSpace, r: int, samples: int = 20,

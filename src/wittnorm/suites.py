@@ -26,6 +26,7 @@ from .drw import (
     universal_map_check,
 )
 from .mackey import (
+    WittResolution,
     augmentation,
     augmentation_cokernel,
     base_change_to_witt,
@@ -43,7 +44,6 @@ from .mackey import (
     permutation_mackey,
     regular_gmodule,
     witt_mackey,
-    witt_mackey_resolution,
     zero_mackey,
 )
 from .polywitt import (
@@ -61,8 +61,8 @@ from .polywitt import (
 )
 from .rings import GFPolyRing, QuotPolyRing, ZModRing, ZRing
 from .serialize import InstanceRecord, SuiteReport
-from .traces import negative_raw_power, polywitt_trace, run_axiom_checks, tensor_power_orbit_trace
-from .witt import WittRing, cartier_tower, get_table, table_is_cheap
+from .traces import OrbitTraceTheory, negative_raw_power, polywitt_trace, run_axiom_checks
+from .witt import CartierTower, WittRing, get_table, table_is_cheap
 
 SUITE_IDS = ("witt", "cartier", "mackey", "resolution", "compare",
              "lift", "drw", "trace")
@@ -200,7 +200,7 @@ def _cartier_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thu
 
         def thunk(p=p, factory=factory, key=key) -> Optional[str]:
             try:
-                cartier_tower(factory(), p, 3, seed=_instance_seed(seed, key))
+                CartierTower(factory(), p, 3, seed=_instance_seed(seed, key))
             except AssertionError as exc:
                 return str(exc)
             return None
@@ -269,7 +269,7 @@ def _resolution_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, 
             key = f"resolution exact p={p} r={r}"
 
             def thunk(p=p, r=r) -> Optional[str]:
-                rep = witt_mackey_resolution(p, r).check()
+                rep = WittResolution(p, r).check()
                 if not rep.ok:
                     return f"exactness failures: {rep.failures()}"
                 return None
@@ -424,7 +424,7 @@ def _trace_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk
         key = f"trace orbit m={m} base=F2"
 
         def thunk(m=m, key=key) -> Optional[str]:
-            th = tensor_power_orbit_trace(m, 2, rank_cap=2)
+            th = OrbitTraceTheory(m, 2, rank_cap=2)
             for rep in run_axiom_checks(th, samples=12,
                                         seed=_instance_seed(seed, key)):
                 if not rep.ok:

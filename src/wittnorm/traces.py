@@ -207,11 +207,6 @@ class NormTraceTheory(_PowerTheory):
         return descend_map(amb, self._cached(src_rank), self._cached(dst_rank))
 
 
-def tensor_power_orbit_trace(m: int, base_char: int = 0,
-                             rank_cap: int = 2) -> OrbitTraceTheory:
-    return OrbitTraceTheory(m, base_char, rank_cap)
-
-
 # ---------------------------------------------------------------------------
 # axiom checks; each is an exhaustive matrix identity up to the rank cap
 

@@ -364,23 +364,6 @@ def witt_fp_to_zmod(w: WittVector) -> int:
     return sum(teichmuller_character(p, t, c) * p ** i for i, c in enumerate(w.components)) % mod
 
 
-def zmod_to_witt_fp(ring: WittRing, n: int) -> WittVector:
-    """Inverse of witt_fp_to_zmod."""
-    base = ring.base
-    if not isinstance(base, ZModRing) or base.m != ring.p:
-        raise ValueError("defined for Witt vectors of the prime field only")
-    p, t = ring.p, ring.r
-    x = n % p ** t
-    comps = []
-    for i in range(t):
-        ti = t - i
-        c = x % p
-        comps.append(c)
-        x = (x - teichmuller_character(p, ti, c)) // p
-        x %= p ** (ti - 1) if ti > 1 else 1
-    return WittVector(ring, comps)
-
-
 # Cartier tower over a finite base
 
 
@@ -453,11 +436,3 @@ class CartierTower:
                 vy = lower.verschiebung(y)
                 if vx * vy != upper.scalar_mul(p, lower.verschiebung(x * y)):
                     raise AssertionError("V(x)V(y) = pV(xy) failed")
-
-    def level_group_iso_zmod(self) -> List[int]:
-        """For base F_p: the cyclic order p^r of each level under the standard iso."""
-        return [self.p ** r for r in range(1, self.r_max + 1)]
-
-
-def cartier_tower(base, p: int, r_max: int, seed: int = 0) -> CartierTower:
-    return CartierTower(base, p, r_max, seed=seed)

@@ -293,7 +293,8 @@ def test_cli_drw_build_lists_each_operator(argv, nvars, cap, capsys):
         down, up = tuple(c / 2 for c in w), tuple(c * 2 for c in w)
         targets = [("d", (s, deg + 1, w)), ("v", (s + 1, deg, down)),
                    ("f", (s - 1, deg, up)), ("r", (s - 1, deg, w))]
-        want = [(op, matrix_json(getattr(tower, f"{op}_hom")(s, deg, w).matrix)["matrix"])
+        key = tower.piece(s, deg, w).key
+        want = [(op, matrix_json(tower.operator_hom(op, key).matrix)["matrix"])
                 for op, tgt in targets if tgt in tower.pieces]
         assert listed.pop((str(s), str(deg), tuple(weight_str(w))), []) == want
     assert listed == {}

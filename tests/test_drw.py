@@ -14,12 +14,10 @@ from wittnorm import drw, suites
 from wittnorm.abgroups import FgAbGroup, GroupHom, is_isomorphism, present_quotient
 from wittnorm.derham import DeRhamComplex
 from wittnorm.drw import (
-    DRWSymbol,
     LatticeModQ,
     build_drw,
     check_fv_axioms,
     degree_zero_witt_comparison,
-    dimension_signature,
     enumerate_weights,
     lambda_ring_check,
     level_one_matches_de_rham,
@@ -360,15 +358,8 @@ def test_symbol_labels():
     assert symbol_label((0, 1, (2,))) == "V^1[x^2]"
     assert symbol_label((1, 0, (0,), 0, (1,))) == "[1] d[x^1]"
     assert symbol_label((2, 0, (1,), 1, (1,), 0, (3,))) == "[x^1] dV^1[x^1] d[x^3]"
-    views = build_drw(2, 1, 1, 4).symbol_views(1, 1, 1)
-    assert all(isinstance(v, DRWSymbol) and v.label for v in views)
-
-
-def test_dimension_signature_keys():
-    tw = build_drw(2, 1, 1, 4)
-    sig = dimension_signature(tw)
-    assert set(sig) == set(tw.pieces)
-    assert sig[(1, 0, (Fraction(0),))] == (2,)
+    # `drw build` lists every spanning symbol of a piece by its label
+    assert all(symbol_label(sym) for sym in build_drw(2, 1, 1, 4).piece(1, 1, 1).symbols)
 
 
 @pytest.mark.parametrize("p,r,nvars,cap", [(2, 2, 2, 4), (3, 2, 2, 3), (2, 3, 2, 3)])

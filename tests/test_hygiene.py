@@ -1,13 +1,15 @@
-"""Source hygiene: every module-level import in the package is used, no
-module reads the environment, and only the modules that own them build
-matrices and homs without validation."""
+"""Source hygiene: every module-level import in the package is used, every
+public module-level name has a reader, no module reads the environment, and
+only the modules that own them build matrices and homs without validation."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wittnorm"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wittnorm"
 
 
 def _imported_names(tree):
@@ -49,6 +51,33 @@ def test_module_imports_are_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported_names(tree)) - _read_names(tree))
     assert unused == [], f"{path.name} imports {unused} without reading them"
+
+
+def _readme_names():
+    """Names in backticks in the README, where the whole span is a dotted name."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]*)`", text)
+    return {part for span in spans if re.fullmatch(r"[A-Za-z_][\w.]*", span)
+            for part in span.split(".")}
+
+
+def test_public_names_have_a_reader():
+    # a public function or class is read somewhere in the package, used by
+    # the benchmark, or named as API in the README; anything else is
+    # surface that only tests keep alive
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _read_names(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    named = _readme_names()
+    unread = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in read | named
+              and not re.search(rf"\b{node.name}\b", bench)]
+    assert unread == [], f"public names nothing reads: {unread}"
 
 
 def _environment_reads(tree):

@@ -6,8 +6,8 @@ from math import gcd
 
 import pytest
 
-from wittnorm import intlinalg, mackey
-from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_group
+from wittnorm import intlinalg
+from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_presentation
 from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import (
     CyclicGroupSpec,
@@ -15,6 +15,7 @@ from wittnorm.mackey import (
     GModule,
     MackeyError,
     MackeyMap,
+    WittResolution,
     augmentation,
     augmentation_cokernel,
     base_change_to_witt,
@@ -26,7 +27,6 @@ from wittnorm.mackey import (
     express_via,
     find_cyclic_iso,
     fixed_point_mackey,
-    fixed_point_mackey_map,
     gmodule_direct_sum,
     inflate_mackey,
     mackey_cokernel,
@@ -38,9 +38,7 @@ from wittnorm.mackey import (
     permutation_mackey,
     regular_gmodule,
     tambara_power_check,
-    trivial_gmodule,
     witt_mackey,
-    witt_mackey_resolution,
     zero_mackey,
 )
 from wittnorm.rings import ZModRing
@@ -98,7 +96,7 @@ def test_permutation_additive():
     other = permutation_mackey(2, 2, [1])
     both = permutation_mackey(2, 2, [0, 1])
     for k in range(3):
-        expect = direct_sum_group([one.levels[k], other.levels[k]])
+        expect = direct_sum_presentation([one.levels[k], other.levels[k]])[0].group
         assert both.levels[k] == expect
 
 
@@ -119,7 +117,8 @@ def test_box_level_zero_rank():
 def tensor_with_orbit(p, n, h, mod):
     """Z[C_{p^n}/C_{p^h}] tensor mod, diagonal action; independent oracle."""
     m = p ** (n - h)
-    summed = gmodule_direct_sum([trivial_gmodule(p, n, mod.carrier)] * m)
+    trivial = GModule(CyclicGroupSpec(p, n), mod.carrier, GroupHom.identity(mod.carrier))
+    summed = gmodule_direct_sum([trivial] * m)
     total = summed.carrier
     d = mod.carrier.n
     # diagonal action: the generator shifts the coset index and acts on the
@@ -151,7 +150,7 @@ def test_augmentation_frozen_c2():
 
 
 def test_section_then_counit_is_p_at_top():
-    res = witt_mackey_resolution(2, 3)
+    res = WittResolution(2, 3)
     section, _, _, _ = res.maps
     eps = augmentation(2, 2)
     comp = eps.compose(section)
@@ -188,7 +187,7 @@ def test_q_functor_additive():
     single = augmentation_cokernel(constant_mackey(2, 2))
     double = augmentation_cokernel(mackey_direct_sum(constant_mackey(2, 2), constant_mackey(2, 2)))
     for k in range(3):
-        assert double.levels[k] == direct_sum_group([single.levels[k], single.levels[k]])
+        assert double.levels[k] == direct_sum_presentation([single.levels[k]] * 2)[0].group
 
 
 def test_q_functor_of_free_permutation_vanishes_at_level_zero():
@@ -214,12 +213,12 @@ def test_base_change_of_constant_is_witt():
 def test_resolution_exact_grid():
     for p in (2, 3):
         for r in (1, 2, 3):
-            rep = witt_mackey_resolution(p, r).check()
+            rep = WittResolution(p, r).check()
             assert rep.ok, rep.failures()
 
 
 def test_check_exact_reports_failure_position():
-    res = witt_mackey_resolution(2, 2)
+    res = WittResolution(2, 2)
     shift = res.maps[1]
     rep = check_exact([shift, shift], left_exact=False, right_exact=False)
     assert not rep.ok
@@ -252,19 +251,6 @@ def test_kernel_and_cokernel_orders_multiply():
         image_order = w.levels[k].order() // ker.levels[k].order()
         assert image_order * ker.levels[k].order() == w.levels[k].order()
         assert cok.levels[k].order() == w.levels[k].order() // image_order
-
-
-def test_fixed_point_functoriality():
-    reg = regular_gmodule(2, 1)
-    triv = trivial_gmodule(2, 1, FgAbGroup([0]))
-    total = GroupHom(reg.carrier, triv.carrier, IntMatrix.from_rows([[1, 1]]))
-    induced = fixed_point_mackey_map(reg, triv, total)
-    assert induced.source == fixed_point_mackey(reg)
-    assert induced.target == fixed_point_mackey(triv)
-    assert [c.matrix.to_rows() for c in induced.components] == [[[1, 1]], [[2]]]
-    bad = GroupHom(reg.carrier, triv.carrier, IntMatrix.from_rows([[1, 0]]))
-    with pytest.raises(MackeyError):
-        fixed_point_mackey_map(reg, triv, bad)
 
 
 # each derived functor's levels and structure maps, generators included
@@ -315,23 +301,6 @@ def test_derived_functor_maps_frozen(name):
     assert got == expected
 
 
-def test_fixed_point_map_builds_each_inclusion_once(monkeypatch):
-    calls = []
-    real = mackey.hom_kernel
-
-    def counting(h):
-        calls.append(h)
-        return real(h)
-
-    monkeypatch.setattr(mackey, "hom_kernel", counting)
-    for n in (1, 2):
-        calls.clear()
-        reg = regular_gmodule(2, n)
-        fixed_point_mackey_map(reg, reg, GroupHom.identity(reg.carrier))
-        # n + 1 fixed-point inclusions for each of the two modules
-        assert len(calls) == 2 * (n + 1)
-
-
 def test_tambara_power_check():
     rep = tambara_power_check(ZModRing(8), 2)
     assert rep.ok and rep.pairs_checked == 64
@@ -353,9 +322,9 @@ def test_mackey_map_validation():
 def test_witt_mackey_matches_tower_orders():
     # cross-module check: levels of the Witt functor agree with the
     # truncation tower over the prime field
-    from wittnorm.witt import cartier_tower, witt_fp_to_zmod
+    from wittnorm.witt import CartierTower, witt_fp_to_zmod
 
-    tower = cartier_tower(ZModRing(2), 2, 3)
+    tower = CartierTower(ZModRing(2), 2, 3)
     w = witt_mackey(2, 2)
     for k in range(3):
         ring = tower.level(k + 1)

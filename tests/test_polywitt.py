@@ -6,14 +6,14 @@ import sys
 import pytest
 
 from wittnorm.abgroups import FgAbGroup, GroupHom
-from wittnorm.intlinalg import IntMatrix, kron
+from wittnorm.intlinalg import IntMatrix, kron, kron_power
 from wittnorm.mackey import (
     CyclicGroupSpec,
     constant_mackey,
     find_cyclic_iso,
     fixed_point_mackey,
+    orbit_gmodule,
     regular_gmodule,
-    trivial_gmodule,
     witt_mackey,
 )
 from wittnorm.polywitt import (
@@ -25,13 +25,12 @@ from wittnorm.polywitt import (
     canonical_lift,
     compare_pipelines,
     comparison_grid,
-    conjugate_tensor_action,
-    fv_on_polywitt,
+    conjugate_gmodule,
+    fv_on_norm,
     inflate_action,
     lift_independence_report,
     norm_over_W,
     norm_over_Z,
-    norm_polywitt,
     tate_h0,
     tate_induced_map,
     tate_polywitt,
@@ -44,9 +43,10 @@ import oracles  # noqa: E402
 
 
 def test_tate_h0_frozen():
-    assert tate_h0(trivial_gmodule(2, 1, FgAbGroup([0]))) == FgAbGroup([2])
+    # the orbit of the whole group is Z with the trivial action
+    assert tate_h0(orbit_gmodule(2, 1, 1)) == FgAbGroup([2])
     assert tate_h0(regular_gmodule(2, 1)).is_trivial()
-    assert tate_h0(trivial_gmodule(2, 2, FgAbGroup([0]))) == FgAbGroup([4])
+    assert tate_h0(orbit_gmodule(2, 2, 2)) == FgAbGroup([4])
 
 
 def test_tensor_power_action_swap():
@@ -167,9 +167,8 @@ def test_norm_over_W_one_dimensional_is_witt():
 
 def test_norm_top_level_exponent():
     for (p, d, r) in [(2, 2, 2), (2, 2, 3), (3, 2, 2)]:
-        res = norm_polywitt(FpVectorSpace(p, d), r)
-        assert res.provenance == "norm"
-        assert p ** r % res.group.exponent() == 0
+        top = norm_over_W(FpVectorSpace(p, d), r).levels[r - 1]
+        assert top.rank == 0 and p ** r % top.exponent() == 0
 
 
 def test_polywitt_result_validation():
@@ -199,14 +198,13 @@ def test_comparison_grid_contents():
 
 
 def test_fv_reports():
-    rep = fv_on_polywitt(FpVectorSpace(2, 2), 2)
+    rep, one, degenerate = (fv_on_norm(space, r, norm_over_W(space, r)) for space, r in
+                            [(FpVectorSpace(2, 2), 2), (FpVectorSpace(3, 1), 2), (FpVectorSpace(2, 3), 1)])
     assert rep.ok
     names = [name for name, _ in rep.checks]
     assert any("transfer after restriction" in n for n in names)
     assert any("restriction after transfer" in n for n in names)
-    one = fv_on_polywitt(FpVectorSpace(3, 1), 2)
     assert one.ok and any("Witt functor" in n for n, _ in one.checks)
-    degenerate = fv_on_polywitt(FpVectorSpace(2, 3), 1)
     assert degenerate.ok
 
 
@@ -223,13 +221,11 @@ def test_tensor_form_conjugation_is_invisible():
     # reason the construction cannot see the choice of lift
     rot = tensor_power_action(FreeLift(2), CyclicGroupSpec(2, 1))
     u = IntMatrix.from_rows([[1, 1], [0, 1]])
-    conj = conjugate_tensor_action(rot, u, 2)
+    conj = conjugate_gmodule(rot, kron_power(u, 2))
     assert conj.action.matrix == rot.action.matrix
 
 
 def test_general_conjugation_changes_matrix_but_not_tate():
-    from wittnorm.polywitt import conjugate_gmodule
-
     rot = inflate_action(tensor_power_action(FreeLift(2), CyclicGroupSpec(2, 1)))
     u = IntMatrix.from_rows(
         [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

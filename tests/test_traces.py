@@ -16,7 +16,6 @@ from wittnorm.traces import (
     negative_raw_power,
     polywitt_trace,
     run_axiom_checks,
-    tensor_power_orbit_trace,
 )
 
 
@@ -45,7 +44,7 @@ def test_orbit_projection_respects_rotation():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_orbit_axioms_exhaustive(m, char):
-    th = tensor_power_orbit_trace(m, char, rank_cap=2)
+    th = OrbitTraceTheory(m, char, rank_cap=2)
     for rep in run_axiom_checks(th, samples=8):
         assert rep.ok, (m, char, rep)
 
