@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -439,9 +439,6 @@ class LatticeModQ:
         """Stored pivot rows, ascending pivot column."""
         return [self.rows[c][1] for c in sorted(self.rows)]
 
-    def pivot_valuations(self) -> Dict[int, int]:
-        return {c: e for c, (e, _) in self.rows.items()}
-
 
 def _present_from_lattice(lat: LatticeModQ) -> Presentation:
     """Presentation of Z^n / (span + p^s Z^n) from a Howell-form lattice.
@@ -544,9 +541,11 @@ class TruncatedFVComplex:
     """Weight-truncated tower of differential pieces over F_p[x] (or x, y).
 
     Pieces are indexed by (level s, degree n, weight w); operators are
-    exposed as GroupHom between presented quotients.  Construction
-    saturates relation lattices under d, F, V, R and multiplication until
-    stable, erroring when SATURATION_ROUND_LIMIT rounds do not suffice.
+    exposed as GroupHom between presented quotients.  Construction seeds
+    every piece with its local relations and runs one saturation loop over
+    all degrees, transporting new rows under d, F, V, R and multiplication
+    until no piece gains one; SATURATION_ROUND_LIMIT bounds the rounds of
+    that loop, and SaturationError is raised when they do not suffice.
     Pieces of degree above `nvars` are zero by Illusie's vanishing
     [Ill79, I.1] (a Langer-Zink basic Witt differential of degree n needs
     n variables), so they are set full, not derived; they keep their
@@ -685,83 +684,20 @@ class TruncatedFVComplex:
                     self._pieces[(s, deg, w)] = TowerPiece(
                         s, deg, self.fraction(w), w, syms,
                         {sym: k for k, sym in enumerate(syms)}, lat)
-        pending: Dict[PieceKey, List[Row]] = defaultdict(list)
+        # one saturation closes every degree: each piece that is not full
+        # starts from its local seeds, and the loop runs until no transport
+        # adds a row, which certifies the fixpoint
+        pending: Dict[PieceKey, List[Row]] = {}
         for key, piece in self._pieces.items():
-            if not piece.symbols or key[1] == 2:
+            if not piece.symbols or piece.lattice.is_full():
                 continue
             added = piece.lattice.insert_batch(self._local_seeds(piece))
             if added:
-                pending[key].extend(added)
-        self._saturate(dict(pending), low_only=True)
-        self._build_degree_two()
-        # one full pass over every basis catches the deferred flows
-        # (V/F/R between top-degree pieces and anything the greedy
-        # product choices missed); quiescence certifies the fixpoint
-        final: Dict[PieceKey, List[Row]] = {
-            key: piece.lattice.basis_rows()
-            for key, piece in self._pieces.items()
-            if piece.symbols and piece.lattice.rows}
-        self._saturate(final)
+                pending[key] = added
+        self._saturate(pending)
         self._image_cache = None
         for piece in self._pieces.values():
             piece.pres = _present_from_lattice(piece.lattice)
-
-    def _build_degree_two(self) -> None:
-        # ascending weight, upper levels first within a weight: product
-        # transports flow strictly upward in weight and R flows down in
-        # level, so those sources are final when the target is visited
-        order = sorted(
-            (key for key, pc in self._pieces.items() if key[1] == 2 and pc.symbols),
-            key=lambda k2: (sum(k2[2]), -k2[0]))
-        for key in order:
-            s, _, w = key
-            piece = self._pieces[key]
-            lat = piece.lattice
-            if lat.is_full():
-                continue
-            lat.insert_batch(self._local_seeds(piece))
-            floods = [((s, 1, w), ("d",)),
-                      ((s + 1, 2, weight_down(w, self.p)), ("f",)),
-                      ((s + 1, 2, w), ("r",))]
-            for src_key, tag in floods:
-                if lat.is_full():
-                    break
-                src = self._pieces.get(src_key)
-                if src is None or not src.lattice.rows:
-                    continue
-                imgs = self._transport_rows(
-                    src.lattice.basis_rows(), src_key, tag, key)
-                if imgs:
-                    lat.insert_batch(imgs)
-            tried: set = set()
-            while not lat.is_full():
-                # surviving symbols vote for the product source whose
-                # image would cancel their leading factor
-                votes: Counter = Counter()
-                vals = lat.pivot_valuations()
-                for col, sym in enumerate(piece.symbols):
-                    if vals.get(col, 1) == 0:
-                        continue
-                    i, mono, _ = self.calc.parts(sym)
-                    if i == 0 and not any(mono):
-                        continue
-                    u = self.mono_weight(mono, i)
-                    src_key = (s, 2, weight_sub(w, u))
-                    if src_key == key or src_key in tried:
-                        continue
-                    spc = self._pieces.get(src_key)
-                    if (spc is not None and spc.lattice.rows
-                            and self._gen_symbol(s, u) is not None):
-                        votes[src_key] += 1
-                if not votes:
-                    break
-                src_key = min(votes, key=lambda k2: (-votes[k2], sum(k2[2])))
-                tried.add(src_key)
-                u = weight_sub(w, src_key[2])
-                imgs = self._transport_rows(
-                    self._pieces[src_key].lattice.basis_rows(), src_key, ("m0", u), key)
-                if imgs:
-                    lat.insert_batch(imgs)
 
     def _local_seeds(self, piece: TowerPiece) -> List[Row]:
         s, deg = piece.level, piece.degree
@@ -953,8 +889,9 @@ class TruncatedFVComplex:
                 out.append(img)
         return out
 
-    def _saturate(self, pending: Dict[PieceKey, List[Row]],
-                  low_only: bool = False) -> None:
+    def _saturate(self, pending: Dict[PieceKey, List[Row]]) -> None:
+        """Transport the pending new rows of each piece along its moves,
+        round after round, until a round adds nothing to any piece."""
         rounds = 0
         while pending:
             rounds += 1
@@ -971,8 +908,6 @@ class TruncatedFVComplex:
             for key in order:
                 rows = pending[key]
                 for tag, tgt_key in self._moves(key):
-                    if low_only and tgt_key[1] == 2:
-                        continue
                     tgt = self._pieces[tgt_key]
                     if tgt.lattice.is_full():
                         continue
@@ -1038,9 +973,6 @@ class TruncatedFVComplex:
             amb = IntMatrix(len(dst.symbols), len(src.symbols), data)
             hit = self._hom_cache[(op, key)] = induced_hom(src.pres, dst.pres, amb)
         return hit
-
-    def d_hom(self, s: int, deg: int, w) -> GroupHom:
-        return self.operator_hom("d", self.piece(s, deg, w).key)
 
     def mul_elts(self, s: int, piece_a: TowerPiece, elt_a, piece_b: TowerPiece, elt_b):
         """Product of two classes, computed on canonical lifts."""

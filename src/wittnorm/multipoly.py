@@ -45,9 +45,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def nterms(self) -> int:
-        return len(self.terms)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
 

@@ -48,9 +48,6 @@ class TensorCategory:
     def objects(self) -> List[int]:
         return list(range(1, self.rank_cap + 1))
 
-    def tensor(self, a: int, b: int) -> int:
-        return a * b
-
     def random_map(self, rng: random.Random, src: int, dst: int) -> IntMatrix:
         hi = self.base_char if self.base_char else 3
         data = {}

@@ -276,7 +276,7 @@ def test_differential_kernel_orders():
         wt = w[0]
         if s != 2 or deg != 0 or wt == 0:
             continue
-        d = tw.d_hom(2, 0, w)
+        d = tw.operator_hom("d", tw.piece(2, 0, w).key)
         ker = sum(1 for elt in d.src.elements() if d.apply(elt) == d.dst.zero())
         if wt.denominator == 1:
             assert ker == math.gcd(int(wt), 4)
@@ -334,12 +334,15 @@ def test_two_variables():
     assert tgt is tgt2
     assert ab == tgt.group.neg(ba)
     # Leibniz on the mixed monomial: d(xy) = x dy + y dx
+    def d(w, elt):
+        return tw.operator_hom("d", tw.piece(2, 0, w).key).apply(elt)
+
     _, g = tw.class_of(2, calc.canon(2, 1, 0, (1, 1), []))
-    lhs = tw.d_hom(2, 0, (1, 1)).apply(g)
+    lhs = d((1, 1), g)
     px, gx = tw.class_of(2, [(1, (0, 0, (1, 0)))])
     py, gy = tw.class_of(2, [(1, (0, 0, (0, 1)))])
-    _, t1 = tw.mul_elts(2, px, gx, pb, tw.d_hom(2, 0, (0, 1)).apply(gy))
-    mixed, t2 = tw.mul_elts(2, py, gy, pa, tw.d_hom(2, 0, (1, 0)).apply(gx))
+    _, t1 = tw.mul_elts(2, px, gx, pb, d((0, 1), gy))
+    mixed, t2 = tw.mul_elts(2, py, gy, pa, d((1, 0), gx))
     assert lhs == mixed.group.add(t1, t2)
 
 
@@ -416,7 +419,7 @@ def test_weight_off_the_grid_is_a_key_error():
         shown = w if isinstance(w, tuple) else (w,)
         assert err.value.args[0] == f"no piece at level 2, degree 0, weight {shown}"
         with pytest.raises(KeyError) as err2:
-            tw.d_hom(2, 0, w)
+            tw.operator_hom("d", tw.piece(2, 0, w).key)
         assert err2.value.args == err.value.args
     with pytest.raises(KeyError) as err:
         tw.group(1, 1, Fraction(1, 6))
@@ -479,6 +482,25 @@ def test_transports_never_lower_the_degree(p, r, nvars, cap):
     for key in tw._pieces:
         for tag, tgt in tw._moves(key):
             assert tgt[1] >= key[1], (key, tag, tgt)
+
+
+def test_built_towers_are_closed_under_every_move():
+    # the fixpoint the one saturation loop stops at: every stored row,
+    # carried along every move, already lies in its target's span
+    for p, r, nvars, cap in [(2, 2, 1, 8), (3, 2, 1, 8), (2, 3, 1, 6),
+                             (2, 2, 2, 4), (3, 2, 2, 3)]:
+        tw = build_drw(p, r, nvars, cap)
+        for key, piece in tw._pieces.items():
+            rows = piece.lattice.basis_rows()
+            if not rows:
+                continue
+            for tag, tgt_key in tw._moves(key):
+                tgt = tw._pieces[tgt_key].lattice
+                if tgt.is_full():
+                    continue
+                for img in tw._transport_rows(rows, key, tag, tgt_key):
+                    tgt._sweep(img)
+                    assert not img, ((p, r, nvars, cap), key, tag, tgt_key)
 
 
 def test_one_variable_build_seeds_no_degree_two_piece(monkeypatch):
