@@ -270,6 +270,8 @@ def _drw_build_doc(args) -> dict:
 
 
 def _drw_mixed_doc(args) -> dict:
+    if args.weight_cap < 0:
+        raise ValueError(f"weight cap must be at least 0, got {args.weight_cap}")
     pieces = []
     for num in range(args.weight_cap + 1):
         for s in range(1, args.r + 1):

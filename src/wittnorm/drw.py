@@ -543,9 +543,14 @@ class TruncatedFVComplex:
     Pieces are indexed by (level s, degree n, weight w); operators are
     exposed as GroupHom between presented quotients.  Construction seeds
     every piece with its local relations and runs one saturation loop over
-    all degrees, transporting new rows under d, F, V, R and multiplication
-    until no piece gains one; SATURATION_ROUND_LIMIT bounds the rounds of
-    that loop, and SaturationError is raised when they do not suffice.
+    all degrees, transporting new rows under d, F, V, R and products until
+    no piece gains one; SATURATION_ROUND_LIMIT bounds the rounds of that
+    loop, and SaturationError is raised when they do not suffice.  Products
+    are taken against generators only: the lifts [x^k y^l], the purely
+    fractional V^e[x^m], and in degree 1 the atoms d[x_j] and dV^t[x^m].
+    That is exact, since [x^k] V^e[x^m] = V^e[x^(k p^e + m)] and a degree-1
+    symbol is its lead times its atom, so every other product is at most
+    two hops along these.
     Pieces of degree above `nvars` are zero by Illusie's vanishing
     [Ill79, I.1] (a Langer-Zink basic Witt differential of degree n needs
     n variables), so they are set full, not derived; they keep their
@@ -562,6 +567,8 @@ class TruncatedFVComplex:
             raise ValueError("only one or two variables are supported")
         if r < 1:
             raise ValueError("tower length must be at least 1")
+        if weight_cap < 0:
+            raise ValueError(f"weight cap must be at least 0, got {weight_cap}")
         self.p = p
         self.r = r
         self.nvars = nvars
@@ -821,9 +828,16 @@ class TruncatedFVComplex:
         # v, f, r, then d: the transport order fixes the stored rows
         ops = dict(self.operators(key))
         moves = [((op,), ops[op]) for op in "vfrd" if op in ops]
-        # products against the canonical generator of each extra weight
+        # products against generators only, exact by the class docstring:
+        # "m0" for integral and purely fractional weights (a mixed weight is
+        # the fractional hop, then the integral one), "m1" for the degree-1
+        # symbols with lead [1].  Both m0 families stay: with [x] alone a
+        # relation would climb one [x] per saturation round.
+        D = self.D
         for u in self.nums:
             if sum(u) == 0:
+                continue
+            if any(c % D for c in u) and any(c >= D for c in u):
                 continue
             tgt = (s, deg, weight_add(w, u))
             if tgt not in self._pieces or self._gen_symbol(s, u) is None:
@@ -833,10 +847,11 @@ class TruncatedFVComplex:
             for u in self.nums:
                 src = self._pieces.get((s, 1, u))
                 tgt = (s, 2, weight_add(w, u))
-                if src is None or tgt not in self._pieces or not src.symbols:
+                if src is None or tgt not in self._pieces:
                     continue
-                for other_idx in range(len(src.symbols)):
-                    moves.append((("m1", u, other_idx), tgt))
+                for other_idx, sym in enumerate(src.symbols):
+                    if sym[1] == 0 and not any(sym[2]):
+                        moves.append((("m1", u, other_idx), tgt))
         return moves
 
     def _term_map(self, tag: Tuple, s: int):

@@ -246,6 +246,17 @@ def test_cli_bad_input_is_config_error(capsys):
     assert main(["witt", "add", "--p", "2"]) == 3
 
 
+@pytest.mark.parametrize("verb", ["build", "check"])
+@pytest.mark.parametrize("base", ["fp", "zpN"])
+def test_cli_negative_weight_cap_is_config_error(verb, base, capsys):
+    # a negative cap leaves no piece, so a build or check of it shows nothing
+    argv = ["drw", verb, "--p", "2", "--r", "2", "--weight-cap", "-1", "--base", base]
+    assert main(argv + ["--json", "-"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: weight cap must be at least 0, got -1\n"
+
+
 @pytest.mark.parametrize("verb,ring,raw,named", [
     ("add", "z", "5", "5"),
     ("add", "z", "[5]", "[5]"),
@@ -373,8 +384,10 @@ def _small(valid, lo, hi):
 @st.composite
 def _invocations(draw):
     """A small CLI invocation, invalid values included, and whether it
-    carries a flag its subcommand does not read."""
+    must exit 3: it carries a flag its subcommand does not read, or a
+    negative weight cap."""
     command = draw(st.sampled_from(sorted(_UNREAD_FLAGS)))
+    rejected = False
     p, r = draw(_small((2, 3), -1, 4)), draw(_small((1, 2), -1, 2))
     if command == "witt":
         verb = draw(st.sampled_from(_WITT_VERBS))
@@ -396,26 +409,28 @@ def _invocations(draw):
         argv = ["polywitt", "compare", "--p", str(p), "--d", str(draw(st.integers(-1, 3))),
                 "--r", str(r)]
     elif command == "drw":
-        argv = ["drw", draw(st.sampled_from(("build", "check"))), "--p", str(p),
-                "--r", str(r), "--weight-cap", str(draw(st.integers(-1, 3))),
+        verb = draw(st.sampled_from(("build", "check")))
+        cap = draw(st.integers(-1, 3))
+        rejected = cap < 0
+        argv = ["drw", verb, "--p", str(p), "--r", str(r), "--weight-cap", str(cap),
                 "--base", draw(st.sampled_from(("fp", "zpN")))]
     else:
         argv = ["trace", "check", "--theory", draw(st.sampled_from(("orbit", "raw", "polywitt"))),
                 "--p", str(p), "--r", str(r), "--m", str(draw(st.integers(-1, 3)))]
     if draw(st.integers(0, 3)):
-        return argv, False
+        return argv, rejected
     return argv + draw(st.sampled_from(_UNREAD_FLAGS[command])), True
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_invocations())
 def test_cli_sweep_exits_cleanly(invocation):
-    argv, unread = invocation
+    argv, rejected = invocation
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert "Traceback" not in err.getvalue()
-    if unread:
+    if rejected:
         assert code == 3
     assert code in (0, 2, 3)
     if code != 3:

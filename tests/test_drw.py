@@ -484,23 +484,94 @@ def test_transports_never_lower_the_degree(p, r, nvars, cap):
             assert tgt[1] >= key[1], (key, tag, tgt)
 
 
+def _every_move(tw, key):
+    """Every transport out of the piece at key, products included: the
+    operators, the product by the generator of every nonzero weight that
+    has one, and in two variables the product by every degree-1 symbol.
+    The build saturates along a generating subset of these."""
+    s, deg, w = key
+    moves = [((op,), tgt) for op, tgt in tw.operators(key)]
+    for u in tw.nums:
+        tgt = (s, deg, drw.weight_add(w, u))
+        if any(u) and tgt in tw._pieces and tw._gen_symbol(s, u) is not None:
+            moves.append((("m0", u), tgt))
+    if tw.nvars == 2 and deg == 1:
+        for u in tw.nums:
+            src, tgt = tw._pieces.get((s, 1, u)), (s, 2, drw.weight_add(w, u))
+            if src is not None and tgt in tw._pieces:
+                moves.extend((("m1", u, k), tgt) for k in range(len(src.symbols)))
+    return moves
+
+
 def test_built_towers_are_closed_under_every_move():
     # the fixpoint the one saturation loop stops at: every stored row,
     # carried along every move, already lies in its target's span
     for p, r, nvars, cap in [(2, 2, 1, 8), (3, 2, 1, 8), (2, 3, 1, 6),
-                             (2, 2, 2, 4), (3, 2, 2, 3)]:
+                             (3, 3, 1, 8), (2, 2, 2, 4), (3, 2, 2, 3)]:
         tw = build_drw(p, r, nvars, cap)
         for key, piece in tw._pieces.items():
             rows = piece.lattice.basis_rows()
             if not rows:
                 continue
-            for tag, tgt_key in tw._moves(key):
+            for tag, tgt_key in _every_move(tw, key):
                 tgt = tw._pieces[tgt_key].lattice
                 if tgt.is_full():
                     continue
                 for img in tw._transport_rows(rows, key, tag, tgt_key):
                     tgt._sweep(img)
                     assert not img, ((p, r, nvars, cap), key, tag, tgt_key)
+
+
+@pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 6), (2, 2, 2, 3)])
+def test_skipped_products_factor_through_generators(p, r, nvars, cap):
+    # the identities the build's product moves rest on, term for term:
+    # at a mixed weight u = k D + f, gen(u) * sigma = [x^k] * (gen(f) * sigma);
+    # in degree 1, sigma * (lead atom) = lead * (sigma * atom)
+    tw = build_drw(p, r, nvars, cap)
+    calc, D, zero = tw.calc, tw.D, (0,) * nvars
+
+    def combo(terms):
+        return {sym: c for c, sym in drw._combine(terms)}
+
+    def times(s, a, terms):
+        return [(c * c2, out) for c, t in terms for c2, out in calc.mul(s, a, t)]
+
+    checked = 0
+    for s in range(1, r + 1):
+        syms = [(w, deg, sym) for (s2, deg, w), pc in tw._pieces.items() if s2 == s
+                for sym in pc.symbols]
+        for u in tw.nums:
+            gen = tw._gen_symbol(s, u)
+            if gen is None or not (any(c % D for c in u) and any(c >= D for c in u)):
+                continue
+            whole = (0, 0, tuple(c // D for c in u))
+            frac = tw._gen_symbol(s, tuple(c % D for c in u))
+            for w, deg, sym in syms:
+                if drw.weight_add(w, u) in tw._num_set:
+                    assert combo(calc.mul(s, gen, sym)) == combo(
+                        times(s, whole, calc.mul(s, frac, sym))), (s, u, sym)
+                    checked += 1
+        if nvars == 1:
+            continue
+        for u in tw.nums:
+            for sym in tw._pieces[(s, 1, u)].symbols:
+                if sym[1] == 0 and not any(sym[2]):
+                    continue
+                lead, atom = (0, sym[1], sym[2]), (1, 0, zero, sym[3], sym[4])
+                assert combo(calc.mul(s, lead, atom)) == {sym: 1}
+                for w, deg, sigma in syms:
+                    if deg == 1 and drw.weight_add(w, u) in tw._num_set:
+                        assert combo(calc.mul(s, sigma, sym)) == combo(
+                            times(s, lead, calc.mul(s, sigma, atom))), (s, sigma, sym)
+                        checked += 1
+    assert checked
+
+
+def test_saturation_rounds_stay_shallow(monkeypatch):
+    # with both product families a relation needs no round per [x] step:
+    # (2,3,1,16) closes in 3 rounds; with [x] alone it would take 10
+    monkeypatch.setattr(drw, "SATURATION_ROUND_LIMIT", 4)
+    assert drw.langer_zink_mismatch(build_drw(2, 3, 1, 16)) is None
 
 
 def test_one_variable_build_seeds_no_degree_two_piece(monkeypatch):
