@@ -363,6 +363,12 @@ def _cmd_run(args) -> int:
                 sys.stderr.write(f"bad range for --{name}: {raw!r}\n")
                 return 3
     reports = run_suites(ids, seed=args.seed, cap=args.cap, grid=grid or None)
+    if not any(rep.records for rep in reports):
+        # a run that checked nothing is not a pass
+        flags = " ".join(f"--{name} {getattr(args, name)}" for name in grid)
+        sys.stderr.write(f"error: the grid filter {flags} selects no instance of "
+                         f"{' '.join(ids)}\n")
+        return 3
     for rep in reports:
         sys.stdout.write(emit_text(rep, timings=args.timings))
     if args.json:

@@ -73,6 +73,16 @@ def poly_rem_monic(a: Sequence[int], f: Sequence[int], mod: int = 0) -> IntPoly:
     return _trim(work)
 
 
+def pow_by_squaring(mul, a, n: int):
+    """a^n for n >= 1 by square-and-multiply from a: bit_length + popcount - 2 products."""
+    out = a
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
+    return out
+
+
 # torsion-free cover contexts
 
 
@@ -96,9 +106,6 @@ class IntCover:
 
     def from_int(self, n):
         return n
-
-    def zero(self):
-        return 0
 
     def pow_p(self, a):
         return a ** self.p
@@ -138,20 +145,8 @@ class QuotPolyCover:
     def from_int(self, n):
         return _trim([n])
 
-    def zero(self):
-        return ()
-
     def pow_p(self, a):
-        out = self.from_int(1)
-        base = a
-        n = self.p
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return out
+        return pow_by_squaring(self.mul, a, self.p)
 
     def scale_pow_p(self, a, i: int):
         k = self.p ** i
@@ -200,25 +195,33 @@ class PadicPolyCover:
         a = a[:n]
         if a.dtype == object and m < 2 ** 62:
             a = a.astype(np.int64)
-        return PadicVal(np.array(a, dtype=a.dtype), prec)
+        return PadicVal(a, prec)
 
     def make(self, coeffs: Sequence[int]) -> PadicVal:
         arr = np.array(list(coeffs), dtype=np.int64)
         return self._canon(arr, self.K)
 
+    def _combine(self, ufunc, a: PadicVal, b: PadicVal) -> PadicVal:
+        """ufunc(a, b) coefficientwise, the shorter operand read as zero-padded."""
+        x, y = a.arr, b.arr
+        if len(x) == len(y):
+            out = ufunc(x, y)
+        elif len(x) > len(y):
+            out = x.copy()
+            ufunc(out[: len(y)], y, out=out[: len(y)])
+        else:
+            out = ufunc(0, y)
+            out[: len(x)] += x
+        return self._canon(out, min(a.prec, b.prec))
+
     def add(self, a: PadicVal, b: PadicVal) -> PadicVal:
-        prec = min(a.prec, b.prec)
-        n = max(len(a.arr), len(b.arr))
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(a.arr)] = a.arr
-        out[: len(b.arr)] += b.arr
-        return self._canon(out, prec)
+        return self._combine(np.add, a, b)
 
     def sub(self, a: PadicVal, b: PadicVal) -> PadicVal:
-        return self.add(a, self.neg(b))
+        return self._combine(np.subtract, a, b)
 
     def neg(self, a: PadicVal) -> PadicVal:
-        return self._canon(-a.arr.astype(object) if a.arr.dtype == object else -a.arr, a.prec)
+        return self._canon(-a.arr, a.prec)
 
     def mul(self, a: PadicVal, b: PadicVal) -> PadicVal:
         prec = min(a.prec, b.prec)
@@ -234,25 +237,16 @@ class PadicPolyCover:
     def from_int(self, n: int) -> PadicVal:
         return self.make([n])
 
-    def zero(self) -> PadicVal:
-        return PadicVal(np.zeros(0, dtype=np.int64), self.K)
-
     def pow_p(self, a: PadicVal) -> PadicVal:
-        out = self.from_int(1)
-        out = PadicVal(out.arr, a.prec)
-        base = a
-        n = self.p
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return out
+        return pow_by_squaring(self.mul, a, self.p)
 
     def scale_pow_p(self, a: PadicVal, i: int) -> PadicVal:
         prec = min(a.prec + i, self.K)
-        arr = a.arr.astype(object) * (self.p ** i)
+        if a.arr.dtype != object and self.p ** (a.prec + i) < 2 ** 62:
+            # coefficients are below p^a.prec, so the scaled ones fit in int64
+            arr = a.arr * self.p ** i
+        else:
+            arr = a.arr.astype(object) * self.p ** i
         return self._canon(arr, prec)
 
     def div_pow_p(self, a: PadicVal, i: int) -> PadicVal:
@@ -423,7 +417,7 @@ class GFPolyRing:
     def reduce(self, v: PadicVal, cover: PadicPolyCover):
         if v.prec < 1:
             raise ArithmeticError("precision exhausted")
-        return _trim([int(c) % self.p for c in v.arr])
+        return _trim(np.remainder(v.arr, self.p).tolist())
 
     def degree(self, a) -> int:
         return len(a) - 1 if a else -1

@@ -133,6 +133,8 @@ def _witt_triples(p: int, base_factory, seed: int, triples: int = 200) -> Option
                 return fail("universal product polynomials")
             if list((-a).components) != tab.eval_neg(base, a.components):
                 return fail("universal negation polynomials")
+            if r >= 2 and list(w.frobenius(a).components) != tab.eval_frob(base, a.components):
+                return fail("universal Frobenius polynomials")
         if r >= 2:
             u = w.restrict(a)
             ur = u.ring

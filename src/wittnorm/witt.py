@@ -13,7 +13,10 @@ Arithmetic itself runs by lifting components into the base ring's
 p-torsion-free cover, doing ghost arithmetic there and inverting the
 ghost map with exact divisions by powers of p.  By universality this
 computes exactly the values of the universal polynomials; the test suite
-cross-checks the two paths wherever the tables are cheap to build.
+cross-checks the two paths wherever the tables are cheap to build.  Two
+maps skip the cover where a ring identity gives them componentwise: the
+Frobenius over a base of characteristic p, F(x_0, x_1, ...) = (x_0^p,
+x_1^p, ...), and negation at odd p, where -1 = [-1] and (-1)^(p^k) = -1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, List, Sequence
 
 from .intlinalg import require_prime
 from .multipoly import MPoly
-from .rings import ZModRing
+from .rings import ZModRing, pow_by_squaring
 
 
 # universal polynomial tables
@@ -185,6 +188,14 @@ class _PowerChains:
             chain.append(self.cover.pow_p(chain[-1]))
         return chain[k]
 
+    def ghost_sum(self, n: int, terms: int):
+        """sum_{i < terms} p^i v_i^(p^(n-i)) for terms >= 1, started from the unscaled i = 0 term."""
+        cover = self.cover
+        acc = self.power(0, n)
+        for i in range(1, terms):
+            acc = cover.add(acc, cover.scale_pow_p(self.power(i, n - i), i))
+        return acc
+
 
 class WittRing:
     """W_r(base) for a prime p, with F, V, R, Teichmuller and ghost."""
@@ -239,25 +250,31 @@ class WittRing:
     # ghost machinery
 
     def ghost(self, w: WittVector) -> List:
-        """Ghost components computed inside the base ring itself."""
+        """Ghost components computed inside the base ring itself.
+
+        Terms whose scalar p^i is zero in the base are skipped, and so are
+        the powers only they need: in characteristic p, w_n = x_0^(p^n).
+        """
         base = self.base
-        out = []
+        scalars = []
+        for i in range(self.r):
+            s = base.from_int(self.p ** i)
+            if s == base.zero():
+                break  # p^j is zero for every j >= i as well
+            scalars.append(s)
         chains = [[c] for c in w.components]
 
         def power(i, k):
             chain = chains[i]
             while len(chain) <= k:
-                prev = chain[-1]
-                cur = prev
-                for _ in range(self.p - 1):
-                    cur = base.mul(cur, prev)
-                chain.append(cur)
+                chain.append(pow_by_squaring(base.mul, chain[-1], self.p))
             return chain[k]
 
+        out = []
         for n in range(self.r):
             acc = base.zero()
-            for i in range(n + 1):
-                acc = base.add(acc, base.mul(base.from_int(self.p ** i), power(i, n - i)))
+            for i, s in enumerate(scalars[: n + 1]):
+                acc = base.add(acc, base.mul(s, power(i, n - i)))
             out.append(acc)
         return out
 
@@ -268,22 +285,13 @@ class WittRing:
         chains = _PowerChains(cover)
         for v in lifted:
             chains.track(v)
-        out = []
-        for n in range(upto):
-            acc = cover.zero()
-            for i in range(n + 1):
-                acc = cover.add(acc, cover.scale_pow_p(chains.power(i, n - i), i))
-            out.append(acc)
-        return out
+        return [chains.ghost_sum(n, n + 1) for n in range(upto)]
 
     def _components_from_ghost(self, cover, targets: List) -> List:
         chains = _PowerChains(cover)
         comps = []
         for n, t in enumerate(targets):
-            acc = cover.zero()
-            for i in range(n):
-                acc = cover.add(acc, cover.scale_pow_p(chains.power(i, n - i), i))
-            z = cover.div_pow_p(cover.sub(t, acc), n)
+            z = cover.div_pow_p(cover.sub(t, chains.ghost_sum(n, n)), n) if n else t
             comps.append(z)
             chains.track(z)
         return comps
@@ -309,6 +317,8 @@ class WittRing:
         return self._ghost_binary(a, b, lambda c, x, y: c.mul(x, y))
 
     def neg(self, a: WittVector) -> WittVector:
+        if self.p % 2:
+            return WittVector(self, tuple(self.base.neg(c) for c in a.components))
         cover = self.base.witt_cover(self.p, self.r)
         ga = self._lifted_ghost(cover, self._lift(cover, a), self.r)
         targets = [cover.neg(x) for x in ga]
@@ -336,12 +346,15 @@ class WittRing:
         return WittVector(target, (self.base.zero(),) + w.components)
 
     def frobenius(self, w: WittVector) -> WittVector:
-        """Ghost-shift map W_r -> W_{r-1}."""
+        """Ghost-shift map W_r -> W_{r-1}; componentwise p-th power in characteristic p."""
         if self.r < 2:
             raise ValueError("Frobenius needs length >= 2")
+        target = WittRing(self.p, self.r - 1, self.base)
+        if self.base.char == self.p:
+            return WittVector(target, tuple(pow_by_squaring(self.base.mul, c, self.p)
+                                            for c in w.components[:-1]))
         cover = self.base.witt_cover(self.p, self.r)
         ga = self._lifted_ghost(cover, self._lift(cover, w), self.r)
-        target = WittRing(self.p, self.r - 1, self.base)
         return self._finish(target, cover, self._components_from_ghost(cover, ga[1:]))
 
 

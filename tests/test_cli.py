@@ -221,15 +221,27 @@ def test_cli_run_exit_codes(capsys):
     assert main(["run", "resolution", "--p", "2", "--r", "1..2"]) == 0
     out = capsys.readouterr().out
     assert "failed=0" in out
+    # a grid filter that selects no instance checks nothing, so it is no pass
+    assert main(["run", "compare", "--p", "2", "--d", "0", "--r", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: the grid filter --p 2 --d 0 --r 1 selects no instance of compare\n")
+    assert main(["run", "witt", "--p", "7"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: the grid filter --p 7 selects no instance of witt\n")
 
 
 def test_cli_run_empty_grid(capsys, tmp_path):
+    # an empty selection exits 3 and writes no report; one selected
+    # instance in any of the suites is enough to run
     path = tmp_path / "report.json"
-    assert main(["run", "compare", "--p", "7", "--json", str(path)]) == 0
+    assert main(["run", "compare", "--p", "7", "--json", str(path)]) == 3
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
+    assert main(["run", "compare", "mackey", "--p", "7", "--json", str(path)]) == 0
     doc = json.loads(path.read_text())
-    assert doc["records"] == []
-    assert doc["aggregate"] == {
-        "passed": "0", "failed": "0", "skipped": "0", "total": "0"}
+    assert doc[0]["records"] == []
+    assert doc[0]["aggregate"]["total"] == "0"
+    assert doc[1]["records"]
 
 
 def test_cli_run_csv_rows(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittnorm import rings
 from wittnorm.rings import GFPolyRing, QuotPolyRing, ZModRing, ZRing
 from wittnorm.witt import (
     CartierTower,
@@ -96,11 +97,15 @@ def test_table_ghost_identities_build():
 
 
 def test_tables_match_engine_all_bases():
+    # odd p negates componentwise and p = 2 through the cover; F is a
+    # componentwise p-th power over the characteristic-p bases (F_p,
+    # F_p[x], F_p[x]/(f)) and goes through the cover over Z and Z/p^2
     rng = random.Random(23)
-    cases = [(2, 3), (2, 4), (3, 3), (5, 2)]
+    cases = [(2, 3), (2, 4), (3, 3), (3, 4), (5, 2), (5, 3)]
     for p, r in cases:
         tab = get_table(p, r)
-        bases = [Z, ZModRing(p), ZModRing(p * p), GFPolyRing(p, random_degree=2)]
+        bases = [Z, ZModRing(p), ZModRing(p * p), GFPolyRing(p, random_degree=2),
+                 QuotPolyRing(p, (1, 1, 0, 1))]
         for base in bases:
             w = WittRing(p, r, base)
             for _ in range(4):
@@ -110,6 +115,87 @@ def test_tables_match_engine_all_bases():
                 assert list((a * b).components) == tab.eval_prod(base, a.components, b.components)
                 assert list((-a).components) == tab.eval_neg(base, a.components)
                 assert list(w.frobenius(a).components) == tab.eval_frob(base, a.components)
+
+
+@pytest.mark.parametrize("p, base, frob_cover, neg_cover", [
+    (3, Z, True, False), (3, ZModRing(9), True, False), (3, ZModRing(3), False, False),
+    (3, GFPolyRing(3), False, False), (3, QuotPolyRing(3, (1, 0, 1)), False, False),
+    (2, Z, True, True), (2, ZModRing(4), True, True), (2, ZModRing(2), False, True),
+    (2, GFPolyRing(2), False, True), (2, QuotPolyRing(2, (1, 1, 1)), False, True),
+])
+def test_componentwise_maps_skip_the_cover(p, base, frob_cover, neg_cover, monkeypatch):
+    # F takes the cover unless the base has characteristic p; negation
+    # takes it at p = 2 only
+    covers = []
+    real = type(base).witt_cover
+    monkeypatch.setattr(type(base), "witt_cover",
+                        lambda self, p, r: covers.append(1) or real(self, p, r))
+    w = WittRing(p, 3, base)
+    a = w.random_element(random.Random(1))
+    w.frobenius(a)
+    assert len(covers) == frob_cover
+    covers.clear()
+    w.neg(a)
+    assert len(covers) == neg_cover
+
+
+def test_ghost_skips_terms_zero_in_the_base():
+    # p^i x_i^(p^(n-i)) vanishes for i >= 1 over F_p[x] and for i >= 2 over
+    # Z/p^2, so those components never enter the ghost map
+    rng = random.Random(4)
+    for base, live in [(GFPolyRing(3), 1), (ZModRing(9), 2), (Z, 3)]:
+        w = WittRing(3, 3, base)
+        a = w.random_element(rng)
+        assert a.ghost() == [_naive_ghost(base, 3, a.components, n) for n in range(3)]
+        for i in range(live, 3):
+            comps = list(a.components)
+            comps[i] = base.add(comps[i], base.one())
+            assert w.vector(comps).ghost() == a.ghost()
+
+
+def _naive_ghost(base, p, comps, n):
+    acc = base.zero()
+    for i in range(n + 1):
+        term = base.one()
+        for _ in range(p ** (n - i)):
+            term = base.mul(term, comps[i])
+        acc = base.add(acc, base.mul(base.from_int(p ** i), term))
+    return acc
+
+
+@pytest.mark.parametrize("p, products", [(2, 1), (3, 2), (5, 3)])
+@pytest.mark.parametrize("make_cover", [
+    lambda p: rings.PadicPolyCover(p, 5),
+    lambda p: rings.QuotPolyCover(p, (1, 0, 1)),
+], ids=["padic", "quot"])
+def test_pow_p_products(p, products, make_cover, monkeypatch):
+    # square-and-multiply from the base: bit_length + popcount - 2 products
+    cover = make_cover(p)
+    calls = []
+    real = type(cover).mul
+    monkeypatch.setattr(type(cover), "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
+    a = cover.make((1, 2, 1)) if isinstance(cover, rings.PadicPolyCover) else (1, 2, 1)
+    out = cover.pow_p(a)
+    assert len(calls) == products
+    expect = a
+    for _ in range(p - 1):
+        expect = real(cover, expect, a)
+    if isinstance(cover, rings.PadicPolyCover):
+        assert (out.arr.tolist(), out.prec) == (expect.arr.tolist(), expect.prec)
+    else:
+        assert out == expect
+
+
+def test_div_pow_p_checks_kept():
+    cover = rings.PadicPolyCover(3, 3)
+    v = cover.scale_pow_p(cover.make((1, 2)), 1)
+    assert cover.div_pow_p(v, 1).arr.tolist() == [1, 2]
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        cover.div_pow_p(cover.make((1, 3)), 1)
+    with pytest.raises(ArithmeticError, match="precision exhausted"):
+        cover.div_pow_p(cover.scale_pow_p(cover.make((1,)), 3), 3)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        rings.QuotPolyCover(3, (1, 0, 1)).div_pow_p((3, 4), 1)
 
 
 def test_fv_identities():
