@@ -115,14 +115,6 @@ class FgAbGroup:
                 out = lcm(out, m // gcd(v, m))
         return out
 
-    def order_histogram(self) -> Dict[int, int]:
-        """Map from element order to its multiplicity (finite groups only)."""
-        hist: Dict[int, int] = {}
-        for a in self.elements():
-            o = self.element_order(a)
-            hist[o] = hist.get(o, 0) + 1
-        return hist
-
     def random_element(self, rng, bound: int = 20) -> Tuple[int, ...]:
         return self.normalize(
             [rng.randrange(m) if m else rng.randint(-bound, bound) for m in self.moduli]

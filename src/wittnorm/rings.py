@@ -188,6 +188,9 @@ class PadicPolyCover:
 
     def _canon(self, arr: np.ndarray, prec: int) -> PadicVal:
         m = self.p ** prec
+        if m >= 2 ** 62 and arr.dtype != object:
+            # an int64 array cannot be reduced by a modulus past its range
+            arr = arr.astype(object)
         a = np.remainder(arr, m)
         n = len(a)
         while n and not a[n - 1]:

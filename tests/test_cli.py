@@ -1,6 +1,7 @@
 """CLI surface, report emission, and suite determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -321,6 +322,16 @@ def test_cli_drw_build_lists_each_operator(argv, nvars, cap, capsys):
                 for op, tgt in targets if tgt in tower.pieces]
         assert listed.pop((str(s), str(deg), tuple(weight_str(w))), []) == want
     assert listed == {}
+
+
+def test_cli_drw_build_bytes_pinned(capsys):
+    # the degree-2 pieces here are zero and their labels are made on first
+    # read; the document that lists them stays the same byte for byte
+    assert main(["drw", "build", "--p", "2", "--r", "3", "--weight-cap", "6", "--json", "-"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert b'"degree": "2"' in out
+    assert hashlib.sha256(out).hexdigest() == (
+        "c9df15636c2385d477ced82b95f25d632501fd7e7e7fddf06313fb00faffaf78")
 
 
 def test_suite_ids_complete():

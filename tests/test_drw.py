@@ -11,7 +11,13 @@ import pytest
 
 import langer_zink
 from wittnorm import drw, suites
-from wittnorm.abgroups import FgAbGroup, GroupHom, is_isomorphism, present_quotient
+from wittnorm.abgroups import (
+    FgAbGroup,
+    GroupHom,
+    induced_hom,
+    is_isomorphism,
+    present_quotient,
+)
 from wittnorm.derham import DeRhamComplex
 from wittnorm.drw import (
     LatticeModQ,
@@ -452,6 +458,37 @@ def test_axiom_witnesses_print_rational_weights(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 4), (2, 3, 2, 2)])
+def test_commuting_axioms_reach_the_top_degree(p, r, nvars, cap, monkeypatch):
+    # axioms 6 and 7 skip only the zero pieces above the top degree: a
+    # fault in a top-degree operator alone makes them fail, and so does a
+    # hom comparison that is always false
+    tw = build_drw(p, r, nvars, cap)
+    hom = tw.operator_hom
+    # a zero F out of the top level breaks RF = FR and FV = p; a zero V
+    # out of level 1 breaks RV = VR, axiom 6's second loop, where VR is not
+    # zero (in (2,3,2,2) every VR out of degree 2 is)
+    faults = [("f", r, ["R commutes with F and V", "FV = p"])]
+    if nvars == 1:
+        faults.append(("v", 1, ["R commutes with F and V"]))
+    for op, level, want in faults:
+        def faulty(op2, key, op=op, level=level):
+            h = hom(op2, key)
+            if (op2, key[0], key[1]) == (op, level, nvars):
+                return GroupHom.zero(h.src, h.dst)
+            return h
+
+        monkeypatch.setattr(tw, "operator_hom", faulty)
+        names = [n for n, _ in check_fv_axioms(tw, samples=5, seed=0).failures()]
+        assert set(want) <= set(names), (op, names)
+    monkeypatch.setattr(tw, "operator_hom", hom)
+    assert check_fv_axioms(tw, samples=5, seed=0).ok
+    monkeypatch.setattr(GroupHom, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(GroupHom, "__ne__", lambda self, other: True)
+    names = [n for n, _ in check_fv_axioms(tw, samples=5, seed=0).failures()]
+    assert "R commutes with F and V" in names and "FV = p" in names
+
+
 def test_saturation_error_prints_rational_weight(monkeypatch):
     monkeypatch.setattr(drw, "SATURATION_ROUND_LIMIT", 0)
     with pytest.raises(drw.SaturationError) as err:
@@ -685,11 +722,63 @@ def test_one_variable_build_seeds_no_degree_two_piece(monkeypatch):
 
 
 def test_one_variable_degree_two_is_full():
+    # each degree-2 piece is a lazy ZeroPiece; read, it gives the eager
+    # enumeration, its index, the full lattice and a presentation of 0
     tw = build_drw(3, 2, 1, 6)
     top = [pc for (s, deg, w), pc in tw.pieces.items() if deg == 2]
+    assert all(isinstance(pc, drw.ZeroPiece) for pc in top)
+    assert not any(isinstance(pc, drw.ZeroPiece) for (s, deg, w), pc in tw.pieces.items()
+                   if deg < 2)
     assert any(pc.symbols for pc in top)
     for pc in top:
+        syms = tw._symbols_for(*pc.key)
+        assert pc.symbols == syms
+        assert pc.index == {sym: k for k, sym in enumerate(syms)}
         assert pc.lattice.is_full() and pc.group.is_trivial(), pc.key
+        assert pc.lattice.n == len(syms) and pc.lattice.q == 3 ** pc.level
+        assert pc.pres.ambient_dim == len(syms) and pc.pres.group == pc.group
+        assert_matches_full_lattice(pc.pres, len(syms), pc.lattice.row_list(), 3 ** pc.level)
+
+
+def test_one_variable_tower_enumerates_no_degree_two_label(monkeypatch):
+    # the zero pieces above the top degree are lazy: neither the build nor
+    # the axiom checks read their labels, and a later read makes them
+    degrees = []
+    symbols_for = drw.TruncatedFVComplex._symbols_for
+
+    def counting(self, s, deg, w):
+        degrees.append(deg)
+        return symbols_for(self, s, deg, w)
+
+    monkeypatch.setattr(drw.TruncatedFVComplex, "_symbols_for", counting)
+    tw = build_drw(3, 3, 1, 8)
+    assert check_fv_axioms(tw, samples=40).ok
+    assert degrees and 2 not in degrees
+    assert tw.piece(3, 2, 8).symbols and degrees[-1] == 2
+
+
+@pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 6), (2, 2, 2, 4)])
+def test_zero_homs_into_trivial_groups_match_induced_hom(p, r, nvars, cap):
+    # operator_hom builds no ambient matrix into a trivial group; the
+    # reference, the operator's ambient matrix descended by induced_hom,
+    # must give the same hom
+    tw = build_drw(p, r, nvars, cap)
+    checked = 0
+    for key, src in tw._pieces.items():
+        for op, dst_key in tw.operators(key):
+            dst = tw._pieces[dst_key]
+            if dst.group.n:
+                continue
+            term_map = tw._term_map((op,), key[0])
+            data = {}
+            for j, sym in enumerate(src.symbols):
+                for c, out in term_map(sym):
+                    ij = (dst.index[out], j)
+                    data[ij] = data.get(ij, 0) + c
+            amb = IntMatrix(len(dst.symbols), len(src.symbols), data)
+            assert tw.operator_hom(op, key) == induced_hom(src.pres, dst.pres, amb), (op, key)
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 8), (3, 2, 2, 3)])

@@ -1,6 +1,8 @@
 """Witt vector arithmetic against the ghost oracle and universal tables."""
 
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,10 @@ from wittnorm.witt import (
     teichmuller_character,
     witt_fp_to_zmod,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+import oracles  # noqa: E402
 
 Z = ZRing()
 
@@ -310,3 +316,22 @@ def test_from_int_matches_repeated_addition():
     for k in range(1, 7):
         acc = acc + w.one()
         assert w.from_int(k) == acc
+
+
+@pytest.mark.parametrize("p,r", [(2, 12), (7, 7)])
+def test_fpx_cover_past_int64_matches_fp(p, r):
+    # the cover precision of W_r(F_p[x]) reaches p^K >= 2^63 here; constant
+    # components must give the same answers as W_r(F_p), and the lifted
+    # ghosts of perfbench/oracles.py must agree
+    rng = random.Random(p * r)
+    fx, fp = WittRing(p, r, GFPolyRing(p)), WittRing(p, r, ZModRing(p))
+    for _ in range(2):
+        a = [rng.randrange(p) for _ in range(r)]
+        b = [rng.randrange(p) for _ in range(r)]
+        polys_a = [(c,) if c else () for c in a]
+        polys_b = [(c,) if c else () for c in b]
+        for op in ("add", "mul"):
+            got = getattr(fx, op)(fx.vector(polys_a), fx.vector(polys_b)).components
+            want = getattr(fp, op)(fp.vector(a), fp.vector(b)).components
+            assert got == tuple((c,) if c else () for c in want), (op, a, b)
+            assert oracles.check_witt_op(p, op, polys_a, polys_b, got) == [], (op, a, b)
