@@ -16,7 +16,6 @@ it to a ``GroupHom`` via ``induced_hom``.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .intlinalg import (
@@ -102,18 +101,6 @@ class FgAbGroup:
         if self.rank:
             raise ValueError("cannot enumerate an infinite group")
         return itertools.product(*(range(m) for m in self.moduli))
-
-    def element_order(self, a: Sequence[int]) -> int:
-        a = self.normalize(a)
-        out = 1
-        for v, m in zip(a, self.moduli):
-            if m == 0:
-                if v:
-                    raise ValueError("element of infinite order")
-                continue
-            if v:
-                out = lcm(out, m // gcd(v, m))
-        return out
 
     def random_element(self, rng, bound: int = 20) -> Tuple[int, ...]:
         return self.normalize(
@@ -298,50 +285,24 @@ def subgroups_equal(group: FgAbGroup, a: IntMatrix, b: IntMatrix) -> bool:
     )
 
 
-class CokernelData:
-    """Cokernel of a hom with the projection and an integer lift of it."""
-
-    __slots__ = ("group", "proj", "pres")
-
-    def __init__(self, group: FgAbGroup, proj: GroupHom, pres: Presentation):
-        self.group = group
-        self.proj = proj
-        self.pres = pres
-
-    def lift(self, elt: Sequence[int]) -> List[int]:
-        """A preimage in the target of the original hom (as canonical coords)."""
-        return self.pres.lift_elt(elt)
-
-
-def hom_cokernel(h: GroupHom) -> CokernelData:
+def hom_cokernel(h: GroupHom) -> Presentation:
+    """Presentation of dst / image(h) on the canonical coordinates of dst."""
     lattice = h.matrix.hstack(h.dst.relation_matrix())
-    pres = present_quotient(h.dst.n, lattice)
-    proj = GroupHom(h.dst, pres.group, pres.proj)
-    return CokernelData(pres.group, proj, pres)
+    return present_quotient(h.dst.n, lattice)
 
 
-class KernelData:
-    """Kernel of a hom with its inclusion into the source."""
-
-    __slots__ = ("group", "incl")
-
-    def __init__(self, group: FgAbGroup, incl: GroupHom):
-        self.group = group
-        self.incl = incl
-
-
-def hom_kernel(h: GroupHom) -> KernelData:
+def hom_kernel(h: GroupHom) -> GroupHom:
+    """The inclusion of the kernel of h into its source."""
     lat = h.kernel_lattice()
     rel = kernel_basis(lat.hstack(h.src.relation_matrix())).take_rows(
         list(range(lat.cols))
     )
     pres = present_quotient(lat.cols, rel)
-    incl = GroupHom(pres.group, h.src, lat * pres.lift)
-    return KernelData(pres.group, incl)
+    return GroupHom(pres.group, h.src, lat * pres.lift)
 
 
 def is_injective(h: GroupHom) -> bool:
-    return hom_kernel(h).group.is_trivial()
+    return hom_kernel(h).src.is_trivial()
 
 
 def is_surjective(h: GroupHom) -> bool:

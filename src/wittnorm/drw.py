@@ -45,7 +45,9 @@ from .witt import WittRing, teichmuller_character
 Weight = Tuple[Fraction, ...]
 Num = Tuple[int, ...]
 Mono = Tuple[int, ...]
-Symbol = Tuple
+# (i, mono, atoms): V^i[x^mono] times the atoms dV^t[x^dmono], each a
+# pair (t, dmono); the degree is len(atoms)
+Symbol = Tuple[int, Mono, Tuple[Tuple[int, Mono], ...]]
 
 SATURATION_ROUND_LIMIT = 32
 
@@ -93,9 +95,10 @@ def enumerate_weights(p: int, r: int, nvars: int, cap: int) -> List[Num]:
 # ---------------------------------------------------------------------------
 # canonical symbols
 #
-# degree 0: (0, i, mono)
-# degree 1: (1, i, mono, t, dmono)
-# degree 2: (2, i, mono, t1, dm1, t2, dm2)   with (t1, dm1) < (t2, dm2)
+# A symbol (i, mono, atoms) holds its atoms sorted and distinct: swapping
+# two atoms changes the sign, and a repeated atom squares to zero.  Every
+# degree shares the layout, and a piece holds symbols of one degree only,
+# so sorting them sorts by lead first, then by atoms.
 
 
 def _p_power_in(m: Mono, p: int, cap: int) -> int:
@@ -106,13 +109,6 @@ def _p_power_in(m: Mono, p: int, cap: int) -> int:
         g //= p
         k += 1
     return k
-
-
-def _unit_slot(m: Mono) -> int:
-    """Index j when m equals the j-th unit vector, else -1."""
-    if sum(m) != 1 or any(v < 0 for v in m):
-        return -1
-    return m.index(1)
 
 
 class SymbolCalculus:
@@ -187,40 +183,24 @@ class SymbolCalculus:
                                           done + [(0, unit)] + rest_atoms))
                 return _combine(out)
             done.append((t, mv))
-        deg = len(done)
-        if deg == 0:
-            return [(coeff, (0, i, mono))]
-        if deg == 1:
-            t, mv = done[0]
-            return [(coeff, (1, i, mono, t, mv))]
-        (t1, m1), (t2, m2) = done
-        if (t1, m1) == (t2, m2):
+        atoms = tuple(sorted(done))
+        if len(set(atoms)) < len(atoms):
             return []
-        if (t1, m1) > (t2, m2):
+        if sum(a > b for a, b in itertools.combinations(done, 2)) % 2:
             coeff = -coeff
-            (t1, m1), (t2, m2) = (t2, m2), (t1, m1)
-        return [(coeff, (2, i, mono, t1, m1, t2, m2))]
-
-    @staticmethod
-    def parts(sym: Symbol):
-        deg = sym[0]
-        if deg == 0:
-            return sym[1], sym[2], []
-        if deg == 1:
-            return sym[1], sym[2], [(sym[3], sym[4])]
-        return sym[1], sym[2], [(sym[3], sym[4]), (sym[5], sym[6])]
+        return [(coeff, (i, mono, atoms))]
 
     # operators, each sending a canonical symbol to canonical combinations
 
     def apply_v(self, s: int, sym: Symbol) -> List[Tuple[int, Symbol]]:
         """V: level s -> level s + 1; every operator index shifts up."""
-        i, mono, atoms = self.parts(sym)
+        i, mono, atoms = sym
         return self.canon(s + 1, 1, i + 1, mono, [(t + 1, mv) for t, mv in atoms])
 
     def apply_f(self, s: int, sym: Symbol) -> List[Tuple[int, Symbol]]:
         """F: level s -> level s - 1."""
         p = self.p
-        i, mono, atoms = self.parts(sym)
+        i, mono, atoms = sym
         coeff = 1
         if i >= 1:
             coeff *= p
@@ -241,24 +221,22 @@ class SymbolCalculus:
 
     def apply_r(self, s_target: int, sym: Symbol) -> List[Tuple[int, Symbol]]:
         """Truncation onto a shorter tower; deep V factors die."""
-        i, mono, atoms = self.parts(sym)
+        i, mono, atoms = sym
         return self.canon(s_target, 1, i, mono, atoms)
 
     def apply_d(self, s: int, sym: Symbol) -> List[Tuple[int, Symbol]]:
-        deg = sym[0]
-        if deg == 2:
+        i, mono, atoms = sym
+        if len(atoms) == 2:
             raise ValueError("d out of the stored degree range")
-        i, mono, atoms = self.parts(sym)
         if i == 0 and not any(mono):
             return []  # d of a pure-differential symbol vanishes
-        return self.canon(s, 1, 0, self.zero_mono, [(i, mono)] + atoms)
+        return self.canon(s, 1, 0, self.zero_mono, ((i, mono),) + atoms)
 
     def mul(self, s: int, sym_a: Symbol, sym_b: Symbol) -> List[Tuple[int, Symbol]]:
-        dega, degb = sym_a[0], sym_b[0]
-        if dega + degb > 2:
+        ia, ma, at_a = sym_a
+        ib, mb, at_b = sym_b
+        if len(at_a) + len(at_b) > 2:
             raise ValueError("product degree out of range")
-        ia, ma, at_a = self.parts(sym_a)
-        ib, mb, at_b = self.parts(sym_b)
         coeff, i, mono = self._merge_leads(1, ia, ma, ib, mb)
         return self.canon(s, coeff, i, mono, at_a + at_b)
 
@@ -280,7 +258,7 @@ def symbol_label(sym: Symbol) -> str:
         body = f"[{mono_str(m)}]"
         return f"V^{i}{body}" if i else body
 
-    i, mono, atoms = SymbolCalculus.parts(sym)
+    i, mono, atoms = sym
     out = [lead_str(i, mono)]
     for t, mv in atoms:
         body = f"[{mono_str(mv)}]"
@@ -431,10 +409,6 @@ class LatticeModQ:
         for v in batch:
             self._insert_single(v, added)
         return added
-
-    def row_list(self) -> List[List[int]]:
-        """Dense copies of the stored rows, ascending pivot column."""
-        return [_densify(row, self.n) for row in self.basis_rows()]
 
     def basis_rows(self) -> List[Row]:
         """Stored pivot rows, ascending pivot column."""
@@ -649,7 +623,7 @@ class TruncatedFVComplex:
         return top - _p_power_in((g,), self.p, top) if g else 0
 
     def _symbol_weight(self, sym: Symbol) -> Num:
-        i, mono, atoms = self.calc.parts(sym)
+        i, mono, atoms = sym
         w = self.mono_weight(mono, i)
         for t, mv in atoms:
             w = weight_add(w, self.mono_weight(mv, t))
@@ -681,30 +655,30 @@ class TruncatedFVComplex:
         return e, tuple(c // f for c in w)
 
     def _symbols_for(self, s: int, deg: int, w: Num) -> List[Symbol]:
-        if deg == 0:
-            lead = self._lead_for(s, w)
-            return [(0, lead[0], lead[1])] if lead is not None else []
-        if deg == 1:
-            syms = []
+        # atoms by total weight, so each scan stops at the first atom that
+        # outweighs what is left of w; distinct atom sets give distinct symbols
+        weighted = []
+        if deg:
             for t, mv in self._datoms_up_to(s, w):
-                lead = self._lead_for(s, weight_sub(w, self.mono_weight(mv, t)))
+                aw = self.mono_weight(mv, t)
+                weighted.append((sum(aw), aw, (t, mv)))
+            weighted.sort()
+        syms: List[Symbol] = []
+
+        def extend(start: int, atoms: Tuple[Tuple[int, Mono], ...], left: Num) -> None:
+            if len(atoms) == deg:
+                lead = self._lead_for(s, left)
                 if lead is not None:
-                    syms.append((1, lead[0], lead[1], t, mv))
-            return sorted(set(syms))
-        # atoms by total weight, so the scan stops at the first pair that
-        # outweighs w; distinct pairs give distinct symbols
-        total = sum(w)
-        weighted = [(self.mono_weight(mv, t), (t, mv)) for t, mv in self._datoms_up_to(s, w)]
-        atoms = sorted((sum(aw), aw, atom) for aw, atom in weighted)
-        syms = []
-        for a1, (n1, w1, atom1) in enumerate(atoms):
-            for n2, w2, atom2 in atoms[a1 + 1:]:
-                if n1 + n2 > total:
+                    syms.append((lead[0], lead[1], tuple(sorted(atoms))))
+                return
+            room = sum(left)
+            for k in range(start, len(weighted)):
+                n, aw, atom = weighted[k]
+                if n > room:
                     break
-                lead = self._lead_for(s, weight_sub(w, weight_add(w1, w2)))
-                if lead is not None:
-                    lo, hi = sorted([atom1, atom2])
-                    syms.append((2, lead[0], lead[1], lo[0], lo[1], hi[0], hi[1]))
+                extend(k + 1, atoms + (atom,), weight_sub(left, aw))
+
+        extend(0, (), w)
         return sorted(syms)
 
     def _vec(self, piece: TowerPiece, terms: Iterable[Tuple[int, Symbol]]) -> Row:
@@ -759,7 +733,7 @@ class TruncatedFVComplex:
         p = self.p
         seeds: List[Row] = []
         for sym in piece.symbols:
-            i, mono, atoms = calc.parts(sym)
+            i, mono, atoms = sym
             top = max([i] + [t for t, _ in atoms])
             seeds.append(self._vec(piece, [(p ** (s - top), sym)]))
             if s >= 2:
@@ -784,7 +758,7 @@ class TruncatedFVComplex:
         the plain factor merges into xi."""
         calc = self.calc
         s = piece.level
-        i, mono, atoms = calc.parts(sym)
+        i, mono, atoms = sym
         lead_mono = mono
         coeff = 1
         inner_atoms: List[Tuple[int, Mono]] = []
@@ -808,12 +782,19 @@ class TruncatedFVComplex:
         ck = (s, u)
         if ck not in self._gen_cache:
             lead = self._lead_for(s, u) if sum(u) != 0 else None
-            self._gen_cache[ck] = (0, lead[0], lead[1]) if lead is not None else None
+            self._gen_cache[ck] = (lead[0], lead[1], ()) if lead is not None else None
         return self._gen_cache[ck]
+
+    def _leibniz_row(self, piece: TowerPiece, a: Symbol, b: Symbol) -> Row:
+        """The relation d(ab) - d(a) b - a d(b) in the piece of d(ab)."""
+        s, calc = piece.level, self.calc
+        terms = [(c * cd, sm) for c, ab in calc.mul(s, a, b) for cd, sm in calc.apply_d(s, ab)]
+        terms += [(-c * cm, sm) for c, da in calc.apply_d(s, a) for cm, sm in calc.mul(s, da, b)]
+        terms += [(-c * cm, sm) for c, db in calc.apply_d(s, b) for cm, sm in calc.mul(s, a, db)]
+        return self._vec(piece, terms)
 
     def _leibniz_pairs(self, piece: TowerPiece) -> List[Row]:
         s, w = piece.level, piece.num
-        calc = self.calc
         out = []
         for u in self.nums:
             v = weight_sub(w, u)
@@ -821,24 +802,14 @@ class TruncatedFVComplex:
                 continue
             su = self._gen_symbol(s, u)
             sv = self._gen_symbol(s, v)
-            if su is None or sv is None:
-                continue
-            lhs: List[Tuple[int, Symbol]] = []
-            for c, prod in calc.mul(s, su, sv):
-                lhs.extend((c * cd, sm) for cd, sm in calc.apply_d(s, prod))
-            rhs: List[Tuple[int, Symbol]] = []
-            for c, dsv in calc.apply_d(s, sv):
-                rhs.extend((c * cm, sm) for cm, sm in calc.mul(s, su, dsv))
-            for c, dsu in calc.apply_d(s, su):
-                rhs.extend((c * cm, sm) for cm, sm in calc.mul(s, sv, dsu))
-            out.append(self._vec(piece, lhs + [(-c, sm) for c, sm in rhs]))
+            if su is not None and sv is not None:
+                out.append(self._leibniz_row(piece, su, sv))
         return out
 
     def _leibniz_triples(self, piece: TowerPiece) -> List[Row]:
         # d(x_j * sigma) = d[x_j] sigma + [x_j] d(sigma) against every
         # degree-1 symbol; wider products arrive through the transports
         s, w = piece.level, piece.num
-        calc = self.calc
         out = []
         for j in range(self.nvars):
             u = tuple(self.D if k == j else 0 for k in range(self.nvars))
@@ -851,16 +822,7 @@ class TruncatedFVComplex:
             src = self._pieces.get((s, 1, rest))
             if src is None:
                 continue
-            for sym1 in src.symbols:
-                lhs: List[Tuple[int, Symbol]] = []
-                for c, prod in calc.mul(s, su, sym1):
-                    lhs.extend((c * cd, sm) for cd, sm in calc.apply_d(s, prod))
-                rhs: List[Tuple[int, Symbol]] = []
-                for c, dsu in calc.apply_d(s, su):
-                    rhs.extend((c * cm, sm) for cm, sm in calc.mul(s, dsu, sym1))
-                for c, ds1 in calc.apply_d(s, sym1):
-                    rhs.extend((c * cm, sm) for cm, sm in calc.mul(s, su, ds1))
-                out.append(self._vec(piece, lhs + [(-c, sm) for c, sm in rhs]))
+            out.extend(self._leibniz_row(piece, su, sym1) for sym1 in src.symbols)
         return out
 
     # relation transports between pieces
@@ -895,8 +857,8 @@ class TruncatedFVComplex:
                 tgt = (s, 2, weight_add(w, u))
                 if src is None or tgt not in self._pieces:
                     continue
-                for other_idx, sym in enumerate(src.symbols):
-                    if sym[1] == 0 and not any(sym[2]):
+                for other_idx, (i, mono, _) in enumerate(src.symbols):
+                    if i == 0 and not any(mono):
                         moves.append((("m1", u, other_idx), tgt))
         return moves
 
@@ -1003,8 +965,8 @@ class TruncatedFVComplex:
         terms = list(terms)
         if not terms:
             raise ValueError("empty combination does not name a piece")
-        deg = terms[0][1][0]
-        piece = self._pieces[(s, deg, self._symbol_weight(terms[0][1]))]
+        sym = terms[0][1]
+        piece = self._pieces[(s, len(sym[2]), self._symbol_weight(sym))]
         return piece, self._project(piece, terms)
 
     def operators(self, key: PieceKey) -> List[Tuple[str, PieceKey]]:
@@ -1119,242 +1081,204 @@ class FVAxiomReport:
 
 
 def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0) -> FVAxiomReport:
-    """Evaluate the ten structural identities on generators and random pairs."""
+    """Evaluate the ten structural identities on generators and random pairs.
+
+    Each identity is a local check that returns its first witness, or None
+    when it holds; they run in FV_AXIOM_NAMES order on one seeded stream."""
     rng = random.Random(seed)
     p = tower.p
     # integer-keyed pieces and homs; witnesses print the rational weights
     pieces, hom = tower._pieces, tower.operator_hom
     cap = tower.weight_cap * tower.D
-    entries: List[Tuple[str, bool, Optional[str]]] = []
-
-    def record(name: str, okay: bool, witness: Optional[str]):
-        entries.append((name, okay, None if okay else witness))
-
+    # above the top degree both sides of 6 and 7 are maps out of the zero
+    # group, so those pieces are skipped there
+    top = tower.nvars
     deg0 = [(k, pc) for k, pc in pieces.items()
             if k[1] == 0 and pc.symbols and pc.group.n]
 
-    # 1: d then d vanishes out of degree 0
-    okay, wit = True, None
-    for (s, deg, w), piece in pieces.items():
-        if deg != 0 or not piece.symbols:
-            continue
-        if not hom("d", (s, 1, w)).compose(hom("d", (s, 0, w))).is_zero():
-            okay, wit = False, f"d^2 != 0 at level {s} weight {piece.weight}"
-            break
-    record(FV_AXIOM_NAMES[0], okay, wit)
-
-    # 2: Leibniz on sampled degree-0 products
-    okay, wit = True, None
-    for _ in range(samples):
-        if not deg0:
-            break
-        (s1, _, w1), pa = rng.choice(deg0)
-        cands = [(k, pc) for k, pc in deg0
-                 if k[0] == s1 and (s1, 0, weight_add(w1, k[2])) in pieces]
-        if not cands:
-            continue
-        (_, _, w2), pb = rng.choice(cands)
-        ea = pa.group.random_element(rng)
-        eb = pb.group.random_element(rng)
-        prod_piece, prod = tower.mul_elts(s1, pa, ea, pb, eb)
-        lhs = hom("d", prod_piece.key).apply(prod)
-        p1, t1 = tower.mul_elts(s1, pa, ea, pieces[(s1, 1, w2)],
-                                hom("d", (s1, 0, w2)).apply(eb))
-        _, t2 = tower.mul_elts(s1, pb, eb, pieces[(s1, 1, w1)],
-                               hom("d", (s1, 0, w1)).apply(ea))
-        if tuple(lhs) != tuple(p1.group.add(t1, t2)):
-            okay, wit = False, f"Leibniz fails at level {s1} weights {pa.weight}+{pb.weight}"
-            break
-    record(FV_AXIOM_NAMES[1], okay, wit)
-
-    # 3: products of degree-1 generator lifts anticommute
-    okay, wit = True, None
-    deg1 = [(k, pc) for k, pc in pieces.items() if k[1] == 1 and pc.symbols]
-    for (s, _, w1), pa in deg1:
-        if not okay:
-            break
-        for (s2, _, w2), pb in deg1:
-            if s2 != s:
+    def d_squared():
+        # d then d vanishes out of degree 0
+        for (s, deg, w), piece in pieces.items():
+            if deg != 0 or not piece.symbols:
                 continue
-            # a projection into the zero group is zero, so a trivial target
-            # (every one-variable degree-2 piece) cannot change the verdict
-            tgt = pieces.get((s, 2, weight_add(w1, w2)))
-            if tgt is None or not tgt.group.n:
+            if not hom("d", (s, 1, w)).compose(hom("d", (s, 0, w))).is_zero():
+                return f"d^2 != 0 at level {s} weight {piece.weight}"
+
+    def leibniz():
+        # on sampled degree-0 products
+        for _ in range(samples if deg0 else 0):
+            (s1, _, w1), pa = rng.choice(deg0)
+            cands = [(k, pc) for k, pc in deg0
+                     if k[0] == s1 and (s1, 0, weight_add(w1, k[2])) in pieces]
+            if not cands:
                 continue
-            for sa in pa.symbols[:3]:
-                for sb in pb.symbols[:3]:
-                    elt = tower._project(tgt, tower.calc.mul(s, sa, sb)
-                                         + tower.calc.mul(s, sb, sa))
-                    if any(elt):
-                        okay, wit = False, f"uv + vu != 0 at level {s}"
-                        break
-                if not okay:
-                    break
-            if not okay:
-                break
-    record(FV_AXIOM_NAMES[2], okay, wit)
+            (_, _, w2), pb = rng.choice(cands)
+            ea = pa.group.random_element(rng)
+            eb = pb.group.random_element(rng)
+            prod_piece, prod = tower.mul_elts(s1, pa, ea, pb, eb)
+            lhs = hom("d", prod_piece.key).apply(prod)
+            p1, t1 = tower.mul_elts(s1, pa, ea, pieces[(s1, 1, w2)],
+                                    hom("d", (s1, 0, w2)).apply(eb))
+            _, t2 = tower.mul_elts(s1, pb, eb, pieces[(s1, 1, w1)],
+                                   hom("d", (s1, 0, w1)).apply(ea))
+            if tuple(lhs) != tuple(p1.group.add(t1, t2)):
+                return f"Leibniz fails at level {s1} weights {pa.weight}+{pb.weight}"
 
-    # 4: F multiplies
-    okay, wit = True, None
-    pool4 = [(k, pc) for k, pc in deg0 if k[0] >= 2]
-    for _ in range(samples):
-        if not pool4:
-            break
-        (s, _, w1), pa = rng.choice(pool4)
-        cands = [(k, pc) for k, pc in deg0 if k[0] == s
-                 and (s, 0, weight_add(w1, k[2])) in pieces
-                 and p * sum(weight_add(w1, k[2])) <= cap]
-        if not cands:
-            continue
-        (_, _, w2), pb = rng.choice(cands)
-        ea, eb = pa.group.random_element(rng), pb.group.random_element(rng)
-        prod_piece, prod = tower.mul_elts(s, pa, ea, pb, eb)
-        lhs = hom("f", prod_piece.key).apply(prod)
-        qa = pieces[(s - 1, 0, weight_up(w1, p))]
-        qb = pieces[(s - 1, 0, weight_up(w2, p))]
-        _, rhs = tower.mul_elts(s - 1, qa, hom("f", (s, 0, w1)).apply(ea),
-                                qb, hom("f", (s, 0, w2)).apply(eb))
-        if tuple(lhs) != tuple(rhs):
-            okay, wit = False, f"F(xy) != F(x)F(y) at level {s}"
-            break
-    record(FV_AXIOM_NAMES[3], okay, wit)
+    def graded_commutativity():
+        # products of degree-1 generator lifts anticommute
+        deg1 = [(k, pc) for k, pc in pieces.items() if k[1] == 1 and pc.symbols]
+        for (s, _, w1), pa in deg1:
+            for (s2, _, w2), pb in deg1:
+                if s2 != s:
+                    continue
+                # a projection into the zero group is zero, so a trivial target
+                # (every one-variable degree-2 piece) cannot change the verdict
+                tgt = pieces.get((s, 2, weight_add(w1, w2)))
+                if tgt is None or not tgt.group.n:
+                    continue
+                for sa in pa.symbols[:3]:
+                    for sb in pb.symbols[:3]:
+                        elt = tower._project(tgt, tower.calc.mul(s, sa, sb)
+                                             + tower.calc.mul(s, sb, sa))
+                        if any(elt):
+                            return f"uv + vu != 0 at level {s}"
 
-    # 5: V(x)V(y) = p V(xy)
-    okay, wit = True, None
-    pool5 = [(k, pc) for k, pc in deg0 if k[0] < tower.r]
-    for _ in range(samples):
-        if not pool5:
-            break
-        (s, _, w1), pa = rng.choice(pool5)
-        cands = [(k, pc) for k, pc in deg0 if k[0] == s
-                 and (s, 0, weight_add(w1, k[2])) in pieces]
-        if not cands:
-            continue
-        (_, _, w2), pb = rng.choice(cands)
-        ea, eb = pa.group.random_element(rng), pb.group.random_element(rng)
-        qa = pieces[(s + 1, 0, weight_down(w1, p))]
-        qb = pieces[(s + 1, 0, weight_down(w2, p))]
-        _, lhs = tower.mul_elts(s + 1, qa, hom("v", (s, 0, w1)).apply(ea),
-                                qb, hom("v", (s, 0, w2)).apply(eb))
-        prod_piece, prod = tower.mul_elts(s, pa, ea, pb, eb)
-        tgt = pieces[(s + 1, 0, weight_down(prod_piece.num, p))]
-        rhs = tgt.group.scale(p, hom("v", prod_piece.key).apply(prod))
-        if tuple(lhs) != tuple(rhs):
-            okay, wit = False, f"V(x)V(y) != pV(xy) at level {s}"
-            break
-    record(FV_AXIOM_NAMES[4], okay, wit)
+    def f_multiplicative():
+        pool = [(k, pc) for k, pc in deg0 if k[0] >= 2]
+        for _ in range(samples if pool else 0):
+            (s, _, w1), pa = rng.choice(pool)
+            cands = [(k, pc) for k, pc in deg0 if k[0] == s
+                     and (s, 0, weight_add(w1, k[2])) in pieces
+                     and p * sum(weight_add(w1, k[2])) <= cap]
+            if not cands:
+                continue
+            (_, _, w2), pb = rng.choice(cands)
+            ea, eb = pa.group.random_element(rng), pb.group.random_element(rng)
+            prod_piece, prod = tower.mul_elts(s, pa, ea, pb, eb)
+            lhs = hom("f", prod_piece.key).apply(prod)
+            qa = pieces[(s - 1, 0, weight_up(w1, p))]
+            qb = pieces[(s - 1, 0, weight_up(w2, p))]
+            _, rhs = tower.mul_elts(s - 1, qa, hom("f", (s, 0, w1)).apply(ea),
+                                    qb, hom("f", (s, 0, w2)).apply(eb))
+            if tuple(lhs) != tuple(rhs):
+                return f"F(xy) != F(x)F(y) at level {s}"
 
-    # 6: R commutes with F and V; above the top degree both sides are maps
-    # out of the zero group, so those pieces are skipped here and in 7
-    top = tower.nvars
-    okay, wit = True, None
-    for (s, deg, w), piece in pieces.items():
-        if deg > top or not piece.symbols or s < 3:
-            continue
-        wu = weight_up(w, p)
-        if sum(wu) > cap:
-            continue
-        a = hom("f", (s - 1, deg, w)).compose(hom("r", (s, deg, w)))
-        b = hom("r", (s - 1, deg, wu)).compose(hom("f", (s, deg, w)))
-        if a != b:
-            okay, wit = False, f"RF != FR at level {s} weight {piece.weight}"
-            break
-    if okay:
+    def v_products():
+        pool = [(k, pc) for k, pc in deg0 if k[0] < tower.r]
+        for _ in range(samples if pool else 0):
+            (s, _, w1), pa = rng.choice(pool)
+            cands = [(k, pc) for k, pc in deg0 if k[0] == s
+                     and (s, 0, weight_add(w1, k[2])) in pieces]
+            if not cands:
+                continue
+            (_, _, w2), pb = rng.choice(cands)
+            ea, eb = pa.group.random_element(rng), pb.group.random_element(rng)
+            qa = pieces[(s + 1, 0, weight_down(w1, p))]
+            qb = pieces[(s + 1, 0, weight_down(w2, p))]
+            _, lhs = tower.mul_elts(s + 1, qa, hom("v", (s, 0, w1)).apply(ea),
+                                    qb, hom("v", (s, 0, w2)).apply(eb))
+            prod_piece, prod = tower.mul_elts(s, pa, ea, pb, eb)
+            tgt = pieces[(s + 1, 0, weight_down(prod_piece.num, p))]
+            rhs = tgt.group.scale(p, hom("v", prod_piece.key).apply(prod))
+            if tuple(lhs) != tuple(rhs):
+                return f"V(x)V(y) != pV(xy) at level {s}"
+
+    def r_commutes():
+        for (s, deg, w), piece in pieces.items():
+            if deg > top or not piece.symbols or s < 3:
+                continue
+            wu = weight_up(w, p)
+            if sum(wu) > cap:
+                continue
+            a = hom("f", (s - 1, deg, w)).compose(hom("r", (s, deg, w)))
+            b = hom("r", (s - 1, deg, wu)).compose(hom("f", (s, deg, w)))
+            if a != b:
+                return f"RF != FR at level {s} weight {piece.weight}"
         for (s, deg, w), piece in pieces.items():
             if deg > top or not piece.symbols or s < 2 or s >= tower.r:
                 continue
             a = hom("v", (s - 1, deg, w)).compose(hom("r", (s, deg, w)))
             b = hom("r", (s + 1, deg, weight_down(w, p))).compose(hom("v", (s, deg, w)))
             if a != b:
-                okay, wit = False, f"RV != VR at level {s} weight {piece.weight}"
-                break
-    record(FV_AXIOM_NAMES[5], okay, wit)
+                return f"RV != VR at level {s} weight {piece.weight}"
 
-    # 7: FV = p
-    okay, wit = True, None
-    for (s, deg, w), piece in pieces.items():
-        if deg > top or not piece.symbols or s >= tower.r:
-            continue
-        comp = hom("f", (s + 1, deg, weight_down(w, p))).compose(hom("v", (s, deg, w)))
-        if comp != GroupHom.scalar(piece.group, p):
-            okay, wit = False, f"FV != p at level {s} degree {deg} weight {piece.weight}"
-            break
-    record(FV_AXIOM_NAMES[6], okay, wit)
-
-    # 8: FdV = d in degree 0
-    okay, wit = True, None
-    for (s, deg, w), piece in pieces.items():
-        if deg != 0 or not piece.symbols or s >= tower.r:
-            continue
-        wd = weight_down(w, p)
-        comp = hom("f", (s + 1, 1, wd)).compose(
-            hom("d", (s + 1, 0, wd))).compose(hom("v", (s, 0, w)))
-        if comp != hom("d", (s, 0, w)):
-            okay, wit = False, f"FdV != d at level {s} weight {piece.weight}"
-            break
-    record(FV_AXIOM_NAMES[7], okay, wit)
-
-    # 9: projection formula on sampled pairs; a nontrivial group has
-    # symbols, and the zero pieces are never read
-    okay, wit = True, None
-    pool9 = [(k, pc) for k, pc in pieces.items()
-             if k[0] >= 2 and pc.group.n]
-    for _ in range(samples):
-        if not pool9:
-            break
-        (s, dega, w1), pa = rng.choice(pool9)
-        wf = weight_up(w1, p)
-        if sum(wf) > cap:
-            continue
-        cands = [(k, pc) for k, pc in pieces.items()
-                 if k[0] == s - 1 and pc.group.n
-                 and k[1] + dega <= 2
-                 and (s - 1, dega + k[1], weight_add(wf, k[2])) in pieces]
-        if not cands:
-            continue
-        (_, degb, w2), pb = rng.choice(cands)
-        x = pa.group.random_element(rng)
-        y = pb.group.random_element(rng)
-        fx_piece = pieces[(s - 1, dega, wf)]
-        mid_piece, mid = tower.mul_elts(s - 1, fx_piece,
-                                        hom("f", (s, dega, w1)).apply(x), pb, y)
-        lhs = hom("v", mid_piece.key).apply(mid)
-        vy_piece = pieces[(s, degb, weight_down(w2, p))]
-        rhs_piece, rhs = tower.mul_elts(s, pa, x, vy_piece,
-                                        hom("v", (s - 1, degb, w2)).apply(y))
-        lhs_key = (s, mid_piece.degree, weight_down(mid_piece.num, p))
-        if lhs_key != rhs_piece.key or tuple(lhs) != tuple(rhs):
-            okay, wit = False, f"projection formula fails at level {s}"
-            break
-    record(FV_AXIOM_NAMES[8], okay, wit)
-
-    # 10: F of d on the lifted coordinate generators
-    okay, wit = True, None
-    for j in range(tower.nvars):
-        w1 = tuple(tower.D if k == j else 0 for k in range(tower.nvars))
-        for s in range(2, tower.r + 1):
-            if sum(weight_up(w1, p)) > cap:
+    def fv_is_p():
+        for (s, deg, w), piece in pieces.items():
+            if deg > top or not piece.symbols or s >= tower.r:
                 continue
-            gen_piece = pieces[(s, 0, w1)]
-            if len(gen_piece.symbols) != 1:
-                continue
-            gen = gen_piece.pres.project_vec([1])
-            lhs = hom("f", (s, 1, w1)).apply(hom("d", (s, 0, w1)).apply(gen))
-            unit = tuple(1 if k == j else 0 for k in range(tower.nvars))
-            pw_piece, pw = tower.class_of(
-                s - 1, tower.calc.canon(s - 1, 1, 0,
-                                        tuple((p - 1) * v for v in unit), []))
-            low_piece = pieces[(s - 1, 1, w1)]
-            dlow = hom("d", (s - 1, 0, w1)).apply(
-                pieces[(s - 1, 0, w1)].pres.project_vec([1]))
-            _, rhs = tower.mul_elts(s - 1, pw_piece, pw, low_piece, dlow)
-            if tuple(lhs) != tuple(rhs):
-                okay, wit = False, f"Teichmuller rule fails at level {s} var {j}"
-                break
-        if not okay:
-            break
-    record(FV_AXIOM_NAMES[9], okay, wit)
+            comp = hom("f", (s + 1, deg, weight_down(w, p))).compose(hom("v", (s, deg, w)))
+            if comp != GroupHom.scalar(piece.group, p):
+                return f"FV != p at level {s} degree {deg} weight {piece.weight}"
 
+    def fdv_is_d():
+        # in degree 0
+        for (s, deg, w), piece in pieces.items():
+            if deg != 0 or not piece.symbols or s >= tower.r:
+                continue
+            wd = weight_down(w, p)
+            comp = hom("f", (s + 1, 1, wd)).compose(
+                hom("d", (s + 1, 0, wd))).compose(hom("v", (s, 0, w)))
+            if comp != hom("d", (s, 0, w)):
+                return f"FdV != d at level {s} weight {piece.weight}"
+
+    def projection_formula():
+        # on sampled pairs; a nontrivial group has symbols, and the zero
+        # pieces are never read
+        pool = [(k, pc) for k, pc in pieces.items() if k[0] >= 2 and pc.group.n]
+        for _ in range(samples if pool else 0):
+            (s, dega, w1), pa = rng.choice(pool)
+            wf = weight_up(w1, p)
+            if sum(wf) > cap:
+                continue
+            cands = [(k, pc) for k, pc in pieces.items()
+                     if k[0] == s - 1 and pc.group.n
+                     and k[1] + dega <= 2
+                     and (s - 1, dega + k[1], weight_add(wf, k[2])) in pieces]
+            if not cands:
+                continue
+            (_, degb, w2), pb = rng.choice(cands)
+            x = pa.group.random_element(rng)
+            y = pb.group.random_element(rng)
+            fx_piece = pieces[(s - 1, dega, wf)]
+            mid_piece, mid = tower.mul_elts(s - 1, fx_piece,
+                                            hom("f", (s, dega, w1)).apply(x), pb, y)
+            lhs = hom("v", mid_piece.key).apply(mid)
+            vy_piece = pieces[(s, degb, weight_down(w2, p))]
+            rhs_piece, rhs = tower.mul_elts(s, pa, x, vy_piece,
+                                            hom("v", (s - 1, degb, w2)).apply(y))
+            lhs_key = (s, mid_piece.degree, weight_down(mid_piece.num, p))
+            if lhs_key != rhs_piece.key or tuple(lhs) != tuple(rhs):
+                return f"projection formula fails at level {s}"
+
+    def teichmuller_rule():
+        # F of d on the lifted coordinate generators
+        for j in range(tower.nvars):
+            w1 = tuple(tower.D if k == j else 0 for k in range(tower.nvars))
+            for s in range(2, tower.r + 1):
+                if sum(weight_up(w1, p)) > cap:
+                    continue
+                gen_piece = pieces[(s, 0, w1)]
+                if len(gen_piece.symbols) != 1:
+                    continue
+                gen = gen_piece.pres.project_vec([1])
+                lhs = hom("f", (s, 1, w1)).apply(hom("d", (s, 0, w1)).apply(gen))
+                unit = tuple(1 if k == j else 0 for k in range(tower.nvars))
+                pw_piece, pw = tower.class_of(
+                    s - 1, tower.calc.canon(s - 1, 1, 0,
+                                            tuple((p - 1) * v for v in unit), []))
+                low_piece = pieces[(s - 1, 1, w1)]
+                dlow = hom("d", (s - 1, 0, w1)).apply(
+                    pieces[(s - 1, 0, w1)].pres.project_vec([1]))
+                _, rhs = tower.mul_elts(s - 1, pw_piece, pw, low_piece, dlow)
+                if tuple(lhs) != tuple(rhs):
+                    return f"Teichmuller rule fails at level {s} var {j}"
+
+    checks = (d_squared, leibniz, graded_commutativity, f_multiplicative, v_products,
+              r_commutes, fv_is_p, fdv_is_d, projection_formula, teichmuller_rule)
+    entries = []
+    for name, check in zip(FV_AXIOM_NAMES, checks):
+        wit = check()
+        entries.append((name, wit is None, wit))
     return FVAxiomReport(entries)
 
 
@@ -1546,68 +1470,18 @@ def level_one_matches_de_rham(tower: TruncatedFVComplex) -> bool:
     return True
 
 
-@dataclass
-class UniversalMapReport:
-    target: str
-    well_defined: bool
-    commutes: bool
-    matches_expected: bool
-    details: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.well_defined and self.commutes and self.matches_expected
-
-
-def universal_map_check(tower: TruncatedFVComplex, target: str = "self") -> UniversalMapReport:
-    """The canonical map determined on lifted coordinates, into the tower
-    itself or the classical one-level complex."""
-    if target == "self":
-        okay = True
-        for piece in tower.pieces.values():
-            if not piece.symbols:
-                continue
-            hom = induced_hom(piece.pres, piece.pres, IntMatrix.identity(len(piece.symbols)))
-            if hom != GroupHom.identity(piece.group):
-                okay = False
-                break
-        return UniversalMapReport("self", True, True, okay)
-    if target != "de_rham":
-        raise ValueError("target must be self or de_rham")
-    dr = DeRhamComplex(tower.p, tower.nvars, tower.weight_cap)
-    D = tower.D
-    well, details = True, None
-    for (s, deg, w), piece in tower._pieces.items():
-        if s != 1 or not piece.symbols:
+def universal_map_check(tower: TruncatedFVComplex) -> bool:
+    """The canonical map of the tower to itself, determined on lifted
+    coordinates, is the identity on every piece.  A piece whose group is
+    trivial is skipped: the identity check is vacuous there, and reading
+    its labels would force a lazy zero piece."""
+    for piece in tower.pieces.values():
+        if not piece.group.n:
             continue
-        tot = sum(w)
-        if tot % D:
-            basis = []
-        elif deg <= tower.nvars:
-            basis = [bk for bk in dr.basis(deg, tot // D)
-                     if _basis_weight_vec(bk, tower.nvars) == tuple(c // D for c in w)]
-        else:
-            basis = []
-        pos = {bk: idx for idx, bk in enumerate(basis)}
-        data = {}
-        for j, sym in enumerate(piece.symbols):
-            i, mono, atoms = tower.calc.parts(sym)
-            if i != 0 or any(t != 0 for t, _ in atoms):
-                continue
-            frame = tuple(sorted(_unit_slot(mv) for _, mv in atoms))
-            key2 = (mono, frame)
-            if key2 in pos:
-                data[(pos[key2], j)] = 1
-        amb = IntMatrix(len(basis), len(piece.symbols), data)
-        for row in piece.lattice.row_list():
-            img = amb.apply(row)
-            if any(v % tower.p for v in img):
-                well, details = False, f"relations not killed at weight {piece.weight}"
-                break
-        if not well:
-            break
-    commutes = well and level_one_matches_de_rham(tower)
-    return UniversalMapReport("de_rham", well, commutes, well and commutes, details)
+        hom = induced_hom(piece.pres, piece.pres, IntMatrix.identity(len(piece.symbols)))
+        if hom != GroupHom.identity(piece.group):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

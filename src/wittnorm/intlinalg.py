@@ -83,12 +83,6 @@ class IntMatrix:
         return IntMatrix(rows, cols)
 
     @staticmethod
-    def diagonal(entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        by_row = {i: {i: w} for i, v in enumerate(entries) if v and (w := int(v))}
-        return IntMatrix._trusted(n, n, by_row)
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         c = len(cols)
         r = rows if rows is not None else (len(cols[0]) if c else 0)
@@ -118,14 +112,6 @@ class IntMatrix:
             for j, v in row.items():
                 out[i][j] = v
         return out
-
-    def column(self, j: int) -> List[int]:
-        col = [0] * self.rows
-        for i, row in self.by_row.items():
-            v = row.get(j)
-            if v:
-                col[i] = v
-        return col
 
     def is_zero(self) -> bool:
         return not self.by_row
@@ -233,15 +219,6 @@ class IntMatrix:
                 row.update(moved)
                 by_row[i] = row
         return IntMatrix._trusted(self.rows, self.cols + other.cols, by_row)
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("col mismatch in vstack")
-        shift = self.rows
-        by_row = dict(self.by_row)
-        for i, row in other.by_row.items():
-            by_row[i + shift] = row
-        return IntMatrix._trusted(self.rows + other.rows, self.cols, by_row)
 
     def take_columns(self, idx: Sequence[int]) -> "IntMatrix":
         pos = {j: t for t, j in enumerate(idx)}

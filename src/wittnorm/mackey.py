@@ -38,7 +38,9 @@ from .abgroups import (
     hom_cokernel,
     hom_kernel,
     induced_hom,
+    is_injective,
     is_isomorphism,
+    is_surjective,
     subgroups_equal,
 )
 from .intlinalg import IntMatrix, _SolveContext, matrix_mod, require_prime
@@ -402,7 +404,7 @@ def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
     """Levels = fixed subgroups of the carrier, with inclusion/trace/action."""
     p, n = mod.spec.p, mod.spec.n
     ident = GroupHom.identity(mod.carrier)
-    incls = [hom_kernel(hom_power(mod.action, p ** (n - k)) - ident).incl for k in range(n + 1)]
+    incls = [hom_kernel(hom_power(mod.action, p ** (n - k)) - ident) for k in range(n + 1)]
     traces = [translate_sum(hom_power(mod.action, p ** (n - k - 1)), p).matrix for k in range(n)]
     return _functor_on_subgroups(mod.spec, incls, [None] * n, traces, [mod.action.matrix] * (n + 1))
 
@@ -542,7 +544,7 @@ def augmentation(p: int, n: int, k: int = 0) -> MackeyMap:
 
 def mackey_cokernel(f: MackeyMap) -> CyclicMackeyFunctor:
     t = f.target
-    pres = [hom_cokernel(c).pres for c in f.components]
+    pres = [hom_cokernel(c) for c in f.components]
     return _functor_on_quotients(
         t.spec, pres, [h.matrix for h in t.res], [h.matrix for h in t.tr], [h.matrix for h in t.weyl]
     )
@@ -550,7 +552,7 @@ def mackey_cokernel(f: MackeyMap) -> CyclicMackeyFunctor:
 
 def mackey_kernel(f: MackeyMap) -> CyclicMackeyFunctor:
     s = f.source
-    incls = [hom_kernel(c).incl for c in f.components]
+    incls = [hom_kernel(c) for c in f.components]
     return _functor_on_subgroups(
         s.spec, incls, [h.matrix for h in s.res], [h.matrix for h in s.tr], [h.matrix for h in s.weyl]
     )
@@ -630,7 +632,7 @@ def check_exact(maps: Sequence[MackeyMap], left_exact: bool = True, right_exact:
     if left_exact:
         first = maps[0]
         for k in range(n + 1):
-            ok = hom_kernel(first.components[k]).group.is_trivial()
+            ok = is_injective(first.components[k])
             entries.append(("injectivity of map 1", k, ok))
     for i in range(len(maps) - 1):
         f, g = maps[i], maps[i + 1]
@@ -644,7 +646,7 @@ def check_exact(maps: Sequence[MackeyMap], left_exact: bool = True, right_exact:
     if right_exact:
         last = maps[-1]
         for k in range(n + 1):
-            ok = hom_cokernel(last.components[k]).group.is_trivial()
+            ok = is_surjective(last.components[k])
             entries.append((f"surjectivity of map {len(maps)}", k, ok))
     return ExactnessReport(entries)
 

@@ -394,9 +394,8 @@ def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]
                 if not lambda_ring_check(tower, samples=20,
                                          seed=_instance_seed(seed, key)):
                     return "multiplicative structure map failed"
-                um = universal_map_check(tower, target="self")
-                if not um.ok:
-                    return f"universal map to self failed: {um}"
+                if not universal_map_check(tower):
+                    return "universal map to self failed"
                 return None
 
             out.append((key, {"p": p, "r": r, "vars": 1, "weight_cap": 8}, thunk))

@@ -325,13 +325,20 @@ def test_cli_drw_build_lists_each_operator(argv, nvars, cap, capsys):
 
 
 def test_cli_drw_build_bytes_pinned(capsys):
-    # the degree-2 pieces here are zero and their labels are made on first
-    # read; the document that lists them stays the same byte for byte
-    assert main(["drw", "build", "--p", "2", "--r", "3", "--weight-cap", "6", "--json", "-"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert b'"degree": "2"' in out
-    assert hashlib.sha256(out).hexdigest() == (
-        "c9df15636c2385d477ced82b95f25d632501fd7e7e7fddf06313fb00faffaf78")
+    # one variable: the degree-2 pieces are zero and their labels are made
+    # on first read; two variables: the degree-2 pieces are derived.  Both
+    # documents list degree-2 labels and stay the same byte for byte
+    pinned = [
+        (["--r", "3", "--weight-cap", "6"],
+         "c9df15636c2385d477ced82b95f25d632501fd7e7e7fddf06313fb00faffaf78"),
+        (["--r", "2", "--vars", "2", "--weight-cap", "4"],
+         "7466cf18affa57542c503f7a8e7287bd2cabdc56d622336a349afe9f176e7b14"),
+    ]
+    for argv, digest in pinned:
+        assert main(["drw", "build", "--p", "2"] + argv + ["--json", "-"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert b'"degree": "2"' in out
+        assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
 def test_suite_ids_complete():

@@ -61,23 +61,49 @@ def _readme_names():
             for part in span.split(".")}
 
 
-def test_public_names_have_a_reader():
-    # a public function or class is read somewhere in the package, used by
-    # the benchmark, or named as API in the README; anything else is
-    # surface that only tests keep alive
-    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+def _module_trees():
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _unread(trees, names):
+    """The labels of the (label, name) pairs whose name nothing reads: not
+    read in the package, not named in `perfbench/*.py`, not named as API
+    in the README."""
     read = set()
     for tree in trees.values():
         read |= _read_names(tree)
         read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     named = _readme_names()
-    unread = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and node.name not in read | named
-              and not re.search(rf"\b{node.name}\b", bench)]
+    return [label for label, name in names
+            if name not in read | named and not re.search(rf"\b{name}\b", bench)]
+
+
+def _public_defs(body):
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_public_names_have_a_reader():
+    # a public function or class is read somewhere in the package, used by
+    # the benchmark, or named as API in the README; anything else is
+    # surface that only tests keep alive
+    trees = _module_trees()
+    names = [(f"{module}:{node.name}", node.name) for module, tree in trees.items()
+             for node in _public_defs(tree.body)]
+    unread = _unread(trees, names)
     assert unread == [], f"public names nothing reads: {unread}"
+
+
+def test_public_methods_have_a_reader():
+    # the same rule for the public methods and properties of public classes
+    trees = _module_trees()
+    names = [(f"{module}:{cls.name}.{node.name}", node.name)
+             for module, tree in trees.items()
+             for cls in _public_defs(tree.body) if isinstance(cls, ast.ClassDef)
+             for node in _public_defs(cls.body) if isinstance(node, ast.FunctionDef)]
+    unread = _unread(trees, names)
+    assert unread == [], f"public methods nothing reads: {unread}"
 
 
 def _environment_reads(tree):

@@ -358,7 +358,8 @@ def test_express_matrix_via_matches_express_via():
         got = express_matrix_via(h, cols)
         want = IntMatrix.from_columns([express_via(h, c) for c in images], rows=h.src.n)
         assert got == want
-        assert [h.apply(got.column(j)) for j in range(got.cols)] == images
+        columns = [[got.entry(i, j) for i in range(got.rows)] for j in range(got.cols)]
+        assert [h.apply(col) for col in columns] == images
 
 
 def test_express_matrix_via_rejects_column_outside_image():

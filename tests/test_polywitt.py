@@ -11,7 +11,6 @@ from wittnorm.mackey import (
     CyclicGroupSpec,
     constant_mackey,
     find_cyclic_iso,
-    fixed_point_mackey,
     orbit_gmodule,
     regular_gmodule,
     witt_mackey,
@@ -264,17 +263,6 @@ def test_kron():
         [0, 3, 0, 4],
         [3, 0, 4, 0],
     ]
-
-
-def test_pipelines_never_read_single_columns(monkeypatch):
-    # IntMatrix.column scans every nonzero, so a solve that reads its
-    # right-hand side one column at a time is quadratic in the columns
-    def column(self, j):
-        raise AssertionError("IntMatrix.column on a pipeline path")
-
-    monkeypatch.setattr(IntMatrix, "column", column)
-    assert all(lift_independence_report(FpVectorSpace(2, 2), 2, samples=4))
-    fixed_point_mackey(regular_gmodule(2, 2))
 
 
 def test_pipelines_match_orbit_count_at_dimension_1296():

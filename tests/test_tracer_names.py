@@ -35,7 +35,7 @@ def test_install_then_uninstall_restores():
     try:
         assert intlinalg.smith_normal_form is not before[0]
         assert abgroups.smith_normal_form is not before[1]
-        abgroups.present_quotient(1, intlinalg.IntMatrix.diagonal([4]))
+        abgroups.present_quotient(1, intlinalg.IntMatrix(1, 1, {(0, 0): 4}))
         assert t.totals["intlinalg.smith_normal_form"]["calls"] == 1
     finally:
         t.uninstall()
