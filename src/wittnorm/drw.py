@@ -553,18 +553,18 @@ class TruncatedFVComplex:
     Pieces are indexed by (level s, degree n, weight w); operators are
     exposed as GroupHom between presented quotients.  Construction seeds
     every piece with its local relations and runs one saturation loop over
-    all degrees, transporting new rows under d, F, V, R and products until
-    no piece gains one; SATURATION_ROUND_LIMIT bounds the rounds of that
-    loop, and SaturationError is raised when they do not suffice.  Products
-    are taken against generators only: the lifts [x^k y^l], and in degree 1
-    the atoms d[x_j] and dV^t[x^m].  That is exact.  A degree-1 symbol is
-    its lead times its atom, and a fractional generator V^e[x^m] needs no
-    move of its own: by the projection formula V^e[x^m] y = V^e([x^m] F^e y)
-    its product is F, then a lift, then V, moves the loop already takes
-    where their pieces lie under the cap ([x^k] V^e[x^m] = V^e[x^(k p^e +
-    m)] covers the mixed weights).  A Tier-1 fixpoint test certifies that
-    built towers are closed under the full family of products, near the
-    cap too.
+    all degrees, transporting new rows under d, F, V and products (R adds
+    none, see `_moves`) until no piece gains one; SATURATION_ROUND_LIMIT
+    bounds the rounds of that loop, and SaturationError is raised when they
+    do not suffice.  Products are taken against generators only: the lifts
+    [x^k y^l], and in degree 1 the atoms d[x_j] and dV^t[x^m].  That is
+    exact.  A degree-1 symbol is its lead times its atom, and a fractional
+    generator V^e[x^m] needs no move of its own: by the projection formula
+    V^e[x^m] y = V^e([x^m] F^e y) its product is F, then a lift, then V,
+    moves the loop already takes where their pieces lie under the cap
+    ([x^k] V^e[x^m] = V^e[x^(k p^e + m)] covers the mixed weights).  A
+    Tier-1 fixpoint test certifies that built towers are closed under R and
+    the full family of products, near the cap too.
     Pieces of degree above `nvars` are zero by Illusie's vanishing
     [Ill79, I.1] (a Langer-Zink basic Witt differential of degree n needs
     n variables), so they are not derived: each is a ZeroPiece, the
@@ -596,11 +596,6 @@ class TruncatedFVComplex:
         self._num_set = set(self.nums)
         self._pieces: Dict[PieceKey, TowerPiece] = {}
         self._hom_cache: Dict[Tuple, GroupHom] = {}
-        self._image_cache: Optional[Dict] = None
-        # both depend only on the pieces and their symbols, fixed once
-        # self._pieces exists; kept per tower, so separate builds share nothing
-        self._gen_cache: Dict[Tuple[int, Num], Optional[Symbol]] = {}
-        self._moves_cache: Dict[PieceKey, List[Tuple[Tuple, PieceKey]]] = {}
         self._build()
         self.pieces: Dict[Tuple[int, int, Weight], TowerPiece] = {
             (pc.level, pc.degree, pc.weight): pc for pc in self._pieces.values()}
@@ -722,7 +717,6 @@ class TruncatedFVComplex:
             if added:
                 pending[key] = added
         self._saturate(pending)
-        self._image_cache = None
         for key, piece in self._pieces.items():
             if key[1] <= self.nvars:
                 piece.pres = _present_from_lattice(piece.lattice)
@@ -779,11 +773,8 @@ class TruncatedFVComplex:
         return self._vec(piece, [(1, sym)] + [(-c, sm) for c, sm in terms])
 
     def _gen_symbol(self, s: int, u: Num) -> Optional[Symbol]:
-        ck = (s, u)
-        if ck not in self._gen_cache:
-            lead = self._lead_for(s, u) if sum(u) != 0 else None
-            self._gen_cache[ck] = (lead[0], lead[1], ()) if lead is not None else None
-        return self._gen_cache[ck]
+        lead = self._lead_for(s, u) if sum(u) != 0 else None
+        return (lead[0], lead[1], ()) if lead is not None else None
 
     def _leibniz_row(self, piece: TowerPiece, a: Symbol, b: Symbol) -> Row:
         """The relation d(ab) - d(a) b - a d(b) in the piece of d(ab)."""
@@ -828,38 +819,37 @@ class TruncatedFVComplex:
     # relation transports between pieces
 
     def _moves(self, key: PieceKey) -> List[Tuple[Tuple, PieceKey]]:
-        if key not in self._moves_cache:
-            self._moves_cache[key] = self._derive_moves(key)
-        return self._moves_cache[key]
-
-    def _derive_moves(self, key: PieceKey) -> List[Tuple[Tuple, PieceKey]]:
         s, deg, w = key
-        # v, f, r, then d: the transport order fixes the stored rows
+        # v, f, then d: the transport order fixes the stored rows.  No R:
+        # R commutes with d, F, V and products, and sends each local seed
+        # at level s into the span of the seeds at level s - 1, so R of any
+        # relation already lies in the closed lattice one level down.  Every
+        # "r" hom is built by induced_hom, which raises unless R maps the
+        # source's relations into the target's span.
         ops = dict(self.operators(key))
-        moves = [((op,), ops[op]) for op in "vfrd" if op in ops]
-        # products against generators only, exact by the class docstring:
-        # "m0" for the integral weights (the lifts [x^k y^l]; a fractional
-        # generator is reached through F, V and these by the projection
-        # formula), "m1" for the degree-1 symbols with lead [1].  Every
-        # integral weight stays: with [x] alone a relation would climb one
-        # [x] per saturation round.
+        moves = [((op,), ops[op]) for op in "vfd" if op in ops]
+        # products, tagged ("m", generator), against generators only, exact
+        # by the class docstring: the lifts [x^k y^l] of the integral
+        # weights (a fractional generator is reached through F, V and these
+        # by the projection formula), then in two variables the degree-1
+        # symbols with lead [1].  Every integral weight stays: with [x]
+        # alone a relation would climb one [x] per saturation round.
         D = self.D
         for u in self.nums:
             if sum(u) == 0 or any(c % D for c in u):
                 continue
             tgt = (s, deg, weight_add(w, u))
-            if tgt not in self._pieces or self._gen_symbol(s, u) is None:
-                continue
-            moves.append((("m0", u), tgt))
+            gen = self._gen_symbol(s, u)
+            if tgt in self._pieces and gen is not None:
+                moves.append((("m", gen), tgt))
         if self.nvars == 2 and deg == 1:
             for u in self.nums:
                 src = self._pieces.get((s, 1, u))
                 tgt = (s, 2, weight_add(w, u))
                 if src is None or tgt not in self._pieces:
                     continue
-                for other_idx, (i, mono, _) in enumerate(src.symbols):
-                    if i == 0 and not any(mono):
-                        moves.append((("m1", u, other_idx), tgt))
+                moves.extend((("m", sym), tgt) for sym in src.symbols
+                             if sym[0] == 0 and not any(sym[1]))
         return moves
 
     def _term_map(self, tag: Tuple, s: int):
@@ -872,25 +862,16 @@ class TruncatedFVComplex:
             return lambda sym: calc.apply_r(s - 1, sym)
         if tag[0] == "d":
             return lambda sym: calc.apply_d(s, sym)
-        if tag[0] == "m0":
-            gen = self._gen_symbol(s, tag[1])
-            return lambda sym: calc.mul(s, gen, sym)
-        if tag[0] == "m1":
-            other = self._pieces[(s, 1, tag[1])].symbols[tag[2]]
-            return lambda sym: calc.mul(s, sym, other)
+        if tag[0] == "m":
+            # sym * gen; a degree-0 gen gives the same terms on either side
+            gen = tag[1]
+            return lambda sym: calc.mul(s, sym, gen)
         raise ValueError(f"unknown transport {tag}")
 
-    def _symbol_images(self, key: PieceKey, tag: Tuple, tgt_key: PieceKey) -> List[Row]:
-        """Per source symbol, its image as a sparse row mod the target q."""
-        if self._image_cache is None:
-            self._image_cache = {}
-        ck = (key, tag)
-        if ck not in self._image_cache:
-            tgt = self._pieces[tgt_key]
-            term_map = self._term_map(tag, key[0])
-            self._image_cache[ck] = [self._vec(tgt, term_map(sym))
-                                   for sym in self._pieces[key].symbols]
-        return self._image_cache[ck]
+    def _images(self, key: PieceKey, tag: Tuple, tgt_key: PieceKey) -> List[Row]:
+        """Each source symbol's image under the move, a sparse row mod the target q."""
+        tgt, term_map = self._pieces[tgt_key], self._term_map(tag, key[0])
+        return [self._vec(tgt, term_map(sym)) for sym in self._pieces[key].symbols]
 
     def _transport_rows(self, rows: List[Row], key: PieceKey,
                         tag: Tuple, tgt_key: PieceKey) -> List[Row]:
@@ -899,7 +880,7 @@ class TruncatedFVComplex:
         tgt = self._pieces[tgt_key]
         if not tgt.symbols:
             return []
-        images = self._symbol_images(key, tag, tgt_key)
+        images = self._images(key, tag, tgt_key)
         q = tgt.lattice.q
         out = []
         for row in rows:
@@ -992,12 +973,10 @@ class TruncatedFVComplex:
                 # map is zero; a trivial source still takes the test below
                 hit = GroupHom.zero(src.group, dst.group)
             else:
-                term_map = self._term_map((op,), key[0])
-                data: Dict[Tuple[int, int], int] = {}
-                for j, sym in enumerate(src.symbols):
-                    for c, out in term_map(sym):
-                        ij = (dst.index[out], j)
-                        data[ij] = data.get(ij, 0) + c
+                # reduced mod the target q, the ambient matrix descends to
+                # the same hom: q e_j lies in every target's relation lattice
+                data = {(t, j): c for j, img in enumerate(self._images(key, (op,), dst_key))
+                        for t, c in img.items()}
                 amb = IntMatrix(len(dst.symbols), len(src.symbols), data)
                 hit = induced_hom(src.pres, dst.pres, amb)
             self._hom_cache[(op, key)] = hit

@@ -204,9 +204,6 @@ class CyclicMackeyFunctor:
     def n(self) -> int:
         return self.spec.n
 
-    def level(self, k: int) -> FgAbGroup:
-        return self.levels[k]
-
     def __eq__(self, other):
         return (
             isinstance(other, CyclicMackeyFunctor)
@@ -302,15 +299,6 @@ class MackeyMap:
     def scale(self, c: int) -> "MackeyMap":
         return MackeyMap(self.source, self.target, [h.scale(c) for h in self.components],
                          validate=False)
-
-    def __sub__(self, other: "MackeyMap") -> "MackeyMap":
-        if self.source != other.source or self.target != other.target:
-            raise MackeyError("difference mismatch")
-        comps = [a - b for a, b in zip(self.components, other.components)]
-        return MackeyMap(self.source, self.target, comps, validate=False)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
     def is_isomorphism(self) -> bool:
         return all(is_isomorphism(c) for c in self.components)

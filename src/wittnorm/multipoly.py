@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
+from .rings import pow_by_squaring
+
 Exps = Tuple[int, ...]
 
 
@@ -87,16 +89,7 @@ class MPoly:
     def pow(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = MPoly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return pow_by_squaring(MPoly.__mul__, self, n) if n else MPoly.const(self.nvars, 1)
 
     def exact_div_int(self, k: int) -> "MPoly":
         """Divide every coefficient by k; raises when not exact."""

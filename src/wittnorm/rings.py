@@ -107,9 +107,6 @@ class IntCover:
     def from_int(self, n):
         return n
 
-    def pow_p(self, a):
-        return a ** self.p
-
     def scale_pow_p(self, a, i: int):
         return a * self.p ** i
 
@@ -144,9 +141,6 @@ class QuotPolyCover:
 
     def from_int(self, n):
         return _trim([n])
-
-    def pow_p(self, a):
-        return pow_by_squaring(self.mul, a, self.p)
 
     def scale_pow_p(self, a, i: int):
         k = self.p ** i
@@ -239,9 +233,6 @@ class PadicPolyCover:
 
     def from_int(self, n: int) -> PadicVal:
         return self.make([n])
-
-    def pow_p(self, a: PadicVal) -> PadicVal:
-        return pow_by_squaring(self.mul, a, self.p)
 
     def scale_pow_p(self, a: PadicVal, i: int) -> PadicVal:
         prec = min(a.prec + i, self.K)
@@ -421,9 +412,6 @@ class GFPolyRing:
         if v.prec < 1:
             raise ArithmeticError("precision exhausted")
         return _trim(np.remainder(v.arr, self.p).tolist())
-
-    def degree(self, a) -> int:
-        return len(a) - 1 if a else -1
 
     def label(self) -> str:
         return f"F_{self.p}[x]"

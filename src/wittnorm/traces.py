@@ -45,9 +45,6 @@ class TensorCategory:
             raise ValueError("the rank cap (--rank-cap) must be at least 1,"
                              f" got {self.rank_cap}")
 
-    def objects(self) -> List[int]:
-        return list(range(1, self.rank_cap + 1))
-
     def random_map(self, rng: random.Random, src: int, dst: int) -> IntMatrix:
         hi = self.base_char if self.base_char else 3
         data = {}

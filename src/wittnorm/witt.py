@@ -172,10 +172,12 @@ class WittVector:
 
 
 class _PowerChains:
-    """Lazily extended chains v, v^p, v^(p^2), ... per tracked value."""
+    """Lazily extended chains v, v^p, v^(p^2), ... per tracked value, in a
+    base ring or a cover."""
 
-    def __init__(self, cover):
-        self.cover = cover
+    def __init__(self, ring, p: int):
+        self.ring = ring
+        self.p = p
         self.chains: List[List] = []
 
     def track(self, v) -> int:
@@ -185,15 +187,15 @@ class _PowerChains:
     def power(self, idx: int, k: int):
         chain = self.chains[idx]
         while len(chain) <= k:
-            chain.append(self.cover.pow_p(chain[-1]))
+            chain.append(pow_by_squaring(self.ring.mul, chain[-1], self.p))
         return chain[k]
 
     def ghost_sum(self, n: int, terms: int):
         """sum_{i < terms} p^i v_i^(p^(n-i)) for terms >= 1, started from the unscaled i = 0 term."""
-        cover = self.cover
+        ring = self.ring
         acc = self.power(0, n)
         for i in range(1, terms):
-            acc = cover.add(acc, cover.scale_pow_p(self.power(i, n - i), i))
+            acc = ring.add(acc, ring.scale_pow_p(self.power(i, n - i), i))
         return acc
 
 
@@ -262,74 +264,55 @@ class WittRing:
             if s == base.zero():
                 break  # p^j is zero for every j >= i as well
             scalars.append(s)
-        chains = [[c] for c in w.components]
-
-        def power(i, k):
-            chain = chains[i]
-            while len(chain) <= k:
-                chain.append(pow_by_squaring(base.mul, chain[-1], self.p))
-            return chain[k]
-
+        chains = _PowerChains(base, self.p)
+        for c in w.components:
+            chains.track(c)
         out = []
         for n in range(self.r):
             acc = base.zero()
             for i, s in enumerate(scalars[: n + 1]):
-                acc = base.add(acc, base.mul(s, power(i, n - i)))
+                acc = base.add(acc, base.mul(s, chains.power(i, n - i)))
             out.append(acc)
         return out
 
-    def _lift(self, cover, w: WittVector) -> List:
-        return [self.base.lift(c, cover) for c in w.components]
-
-    def _lifted_ghost(self, cover, lifted: List, upto: int) -> List:
-        chains = _PowerChains(cover)
-        for v in lifted:
-            chains.track(v)
-        return [chains.ghost_sum(n, n + 1) for n in range(upto)]
-
-    def _components_from_ghost(self, cover, targets: List) -> List:
-        chains = _PowerChains(cover)
+    def _via_ghost(self, target: "WittRing", combine: Callable, *vectors: WittVector) -> WittVector:
+        """Lift the vectors to the cover, combine their ghost components one
+        index at a time and invert the ghost map onto target.  A shorter
+        target drops the leading ghost components: F is the ghost shift."""
+        if any(w.ring != vectors[0].ring for w in vectors):
+            raise ValueError("operands live in different Witt rings")
+        base = self.base
+        cover = base.witt_cover(self.p, self.r)
+        ghosts = []
+        for w in vectors:
+            chains = _PowerChains(cover, self.p)
+            for c in w.components:
+                chains.track(base.lift(c, cover))
+            ghosts.append([chains.ghost_sum(n, n + 1) for n in range(self.r)])
+        targets = [combine(cover, *g) for g in zip(*ghosts)][self.r - target.r:]
+        chains = _PowerChains(cover, self.p)
         comps = []
         for n, t in enumerate(targets):
             z = cover.div_pow_p(cover.sub(t, chains.ghost_sum(n, n)), n) if n else t
             comps.append(z)
             chains.track(z)
-        return comps
-
-    def _finish(self, target_ring: "WittRing", cover, comps: List) -> WittVector:
-        return WittVector(target_ring, tuple(self.base.reduce(v, cover) for v in comps))
-
-    def _ghost_binary(self, a: WittVector, b: WittVector, combine: Callable) -> WittVector:
-        if a.ring != b.ring:
-            raise ValueError("operands live in different Witt rings")
-        cover = self.base.witt_cover(self.p, self.r)
-        ga = self._lifted_ghost(cover, self._lift(cover, a), self.r)
-        gb = self._lifted_ghost(cover, self._lift(cover, b), self.r)
-        targets = [combine(cover, x, y) for x, y in zip(ga, gb)]
-        return self._finish(self, cover, self._components_from_ghost(cover, targets))
+        return WittVector(target, tuple(base.reduce(v, cover) for v in comps))
 
     # ring operations
 
     def add(self, a: WittVector, b: WittVector) -> WittVector:
-        return self._ghost_binary(a, b, lambda c, x, y: c.add(x, y))
+        return self._via_ghost(self, lambda c, x, y: c.add(x, y), a, b)
 
     def mul(self, a: WittVector, b: WittVector) -> WittVector:
-        return self._ghost_binary(a, b, lambda c, x, y: c.mul(x, y))
+        return self._via_ghost(self, lambda c, x, y: c.mul(x, y), a, b)
 
     def neg(self, a: WittVector) -> WittVector:
         if self.p % 2:
             return WittVector(self, tuple(self.base.neg(c) for c in a.components))
-        cover = self.base.witt_cover(self.p, self.r)
-        ga = self._lifted_ghost(cover, self._lift(cover, a), self.r)
-        targets = [cover.neg(x) for x in ga]
-        return self._finish(self, cover, self._components_from_ghost(cover, targets))
+        return self._via_ghost(self, lambda c, x: c.neg(x), a)
 
     def scalar_mul(self, n: int, a: WittVector) -> WittVector:
-        cover = self.base.witt_cover(self.p, self.r)
-        ga = self._lifted_ghost(cover, self._lift(cover, a), self.r)
-        cn = cover.from_int(n)
-        targets = [cover.mul(cn, x) for x in ga]
-        return self._finish(self, cover, self._components_from_ghost(cover, targets))
+        return self._via_ghost(self, lambda c, x: c.mul(c.from_int(n), x), a)
 
     # structure maps
 
@@ -353,9 +336,7 @@ class WittRing:
         if self.base.char == self.p:
             return WittVector(target, tuple(pow_by_squaring(self.base.mul, c, self.p)
                                             for c in w.components[:-1]))
-        cover = self.base.witt_cover(self.p, self.r)
-        ga = self._lifted_ghost(cover, self._lift(cover, w), self.r)
-        return self._finish(target, cover, self._components_from_ghost(cover, ga[1:]))
+        return self._via_ghost(target, lambda c, x: x, w)
 
 
 # the identification W_t(F_p) = Z/p^t
