@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -514,11 +515,13 @@ class ZeroPiece(TowerPiece):
 
     Its group is trivial from the start.  Its symbols (the labels `drw
     build` lists), their index, the full lattice and the presentation are
-    made on first read, from the same enumeration as any other piece."""
+    made on first read, from the same enumeration as any other piece.  It
+    holds its tower weakly, so that the tower, which holds the piece, is
+    freed without the cyclic collector."""
 
     def __init__(self, tower: "TruncatedFVComplex", s: int, deg: int, w: Num):
         self.level, self.degree, self.weight, self.num = s, deg, tower.fraction(w), w
-        self._tower = tower
+        self._tower = weakref.ref(tower)
 
     @property
     def group(self) -> FgAbGroup:
@@ -526,7 +529,7 @@ class ZeroPiece(TowerPiece):
 
     @cached_property
     def symbols(self) -> List[Symbol]:
-        return self._tower._symbols_for(self.level, self.degree, self.num)
+        return self._tower()._symbols_for(self.level, self.degree, self.num)
 
     @cached_property
     def index(self) -> Dict[Symbol, int]:
@@ -534,7 +537,7 @@ class ZeroPiece(TowerPiece):
 
     @cached_property
     def lattice(self) -> LatticeModQ:
-        lat = LatticeModQ(len(self.symbols), self._tower.p, self.level)
+        lat = LatticeModQ(len(self.symbols), self._tower().p, self.level)
         lat.fill()
         return lat
 
@@ -659,21 +662,22 @@ class TruncatedFVComplex:
                 weighted.append((sum(aw), aw, (t, mv)))
             weighted.sort()
         syms: List[Symbol] = []
-
-        def extend(start: int, atoms: Tuple[Tuple[int, Mono], ...], left: Num) -> None:
+        # depth-first over (next atom, atoms so far, weight left); the
+        # result is sorted, so the visiting order does not matter
+        stack: List[Tuple[int, Tuple[Tuple[int, Mono], ...], Num]] = [(0, (), w)]
+        while stack:
+            start, atoms, left = stack.pop()
             if len(atoms) == deg:
                 lead = self._lead_for(s, left)
                 if lead is not None:
                     syms.append((lead[0], lead[1], tuple(sorted(atoms))))
-                return
+                continue
             room = sum(left)
             for k in range(start, len(weighted)):
                 n, aw, atom = weighted[k]
                 if n > room:
                     break
-                extend(k + 1, atoms + (atom,), weight_sub(left, aw))
-
-        extend(0, (), w)
+                stack.append((k + 1, atoms + (atom,), weight_sub(left, aw)))
         return sorted(syms)
 
     def _vec(self, piece: TowerPiece, terms: Iterable[Tuple[int, Symbol]]) -> Row:

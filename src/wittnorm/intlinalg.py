@@ -10,6 +10,7 @@ with d1 | d2 | ... .
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from math import isqrt
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -257,6 +258,8 @@ class _SmithWorker:
             self.rows[i] = dict(row)
             for j in row:
                 self.colindex[j].add(i)
+        # the nonempty rows, ascending; the pivot scans read only these
+        self.live: List[int] = sorted(i for i, row in m.by_row.items() if row)
         # U tracks row ops (U*m), V tracks col ops (m*V); stored same way.
         # U^-1 is kept by columns: a row op U -> E*U turns U^-1 into
         # U^-1 * E^-1, which is a column op.
@@ -267,12 +270,17 @@ class _SmithWorker:
         self.floor = 1
 
     def set_entry(self, i: int, j: int, v: int) -> None:
+        # a row can empty and fill again within one row or column operation
+        row = self.rows[i]
         if v:
-            self.rows[i][j] = v
+            if not row:
+                insort(self.live, i)
+            row[j] = v
             self.colindex[j].add(i)
-        else:
-            if self.rows[i].pop(j, None) is not None:
-                self.colindex[j].discard(i)
+        elif row.pop(j, None) is not None:
+            self.colindex[j].discard(i)
+            if not row:
+                del self.live[bisect_left(self.live, i)]
 
     def row_axpy(self, q: int, src: int, dst: int) -> None:
         """row[dst] -= q * row[src], mirrored in U and (as col[src] += q * col[dst]) in U^-1."""
@@ -299,6 +307,11 @@ class _SmithWorker:
         for j in set(self.rows[a]) | set(self.rows[b]):
             self.colindex[j].discard(a)
             self.colindex[j].discard(b)
+        if bool(self.rows[a]) != bool(self.rows[b]):
+            # one of the two is empty: the index trades the full one for it
+            full, empty = (a, b) if self.rows[a] else (b, a)
+            del self.live[bisect_left(self.live, full)]
+            insort(self.live, empty)
         self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
         for j in self.rows[a]:
             self.colindex[j].add(a)
@@ -328,11 +341,14 @@ class _SmithWorker:
         In row t the first unit in dict order wins; otherwise the least
         (|value|, i, j) wins.  No entry is smaller than ``floor``, so once a
         row holds an entry of that size no later row can beat it, and the
-        scan stops there.
+        scan stops there.  Empty rows hold no candidate, so only the rows
+        in ``live`` are read.
         """
         best = None
-        for i in range(t, self.r):
-            for j, v in self.rows[i].items():
+        live, rows = self.live, self.rows
+        for k in range(bisect_left(live, t), len(live)):
+            i = live[k]
+            for j, v in rows[i].items():
                 if j < t:
                     continue
                 key = (abs(v), i, j)
@@ -354,7 +370,9 @@ class _SmithWorker:
         p = self.rows[t][t]
         if abs(p) == self.floor:
             return None
-        for i in range(t + 1, self.r):
+        live = self.live
+        for k in range(bisect_left(live, t + 1), len(live)):
+            i = live[k]
             if any(j > t and v % p for j, v in self.rows[i].items()):
                 return i
         return None
@@ -511,24 +529,34 @@ def matrix_mod(m: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     return IntMatrix._trusted(m.rows, m.cols, by_row)
 
 
-def random_unimodular(n: int, rng) -> IntMatrix:
-    """Seeded unimodular matrix built from up to twelve elementary row operations."""
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def random_unimodular(n: int, rng) -> Tuple[IntMatrix, IntMatrix]:
+    """Seeded unimodular U and its inverse, from up to twelve row operations.
+
+    Each row operation E on U (U -> E*U) is mirrored on U^-1 as the column
+    operation U^-1 -> U^-1 * E^-1.  Every row of both lists its entries by
+    ascending column.
+    """
+    urows: List[Dict[int, int]] = [{i: 1} for i in range(n)]
+    invcols: List[Dict[int, int]] = [{i: 1} for i in range(n)]
     for _ in range(12):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
         c = rng.choice([-2, -1, 1, 2])
-        for k in range(n):
-            m[i][k] += c * m[j][k]
+        # row[i] += c * row[j]; on the inverse, col[j] -= c * col[i]
+        _axpy(urows[i], urows[j], -c)
+        _axpy(invcols[j], invcols[i], c)
     if rng.random() < 0.5 and n > 1:
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        m[i], m[j] = m[j], m[i]
-    return IntMatrix.from_rows(m)
+        urows[i], urows[j] = urows[j], urows[i]
+        invcols[i], invcols[j] = invcols[j], invcols[i]
+    u = {i: row if len(row) == 1 else dict(sorted(row.items())) for i, row in enumerate(urows)}
+    return (IntMatrix._trusted(n, n, u),
+            IntMatrix._trusted(n, n, _rows_of_columns(invcols)))
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -147,14 +147,12 @@ def fixed_mod_norm(action: IntMatrix, order: int) -> Tuple[IntMatrix, Presentati
     action.  Returns the fixed basis as matrix columns, and the
     presentation of the quotient in those coordinates.
     """
-    dim = action.rows
-    ident = IntMatrix.identity(dim)
+    ident = IntMatrix.identity(action.rows)
     fixed = kernel_basis(action - ident)
-    norm = IntMatrix.zero(dim, dim)
-    power = ident
-    for _ in range(order):
-        norm = norm + power
+    norm = power = ident
+    for _ in range(order - 1):
         power = action * power
+        norm = norm + power
     coords = solve_int_matrix(fixed, norm)
     if coords is None:
         raise AssertionError("norm image must lie in the fixed lattice")
@@ -319,12 +317,15 @@ def fv_on_norm(space: FpVectorSpace, r: int, w: CyclicMackeyFunctor) -> FVReport
     return FVReport(p, space.d, r, checks)
 
 
-def conjugate_gmodule(mod: GModule, base_change: IntMatrix) -> GModule:
-    """The same module written in a different basis of its free carrier."""
-    inv = solve_int_matrix(base_change, IntMatrix.identity(base_change.rows))
-    if inv is None:
+def conjugate_gmodule(mod: GModule, base_change: IntMatrix, inverse: IntMatrix) -> GModule:
+    """The same module written in a different basis of its free carrier.
+
+    `inverse` must be the inverse of the square `base_change`; over Z a
+    right inverse of a square matrix is its inverse."""
+    n = base_change.rows
+    if base_change.cols != n or base_change * inverse != IntMatrix.identity(n):
         raise ValueError("change of basis must be invertible over the integers")
-    conj = base_change * mod.action.matrix * inv
+    conj = base_change * mod.action.matrix * inverse
     return GModule(mod.spec, mod.carrier, GroupHom(mod.carrier, mod.carrier, conj))
 
 
@@ -344,8 +345,7 @@ def lift_independence_report(space: FpVectorSpace, r: int, samples: int = 20,
     rng = random.Random(seed)
     results = []
     for _ in range(samples):
-        u = random_unimodular(dim, rng)
-        conj = conjugate_gmodule(inflated, u)
+        conj = conjugate_gmodule(inflated, *random_unimodular(dim, rng))
         results.append(tate_h0(conj) == baseline)
     return results
 

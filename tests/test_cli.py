@@ -347,6 +347,21 @@ def test_cli_drw_build_bytes_pinned(capsys):
         assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
+def test_cli_polywitt_bytes_pinned(capsys):
+    # the Tate pipeline, its seeded unimodular conjugates and the norm
+    # pipeline, byte for byte
+    pinned = [
+        (["run", "lift"],
+         "783f85d3513b872853280990b41d01d0859b951bf1e134287dafd8def65446cb"),
+        (["polywitt", "compare", "--p", "2", "--d", "4", "--r", "3"],
+         "05a6750ca2d042227aeea3c2df2183e57c36c9953150b2c96336bc2cdcd363c2"),
+    ]
+    for argv, digest in pinned:
+        assert main(argv + ["--json", "-"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
 def test_suite_ids_complete():
     assert set(SUITE_IDS) == {
         "witt", "cartier", "mackey", "resolution", "compare",

@@ -1,10 +1,12 @@
 """Truncated F-V towers: saturation output, axioms, comparisons."""
 
+import gc
 import hashlib
 import math
 import os
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -827,6 +829,26 @@ def test_one_variable_degree_two_is_full():
         assert pc.lattice.n == len(syms) and pc.lattice.q == 3 ** pc.level
         assert pc.pres.ambient_dim == len(syms) and pc.pres.group == pc.group
         assert_matches_full_lattice(pc.pres, len(syms), dense_rows(pc.lattice), 3 ** pc.level)
+
+
+@pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 6), (2, 2, 2, 3)])
+def test_built_tower_dies_with_its_last_reference(p, r, nvars, cap):
+    # no reference cycle holds a tower: its zero pieces hold it weakly and
+    # the symbol enumeration leaves no closure behind, so reference
+    # counting alone frees it
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        tw = build_drw(p, r, nvars, cap)
+        assert check_fv_axioms(tw, samples=10).ok
+        assert all(pc.symbols is not None for pc in tw.pieces.values())
+        ref = weakref.ref(tw)
+        del tw
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_one_variable_tower_enumerates_no_degree_two_label(monkeypatch):

@@ -211,8 +211,46 @@ def test_random_unimodular_has_unit_det():
     rng = random.Random(7)
     for n in (1, 2, 3, 4):
         for _ in range(5):
-            u = random_unimodular(n, rng)
+            u, _ = random_unimodular(n, rng)
             assert abs(det(u)) == 1
+
+
+def _dense_unimodular(n, rng):
+    """The dense construction random_unimodular replaced, draw for draw."""
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(12):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+    if rng.random() < 0.5 and n > 1:
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        m[i], m[j] = m[j], m[i]
+    return IntMatrix.from_rows(m)
+
+
+def test_random_unimodular_returns_its_inverse():
+    for seed in (0, 1, 7, 2024):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for n in range(1, 7):
+            for _ in range(4):
+                u, u_inv = random_unimodular(n, rng)
+                want = _dense_unimodular(n, ref_rng)
+                # the same draws give the same U, rows and entries in order
+                assert (u.rows, u.cols) == (want.rows, want.cols)
+                assert list(u.data.items()) == list(want.data.items())
+                ident = IntMatrix.identity(n)
+                assert u * u_inv == ident and u_inv * u == ident
+                for row in u_inv.by_row.values():
+                    assert list(row) == sorted(row)
+        # the stream stays in step after the last sample
+        assert rng.random() == ref_rng.random()
 
 
 def test_require_prime():
@@ -293,6 +331,57 @@ def _snf_cases(seed, count):
 
 def test_snf_matches_reference_pivoting(monkeypatch):
     mats = list(_snf_cases(2024, 300))
+    got = [smith_normal_form(m) for m in mats]
+    monkeypatch.setattr(intlinalg, "_SmithWorker", _ReferenceWorker)
+    for m, out in zip(mats, got):
+        want = smith_normal_form(m)
+        for x, y in zip(out, want):
+            assert (x.rows, x.cols) == (y.rows, y.cols)
+            assert list(x.data.items()) == list(y.data.items())
+
+
+class _CheckedWorker(intlinalg._SmithWorker):
+    """The live worker, checking its index of nonempty rows before each scan."""
+
+    def pick_pivot(self, t):
+        assert self.live == [i for i, row in enumerate(self.rows) if row]
+        return super().pick_pivot(t)
+
+    def offending_row(self, t):
+        assert self.live == [i for i, row in enumerate(self.rows) if row]
+        return super().offending_row(t)
+
+
+def _sparse_row_cases(seed):
+    """Rank-deficient inputs full of empty rows, as the Tate pipeline factors.
+
+    A conjugate U R U^-1 of a tensor rotation R, minus the identity, has
+    rank n minus the number of orbits; its row-reduced form empties many
+    rows.  The other cases interleave zero rows (and columns) with the
+    rows of the seeded SNF cases.
+    """
+    from wittnorm.polywitt import rotation_matrix
+
+    rng = random.Random(seed)
+    for d, m in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]:
+        rot = rotation_matrix(d, m)
+        n = rot.rows
+        for _ in range(3):
+            u, u_inv = random_unimodular(n, rng)
+            a = u * rot * u_inv - IntMatrix.identity(n)
+            yield _shuffled(n, n, dict(a.data), rng)
+    for base in _snf_cases(seed, 40):
+        gap = rng.randint(1, 3)
+        rows = base.rows * (gap + 1) + rng.randint(0, 2)
+        cols = base.cols + rng.randint(0, 3)
+        data = {(gap * (i + 1) + i, j): v for (i, j), v in base.data.items()}
+        yield _shuffled(rows, cols, data, rng)
+
+
+def test_snf_on_empty_rows_matches_reference_pivoting(monkeypatch):
+    mats = list(_sparse_row_cases(99))
+    assert any(not m.by_row.keys() >= set(range(m.rows)) for m in mats)
+    monkeypatch.setattr(intlinalg, "_SmithWorker", _CheckedWorker)
     got = [smith_normal_form(m) for m in mats]
     monkeypatch.setattr(intlinalg, "_SmithWorker", _ReferenceWorker)
     for m, out in zip(mats, got):
@@ -447,6 +536,7 @@ def _flat_snf(m, monkeypatch):
             for (i, j), v in flat.data.items():
                 self.rows[i][j] = v
                 self.colindex[j].add(i)
+            self.live = sorted(i for i, row in enumerate(self.rows) if row)
             self.urows = [{i: 1} for i in range(flat.rows)]
             self.uinvcols = [{i: 1} for i in range(flat.rows)]
             self.vcols = [{j: 1} for j in range(flat.cols)]

@@ -1,12 +1,13 @@
 """Polynomial Witt vectors: Tate and norm pipelines, comparison, F/V."""
 
 import os
+import random
 import sys
 
 import pytest
 
 from wittnorm.abgroups import FgAbGroup, GroupHom
-from wittnorm.intlinalg import IntMatrix, kron, kron_power
+from wittnorm.intlinalg import IntMatrix, kron, kron_power, random_unimodular
 from wittnorm.mackey import (
     CyclicGroupSpec,
     constant_mackey,
@@ -221,7 +222,8 @@ def test_tensor_form_conjugation_is_invisible():
     # reason the construction cannot see the choice of lift
     rot = tensor_power_action(FreeLift(2), CyclicGroupSpec(2, 1))
     u = IntMatrix.from_rows([[1, 1], [0, 1]])
-    conj = conjugate_gmodule(rot, kron_power(u, 2))
+    u_inv = IntMatrix.from_rows([[1, -1], [0, 1]])
+    conj = conjugate_gmodule(rot, kron_power(u, 2), kron_power(u_inv, 2))
     assert conj.action.matrix == rot.action.matrix
 
 
@@ -230,9 +232,29 @@ def test_general_conjugation_changes_matrix_but_not_tate():
     u = IntMatrix.from_rows(
         [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
-    conj = conjugate_gmodule(rot, u)
+    u_inv = IntMatrix.from_rows(
+        [[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
+    conj = conjugate_gmodule(rot, u, u_inv)
     assert conj.action.matrix != rot.action.matrix
     assert tate_h0(conj) == tate_h0(rot)
+
+
+def test_conjugation_rejects_a_wrong_inverse():
+    rot = inflate_action(tensor_power_action(FreeLift(2), CyclicGroupSpec(2, 1)))
+    u, u_inv = random_unimodular(4, random.Random(5))
+    assert conjugate_gmodule(rot, u, u_inv).action.matrix.rows == 4
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    for base_change, inverse in [
+        (u, u),                                             # not the inverse
+        (u, u_inv.scale(-1)),                               # off by a sign
+        (IntMatrix.from_rows([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+         IntMatrix.identity(4)),                            # not unimodular
+        (IntMatrix.from_rows([[1, 0, 0, 0]]), IntMatrix.from_rows([[1], [0], [0], [0]])),
+        (kron_power(swap, 2), IntMatrix.identity(3)),       # wrong shape
+    ]:
+        with pytest.raises(ValueError):
+            conjugate_gmodule(rot, base_change, inverse)
 
 
 def test_functoriality_composite_is_identity():
