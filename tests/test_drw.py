@@ -842,6 +842,7 @@ def test_built_tower_dies_with_its_last_reference(p, r, nvars, cap):
     try:
         tw = build_drw(p, r, nvars, cap)
         assert check_fv_axioms(tw, samples=10).ok
+        # every piece's labels, the zero pieces' through the weak reference
         assert all(pc.symbols is not None for pc in tw.pieces.values())
         ref = weakref.ref(tw)
         del tw

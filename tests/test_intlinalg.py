@@ -26,6 +26,7 @@ from wittnorm.intlinalg import (
     solve_int,
     solve_int_matrix,
 )
+from wittnorm.polywitt import rotation_matrix
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -360,8 +361,6 @@ def _sparse_row_cases(seed):
     rows.  The other cases interleave zero rows (and columns) with the
     rows of the seeded SNF cases.
     """
-    from wittnorm.polywitt import rotation_matrix
-
     rng = random.Random(seed)
     for d, m in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]:
         rot = rotation_matrix(d, m)
