@@ -11,13 +11,22 @@ F_p[x]/(f) with integer coefficient tuples modulo a monic lift of f; for
 F_p[x] with numpy arrays carrying coefficients modulo a power of p plus an
 explicit precision, which keeps the exact divisions by p fast at large
 degree while still producing exact mod-p answers.
+
+That F_p[x] cover is the only user of numpy in the package, so numpy is
+loaded when the first one is built, not on import.  Witt sums and products
+over F_p[x] load it (`witt add` and `witt mul` with `--ring fpx`, `run witt`,
+`run drw`); `polywitt`, `mackey`, `trace`, `drw build`, `drw check` and the
+other `witt` verbs run without it.
+
+The bases of characteristic p (F_p, F_p[x], F_p[x]/(f)) also expose their
+Frobenius a -> a^p, computed by substitution: (sum a_i x^i)^p = sum a_i x^(ip).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence, Tuple
 
-import numpy as np
+np = None  # numpy, bound by the first PadicPolyCover
 
 IntPoly = Tuple[int, ...]  # dense coefficients, no trailing zeros, () = 0
 
@@ -73,6 +82,15 @@ def poly_rem_monic(a: Sequence[int], f: Sequence[int], mod: int = 0) -> IntPoly:
     return _trim(work)
 
 
+def _substitute_pth_power(a: IntPoly, p: int) -> IntPoly:
+    """a(x^p) for a trimmed coefficient tuple a."""
+    if not a:
+        return ()
+    out = [0] * (p * (len(a) - 1) + 1)
+    out[::p] = a
+    return tuple(out)
+
+
 def pow_by_squaring(mul, a, n: int):
     """a^n for n >= 1 by square-and-multiply from a: bit_length + popcount - 2 products."""
     out = a
@@ -88,6 +106,8 @@ def pow_by_squaring(mul, a, n: int):
 
 class IntCover:
     """Exact integer cover (for Z, Z/m bases)."""
+
+    char = 0
 
     def __init__(self, p: int):
         self.p = p
@@ -119,6 +139,8 @@ class IntCover:
 
 class QuotPolyCover:
     """Z[x]/(f~) for a monic integer lift f~ of the base modulus."""
+
+    char = 0
 
     def __init__(self, p: int, f_lift: IntPoly):
         self.p = p
@@ -176,7 +198,12 @@ class PadicPolyCover:
     so that final answers are still exact modulo p.
     """
 
+    char = 0
+
     def __init__(self, p: int, max_prec: int):
+        global np
+        if np is None:
+            import numpy as np
         self.p = p
         self.K = max_prec
 
@@ -339,6 +366,10 @@ class ZModRing:
     def from_int(self, n):
         return n % self.m
 
+    def frobenius(self, a):
+        # read only when m is the Witt prime p, where a^p = a (Fermat)
+        return a
+
     def elements(self) -> Iterator[int]:
         return iter(range(self.m))
 
@@ -392,6 +423,9 @@ class GFPolyRing:
     def mul(self, a, b):
         return poly_mul(a, b, self.p)
 
+    def frobenius(self, a):
+        return _substitute_pth_power(a, self.p)
+
     def from_int(self, n):
         return _trim([n % self.p])
 
@@ -411,7 +445,7 @@ class GFPolyRing:
     def reduce(self, v: PadicVal, cover: PadicPolyCover):
         if v.prec < 1:
             raise ArithmeticError("precision exhausted")
-        return _trim(np.remainder(v.arr, self.p).tolist())
+        return _trim((v.arr % self.p).tolist())
 
     def label(self) -> str:
         return f"F_{self.p}[x]"
@@ -457,6 +491,9 @@ class QuotPolyRing:
 
     def mul(self, a, b):
         return self._red(poly_mul(a, b))
+
+    def frobenius(self, a):
+        return self._red(_substitute_pth_power(a, self.p))
 
     def from_int(self, n):
         return _trim([n % self.p])

@@ -17,6 +17,8 @@ cross-checks the two paths wherever the tables are cheap to build.  Two
 maps skip the cover where a ring identity gives them componentwise: the
 Frobenius over a base of characteristic p, F(x_0, x_1, ...) = (x_0^p,
 x_1^p, ...), and negation at odd p, where -1 = [-1] and (-1)^(p^k) = -1.
+In characteristic p the p-th powers themselves are the base ring's
+Frobenius, a substitution x^i -> x^(ip), not a chain of products.
 """
 
 from __future__ import annotations
@@ -171,13 +173,21 @@ class WittVector:
         return self.ring.ghost(self)
 
 
+def _pth_power(ring, p: int) -> Callable:
+    """x -> x^p in a base ring or a cover: the ring's own Frobenius where it
+    has characteristic p, square-and-multiply from x everywhere else."""
+    if ring.char == p:
+        return ring.frobenius
+    return lambda x: pow_by_squaring(ring.mul, x, p)
+
+
 class _PowerChains:
     """Lazily extended chains v, v^p, v^(p^2), ... per tracked value, in a
     base ring or a cover."""
 
     def __init__(self, ring, p: int):
         self.ring = ring
-        self.p = p
+        self.pth_power = _pth_power(ring, p)
         self.chains: List[List] = []
 
     def track(self, v) -> int:
@@ -187,7 +197,7 @@ class _PowerChains:
     def power(self, idx: int, k: int):
         chain = self.chains[idx]
         while len(chain) <= k:
-            chain.append(pow_by_squaring(self.ring.mul, chain[-1], self.p))
+            chain.append(self.pth_power(chain[-1]))
         return chain[k]
 
     def ghost_sum(self, n: int, terms: int):
@@ -334,8 +344,7 @@ class WittRing:
             raise ValueError("Frobenius needs length >= 2")
         target = WittRing(self.p, self.r - 1, self.base)
         if self.base.char == self.p:
-            return WittVector(target, tuple(pow_by_squaring(self.base.mul, c, self.p)
-                                            for c in w.components[:-1]))
+            return WittVector(target, tuple(map(self.base.frobenius, w.components[:-1])))
         return self._via_ghost(target, lambda c, x: x, w)
 
 

@@ -4,6 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -360,6 +364,55 @@ def test_cli_polywitt_bytes_pinned(capsys):
         assert main(argv + ["--json", "-"]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+# run in a fresh interpreter: import the CLI, then run each argv through
+# main and report its exit code, whether numpy is loaded and its output hash
+_COLD_START = """
+import contextlib, hashlib, io, json, sys
+import wittnorm.cli
+report = [["import", 0, "numpy" in sys.modules, ""]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = wittnorm.cli.main(argv)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    report.append([" ".join(argv[:2]), rc, "numpy" in sys.modules, digest])
+print(json.dumps(report))
+"""
+
+
+def test_cold_start_loads_numpy_with_the_first_fpx_cover():
+    # only the p-adic cover of W_r(F_p[x]) needs numpy: importing the CLI,
+    # the polynomial-Witt pipelines, a tower build, the compare suite and F
+    # over F_p[x] (a substitution in characteristic p) leave it unloaded,
+    # and the first F_p[x] Witt sum loads it; every output is pinned
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argvs = [
+        ["polywitt", "compare", "--p", "2", "--d", "2", "--r", "2", "--json", "-"],
+        ["drw", "build", "--p", "2", "--r", "2", "--weight-cap", "2", "--json", "-"],
+        ["run", "compare", "--json", "-"],
+        ["witt", "F", "--p", "3", "--r", "3", "--ring", "fpx",
+         "--in", "[[1,2],[0,1],[2,2,1]]", "--json", "-"],
+        ["witt", "add", "--p", "2", "--r", "3", "--ring", "fpx",
+         "--in", "[[[1,1],[0,1],[1]],[[0,1,1],[1],[1,0,1]]]", "--json", "-"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == [
+        ["import", 0, False, ""],
+        ["polywitt compare", 0, False,
+         "3966969cead24298ef01e0f7d7c2c86894056b3b3ba58cfc009d272b59ca23a5"],
+        ["drw build", 0, False,
+         "5e8a7e816719677274029684ef15712b2ea15bc6b6bfdeda85738cb08f2d139f"],
+        ["run compare", 0, False,
+         "549ed3cf585747a75f50807286653927fb3673fe81dd6ea75e21b6754df2a592"],
+        ["witt F", 0, False,
+         "72da17e89dea4199927ebaa62ccd3468bdc58215187f69f53b32512e75428fb7"],
+        ["witt add", 0, True,
+         "208ef421af49a624292a1479d8fe838dc1f2eb6d3ba5bb0f06b2fea243cf862f"],
+    ]
 
 
 def test_suite_ids_complete():

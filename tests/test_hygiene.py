@@ -1,6 +1,7 @@
-"""Source hygiene: every module-level import in the package is used, every
-public module-level name has a reader, no module reads the environment, and
-only the modules that own them build matrices and homs without validation."""
+"""Source hygiene: every module-level import in the package is used, none
+of them is numpy, every public module-level name has a reader, no module
+reads the environment, and only the modules that own them build matrices
+and homs without validation."""
 
 import ast
 import pathlib
@@ -51,6 +52,35 @@ def test_module_imports_are_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported_names(tree)) - _read_names(tree))
     assert unused == [], f"{path.name} imports {unused} without reading them"
+
+
+def _import_time_modules(tree):
+    """The modules imported by statements that run on import: any outside a
+    function body, at top level or nested in if, try or class."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_import_time_scan_sees_nested_imports():
+    tree = ast.parse("import numpy as np\ntry:\n    from numpy import array\nexcept ImportError:\n"
+                     "    pass\ndef f():\n    import json\n")
+    assert sorted(_import_time_modules(tree)) == ["numpy", "numpy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_numpy_on_import(path):
+    # only the F_p[x] Witt cover needs numpy, and it loads it when first built
+    tree = ast.parse(path.read_text(), filename=str(path))
+    numpy = [m for m in _import_time_modules(tree) if m.split(".")[0] == "numpy"]
+    assert numpy == [], f"{path.name} imports numpy on import"
 
 
 def _readme_names():

@@ -194,6 +194,31 @@ def test_pow_p_products(p, products, make_cover, monkeypatch):
         assert out == expect
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("make_base", [
+    GFPolyRing,
+    lambda p: QuotPolyRing(p, (1, 1, 0, 1)),
+    ZModRing,
+], ids=["fpx", "quot", "fp"])
+def test_frobenius_substitution_is_the_pth_power(p, make_base):
+    # in characteristic p, (sum a_i x^i)^p = sum a_i x^(ip), reduced mod f
+    # in F_p[x]/(f) and the identity on F_p; F and the ghost chains read it
+    base = make_base(p)
+    rng = random.Random(40 + p)
+    samples = [base.zero(), base.one()] + [base.random_element(rng) for _ in range(40)]
+    for a in samples:
+        assert base.frobenius(a) == rings.pow_by_squaring(base.mul, a, p), a
+    assert witt._pth_power(base, p) == base.frobenius
+
+
+def test_pth_power_squares_outside_characteristic_p():
+    # Z/4 at p = 2 has characteristic 4: 3^2 = 1 there, not 3
+    assert witt._pth_power(ZModRing(4), 2)(3) == 1
+    assert witt._pth_power(ZRing(), 3)(2) == 8
+    cover = GFPolyRing(3).witt_cover(3, 2)
+    assert witt._pth_power(cover, 3)(cover.make((1, 1))).arr.tolist() == [1, 3, 3, 1]
+
+
 def test_div_pow_p_checks_kept():
     cover = rings.PadicPolyCover(3, 3)
     v = cover.scale_pow_p(cover.make((1, 2)), 1)
