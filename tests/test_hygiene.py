@@ -60,7 +60,7 @@ def _import_time_modules(tree):
     stack = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
