@@ -14,7 +14,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .drw import (
@@ -45,11 +44,8 @@ from .serialize import (
     emit_csv,
     emit_json,
     emit_text,
-    group_json,
     mackey_json,
-    matrix_json,
     report_dict,
-    weight_str,
     witt_json,
 )
 from .suites import SUITE_IDS, run_suites
@@ -110,19 +106,13 @@ def _parse_range(text: str) -> set:
 # witt
 
 
-_RING_CHOICES = ("z", "fp", "zp2", "fpx")
-
-
-def _base_ring(name: str, p: int):
-    if name == "z":
-        return ZRing()
-    if name == "fp":
-        return ZModRing(p)
-    if name == "zp2":
-        return ZModRing(p * p)
-    if name == "fpx":
-        return GFPolyRing(p)
-    raise SystemExit(3)
+# each --ring choice and the base ring it names at the prime p
+_RINGS = {
+    "z": lambda p: ZRing(),
+    "fp": ZModRing,
+    "zp2": lambda p: ZModRing(p * p),
+    "fpx": GFPolyRing,
+}
 
 
 def _parse_int(raw) -> int:
@@ -149,7 +139,7 @@ def _parse_vec(raw, w: WittRing):
 
 
 def _cmd_witt(args) -> int:
-    ring = _base_ring(args.ring, args.p)
+    ring = _RINGS[args.ring](args.p)
     w = WittRing(args.p, args.r, ring)
     payload = json.loads(args.infile)
     if args.verb in ("add", "mul"):
@@ -176,26 +166,16 @@ def _cmd_witt(args) -> int:
 # mackey
 
 
-_MACKEY_KINDS = ("constant", "witt", "zero", "permutation",
-                 "fixed-regular", "fixed-orbit")
-
-
-def _build_mackey(args):
-    p, n = args.p, args.n
-    if args.kind == "constant":
-        return constant_mackey(p, n)
-    if args.kind == "witt":
-        return witt_mackey(p, n)
-    if args.kind == "zero":
-        return zero_mackey(p, n)
-    if args.kind == "permutation":
-        orbits = [int(x) for x in (args.orbits or "0").split(",")]
-        return permutation_mackey(p, n, orbits)
-    if args.kind == "fixed-regular":
-        return fixed_point_mackey(regular_gmodule(p, n))
-    if args.kind == "fixed-orbit":
-        return fixed_point_mackey(orbit_gmodule(p, n, args.h))
-    raise SystemExit(3)
+# each --kind choice and how it builds its functor from the parsed flags
+_MACKEY_KINDS = {
+    "constant": lambda a: constant_mackey(a.p, a.n),
+    "witt": lambda a: witt_mackey(a.p, a.n),
+    "zero": lambda a: zero_mackey(a.p, a.n),
+    "permutation": lambda a: permutation_mackey(
+        a.p, a.n, [int(x) for x in (a.orbits or "0").split(",")]),
+    "fixed-regular": lambda a: fixed_point_mackey(regular_gmodule(a.p, a.n)),
+    "fixed-orbit": lambda a: fixed_point_mackey(orbit_gmodule(a.p, a.n, a.h)),
+}
 
 
 def _cmd_mackey(args) -> int:
@@ -204,15 +184,15 @@ def _cmd_mackey(args) -> int:
         rep = res.check()
         doc = {
             "kind": "resolution-report",
-            "p": str(args.p),
-            "r": str(args.r),
+            "p": args.p,
+            "r": args.r,
             "exact": rep.ok,
-            "entries": [{"check": name, "level": str(level), "ok": ok}
+            "entries": [{"check": name, "level": level, "ok": ok}
                         for name, level, ok in rep.entries],
         }
         _write(dumps_value(doc), args.json)
         return 0 if rep.ok else 2
-    m = _build_mackey(args)
+    m = _MACKEY_KINDS[args.kind](args)
     if args.verb == "validate":
         # the constructor has validated m
         _write(dumps_value({"kind": "mackey-validation", "ok": True}), args.json)
@@ -252,20 +232,20 @@ def _drw_build_doc(args) -> dict:
         if not piece.symbols:
             continue
         pieces.append({
-            "level": str(s),
-            "degree": str(deg),
-            "weight": weight_str(w),
-            "invariant_factors": group_json(piece.group)["invariant_factors"],
+            "level": s,
+            "degree": deg,
+            "weight": w,
+            "invariant_factors": piece.group.moduli,
             "symbols": [symbol_label(sym) for sym in piece.symbols],
         })
         for op, _ in tower.operators(piece.key):
             operators.append({
                 "op": op,
-                "from": {"level": str(s), "degree": str(deg), "weight": weight_str(w)},
-                "matrix": matrix_json(tower.operator_hom(op, piece.key).matrix)["matrix"],
+                "from": {"level": s, "degree": deg, "weight": w},
+                "matrix": tower.operator_hom(op, piece.key).matrix.to_rows(),
             })
-    return {"kind": "drw-tower", "p": str(args.p), "r": str(args.r),
-            "vars": str(args.vars), "weight_cap": str(args.weight_cap),
+    return {"kind": "drw-tower", "p": args.p, "r": args.r,
+            "vars": args.vars, "weight_cap": args.weight_cap,
             "pieces": pieces, "operators": operators}
 
 
@@ -277,13 +257,13 @@ def _drw_mixed_doc(args) -> dict:
         for s in range(1, args.r + 1):
             g = mixed_char_weight_piece(args.p, args.r, args.char_exp, s, num)
             pieces.append({
-                "level": str(s),
-                "degree": "0",
-                "weight": weight_str((Fraction(num),)),
-                "invariant_factors": group_json(g)["invariant_factors"],
+                "level": s,
+                "degree": 0,
+                "weight": (num,),
+                "invariant_factors": g.moduli,
             })
-    return {"kind": "drw-degree-zero-mixed", "p": str(args.p), "r": str(args.r),
-            "char_exp": str(args.char_exp), "weight_cap": str(args.weight_cap),
+    return {"kind": "drw-degree-zero-mixed", "p": args.p, "r": args.r,
+            "char_exp": args.char_exp, "weight_cap": args.weight_cap,
             "pieces": pieces}
 
 
@@ -299,7 +279,7 @@ def _cmd_drw(args) -> int:
     rep = check_fv_axioms(tower, seed=args.seed)
     doc = {
         "kind": "drw-axiom-report",
-        "p": str(args.p), "r": str(args.r),
+        "p": args.p, "r": args.r,
         "axioms": [{"axiom": name, "ok": ok, "witness": wit}
                    for name, ok, wit in rep.entries],
         "ok": rep.ok,
@@ -317,7 +297,7 @@ def _cmd_trace(args) -> int:
         data = polywitt_trace(args.p, args.r, rank_cap=args.rank_cap,
                               seed=args.seed)
         reports, ok = data.reports, data.descended
-        extra = {"m": str(data.m), "descended": data.descended}
+        extra = {"m": data.m, "descended": data.descended}
     else:
         cls = OrbitTraceTheory if args.theory == "orbit" else RawPowerTraceTheory
         theory = cls(args.m, args.p, rank_cap=args.rank_cap)
@@ -328,12 +308,12 @@ def _cmd_trace(args) -> int:
         else:
             neg = negative_raw_power(args.m, args.p, rank_cap=args.rank_cap)
             ok = neg.passed
-            extra = {"counterexample": [str(k) for k in neg.found] if neg.found else None,
+            extra = {"counterexample": neg.found or None,
                      "counterexample_found": neg.passed}
     doc = {
         "kind": "trace-report",
         "theory": args.theory,
-        "axioms": [{"axiom": r.axiom, "ok": r.ok, "checked": str(r.checked),
+        "axioms": [{"axiom": r.axiom, "ok": r.ok, "checked": r.checked,
                     "witness": r.witness} for r in reports],
         "ok": ok,
     }
@@ -375,8 +355,7 @@ def _cmd_run(args) -> int:
         if len(reports) == 1:
             text = emit_json(reports[0], timings=args.timings)
         else:
-            doc = [report_dict(r, timings=args.timings) for r in reports]
-            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            text = dumps_value([report_dict(r, timings=args.timings) for r in reports])
         _write(text, args.json)
     if args.csv:
         _write(emit_csv(reports, args.timings), args.csv)
@@ -397,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("verb", choices=("add", "mul", "F", "V", "R", "teich"))
     w.add_argument("--p", type=int, required=True)
     w.add_argument("--r", type=int, required=True)
-    w.add_argument("--ring", choices=_RING_CHOICES, default="z")
+    w.add_argument("--ring", choices=tuple(_RINGS), default="z")
     w.add_argument("--in", dest="infile", required=True,
                    help="JSON component tuples (array, or array pair for add/mul)")
     _add_shared(w, "json")
@@ -406,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = subs.add_parser("mackey", help="cyclic Mackey functors")
     m.add_argument("verb", choices=("build", "validate", "resolve", "boxperm",
                                     "q", "witt-basechange"))
-    m.add_argument("--kind", choices=_MACKEY_KINDS, default="constant")
+    m.add_argument("--kind", choices=tuple(_MACKEY_KINDS), default="constant")
     m.add_argument("--p", type=int, default=2)
     m.add_argument("--n", type=int, default=1)
     m.add_argument("--r", type=int, default=2, help="resolve only")

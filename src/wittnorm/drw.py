@@ -929,22 +929,6 @@ class TruncatedFVComplex:
 
     # -- public accessors --------------------------------------------------
 
-    def coerce_weight(self, w) -> Weight:
-        if isinstance(w, tuple):
-            return tuple(Fraction(c) for c in w)
-        if self.nvars != 1:
-            raise ValueError("weight must be a tuple with one entry per variable")
-        return (Fraction(w),)
-
-    def piece(self, s: int, deg: int, w) -> TowerPiece:
-        key = (s, deg, self.coerce_weight(w))
-        if key not in self.pieces:
-            raise KeyError(f"no piece at level {s}, degree {deg}, weight {key[2]}")
-        return self.pieces[key]
-
-    def group(self, s: int, deg: int, w) -> FgAbGroup:
-        return self.piece(s, deg, w).group
-
     def class_of(self, s: int, terms: Iterable[Tuple[int, Symbol]]):
         """Project a combination of canonical symbols; returns (piece, element)."""
         terms = list(terms)

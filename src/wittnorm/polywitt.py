@@ -218,13 +218,13 @@ class ComparisonReport:
 
     def to_dict(self, with_timings: bool = False) -> dict:
         out = {
-            "instance": {"p": str(self.p), "d": str(self.d), "r": str(self.r)},
-            "tate": [str(v) for v in self.tate],
-            "norm": [str(v) for v in self.norm],
+            "instance": {"p": self.p, "d": self.d, "r": self.r},
+            "tate": self.tate,
+            "norm": self.norm,
             "pass": self.passed,
         }
         if with_timings:
-            out["ms"] = {k: str(v) for k, v in self.ms.items()}
+            out["ms"] = self.ms
         return out
 
 

@@ -24,6 +24,7 @@ Frobenius a -> a^p, computed by substitution: (sum a_i x^i)^p = sum a_i x^(ip).
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Sequence, Tuple
 
 np = None  # numpy, bound by the first PadicPolyCover
@@ -499,20 +500,8 @@ class QuotPolyRing:
         return _trim([n % self.p])
 
     def elements(self) -> Iterator[IntPoly]:
-        def gen():
-            coeffs = [0] * self.deg
-            while True:
-                yield _trim(coeffs)
-                i = 0
-                while i < self.deg:
-                    coeffs[i] += 1
-                    if coeffs[i] < self.p:
-                        break
-                    coeffs[i] = 0
-                    i += 1
-                else:
-                    return
-        return gen()
+        # the constant coefficient runs fastest
+        return (_trim(c[::-1]) for c in product(range(self.p), repeat=self.deg))
 
     def random_element(self, rng):
         return _trim([rng.randrange(self.p) for _ in range(self.deg)])

@@ -1,10 +1,12 @@
 """Deterministic report and value serialization.
 
-Every integer leaf is emitted as a decimal string so arbitrarily large
-exact values survive any JSON parser; keys are sorted and records are
-sorted by instance key, so reruns with the same seed produce identical
-bytes.  Wall times are attached only when explicitly requested, keeping
-the default output reproducible.
+Builders return plain values (ints, Fractions, tuples, lists, dicts) and
+`dumps_value` alone encodes a document: every integer and rational leaf
+becomes a decimal string (`3`, `-3`, `3/2`), so arbitrarily large exact
+values survive any JSON parser, and keys are sorted.  Records are sorted
+by instance key, so reruns with the same seed produce identical bytes.
+Wall times are attached only when explicitly requested, keeping the
+default output reproducible.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
-
-from .abgroups import FgAbGroup
-from .intlinalg import IntMatrix
 
 SCHEMA_VERSION = "1"
 
@@ -64,13 +63,11 @@ class SuiteReport:
 
 
 def _stringify(value):
-    """Recursively turn integer leaves into decimal strings."""
+    """Recursively turn integer and rational leaves into decimal strings."""
     if isinstance(value, bool):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
@@ -81,13 +78,13 @@ def _stringify(value):
 def record_dict(rec: InstanceRecord, timings: bool = False) -> dict:
     out = {
         "key": rec.key,
-        "inputs": _stringify(rec.inputs),
+        "inputs": rec.inputs,
         "ok": rec.ok,
         "skipped": rec.skipped,
         "witness": rec.witness,
     }
     if timings:
-        out["ms"] = str(rec.ms)
+        out["ms"] = rec.ms
     return out
 
 
@@ -96,19 +93,19 @@ def report_dict(report: SuiteReport, timings: bool = False) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "suite": report.suite,
-        "config": {"seed": str(report.seed), "cap": str(report.cap)},
+        "config": {"seed": report.seed, "cap": report.cap},
         "records": [record_dict(r, timings) for r in report.records],
         "aggregate": {
-            "passed": str(report.passed),
-            "failed": str(report.failed),
-            "skipped": str(report.skipped),
-            "total": str(report.total),
+            "passed": report.passed,
+            "failed": report.failed,
+            "skipped": report.skipped,
+            "total": report.total,
         },
     }
 
 
 def emit_json(report: SuiteReport, timings: bool = False) -> str:
-    return json.dumps(report_dict(report, timings), sort_keys=True, indent=2) + "\n"
+    return dumps_value(report_dict(report, timings))
 
 
 def emit_csv(reports: Sequence[SuiteReport], timings: bool = False) -> str:
@@ -149,45 +146,25 @@ def emit_text(report: SuiteReport, timings: bool = False) -> str:
 # value serializers shared by the CLI subcommands
 
 
-def matrix_json(m: IntMatrix) -> dict:
-    rows = [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-    return {"kind": "integer-matrix", "rows": str(m.rows), "cols": str(m.cols),
-            "matrix": rows}
-
-
-def group_json(g: FgAbGroup) -> dict:
-    return {"kind": "abelian-group",
-            "invariant_factors": [str(m) for m in g.moduli]}
-
-
 def mackey_json(m) -> dict:
     return {
         "kind": "cyclic-mackey-functor",
-        "p": str(m.p),
-        "n": str(m.n),
-        "levels": [group_json(g)["invariant_factors"] for g in m.levels],
-        "res": [matrix_json(h.matrix)["matrix"] for h in m.res],
-        "tr": [matrix_json(h.matrix)["matrix"] for h in m.tr],
-        "weyl": [matrix_json(h.matrix)["matrix"] for h in m.weyl],
+        "p": m.p,
+        "n": m.n,
+        "levels": [g.moduli for g in m.levels],
+        "res": [h.matrix.to_rows() for h in m.res],
+        "tr": [h.matrix.to_rows() for h in m.tr],
+        "weyl": [h.matrix.to_rows() for h in m.weyl],
     }
 
 
-def base_elt_json(x):
-    # base ring elements are ints or coefficient tuples
-    if isinstance(x, tuple):
-        return [str(c) for c in x]
-    return str(x)
-
-
 def witt_json(w) -> dict:
-    return {"kind": "witt-vector", "p": str(w.ring.p), "r": str(w.ring.r),
-            "components": [base_elt_json(c) for c in w.components]}
+    # base ring elements are ints or coefficient tuples
+    return {"kind": "witt-vector", "p": w.ring.p, "r": w.ring.r,
+            "components": w.components}
 
 
-def weight_str(w) -> List[str]:
-    return [f"{q.numerator}/{q.denominator}" if q.denominator != 1
-            else str(q.numerator) for q in w]
-
-
-def dumps_value(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def dumps_value(doc) -> str:
+    """The one encoder of every CLI document: decimal-string numbers,
+    sorted keys, two-space indent."""
+    return json.dumps(_stringify(doc), sort_keys=True, indent=2) + "\n"

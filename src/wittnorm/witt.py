@@ -264,12 +264,13 @@ class WittRing:
     def ghost(self, w: WittVector) -> List:
         """Ghost components computed inside the base ring itself.
 
-        Terms whose scalar p^i is zero in the base are skipped, and so are
-        the powers only they need: in characteristic p, w_n = x_0^(p^n).
+        The i = 0 term has scalar 1 and is taken as it is.  Terms whose
+        scalar p^i is zero in the base are skipped, and so are the powers
+        only they need: in characteristic p, w_n = x_0^(p^n).
         """
         base = self.base
-        scalars = []
-        for i in range(self.r):
+        scalars = []  # p^1, p^2, ... while nonzero in the base
+        for i in range(1, self.r):
             s = base.from_int(self.p ** i)
             if s == base.zero():
                 break  # p^j is zero for every j >= i as well
@@ -279,8 +280,8 @@ class WittRing:
             chains.track(c)
         out = []
         for n in range(self.r):
-            acc = base.zero()
-            for i, s in enumerate(scalars[: n + 1]):
+            acc = chains.power(0, n)
+            for i, s in enumerate(scalars[:n], start=1):
                 acc = base.add(acc, base.mul(s, chains.power(i, n - i)))
             out.append(acc)
         return out

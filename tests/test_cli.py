@@ -13,22 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 from wittnorm import cli, drw, mackey, polywitt, rings
 from wittnorm.cli import main
-from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import CyclicMackeyFunctor, witt_mackey
 from wittnorm.serialize import (
     InstanceRecord,
     SuiteReport,
+    dumps_value,
     emit_csv,
     emit_json,
     emit_text,
-    group_json,
     mackey_json,
-    matrix_json,
-    weight_str,
 )
-from wittnorm.abgroups import FgAbGroup
 from wittnorm.suites import SUITE_IDS, run_suite
 
 
@@ -76,11 +74,16 @@ def test_timings_only_when_requested():
 
 
 def test_value_serializers_frozen():
-    assert group_json(FgAbGroup([2, 4])) == {
-        "kind": "abelian-group", "invariant_factors": ["2", "4"]}
-    m = IntMatrix(2, 2, {(0, 1): -3})
-    assert matrix_json(m)["matrix"] == [["0", "-3"], ["0", "0"]]
-    doc = mackey_json(witt_mackey(2, 1))
+    # every integer and rational leaf is a decimal string; bools and None stay
+    doc = {"n": 3, "neg": -12345678901234567890, "whole": Fraction(6, 2),
+           "half": Fraction(-3, 2), "rows": ((0, -3), [Fraction(1, 4)]),
+           "nested": {"ok": True, "bad": False, "none": None, "s": "x"}}
+    assert dumps_value(doc) == (
+        '{\n  "half": "-3/2",\n  "n": "3",\n  "neg": "-12345678901234567890",\n'
+        '  "nested": {\n    "bad": false,\n    "none": null,\n    "ok": true,\n'
+        '    "s": "x"\n  },\n  "rows": [\n    [\n      "0",\n      "-3"\n    ],\n'
+        '    [\n      "1/4"\n    ]\n  ],\n  "whole": "3"\n}\n')
+    doc = json.loads(dumps_value(mackey_json(witt_mackey(2, 1))))
     assert doc["levels"] == [["2"], ["4"]]
     assert doc["res"] == [[["1"]]]
     assert doc["tr"] == [[["2"]]]
@@ -191,7 +194,7 @@ def test_cli_failed_internal_invariant_is_check_failure(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("verb", ["build", "boxperm", "q", "witt-basechange"])
-@pytest.mark.parametrize("kind", cli._MACKEY_KINDS)
+@pytest.mark.parametrize("kind", list(cli._MACKEY_KINDS))
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1)])
 def test_cli_mackey_derived_functors(verb, kind, p, n, capsys):
     assert main(["mackey", verb, "--kind", kind, "--p", str(p), "--n", str(n)]) == 0
@@ -247,6 +250,19 @@ def test_cli_run_empty_grid(capsys, tmp_path):
     assert doc[0]["records"] == []
     assert doc[0]["aggregate"]["total"] == "0"
     assert doc[1]["records"]
+
+
+@pytest.mark.parametrize("suites", [["trace"], ["trace", "resolution"]])
+def test_cli_run_json_has_no_json_numbers(suites, capsys):
+    # the report follows the text summary on stdout; one suite gives an
+    # object, several an array, and neither holds a JSON number
+    assert main(["run", *suites, "--timings", "--json", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if line in ("{\n", "[\n"))
+    doc = json.loads("".join(lines[start:]))
+    assert isinstance(doc, dict if len(suites) == 1 else list)
+    assert "ms" in (doc if len(suites) == 1 else doc[0])["records"][0]
+    assert _int_leaves(doc) == []
 
 
 def test_cli_run_csv_rows(tmp_path, capsys):
@@ -321,10 +337,10 @@ def test_cli_drw_build_lists_each_operator(argv, nvars, cap, capsys):
         down, up = tuple(c / 2 for c in w), tuple(c * 2 for c in w)
         targets = [("d", (s, deg + 1, w)), ("v", (s + 1, deg, down)),
                    ("f", (s - 1, deg, up)), ("r", (s - 1, deg, w))]
-        key = tower.piece(s, deg, w).key
-        want = [(op, matrix_json(tower.operator_hom(op, key).matrix)["matrix"])
+        want = [(op, json.loads(dumps_value(tower.operator_hom(op, piece.key).matrix.to_rows())))
                 for op, tgt in targets if tgt in tower.pieces]
-        assert listed.pop((str(s), str(deg), tuple(weight_str(w))), []) == want
+        at = json.loads(dumps_value((s, deg, w)))
+        assert listed.pop((at[0], at[1], tuple(at[2])), []) == want
     assert listed == {}
 
 
@@ -495,7 +511,7 @@ def _invocations(draw):
     p, r = draw(_small((2, 3), -1, 4)), draw(_small((1, 2), -1, 2))
     if command == "witt":
         verb = draw(st.sampled_from(_WITT_VERBS))
-        ring = draw(st.sampled_from(cli._RING_CHOICES))
+        ring = draw(st.sampled_from(list(cli._RINGS)))
         comp = st.integers(-3, 3)
         if ring == "fpx":
             comp |= st.lists(st.integers(-3, 3), max_size=2)
@@ -507,7 +523,7 @@ def _invocations(draw):
     elif command == "mackey":
         argv = ["mackey", draw(st.sampled_from(("build", "validate", "resolve", "boxperm",
                                                 "q", "witt-basechange"))),
-                "--kind", draw(st.sampled_from(cli._MACKEY_KINDS)),
+                "--kind", draw(st.sampled_from(list(cli._MACKEY_KINDS))),
                 "--p", str(p), "--n", str(draw(st.integers(-1, 2))), "--r", str(r)]
     elif command == "polywitt":
         argv = ["polywitt", "compare", "--p", str(p), "--d", str(draw(st.integers(-1, 3))),

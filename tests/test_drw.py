@@ -255,13 +255,13 @@ def test_sparse_lattice_matches_dense_reference():
 
 
 def test_hand_fixtures_p2_r2():
-    tw = build_drw(2, 2, 1, 8)
-    assert tw.group(2, 0, 1) == FgAbGroup([4])
-    assert tw.group(2, 1, 1) == FgAbGroup([4])
-    assert tw.group(2, 1, Fraction(3, 2)) == FgAbGroup([2])
-    assert tw.group(2, 2, Fraction(3, 2)).is_trivial()
-    assert tw.group(1, 0, 1) == FgAbGroup([2])
-    assert tw.group(1, 1, 0).is_trivial()
+    pieces = build_drw(2, 2, 1, 8).pieces
+    assert pieces[(2, 0, (Fraction(1),))].group == FgAbGroup([4])
+    assert pieces[(2, 1, (Fraction(1),))].group == FgAbGroup([4])
+    assert pieces[(2, 1, (Fraction(3, 2),))].group == FgAbGroup([2])
+    assert pieces[(2, 2, (Fraction(3, 2),))].group.is_trivial()
+    assert pieces[(1, 0, (Fraction(1),))].group == FgAbGroup([2])
+    assert pieces[(1, 1, (Fraction(0),))].group.is_trivial()
 
 
 def test_lead_split_regression():
@@ -290,7 +290,7 @@ def test_differential_kernel_orders():
         wt = w[0]
         if s != 2 or deg != 0 or wt == 0:
             continue
-        d = tw.operator_hom("d", tw.piece(2, 0, w).key)
+        d = tw.operator_hom("d", tw.pieces[(2, 0, w)].key)
         ker = sum(1 for elt in d.src.elements() if d.apply(elt) == d.dst.zero())
         if wt.denominator == 1:
             assert ker == math.gcd(int(wt), 4)
@@ -383,7 +383,7 @@ def test_two_variables():
     assert ab == tgt.group.neg(ba)
     # Leibniz on the mixed monomial: d(xy) = x dy + y dx
     def d(w, elt):
-        return tw.operator_hom("d", tw.piece(2, 0, w).key).apply(elt)
+        return tw.operator_hom("d", tw.pieces[(2, 0, w)].key).apply(elt)
 
     _, g = tw.class_of(2, calc.canon(2, 1, 0, (1, 1), []))
     lhs = d((1, 1), g)
@@ -410,7 +410,8 @@ def test_symbol_labels():
     assert symbol_label((0, (0,), ((0, (1,)),))) == "[1] d[x^1]"
     assert symbol_label((0, (1,), ((1, (1,)), (0, (3,))))) == "[x^1] dV^1[x^1] d[x^3]"
     # `drw build` lists every spanning symbol of a piece by its label
-    assert all(symbol_label(sym) for sym in build_drw(2, 1, 1, 4).piece(1, 1, 1).symbols)
+    piece = build_drw(2, 1, 1, 4).pieces[(1, 1, (Fraction(1),))]
+    assert all(symbol_label(sym) for sym in piece.symbols)
 
 
 @pytest.mark.parametrize("p,r,nvars,cap", [(2, 2, 2, 4), (3, 2, 2, 3), (2, 3, 2, 3)])
@@ -451,27 +452,6 @@ def test_rational_weights_at_the_boundary(p, r, nvars, cap):
     assert [pc.key for pc in tw.pieces.values()] == sorted(pc.key for pc in tw.pieces.values())
     for (s, deg, w), piece in tw.pieces.items():
         assert tw.fraction(piece.num) == piece.weight == w
-        assert tw.coerce_weight(w) == w
-        assert tw.piece(s, deg, w) is piece
-        if nvars == 1:
-            assert tw.coerce_weight(w[0]) == w
-            assert tw.piece(s, deg, w[0]) is piece
-
-
-def test_weight_off_the_grid_is_a_key_error():
-    # a denominator prime to p, or above p^(r-1), names no piece
-    tw = build_drw(2, 2, 1, 4)
-    for w in (Fraction(1, 3), Fraction(1, 4), (Fraction(5, 4),)):
-        with pytest.raises(KeyError) as err:
-            tw.piece(2, 0, w)
-        shown = w if isinstance(w, tuple) else (w,)
-        assert err.value.args[0] == f"no piece at level 2, degree 0, weight {shown}"
-        with pytest.raises(KeyError) as err2:
-            tw.operator_hom("d", tw.piece(2, 0, w).key)
-        assert err2.value.args == err.value.args
-    with pytest.raises(KeyError) as err:
-        tw.group(1, 1, Fraction(1, 6))
-    assert err.value.args[0] == "no piece at level 1, degree 1, weight (Fraction(1, 6),)"
 
 
 def test_axiom_witnesses_print_rational_weights(monkeypatch):
@@ -869,7 +849,7 @@ def test_one_variable_tower_enumerates_no_degree_two_label(monkeypatch):
     records = suites.run_suite("drw", seed=0, grid={"p": {3}, "r": {3}}).records
     assert len(records) == 2 and all(rec.ok for rec in records)
     assert degrees and 2 not in degrees
-    assert tw.piece(3, 2, 8).symbols and degrees[-1] == 2
+    assert tw.pieces[(3, 2, (Fraction(8),))].symbols and degrees[-1] == 2
 
 
 @pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 6), (2, 2, 2, 4)])
@@ -914,7 +894,7 @@ def test_drw_suite_fails_on_a_wrong_piece(monkeypatch):
     def wrong_build(p, r, nvars, cap):
         # give the zero piece Omega^1 at weight 0 the group Z/2 of weight 0 in degree 0
         tw = build_drw(p, r, nvars, cap)
-        tw.piece(1, 1, 0).pres = tw.piece(1, 0, 0).pres
+        tw.pieces[(1, 1, (Fraction(0),))].pres = tw.pieces[(1, 0, (Fraction(0),))].pres
         return tw
 
     monkeypatch.setattr(suites, "build_drw", wrong_build)
