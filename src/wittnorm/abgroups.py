@@ -250,6 +250,13 @@ class GroupHom:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
+    def is_identity(self) -> bool:
+        """``self == GroupHom.identity(self.src)``, without building it: a
+        reduced identity matrix keeps every diagonal 1, as no modulus is 1."""
+        rows = self.matrix.by_row
+        return (self.src == self.dst and len(rows) == self.src.n
+                and all(len(row) == 1 and row.get(i) == 1 for i, row in rows.items()))
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GroupHom)

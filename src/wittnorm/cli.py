@@ -342,6 +342,9 @@ def _cmd_run(args) -> int:
             except ValueError:
                 sys.stderr.write(f"bad range for --{name}: {raw!r}\n")
                 return 3
+    if args.json == "-" and args.csv == "-":
+        sys.stderr.write("error: --json - and --csv - cannot both write to stdout\n")
+        return 3
     reports = run_suites(ids, seed=args.seed, cap=args.cap, grid=grid or None)
     if not any(rep.records for rep in reports):
         # a run that checked nothing is not a pass
@@ -349,8 +352,10 @@ def _cmd_run(args) -> int:
         sys.stderr.write(f"error: the grid filter {flags} selects no instance of "
                          f"{' '.join(ids)}\n")
         return 3
+    # a document on stdout stands alone there; the summary goes to stderr
+    summary = sys.stderr if "-" in (args.json, args.csv) else sys.stdout
     for rep in reports:
-        sys.stdout.write(emit_text(rep, timings=args.timings))
+        summary.write(emit_text(rep, timings=args.timings))
     if args.json:
         if len(reports) == 1:
             text = emit_json(reports[0], timings=args.timings)

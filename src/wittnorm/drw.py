@@ -1446,7 +1446,7 @@ def universal_map_check(tower: TruncatedFVComplex) -> bool:
         if not piece.group.n:
             continue
         hom = induced_hom(piece.pres, piece.pres, IntMatrix.identity(len(piece.symbols)))
-        if hom != GroupHom.identity(piece.group):
+        if not hom.is_identity():
             return False
     return True
 

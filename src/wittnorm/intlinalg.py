@@ -221,6 +221,17 @@ class IntMatrix:
                 by_row[i] = row
         return IntMatrix._trusted(self.rows, self.cols + other.cols, by_row)
 
+    def transpose(self) -> "IntMatrix":
+        """The transpose; row j lists its entries in the row order of self."""
+        by_row: Dict[int, Dict[int, int]] = {}
+        for i, row in self.by_row.items():
+            for j, v in row.items():
+                out = by_row.get(j)
+                if out is None:
+                    by_row[j] = out = {}
+                out[i] = v
+        return IntMatrix._trusted(self.cols, self.rows, by_row)
+
     def take_columns(self, idx: Sequence[int]) -> "IntMatrix":
         pos = {j: t for t, j in enumerate(idx)}
         by_row = {}

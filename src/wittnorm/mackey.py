@@ -77,11 +77,13 @@ class CyclicGroupSpec:
 
 def hom_power(h: GroupHom, m: int) -> GroupHom:
     """m-fold composite of an endomorphism."""
-    out = GroupHom.identity(h.src)
+    if m == 0:
+        return GroupHom.identity(h.src)
+    out = None
     base = h
     while m:
         if m & 1:
-            out = base.compose(out)
+            out = base if out is None else base.compose(out)
         m >>= 1
         if m:
             base = base.compose(base)
@@ -138,7 +140,7 @@ class GModule:
     def __init__(self, spec: CyclicGroupSpec, carrier: FgAbGroup, action: GroupHom):
         if action.src != carrier or action.dst != carrier:
             raise ValueError("action must be an endomorphism of the carrier")
-        if hom_power(action, spec.order()) != GroupHom.identity(carrier):
+        if not hom_power(action, spec.order()).is_identity():
             raise MackeyError("generator action order does not divide the group order")
         self.spec = spec
         self.carrier = carrier
@@ -235,9 +237,9 @@ def validate_mackey(m: CyclicMackeyFunctor) -> None:
         w = m.weyl[k]
         if w.src != m.levels[k] or w.dst != m.levels[k]:
             raise MackeyError(f"generator action {k} is not an endomorphism")
-        if hom_power(w, p ** (n - k)) != GroupHom.identity(m.levels[k]):
+        if not hom_power(w, p ** (n - k)).is_identity():
             raise MackeyError(f"generator action order at level {k} does not divide p^{n - k}")
-    if m.weyl[n] != GroupHom.identity(m.levels[n]):
+    if not m.weyl[n].is_identity():
         raise MackeyError("generator action must be trivial on the top level")
     for k in range(n):
         if m.weyl[k].compose(m.res[k]) != m.res[k].compose(m.weyl[k + 1]):

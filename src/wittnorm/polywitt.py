@@ -25,11 +25,10 @@ from typing import Dict, List, Tuple
 from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom, present_quotient
 from .intlinalg import (
     IntMatrix,
-    kernel_basis,
     kron_power,
     random_unimodular,
     require_prime,
-    solve_int_matrix,
+    smith_normal_form,
 )
 from .mackey import (
     CyclicGroupSpec,
@@ -139,33 +138,63 @@ def inflate_action(mod: GModule) -> GModule:
     return GModule(spec, mod.carrier, mod.action)
 
 
-def fixed_mod_norm(action: IntMatrix, order: int) -> Tuple[IntMatrix, Presentation]:
+def fixed_mod_norm(action: IntMatrix, order: int) -> Tuple[IntMatrix, IntMatrix, Presentation]:
     """Fixed vectors of a free Z[C]-lattice modulo the image of the norm.
 
-    action is the generator's matrix and order the order of the acting
-    cyclic group C, so the norm is the sum of the first `order` powers of
-    action.  Returns the fixed basis as matrix columns, and the
-    presentation of the quotient in those coordinates.
+    action is the generator's matrix A and order the order of the acting
+    cyclic group C, so the norm is N = sum of A^k for k < order.  Returns
+    (fixed, coord, presentation): the columns of fixed are a basis of the
+    fixed lattice, coord * x is the coordinate vector of a fixed vector
+    x in that basis, and the presentation is of the quotient in those
+    coordinates.
+
+    One Smith form U (A - I)^T V = D of rank rho gives all of it.  The
+    rows of U past rho satisfy U[rho:] (A - I)^T = 0, and U is
+    unimodular, so they are a saturated basis of ker(A - I): fixed =
+    U[rho:]^T.  The matching columns of U^-1 give coord = (U^-1[:, rho:])^T
+    with coord * fixed = I.  The relations coord * N are accumulated on
+    the rows of coord by doubling, C S_2m = C S_m + (C S_m) A^m with
+    S_m = sum of A^k for k < m, over the powers A^(2^j).  The columns of
+    N are fixed exactly when A^order = I, since (A - I) N = A^order - I;
+    the same powers give A^order, and anything else is an AssertionError.
     """
-    ident = IntMatrix.identity(action.rows)
-    fixed = kernel_basis(action - ident)
-    norm = power = ident
-    for _ in range(order - 1):
-        power = action * power
-        norm = norm + power
-    coords = solve_int_matrix(fixed, norm)
-    if coords is None:
+    if order < 1:
+        raise ValueError("the group order must be positive")
+    n = action.rows
+    u, d, _, u_inv = smith_normal_form((action - IntMatrix.identity(n)).transpose())
+    rank = len(d.by_row)
+    fixed = u.take_rows(range(rank, n)).transpose()
+    coord = u_inv.take_columns(range(rank, n)).transpose()
+    # at bit j of order: step = coord * S_(2^j) and power = A^(2^j); the
+    # bits taken so far, a, give norm = coord * S_a and full = A^a
+    step, power, norm, full = coord, action, None, None
+    while True:
+        if order & 1:
+            norm = step if norm is None else step + norm * power
+            full = power if full is None else full * power
+        order >>= 1
+        if not order:
+            break
+        step = step + step * power
+        power = power * power
+    if full != IntMatrix.identity(n):
         raise AssertionError("norm image must lie in the fixed lattice")
-    return fixed, present_quotient(fixed.cols, coords)
+    return fixed, coord, present_quotient(fixed.cols, norm)
 
 
-def descend_map(amb: IntMatrix, src: Tuple[IntMatrix, Presentation],
-                dst: Tuple[IntMatrix, Presentation]) -> GroupHom:
+def descend_map(amb: IntMatrix, src: Tuple[IntMatrix, IntMatrix, Presentation],
+                dst: Tuple[IntMatrix, IntMatrix, Presentation]) -> GroupHom:
     """The map of `fixed_mod_norm` quotients induced by an ambient matrix
-    that commutes with the actions."""
-    (src_fixed, src_pres), (dst_fixed, dst_pres) = src, dst
-    carried = solve_int_matrix(dst_fixed, amb * src_fixed)
-    if carried is None:
+    that commutes with the actions.
+
+    The coordinate map of dst reads the images of the fixed basis of src:
+    carried = coord_dst * amb * fixed_src.  They are fixed exactly when
+    fixed_dst * carried gives them back.
+    """
+    (src_fixed, _, src_pres), (dst_fixed, dst_coord, dst_pres) = src, dst
+    moved = amb * src_fixed
+    carried = dst_coord * moved
+    if dst_fixed * carried != moved:
         raise AssertionError("equivariant map must preserve fixed lattices")
     return induced_hom(src_pres, dst_pres, carried)
 
@@ -178,7 +207,7 @@ def tate_h0(mod: GModule) -> FgAbGroup:
     """
     if mod.carrier.torsion != ():
         raise ValueError("Tate computation expects a free carrier")
-    return fixed_mod_norm(mod.action.matrix, mod.spec.order())[1].group
+    return fixed_mod_norm(mod.action.matrix, mod.spec.order())[2].group
 
 
 def _tate_module(space: FpVectorSpace, r: int, cap: int) -> GModule:

@@ -226,6 +226,31 @@ def test_iso_detection():
     assert not is_isomorphism(GroupHom.scalar(g, 2))
 
 
+def test_is_identity_agrees_with_the_built_identity():
+    # free, torsion, mixed and trivial groups, and maps between two groups
+    groups = [FgAbGroup([0, 0]), FgAbGroup([2, 4]), FgAbGroup([3, 0]), FgAbGroup([])]
+    homs = [make(g) for g in groups for make in (
+        GroupHom.identity,
+        lambda g: GroupHom.zero(g, g),
+        lambda g: GroupHom.scalar(g, -1),
+        lambda g: GroupHom.scalar(g, 5),  # the identity on Z/2 + Z/4 only
+    )]
+    z2z2, z4 = FgAbGroup([2, 2]), FgAbGroup([4])
+    homs += [
+        GroupHom(groups[0], groups[0], IntMatrix.from_rows([[1, 1], [0, 1]])),
+        GroupHom(z2z2, z2z2, IntMatrix.from_rows([[0, 1], [1, 0]])),
+        GroupHom(z2z2, z2z2, IntMatrix.from_rows([[3, 0], [2, 1]])),
+        GroupHom(z4, FgAbGroup([8]), IntMatrix.from_rows([[2]])),
+        GroupHom(FgAbGroup([0]), z4, IntMatrix.from_rows([[1]])),
+        GroupHom.zero(FgAbGroup([]), z4),
+    ]
+    got = [h.is_identity() for h in homs]
+    assert got == [h == GroupHom.identity(h.src) for h in homs]
+    # four identities, 5 on Z/2 + Z/4, diag(3, 1) on Z/2 + Z/2, and every
+    # endomorphism of the trivial group
+    assert got.count(True) == 9
+
+
 def test_subgroup_ops():
     g = FgAbGroup([8])
     two = IntMatrix.from_columns([[2]])

@@ -184,9 +184,12 @@ def test_cli_failed_mackey_axiom_is_check_failure(monkeypatch, capsys):
 
 
 def test_cli_failed_internal_invariant_is_check_failure(monkeypatch, capsys):
-    # the norm image has no coordinates in the fixed lattice: an internal
-    # invariant of the Tate pipeline fails, reported in one line
-    monkeypatch.setattr(polywitt, "solve_int_matrix", lambda a, b: None)
+    # a norm over one element more than the group: the rotation's power is
+    # not the identity, so the norm image leaves the fixed lattice and an
+    # internal invariant of the Tate pipeline fails, reported in one line
+    fixed_mod_norm = polywitt.fixed_mod_norm
+    monkeypatch.setattr(polywitt, "fixed_mod_norm",
+                        lambda action, order: fixed_mod_norm(action, order + 1))
     assert main(["polywitt", "compare", "--p", "2", "--d", "2", "--r", "2"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -254,15 +257,29 @@ def test_cli_run_empty_grid(capsys, tmp_path):
 
 @pytest.mark.parametrize("suites", [["trace"], ["trace", "resolution"]])
 def test_cli_run_json_has_no_json_numbers(suites, capsys):
-    # the report follows the text summary on stdout; one suite gives an
-    # object, several an array, and neither holds a JSON number
+    # the report is the whole of stdout, the text summary goes to stderr;
+    # one suite gives an object, several an array, and neither holds a
+    # JSON number
     assert main(["run", *suites, "--timings", "--json", "-"]) == 0
-    lines = capsys.readouterr().out.splitlines(keepends=True)
-    start = next(i for i, line in enumerate(lines) if line in ("{\n", "[\n"))
-    doc = json.loads("".join(lines[start:]))
+    out, err = capsys.readouterr()
+    assert err.startswith("PASS trace ")
+    doc = json.loads(out)
     assert isinstance(doc, dict if len(suites) == 1 else list)
     assert "ms" in (doc if len(suites) == 1 else doc[0])["records"][0]
     assert _int_leaves(doc) == []
+
+
+def test_cli_run_one_document_on_stdout(capsys):
+    # a CSV report on stdout stands alone as well, and two documents
+    # cannot share stdout
+    assert main(["run", "trace", "--csv", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("suite,key,ok,skipped,witness\n")
+    assert err.startswith("PASS trace ")
+    assert main(["run", "trace", "--json", "-", "--csv", "-"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --json - and --csv - cannot both write to stdout\n"
 
 
 def test_cli_run_csv_rows(tmp_path, capsys):
@@ -372,7 +389,7 @@ def test_cli_polywitt_bytes_pinned(capsys):
     # pipeline, byte for byte
     pinned = [
         (["run", "lift"],
-         "783f85d3513b872853280990b41d01d0859b951bf1e134287dafd8def65446cb"),
+         "4b4fa2c407a36291af7f22102f98479706cd291ddf3f4dacdae5a0ae77c2e136"),
         (["polywitt", "compare", "--p", "2", "--d", "4", "--r", "3"],
          "05a6750ca2d042227aeea3c2df2183e57c36c9953150b2c96336bc2cdcd363c2"),
     ]
@@ -423,7 +440,7 @@ def test_cold_start_loads_numpy_with_the_first_fpx_cover():
         ["drw build", 0, False,
          "5e8a7e816719677274029684ef15712b2ea15bc6b6bfdeda85738cb08f2d139f"],
         ["run compare", 0, False,
-         "549ed3cf585747a75f50807286653927fb3673fe81dd6ea75e21b6754df2a592"],
+         "c05fcbb6a1e01ff7977c3a77099672a5ae690e0ac51fab9a2d08b9e6fabc53eb"],
         ["witt F", 0, False,
          "72da17e89dea4199927ebaa62ccd3468bdc58215187f69f53b32512e75428fb7"],
         ["witt add", 0, True,

@@ -29,8 +29,6 @@ from wittnorm.intlinalg import (
 from wittnorm.polywitt import rotation_matrix
 
 
-def transpose(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.data.items()})
 
 
 def lattice_contains(gens: IntMatrix, vec) -> bool:
@@ -142,7 +140,8 @@ def test_matrix_arithmetic():
     assert (a * b).to_rows() == [[2, 1], [4, 3]]
     assert (a + b).to_rows() == [[1, 3], [4, 4]]
     assert (a - a).is_zero()
-    assert transpose(a).to_rows() == [[1, 3], [2, 4]]
+    assert a.transpose().to_rows() == [[1, 3], [2, 4]]
+    assert IntMatrix.zero(2, 3).transpose() == IntMatrix.zero(3, 2)
     assert a.apply([1, 1]) == [3, 7]
     assert a.hstack(b).to_rows() == [[1, 2, 0, 1], [3, 4, 1, 0]]
     assert a.take_columns([1]).to_rows() == [[2], [4]]
@@ -319,15 +318,52 @@ def _snf_cases(seed, count):
             g = rng.choice([2, 3, 4])
             data = {(i, j): g * rng.randint(-4, 4) + (1 if rng.random() < 0.1 else 0)
                     for i in range(r) for j in range(c)}
-        else:  # permutation minus identity, as fixed_mod_norm factors
+        else:  # permutation minus identity
             r = c = rng.randint(2, 24)
-            perm = list(range(r))
-            rng.shuffle(perm)
-            data = {}
-            for j in range(r):
-                data[(perm[j], j)] = data.get((perm[j], j), 0) + 1
-                data[(j, j)] = data.get((j, j), 0) - 1
+            data = _perm_minus_identity(r, rng)
         yield _shuffled(r, c, data, rng)
+
+
+def _perm_minus_identity(n, rng):
+    """Entries of a seeded n x n permutation matrix minus the identity."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    data = {}
+    for j in range(n):
+        data[(perm[j], j)] = data.get((perm[j], j), 0) + 1
+        data[(j, j)] = data.get((j, j), 0) - 1
+    return data
+
+
+def test_transpose_is_the_entrywise_swap():
+    for m in _snf_cases(7, 40):
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert dict(t.data) == {(j, i): v for (i, j), v in m.data.items()}
+        assert t.transpose() == m
+
+
+def test_snf_contract_on_transposed_permutation_minus_identity():
+    # fixed_mod_norm factors (A - I)^T: the rows of U past the rank span
+    # the integer kernel of A - I, and U^-1 reads coordinates in it
+    rng = random.Random(41)
+    cases = [_shuffled(n, n, _perm_minus_identity(n, rng), rng)
+             for n in (1, 2, 5, 9, 16, 24)]
+    for d, k in [(2, 2), (2, 3), (3, 2)]:
+        rot = rotation_matrix(d, k)
+        u, u_inv = random_unimodular(rot.rows, rng)
+        cases += [rot - IntMatrix.identity(rot.rows),
+                  u * rot * u_inv - IntMatrix.identity(rot.rows)]
+    for a in cases:
+        n = a.rows
+        diag = assert_snf_contract(a.transpose())
+        rank = sum(1 for x in diag if x)
+        u, _, _, u_inv = smith_normal_form(a.transpose())
+        fixed = u.take_rows(range(rank, n)).transpose()
+        coord = u_inv.take_columns(range(rank, n)).transpose()
+        assert (a * fixed).is_zero()
+        assert coord * fixed == IntMatrix.identity(n - rank)
+        assert fixed.cols == kernel_basis(a).cols
 
 
 def test_snf_matches_reference_pivoting(monkeypatch):
@@ -422,9 +458,9 @@ def _solve_cases(seed):
 def test_solve_int_matrix_matches_per_column_oracle():
     unsolvable = 0
     for a, b in _solve_cases(31):
-        cols = [_oracle_solve_column(a, col) for col in transpose(b).to_rows()]
+        cols = [_oracle_solve_column(a, col) for col in b.transpose().to_rows()]
         got = solve_int_matrix(a, b)
-        for col, want in zip(transpose(b).to_rows(), cols):
+        for col, want in zip(b.transpose().to_rows(), cols):
             assert solve_int(a, col) == want
         if any(c is None for c in cols):
             unsolvable += 1

@@ -6,8 +6,15 @@ import sys
 
 import pytest
 
-from wittnorm.abgroups import FgAbGroup, GroupHom
-from wittnorm.intlinalg import IntMatrix, kron, kron_power, random_unimodular
+from wittnorm.abgroups import FgAbGroup, GroupHom, present_quotient
+from wittnorm.intlinalg import (
+    IntMatrix,
+    kernel_basis,
+    kron,
+    kron_power,
+    random_unimodular,
+    solve_int_matrix,
+)
 from wittnorm.mackey import (
     CyclicGroupSpec,
     constant_mackey,
@@ -26,11 +33,14 @@ from wittnorm.polywitt import (
     compare_pipelines,
     comparison_grid,
     conjugate_gmodule,
+    descend_map,
+    fixed_mod_norm,
     fv_on_norm,
     inflate_action,
     lift_independence_report,
     norm_over_W,
     norm_over_Z,
+    rotation_matrix,
     tate_h0,
     tate_induced_map,
     tate_polywitt,
@@ -266,6 +276,70 @@ def test_functoriality_composite_is_identity():
         comp = g.compose(f)
         assert comp.src == FgAbGroup([p ** r])
         assert comp == GroupHom.identity(comp.src)
+
+
+def _three_step_tate(action, order):
+    """The norm N and the Tate group by kernel basis, solve and quotient."""
+    n = action.rows
+    ident = IntMatrix.identity(n)
+    fixed = kernel_basis(action - ident)
+    norm = power = ident
+    for _ in range(order - 1):
+        power = action * power
+        norm = norm + power
+    coords = solve_int_matrix(fixed, norm)
+    assert coords is not None
+    return norm, present_quotient(fixed.cols, coords).group
+
+
+def _tate_oracle_cases():
+    """(action, order) pairs: rotation modules and their seeded conjugates,
+    orbit and regular modules, and the trace theory's rotations."""
+    rng = random.Random(2510)
+    for p, d, r in [(2, 2, 2), (2, 4, 3), (3, 2, 2), (3, 3, 2)]:
+        mod = inflate_action(tensor_power_action(FreeLift(d), CyclicGroupSpec(p, r - 1)))
+        yield mod.action.matrix, mod.spec.order()
+        for _ in range(8):
+            conj = conjugate_gmodule(mod, *random_unimodular(mod.carrier.n, rng))
+            yield conj.action.matrix, conj.spec.order()
+    for p, n, h in [(2, 1, 1), (2, 2, 0), (2, 2, 1), (2, 3, 1), (3, 1, 0), (3, 2, 1)]:
+        for mod in (orbit_gmodule(p, n, h), regular_gmodule(p, n)):
+            yield mod.action.matrix, mod.spec.order()
+    for p, r in [(2, 2), (2, 3), (3, 2)]:
+        m = p ** (r - 1)
+        for rank in (1, 2, 3):
+            if rank ** m <= 256:
+                yield rotation_matrix(rank, m), p * m
+
+
+def test_fixed_mod_norm_matches_three_step_oracle():
+    # one Smith form of (A - I)^T against kernel basis, solve and quotient
+    for action, order in _tate_oracle_cases():
+        fixed, coord, pres = fixed_mod_norm(action, order)
+        norm, group = _three_step_tate(action, order)
+        assert pres.group == group
+        assert action * fixed == fixed
+        assert coord * fixed == IntMatrix.identity(fixed.cols)
+        assert fixed * pres.relations == norm
+
+
+def test_fixed_mod_norm_rejects_an_order_the_action_misses():
+    # A^order != I: the norm image leaves the fixed lattice
+    for action, order in [(rotation_matrix(2, 2), 3), (rotation_matrix(2, 3), 4),
+                          (rotation_matrix(3, 2), 1)]:
+        with pytest.raises(AssertionError, match="norm image must lie in the fixed lattice"):
+            fixed_mod_norm(action, order)
+
+
+def test_descend_map_rejects_a_map_off_the_fixed_lattices():
+    # the swap of the two factors of Z^2 (x) Z^2 commutes with the rotation
+    # and descends; moving e00 to e01 does not keep the fixed lattice
+    data = fixed_mod_norm(rotation_matrix(2, 2), 4)
+    swap = kron_power(IntMatrix.from_rows([[0, 1], [1, 0]]), 2)
+    assert descend_map(swap, data, data).src == data[2].group
+    shear = IntMatrix.identity(4) + IntMatrix(4, 4, {(1, 0): 1})
+    with pytest.raises(AssertionError, match="equivariant map must preserve fixed lattices"):
+        descend_map(shear, data, data)
 
 
 def test_not_additive():
