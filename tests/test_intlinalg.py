@@ -29,8 +29,6 @@ from wittnorm.intlinalg import (
 from wittnorm.polywitt import rotation_matrix
 
 
-
-
 def lattice_contains(gens: IntMatrix, vec) -> bool:
     """Is vec in the column span (over Z) of gens?"""
     return solve_int(gens, vec) is not None
