@@ -399,6 +399,142 @@ def test_cli_polywitt_bytes_pinned(capsys):
         assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
+# sha256 of `mackey VERB --kind KIND --p P --n N [--orbits O] --json -`: every
+# kind at (2, 2) and (3, 1), and two permutation functors whose orbits repeat
+# or come in decreasing order, which fix the order of the orbit-sum bases
+MACKEY_BYTES = {
+    ("build", "constant", 2, 2):
+        "70225b8259082de2cf7bd50d0a1ab8d18c389a2a06439f430c552434fde9d863",
+    ("boxperm", "constant", 2, 2):
+        "02744af4ba1a28ccc8fafe44b499b2930115f5ffe98e6bdde6b3a6832372c78a",
+    ("q", "constant", 2, 2):
+        "5c6e4df9f40d8960b3710a03ac07206593cad5bdf975d7f73df94204e77b8c12",
+    ("witt-basechange", "constant", 2, 2):
+        "3f1dff061e7de126ac93c99220248eeedfa770378c6f1fc24f10d45ee63807c5",
+    ("build", "constant", 3, 1):
+        "d798565e3abf4d25fd8f02635ea9bb7870487a56fb9a29831eb394ceea442419",
+    ("boxperm", "constant", 3, 1):
+        "958cc5f3bf865824601bd3bae1b51e84c5e9112b235dce9446127242ee07fc58",
+    ("q", "constant", 3, 1):
+        "d256ad3f2b910dd81ad4661161231a5614341f03902365fa79a49c35119f25ec",
+    ("witt-basechange", "constant", 3, 1):
+        "fc60d06dae5c845b34fb52658bdd9442bd8c1e8b1cd9369a3a0fb7237ea18eaa",
+    ("build", "witt", 2, 2):
+        "3f1dff061e7de126ac93c99220248eeedfa770378c6f1fc24f10d45ee63807c5",
+    ("boxperm", "witt", 2, 2):
+        "bd3c2460f4d74002cb998ede32c9da8cc583dfa6bd924230b069be45a847d2cb",
+    ("q", "witt", 2, 2):
+        "5c6e4df9f40d8960b3710a03ac07206593cad5bdf975d7f73df94204e77b8c12",
+    ("witt-basechange", "witt", 2, 2):
+        "3f1dff061e7de126ac93c99220248eeedfa770378c6f1fc24f10d45ee63807c5",
+    ("build", "witt", 3, 1):
+        "fc60d06dae5c845b34fb52658bdd9442bd8c1e8b1cd9369a3a0fb7237ea18eaa",
+    ("boxperm", "witt", 3, 1):
+        "0bb4312bbe01e1da1f24a4c5b8fd99936f88515d7dd5bfa898840594d0abf730",
+    ("q", "witt", 3, 1):
+        "d256ad3f2b910dd81ad4661161231a5614341f03902365fa79a49c35119f25ec",
+    ("witt-basechange", "witt", 3, 1):
+        "fc60d06dae5c845b34fb52658bdd9442bd8c1e8b1cd9369a3a0fb7237ea18eaa",
+    ("build", "zero", 2, 2):
+        "b953e853913f6d8875e6aab4020a2076d8d0630cd61a32596607f25d27dc9421",
+    ("boxperm", "zero", 2, 2):
+        "b953e853913f6d8875e6aab4020a2076d8d0630cd61a32596607f25d27dc9421",
+    ("q", "zero", 2, 2):
+        "b953e853913f6d8875e6aab4020a2076d8d0630cd61a32596607f25d27dc9421",
+    ("witt-basechange", "zero", 2, 2):
+        "b953e853913f6d8875e6aab4020a2076d8d0630cd61a32596607f25d27dc9421",
+    ("build", "zero", 3, 1):
+        "16b93569c99a93a9bc5ae2d1fc6c9a0d2f27fc7d46674ba41b3c21d3a953c74b",
+    ("boxperm", "zero", 3, 1):
+        "16b93569c99a93a9bc5ae2d1fc6c9a0d2f27fc7d46674ba41b3c21d3a953c74b",
+    ("q", "zero", 3, 1):
+        "16b93569c99a93a9bc5ae2d1fc6c9a0d2f27fc7d46674ba41b3c21d3a953c74b",
+    ("witt-basechange", "zero", 3, 1):
+        "16b93569c99a93a9bc5ae2d1fc6c9a0d2f27fc7d46674ba41b3c21d3a953c74b",
+    ("build", "permutation", 2, 2):
+        "02744af4ba1a28ccc8fafe44b499b2930115f5ffe98e6bdde6b3a6832372c78a",
+    ("boxperm", "permutation", 2, 2):
+        "d3cb738ecbd60821948c8f3dc5cba5c6fc44de08e4c7626c0387101ee545fbc6",
+    ("q", "permutation", 2, 2):
+        "b953e853913f6d8875e6aab4020a2076d8d0630cd61a32596607f25d27dc9421",
+    ("witt-basechange", "permutation", 2, 2):
+        "bd3c2460f4d74002cb998ede32c9da8cc583dfa6bd924230b069be45a847d2cb",
+    ("build", "permutation", 3, 1):
+        "958cc5f3bf865824601bd3bae1b51e84c5e9112b235dce9446127242ee07fc58",
+    ("boxperm", "permutation", 3, 1):
+        "09eba8676deb0a89ce88f47d1131c37b7a8c008c6a68661fb2a06cd9d47186b9",
+    ("q", "permutation", 3, 1):
+        "16b93569c99a93a9bc5ae2d1fc6c9a0d2f27fc7d46674ba41b3c21d3a953c74b",
+    ("witt-basechange", "permutation", 3, 1):
+        "0bb4312bbe01e1da1f24a4c5b8fd99936f88515d7dd5bfa898840594d0abf730",
+    ("build", "fixed-regular", 2, 2):
+        "02744af4ba1a28ccc8fafe44b499b2930115f5ffe98e6bdde6b3a6832372c78a",
+    ("boxperm", "fixed-regular", 2, 2):
+        "d3cb738ecbd60821948c8f3dc5cba5c6fc44de08e4c7626c0387101ee545fbc6",
+    ("q", "fixed-regular", 2, 2):
+        "b953e853913f6d8875e6aab4020a2076d8d0630cd61a32596607f25d27dc9421",
+    ("witt-basechange", "fixed-regular", 2, 2):
+        "bd3c2460f4d74002cb998ede32c9da8cc583dfa6bd924230b069be45a847d2cb",
+    ("build", "fixed-regular", 3, 1):
+        "958cc5f3bf865824601bd3bae1b51e84c5e9112b235dce9446127242ee07fc58",
+    ("boxperm", "fixed-regular", 3, 1):
+        "09eba8676deb0a89ce88f47d1131c37b7a8c008c6a68661fb2a06cd9d47186b9",
+    ("q", "fixed-regular", 3, 1):
+        "16b93569c99a93a9bc5ae2d1fc6c9a0d2f27fc7d46674ba41b3c21d3a953c74b",
+    ("witt-basechange", "fixed-regular", 3, 1):
+        "0bb4312bbe01e1da1f24a4c5b8fd99936f88515d7dd5bfa898840594d0abf730",
+    ("build", "fixed-orbit", 2, 2):
+        "02744af4ba1a28ccc8fafe44b499b2930115f5ffe98e6bdde6b3a6832372c78a",
+    ("boxperm", "fixed-orbit", 2, 2):
+        "d3cb738ecbd60821948c8f3dc5cba5c6fc44de08e4c7626c0387101ee545fbc6",
+    ("q", "fixed-orbit", 2, 2):
+        "b953e853913f6d8875e6aab4020a2076d8d0630cd61a32596607f25d27dc9421",
+    ("witt-basechange", "fixed-orbit", 2, 2):
+        "bd3c2460f4d74002cb998ede32c9da8cc583dfa6bd924230b069be45a847d2cb",
+    ("build", "fixed-orbit", 3, 1):
+        "958cc5f3bf865824601bd3bae1b51e84c5e9112b235dce9446127242ee07fc58",
+    ("boxperm", "fixed-orbit", 3, 1):
+        "09eba8676deb0a89ce88f47d1131c37b7a8c008c6a68661fb2a06cd9d47186b9",
+    ("q", "fixed-orbit", 3, 1):
+        "16b93569c99a93a9bc5ae2d1fc6c9a0d2f27fc7d46674ba41b3c21d3a953c74b",
+    ("witt-basechange", "fixed-orbit", 3, 1):
+        "0bb4312bbe01e1da1f24a4c5b8fd99936f88515d7dd5bfa898840594d0abf730",
+    ("build", "permutation", 2, 3, "0,0,1,3"):
+        "77666b042b90490659d9deba770dd94557a2db730315c03495595746a56f3693",
+    ("build", "permutation", 3, 2, "2,1,0"):
+        "9118b961ffe576e83feb9d10a37345ab1f3d2b501fb8089e15a4a0eb9a4a6301",
+    ("boxperm", "permutation", 2, 3, "0,0,1,3"):
+        "97168f95963c379757feb3413a8374d424d99be3e00b5e77292a1fde1638aeb1",
+    ("boxperm", "permutation", 3, 2, "2,1,0"):
+        "35920e309cb3a06dc2739b573c58b664472207557f91d49766d0ce4a454a7e34",
+    ("q", "permutation", 2, 3, "0,0,1,3"):
+        "f7672178b2c367d2205faf331a65a0675ecaccd90f7aa26e8996b723ff488007",
+    ("q", "permutation", 3, 2, "2,1,0"):
+        "66e84c24fd60f65399762cf7af2db0d62afee06f6c55573956683987b29c6cae",
+    ("witt-basechange", "permutation", 2, 3, "0,0,1,3"):
+        "e6d42a8a4c110f8baf98f8f1eeae1f7bf0953784174851dfb6c1d0009524b4d3",
+    ("witt-basechange", "permutation", 3, 2, "2,1,0"):
+        "656c8570f0674c419b529c71ed6b740b3c28cd1aed9409c5cbd067a4f9881a30",
+}
+
+
+def test_cli_mackey_bytes_pinned(capsys):
+    for p, n in [(2, 2), (3, 1)]:
+        for kind in cli._MACKEY_KINDS:
+            for verb in ("build", "boxperm", "q", "witt-basechange"):
+                assert (verb, kind, p, n) in MACKEY_BYTES
+    changed = []
+    for key, digest in MACKEY_BYTES.items():
+        verb, kind, p, n, *orbits = key
+        argv = ["mackey", verb, "--kind", kind, "--p", str(p), "--n", str(n)]
+        argv += ["--orbits", orbits[0]] if orbits else []
+        assert main(argv + ["--json", "-"]) == 0
+        out = capsys.readouterr().out.encode()
+        if hashlib.sha256(out).hexdigest() != digest:
+            changed.append(key)
+    assert changed == []
+
+
 # run in a fresh interpreter: import the CLI, then run each argv through
 # main and report its exit code, whether numpy is loaded and its output hash
 _COLD_START = """
