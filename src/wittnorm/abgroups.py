@@ -250,12 +250,24 @@ class GroupHom:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def is_identity(self) -> bool:
-        """``self == GroupHom.identity(self.src)``, without building it: a
-        reduced identity matrix keeps every diagonal 1, as no modulus is 1."""
+    def is_scalar(self, c: int) -> bool:
+        """``self == GroupHom.scalar(self.src, c)``, without building it."""
+        if self.src != self.dst:
+            return False
         rows = self.matrix.by_row
-        return (self.src == self.dst and len(rows) == self.src.n
-                and all(len(row) == 1 and row.get(i) == 1 for i, row in rows.items()))
+        diagonal = 0
+        for i, m in enumerate(self.src.moduli):
+            v = c % m if m else c
+            if v:
+                row = rows.get(i)
+                if row is None or len(row) != 1 or row.get(i) != v:
+                    return False
+                diagonal += 1
+        return diagonal == len(rows)
+
+    def is_identity(self) -> bool:
+        """``self == GroupHom.identity(self.src)``, without building it."""
+        return self.is_scalar(1)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -13,12 +13,14 @@ every constructor runs:
   * restriction after transfer is the sum of the p translates by the
     subgroup of index p (the double-coset formula for cyclic groups).
 
-Constructors: constant functors, fixed points of a G-module, permutation
-functors, the Witt functor (levels Z/p^(k+1)), induction and restriction
-along subgroups, the box pairing with a permutation orbit (computed as
-induction after restriction), levelwise kernels and cokernels, inflation,
-an explicit four-map resolution of the Witt functor by permutation
-functors, and the p-th-power norm check for constant coefficients.
+Constructors: constant functors, fixed points of a permutation module in
+orbit-sum bases, permutation functors, the Witt functor (levels
+Z/p^(k+1)), induction and restriction along subgroups, the box pairing
+with a permutation orbit (computed as induction after restriction),
+levelwise kernels and cokernels, base change to the Witt functor,
+inflation, an explicit four-map resolution of the Witt functor by
+permutation functors, and the p-th-power norm check for constant
+coefficients.
 """
 
 from __future__ import annotations
@@ -92,11 +94,10 @@ def hom_power(h: GroupHom, m: int) -> GroupHom:
 
 def translate_sum(step: GroupHom, p: int) -> GroupHom:
     """1 + step + ... + step^(p-1): the sum of the p translates by step."""
-    acc = GroupHom.zero(step.src, step.src)
-    cur = GroupHom.identity(step.src)
-    for _ in range(p):
-        acc = acc + cur
+    acc = cur = GroupHom.identity(step.src)
+    for _ in range(p - 1):
         cur = step.compose(cur)
+        acc = acc + cur
     return acc
 
 
@@ -132,15 +133,17 @@ class GModule:
     """A f.g. abelian group with an action of a fixed generator of C_{p^n}.
 
     The constructor checks action^(p^n) = id, which also makes the action
-    invertible, with inverse action^(p^n - 1).
+    invertible, with inverse action^(p^n - 1).  validate=False skips that
+    check for an action whose order is known to divide p^n already.
     """
 
     __slots__ = ("spec", "carrier", "action")
 
-    def __init__(self, spec: CyclicGroupSpec, carrier: FgAbGroup, action: GroupHom):
+    def __init__(self, spec: CyclicGroupSpec, carrier: FgAbGroup, action: GroupHom,
+                 validate: bool = True):
         if action.src != carrier or action.dst != carrier:
             raise ValueError("action must be an endomorphism of the carrier")
-        if not hom_power(action, spec.order()).is_identity():
+        if validate and not hom_power(action, spec.order()).is_identity():
             raise MackeyError("generator action order does not divide the group order")
         self.spec = spec
         self.carrier = carrier
@@ -246,7 +249,7 @@ def validate_mackey(m: CyclicMackeyFunctor) -> None:
             raise MackeyError(f"restriction {k} is not equivariant")
         if m.weyl[k + 1].compose(m.tr[k]) != m.tr[k].compose(m.weyl[k]):
             raise MackeyError(f"transfer {k} is not equivariant")
-        if m.tr[k].compose(m.res[k]) != GroupHom.scalar(m.levels[k + 1], p):
+        if not m.tr[k].compose(m.res[k]).is_scalar(p):
             raise MackeyError(f"transfer after restriction at level {k} is not multiplication by p")
         if m.res[k].compose(m.tr[k]) != translate_sum(hom_power(m.weyl[k], p ** (n - k - 1)), p):
             raise MackeyError(f"double-coset formula fails at level {k}")
@@ -390,13 +393,68 @@ def _functor_on_quotients(
     return CyclicMackeyFunctor(spec, [pr.group for pr in pres], res_h, tr_h, weyl_h)
 
 
+def _basis_permutation(mod: GModule) -> List[int]:
+    """sigma with the generator sending basis vector j to basis vector
+    sigma[j]; a ValueError unless the carrier is free and the generator
+    permutes its basis."""
+    rows, size = mod.action.matrix.by_row, mod.carrier.n
+    sigma = {j: i for i, row in rows.items() for j, v in row.items() if len(row) == 1 and v == 1}
+    if mod.carrier.torsion or len(rows) != size or len(sigma) != size:
+        raise ValueError("fixed points need a generator that permutes the basis of a free carrier")
+    return [sigma[j] for j in range(size)]
+
+
 def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
-    """Levels = fixed subgroups of the carrier, with inclusion/trace/action."""
+    """Fixed points of a permutation module, in orbit-sum bases.
+
+    The generator g must permute the basis of a free carrier; anything else
+    is a ValueError.  Level k, the fixed points of C_{p^k} = <g^(p^(n-k))>,
+    has the sums of the C_{p^k}-orbits as a basis (Dress; Thevenaz-Webb),
+    in the order of their least points, so level 0 is the carrier itself.
+    No map needs a solve: restriction sends an orbit sum to the sum of the
+    smaller orbit sums inside it, transfer sends O to (p |O| / |O'|) O' for
+    the orbit O' that contains it, and g permutes the orbit sums.
+    """
     p, n = mod.spec.p, mod.spec.n
-    ident = GroupHom.identity(mod.carrier)
-    incls = [hom_kernel(hom_power(mod.action, p ** (n - k)) - ident) for k in range(n + 1)]
-    traces = [translate_sum(hom_power(mod.action, p ** (n - k - 1)), p).matrix for k in range(n)]
-    return _functor_on_subgroups(mod.spec, incls, [None] * n, traces, [mod.action.matrix] * (n + 1))
+    sigma = _basis_permutation(mod)
+    # from the top level down: label[k][x] numbers the C_{p^k}-orbit of x
+    # in the order of least points, least[k] lists those points and
+    # size[k] the orbit sizes; C_{p^k} is generated by tau = g^(p^(n-k)),
+    # the p-th power of the generator one level up
+    label: List[List[int]] = []
+    least: List[List[int]] = []
+    size: List[List[int]] = []
+    tau = sigma
+    for _ in range(n + 1):
+        lab = [-1] * len(sigma)
+        firsts: List[int] = []
+        for x in range(len(sigma)):
+            if lab[x] < 0:
+                y = x
+                while lab[y] < 0:
+                    lab[y] = len(firsts)
+                    y = tau[y]
+                firsts.append(x)
+        counts = [0] * len(firsts)
+        for i in lab:
+            counts[i] += 1
+        label.insert(0, lab)
+        least.insert(0, firsts)
+        size.insert(0, counts)
+        power = tau
+        for _ in range(p - 1):
+            power = [tau[y] for y in power]
+        tau = power
+    levels = [FgAbGroup([0] * len(xs)) for xs in least]
+    res, tr = [], []
+    for k in range(n):
+        lo, hi, up = levels[k], levels[k + 1], label[k + 1]
+        res.append(GroupHom(hi, lo, IntMatrix(lo.n, hi.n, {(i, up[x]): 1 for i, x in enumerate(least[k])})))
+        tr.append(GroupHom(lo, hi, IntMatrix(hi.n, lo.n, {
+            (up[x], i): p * size[k][i] // size[k + 1][up[x]] for i, x in enumerate(least[k])})))
+    weyl = [GroupHom(g, g, IntMatrix(g.n, g.n, {(label[k][sigma[x]], i): 1 for i, x in enumerate(least[k])}))
+            for k, g in enumerate(levels)]
+    return CyclicMackeyFunctor(mod.spec, levels, res, tr, weyl)
 
 
 def permutation_mackey(p: int, n: int, orbits: Sequence[int]) -> CyclicMackeyFunctor:
@@ -532,12 +590,15 @@ def augmentation(p: int, n: int, k: int = 0) -> MackeyMap:
 # kernels, cokernels, derived constructions
 
 
-def mackey_cokernel(f: MackeyMap) -> CyclicMackeyFunctor:
-    t = f.target
-    pres = [hom_cokernel(c) for c in f.components]
+def _quotient_functor(m: CyclicMackeyFunctor, pres: Sequence[Presentation]) -> CyclicMackeyFunctor:
+    """m modulo sub-functors: level k is the quotient pres[k] of m.levels[k]."""
     return _functor_on_quotients(
-        t.spec, pres, [h.matrix for h in t.res], [h.matrix for h in t.tr], [h.matrix for h in t.weyl]
+        m.spec, pres, [h.matrix for h in m.res], [h.matrix for h in m.tr], [h.matrix for h in m.weyl]
     )
+
+
+def mackey_cokernel(f: MackeyMap) -> CyclicMackeyFunctor:
+    return _quotient_functor(f.target, [hom_cokernel(c) for c in f.components])
 
 
 def mackey_kernel(f: MackeyMap) -> CyclicMackeyFunctor:
@@ -572,8 +633,16 @@ def augmentation_cokernel(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
 
 
 def base_change_to_witt(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
-    """Cokernel of p times the counit from the free-orbit pairing."""
-    return mackey_cokernel(box_counit(m, 0).scale(m.p))
+    """Cokernel of p times the counit from the free-orbit pairing.
+
+    At level j the counit sends the copy of level 0 indexed by the a-th
+    coset to the transfer of its image under the a-th power of the
+    generator.  Every generator action is an automorphism, so the image is
+    the transfer image of level 0, and level j of the cokernel is level j
+    modulo p times that image.
+    """
+    return _quotient_functor(m, [hom_cokernel(_transfer_chain(m, 0, j).scale(m.p))
+                                 for j in range(m.n + 1)])
 
 
 def inflate_mackey(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:

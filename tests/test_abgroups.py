@@ -249,6 +249,12 @@ def test_is_identity_agrees_with_the_built_identity():
     # four identities, 5 on Z/2 + Z/4, diag(3, 1) on Z/2 + Z/2, and every
     # endomorphism of the trivial group
     assert got.count(True) == 9
+    # is_scalar against the built scalar, for scalars that vanish on some
+    # summands (4 on Z/2 + Z/4) and for multiples of p
+    for c in (-1, 0, 1, 2, 3, 4, 5):
+        got = [h.is_scalar(c) for h in homs]
+        assert got == [h == GroupHom.scalar(h.src, c) for h in homs], c
+        assert any(got)
 
 
 def test_subgroup_ops():

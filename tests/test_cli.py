@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from wittnorm import cli, drw, mackey, polywitt, rings
+from wittnorm.abgroups import FgAbGroup, GroupHom
 from wittnorm.cli import main
 from wittnorm.mackey import CyclicMackeyFunctor, witt_mackey
 from wittnorm.serialize import (
@@ -500,9 +501,9 @@ MACKEY_BYTES = {
     ("witt-basechange", "fixed-orbit", 3, 1):
         "0bb4312bbe01e1da1f24a4c5b8fd99936f88515d7dd5bfa898840594d0abf730",
     ("build", "permutation", 2, 3, "0,0,1,3"):
-        "77666b042b90490659d9deba770dd94557a2db730315c03495595746a56f3693",
+        "224c525d68f939388c042336ffbad479407e11dd882ac0942c5b6a1b8aa70df7",
     ("build", "permutation", 3, 2, "2,1,0"):
-        "9118b961ffe576e83feb9d10a37345ab1f3d2b501fb8089e15a4a0eb9a4a6301",
+        "3f0952eb998fd68d42841e04675a27ca8972bbf33103a3d6c350aa69625c7612",
     ("boxperm", "permutation", 2, 3, "0,0,1,3"):
         "97168f95963c379757feb3413a8374d424d99be3e00b5e77292a1fde1638aeb1",
     ("boxperm", "permutation", 3, 2, "2,1,0"):
@@ -510,11 +511,11 @@ MACKEY_BYTES = {
     ("q", "permutation", 2, 3, "0,0,1,3"):
         "f7672178b2c367d2205faf331a65a0675ecaccd90f7aa26e8996b723ff488007",
     ("q", "permutation", 3, 2, "2,1,0"):
-        "66e84c24fd60f65399762cf7af2db0d62afee06f6c55573956683987b29c6cae",
+        "c58d293398fec4a1176dde7fd7ea383af17f629d81ad2ab98345e809aedbf768",
     ("witt-basechange", "permutation", 2, 3, "0,0,1,3"):
-        "e6d42a8a4c110f8baf98f8f1eeae1f7bf0953784174851dfb6c1d0009524b4d3",
+        "35b78aad74229372e5d667c36a13cd4a10a59e400fd868dea66341d7c7c0d105",
     ("witt-basechange", "permutation", 3, 2, "2,1,0"):
-        "656c8570f0674c419b529c71ed6b740b3c28cd1aed9409c5cbd067a4f9881a30",
+        "99696e3505b08d6dd522128833fe7452f159f76eb3f884570d1c51234abb45ca",
 }
 
 
@@ -603,6 +604,27 @@ def test_cli_validates_each_mackey_functor_once(monkeypatch, capsys):
     assert main(["mackey", "validate", "--kind", "fixed-regular", "--p", "3", "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out) == {"kind": "mackey-validation", "ok": True}
     assert len(calls) == 1
+    # the norm pipeline validates the norm over Z and its base change, and
+    # builds no other functor on the way
+    calls.clear()
+    assert main(["polywitt", "compare", "--p", "2", "--d", "4", "--r", "3"]) == 0
+    capsys.readouterr()
+    norm_z, norm_w = calls
+    assert norm_z.spec == norm_w.spec == mackey.CyclicGroupSpec(2, 2)
+    assert norm_z == polywitt.norm_over_Z(polywitt.FreeLift(4), 2, 3)
+    assert norm_w == mackey.base_change_to_witt(norm_z)
+
+
+def test_cli_non_permutation_fixed_points_are_invalid(monkeypatch, capsys):
+    # the generator acting by -1 on Z permutes no basis: exit 3, one line
+    def sign_module(p, n):
+        z = FgAbGroup([0])
+        return mackey.GModule(mackey.CyclicGroupSpec(p, n), z, GroupHom.scalar(z, -1))
+
+    monkeypatch.setattr(cli, "regular_gmodule", sign_module)
+    assert main(["mackey", "build", "--kind", "fixed-regular", "--p", "2", "--n", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixed points need a generator that permutes") and err.count("\n") == 1
 
 
 def test_cli_inexact_division_is_check_failure(monkeypatch, capsys):

@@ -7,9 +7,11 @@ from math import gcd
 import pytest
 
 from wittnorm import intlinalg
-from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_presentation
+from wittnorm import mackey
+from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_presentation, hom_kernel
 from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import (
+    _functor_on_subgroups,
     CyclicGroupSpec,
     CyclicMackeyFunctor,
     GModule,
@@ -28,6 +30,7 @@ from wittnorm.mackey import (
     find_cyclic_iso,
     fixed_point_mackey,
     gmodule_direct_sum,
+    hom_power,
     inflate_mackey,
     mackey_cokernel,
     mackey_direct_sum,
@@ -38,8 +41,17 @@ from wittnorm.mackey import (
     permutation_mackey,
     regular_gmodule,
     tambara_power_check,
+    translate_sum,
+    validate_mackey,
     witt_mackey,
     zero_mackey,
+)
+from wittnorm.polywitt import (
+    FreeLift,
+    comparison_grid,
+    conjugate_gmodule,
+    inflate_action,
+    tensor_power_action,
 )
 from wittnorm.rings import ZModRing
 from wittnorm.serialize import dumps_value, mackey_json
@@ -47,6 +59,22 @@ from wittnorm.serialize import dumps_value, mackey_json
 
 def level_moduli(m):
     return [g.moduli for g in m.levels]
+
+
+def kernel_fixed_points(mod):
+    """Fixed points by elimination, the oracle for `fixed_point_mackey`.
+
+    Level k is the kernel of action^(p^(n-k)) - 1 and every structure map
+    is solved through the inclusions; the carrier may have torsion and the
+    action need not permute a basis.  Returns the functor and the
+    inclusions of its levels into the carrier.
+    """
+    p, n = mod.spec.p, mod.spec.n
+    ident = GroupHom.identity(mod.carrier)
+    incls = [hom_kernel(hom_power(mod.action, p ** (n - k)) - ident) for k in range(n + 1)]
+    traces = [translate_sum(hom_power(mod.action, p ** (n - k - 1)), p).matrix for k in range(n)]
+    functor = _functor_on_subgroups(mod.spec, incls, [None] * n, traces, [mod.action.matrix] * (n + 1))
+    return functor, incls
 
 
 def test_witt_mackey_frozen():
@@ -138,8 +166,8 @@ def test_box_matches_tensor_oracle(p, n, h):
     # fixed points of the tensor product module, computed independently
     sign = GroupHom(FgAbGroup([4]), FgAbGroup([4]), IntMatrix.from_rows([[-1]]))
     vmod = GModule(CyclicGroupSpec(p, n), FgAbGroup([4]), sign if p == 2 else GroupHom.identity(FgAbGroup([4])))
-    left = box_with_permutation(fixed_point_mackey(vmod), h)
-    right = fixed_point_mackey(tensor_with_orbit(p, n, h, vmod))
+    left = box_with_permutation(kernel_fixed_points(vmod)[0], h)
+    right = kernel_fixed_points(tensor_with_orbit(p, n, h, vmod))[0]
     assert level_moduli(left) == level_moduli(right)
 
 
@@ -423,6 +451,128 @@ def test_express_via_matches_per_column_oracle():
             assert (got.rows, got.cols) == (expected.rows, expected.cols)
             assert list(got.data.items()) == list(expected.data.items())
     assert outside
+
+
+def _sign_module(p, n):
+    """Z/4 with the generator acting by -1 (by 1 for odd p): no free carrier."""
+    g = FgAbGroup([4])
+    return GModule(CyclicGroupSpec(p, n), g, GroupHom(g, g, IntMatrix.from_rows([[-1 if p == 2 else 1]])))
+
+
+def _shuffled(mod, seed):
+    """The module with its basis permuted by a seeded permutation."""
+    size = mod.carrier.n
+    order = list(range(size))
+    random.Random(seed).shuffle(order)
+    perm = IntMatrix(size, size, {(order[j], j): 1 for j in range(size)})
+    return conjugate_gmodule(mod, perm, perm.transpose())
+
+
+def _orbit_multisets(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((2, 3))
+        n = rng.randint(1, 3 if p == 2 else 2)
+        yield p, n, [rng.randint(0, n) for _ in range(rng.randint(1, 4))]
+
+
+def _permutation_modules():
+    """(name, module, bases agree): the modules of every `mackey` CLI kind
+    and suite instance, the tensor powers of the compare grid plus
+    (2, 4, 3), seeded orbit multisets and shuffled bases.  The orbit-sum
+    basis is the kernel basis for single orbits and for distinct orbits in
+    increasing order."""
+    for p, n in [(2, 2), (3, 1), (2, 3), (3, 2)]:
+        for h in range(n + 1):
+            yield f"orbit p={p} n={n} h={h}", orbit_gmodule(p, n, h), True
+    for p, n, orbits, agree in [(2, 2, [0, 1, 2], True), (3, 1, [0, 1], True),
+                                (2, 3, [0, 0, 1, 3], False), (3, 2, [2, 1, 0], False)]:
+        yield f"orbits {orbits} p={p} n={n}", gmodule_direct_sum([orbit_gmodule(p, n, h) for h in orbits]), agree
+    for p, d, r in comparison_grid() + [(2, 4, 3)]:
+        yield f"tensor p={p} d={d} r={r}", tensor_power_action(FreeLift(d), CyclicGroupSpec(p, r - 1)), None
+    for t, (p, n, orbits) in enumerate(_orbit_multisets(3, 12)):
+        mod = gmodule_direct_sum([orbit_gmodule(p, n, h) for h in orbits])
+        yield f"orbits {orbits} p={p} n={n}", mod, None
+        yield f"shuffled orbits {orbits} p={p} n={n}", _shuffled(mod, t), None
+
+
+def test_orbit_sums_match_the_kernel_oracle():
+    # both constructions take bases of the same fixed lattices: where the
+    # bases differ, the orbit sums (read in the carrier by restricting down
+    # to level 0, the carrier itself) are solved in the kernel basis, and
+    # that change of basis is an isomorphism of Mackey functors
+    differ = 0
+    for name, mod, agree in _permutation_modules():
+        fast = fixed_point_mackey(mod)
+        slow, incls = kernel_fixed_points(mod)
+        assert fast.levels[0] == mod.carrier and fast.weyl[0] == mod.action, name
+        if agree is not None:
+            assert (fast == slow) == agree, name
+        if fast == slow:
+            continue
+        differ += 1
+        down = GroupHom.identity(mod.carrier)
+        comps = []
+        for k in range(fast.n + 1):
+            if k:
+                down = down.compose(fast.res[k - 1])
+            comps.append(GroupHom(fast.levels[k], slow.levels[k], express_matrix_via(incls[k], down.matrix)))
+        assert MackeyMap(fast, slow, comps).is_isomorphism(), name
+    assert differ
+
+
+def test_base_change_is_the_cokernel_of_p_times_the_counit():
+    # read off the bottom transfer, the base change equals the cokernel of
+    # p times the free-orbit counit, maps included
+    functors = [fixed_point_mackey(mod) for _, mod, _ in _permutation_modules()]
+    functors += [kernel_fixed_points(_sign_module(p, n))[0] for p, n in [(2, 1), (2, 2), (3, 1)]]
+    for p, n in [(2, 0), (2, 2), (3, 1), (3, 2), (5, 1)]:
+        functors += [constant_mackey(p, n), witt_mackey(p, n), zero_mackey(p, n)]
+    for m in functors:
+        assert base_change_to_witt(m) == mackey_cokernel(box_counit(m, 0).scale(m.p)), m
+
+
+def test_fixed_points_need_a_permutation_module():
+    # a torsion carrier, a free one with a signed permutation, and a
+    # rotation rewritten in a non-permutation basis; a plain ValueError,
+    # which the CLI reports as an invalid invocation
+    z2 = FgAbGroup([0, 0])
+    signed = GModule(CyclicGroupSpec(2, 2), z2, GroupHom(z2, z2, IntMatrix.from_rows([[0, -1], [1, 0]])))
+    rot = tensor_power_action(FreeLift(2), CyclicGroupSpec(2, 1))
+    u = IntMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    u_inv = IntMatrix.from_rows([[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for mod in (_sign_module(2, 1), signed, conjugate_gmodule(rot, u, u_inv)):
+        with pytest.raises(ValueError) as exc:
+            fixed_point_mackey(mod)
+        assert not isinstance(exc.value, MackeyError)
+        assert kernel_fixed_points(mod)[0].spec == mod.spec  # the oracle takes any module
+
+
+def test_validation_builds_no_throwaway_homs(monkeypatch):
+    # the validator compares against p and the identity without building
+    # them; its only identities start the n translate sums
+    functors = [fixed_point_mackey(tensor_power_action(FreeLift(2), CyclicGroupSpec(2, 2))),
+                witt_mackey(3, 2), inflate_mackey(witt_mackey(2, 1))]
+    built = []
+    identity = IntMatrix.identity
+    monkeypatch.setattr(IntMatrix, "identity", staticmethod(lambda n: built.append(n) or identity(n)))
+    for name in ("scalar", "zero"):
+        monkeypatch.setattr(GroupHom, name, staticmethod(lambda *a, name=name: built.append(name)))
+    for m in functors:
+        built.clear()
+        validate_mackey(m)
+        assert len(built) == m.n and "scalar" not in built and "zero" not in built
+
+
+def test_inflation_checks_the_order_once(monkeypatch):
+    # the tensor power checks A^2 = 1, which implies A^4 = 1 for the inflation
+    calls = []
+    power = mackey.hom_power
+    monkeypatch.setattr(mackey, "hom_power", lambda h, m: calls.append(m) or power(h, m))
+    rot = tensor_power_action(FreeLift(2), CyclicGroupSpec(2, 1))
+    assert calls == [2]
+    assert inflate_action(rot).spec == CyclicGroupSpec(2, 2)
+    assert calls == [2]
 
 
 def test_gmodule_rejects_non_invertible_action():
