@@ -6,8 +6,7 @@ from math import gcd
 
 import pytest
 
-from wittnorm import intlinalg
-from wittnorm import mackey
+from wittnorm import intlinalg, mackey
 from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_presentation, hom_kernel
 from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import (
@@ -164,8 +163,7 @@ def tensor_with_orbit(p, n, h, mod):
 def test_box_matches_tensor_oracle(p, n, h):
     # box pairing of a fixed-point functor against the orbit equals the
     # fixed points of the tensor product module, computed independently
-    sign = GroupHom(FgAbGroup([4]), FgAbGroup([4]), IntMatrix.from_rows([[-1]]))
-    vmod = GModule(CyclicGroupSpec(p, n), FgAbGroup([4]), sign if p == 2 else GroupHom.identity(FgAbGroup([4])))
+    vmod = _sign_module(p, n)
     left = box_with_permutation(kernel_fixed_points(vmod)[0], h)
     right = kernel_fixed_points(tensor_with_orbit(p, n, h, vmod))[0]
     assert level_moduli(left) == level_moduli(right)
