@@ -532,8 +532,11 @@ def matrix_mod(m: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     by_row = {}
     for i, row in m.by_row.items():
         mod = moduli[i]
-        if mod and any(not 0 <= v < mod for v in row.values()):
-            row = {j: w for j, v in row.items() if (w := v % mod)}
+        if mod:
+            for v in row.values():
+                if not 0 <= v < mod:
+                    row = {j: w for j, v in row.items() if (w := v % mod)}
+                    break
             if not row:
                 continue
         by_row[i] = row

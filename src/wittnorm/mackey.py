@@ -18,15 +18,15 @@ orbit-sum bases, permutation functors, the Witt functor (levels
 Z/p^(k+1)), induction and restriction along subgroups, the box pairing
 with a permutation orbit (computed as induction after restriction),
 levelwise kernels and cokernels, base change to the Witt functor,
-inflation, an explicit four-map resolution of the Witt functor by
-permutation functors, and the p-th-power norm check for constant
-coefficients.
+inflation, and an explicit four-map resolution of the Witt functor by
+permutation functors.  `fixed_point_witt_mackey` reads the base change
+of a permutation functor off its orbits, with no Smith form;
+`base_change_to_witt` stays the general construction and its reference.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,8 +94,9 @@ def hom_power(h: GroupHom, m: int) -> GroupHom:
 
 def translate_sum(step: GroupHom, p: int) -> GroupHom:
     """1 + step + ... + step^(p-1): the sum of the p translates by step."""
-    acc = cur = GroupHom.identity(step.src)
-    for _ in range(p - 1):
+    acc = GroupHom.identity(step.src) + step
+    cur = step
+    for _ in range(p - 2):
         cur = step.compose(cur)
         acc = acc + cur
     return acc
@@ -236,12 +237,16 @@ def validate_mackey(m: CyclicMackeyFunctor) -> None:
             raise MackeyError(f"restriction {k} has wrong source or target")
         if m.tr[k].src != m.levels[k] or m.tr[k].dst != m.levels[k + 1]:
             raise MackeyError(f"transfer {k} has wrong source or target")
+    # step[k] generates C_{p^(k+1)}/C_{p^k} on level k; its p translates sum
+    step: List[GroupHom] = []
     for k in range(n + 1):
         w = m.weyl[k]
         if w.src != m.levels[k] or w.dst != m.levels[k]:
             raise MackeyError(f"generator action {k} is not an endomorphism")
-        if not hom_power(w, p ** (n - k)).is_identity():
-            raise MackeyError(f"generator action order at level {k} does not divide p^{n - k}")
+        if k < n:
+            step.append(hom_power(w, p ** (n - k - 1)))
+            if not hom_power(step[k], p).is_identity():
+                raise MackeyError(f"generator action order at level {k} does not divide p^{n - k}")
     if not m.weyl[n].is_identity():
         raise MackeyError("generator action must be trivial on the top level")
     for k in range(n):
@@ -251,7 +256,7 @@ def validate_mackey(m: CyclicMackeyFunctor) -> None:
             raise MackeyError(f"transfer {k} is not equivariant")
         if not m.tr[k].compose(m.res[k]).is_scalar(p):
             raise MackeyError(f"transfer after restriction at level {k} is not multiplication by p")
-        if m.res[k].compose(m.tr[k]) != translate_sum(hom_power(m.weyl[k], p ** (n - k - 1)), p):
+        if m.res[k].compose(m.tr[k]) != translate_sum(step[k], p):
             raise MackeyError(f"double-coset formula fails at level {k}")
 
 
@@ -290,16 +295,6 @@ class MackeyMap:
         for k in range(s.n + 1):
             if self.components[k].compose(s.weyl[k]) != t.weyl[k].compose(self.components[k]):
                 raise MackeyError(f"map does not commute with the generator action at {k}")
-
-    @staticmethod
-    def identity(m: CyclicMackeyFunctor) -> "MackeyMap":
-        return MackeyMap(m, m, [GroupHom.identity(g) for g in m.levels], validate=False)
-
-    def compose(self, other: "MackeyMap") -> "MackeyMap":
-        if other.target != self.source:
-            raise MackeyError("composition mismatch")
-        comps = [a.compose(b) for a, b in zip(self.components, other.components)]
-        return MackeyMap(other.source, self.target, comps, validate=False)
 
     def scale(self, c: int) -> "MackeyMap":
         return MackeyMap(self.source, self.target, [h.scale(c) for h in self.components],
@@ -404,22 +399,16 @@ def _basis_permutation(mod: GModule) -> List[int]:
     return [sigma[j] for j in range(size)]
 
 
-def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
-    """Fixed points of a permutation module, in orbit-sum bases.
+def _orbit_walk(mod: GModule) -> Tuple[List[int], List[List[int]], List[List[int]], List[List[int]]]:
+    """The orbits of every level of a permutation module.
 
-    The generator g must permute the basis of a free carrier; anything else
-    is a ValueError.  Level k, the fixed points of C_{p^k} = <g^(p^(n-k))>,
-    has the sums of the C_{p^k}-orbits as a basis (Dress; Thevenaz-Webb),
-    in the order of their least points, so level 0 is the carrier itself.
-    No map needs a solve: restriction sends an orbit sum to the sum of the
-    smaller orbit sums inside it, transfer sends O to (p |O| / |O'|) O' for
-    the orbit O' that contains it, and g permutes the orbit sums.
+    Returns sigma (see `_basis_permutation`) and, for each level k,
+    label[k][x] numbering the C_{p^k}-orbit of x in the order of least
+    points, least[k] listing those points and size[k] the orbit sizes.
     """
     p, n = mod.spec.p, mod.spec.n
     sigma = _basis_permutation(mod)
-    # from the top level down: label[k][x] numbers the C_{p^k}-orbit of x
-    # in the order of least points, least[k] lists those points and
-    # size[k] the orbit sizes; C_{p^k} is generated by tau = g^(p^(n-k)),
+    # from the top level down: C_{p^k} is generated by tau = g^(p^(n-k)),
     # the p-th power of the generator one level up
     label: List[List[int]] = []
     least: List[List[int]] = []
@@ -445,16 +434,68 @@ def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
         for _ in range(p - 1):
             power = [tau[y] for y in power]
         tau = power
-    levels = [FgAbGroup([0] * len(xs)) for xs in least]
+    return sigma, label, least, size
+
+
+def _orbit_functor(mod: GModule, walk: Tuple, levels: Sequence[FgAbGroup],
+                   at: Sequence[Sequence[int]]) -> CyclicMackeyFunctor:
+    """The structure maps of `fixed_point_mackey` on the given levels,
+    where at[k][i] is the summand of levels[k] that carries the level-k
+    orbit numbered i by the walk.  Each map is a checked `GroupHom`, so
+    it must respect the orders of the summands.
+    """
+    p = mod.spec.p
+    sigma, label, least, size = walk
     res, tr = [], []
-    for k in range(n):
-        lo, hi, up = levels[k], levels[k + 1], label[k + 1]
-        res.append(GroupHom(hi, lo, IntMatrix(lo.n, hi.n, {(i, up[x]): 1 for i, x in enumerate(least[k])})))
+    for k in range(mod.spec.n):
+        lo, hi, up, a, b = levels[k], levels[k + 1], label[k + 1], at[k], at[k + 1]
+        res.append(GroupHom(hi, lo, IntMatrix(lo.n, hi.n, {(a[i], b[up[x]]): 1 for i, x in enumerate(least[k])})))
         tr.append(GroupHom(lo, hi, IntMatrix(hi.n, lo.n, {
-            (up[x], i): p * size[k][i] // size[k + 1][up[x]] for i, x in enumerate(least[k])})))
-    weyl = [GroupHom(g, g, IntMatrix(g.n, g.n, {(label[k][sigma[x]], i): 1 for i, x in enumerate(least[k])}))
+            (b[up[x]], a[i]): p * size[k][i] // size[k + 1][up[x]] for i, x in enumerate(least[k])})))
+    weyl = [GroupHom(g, g, IntMatrix(g.n, g.n, {(at[k][label[k][sigma[x]]], at[k][i]): 1
+                                                for i, x in enumerate(least[k])}))
             for k, g in enumerate(levels)]
     return CyclicMackeyFunctor(mod.spec, levels, res, tr, weyl)
+
+
+def fixed_point_mackey(mod: GModule) -> CyclicMackeyFunctor:
+    """Fixed points of a permutation module, in orbit-sum bases.
+
+    The generator g must permute the basis of a free carrier; anything else
+    is a ValueError.  Level k, the fixed points of C_{p^k} = <g^(p^(n-k))>,
+    has the sums of the C_{p^k}-orbits as a basis (Dress; Thevenaz-Webb),
+    in the order of their least points, so level 0 is the carrier itself.
+    No map needs a solve: restriction sends an orbit sum to the sum of the
+    smaller orbit sums inside it, transfer sends O to (p |O| / |O'|) O' for
+    the orbit O' that contains it, and g permutes the orbit sums.
+    `fixed_point_witt_mackey` places the same maps on the Witt base change.
+    """
+    walk = _orbit_walk(mod)
+    least = walk[2]
+    return _orbit_functor(mod, walk, [FgAbGroup([0] * len(xs)) for xs in least],
+                          [range(len(xs)) for xs in least])
+
+
+def fixed_point_witt_mackey(mod: GModule) -> CyclicMackeyFunctor:
+    """`base_change_to_witt(fixed_point_mackey(mod))`, read off the orbits.
+
+    In the orbit-sum basis p times the transfer from level 0 sends a point
+    to (p^(j+1) / |O|) O, for the level-j orbit O that contains it, so
+    level j is the sum of Z/(p^(j+1) / |O|) over its orbits: each modulus
+    is a power of p and at least p, since |O| divides p^j.  The summands
+    go in ascending modulus, ties in the order of least points, which makes
+    the level canonical as built.  The structure maps are those of
+    `fixed_point_mackey`, placed in that order; no Smith form is run.
+    """
+    p = mod.spec.p
+    walk = _orbit_walk(mod)
+    levels, at = [], []
+    for k, sizes in enumerate(walk[3]):
+        moduli = [p ** (k + 1) // s for s in sizes]
+        order = sorted(range(len(moduli)), key=moduli.__getitem__)
+        levels.append(FgAbGroup([moduli[i] for i in order]))
+        at.append({i: t for t, i in enumerate(order)})
+    return _orbit_functor(mod, walk, levels, at)
 
 
 def permutation_mackey(p: int, n: int, orbits: Sequence[int]) -> CyclicMackeyFunctor:
@@ -639,10 +680,10 @@ def base_change_to_witt(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
     coset to the transfer of its image under the a-th power of the
     generator.  Every generator action is an automorphism, so the image is
     the transfer image of level 0, and level j of the cokernel is level j
-    modulo p times that image.
+    modulo p times that image.  The chain of transfers grows level by level.
     """
-    return _quotient_functor(m, [hom_cokernel(_transfer_chain(m, 0, j).scale(m.p))
-                                 for j in range(m.n + 1)])
+    chains = itertools.accumulate(m.tr, lambda c, t: t.compose(c), initial=GroupHom.identity(m.levels[0]))
+    return _quotient_functor(m, [hom_cokernel(c.scale(m.p)) for c in chains])
 
 
 def inflate_mackey(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
@@ -797,53 +838,3 @@ def find_cyclic_iso(a: CyclicMackeyFunctor, b: CyclicMackeyFunctor) -> Optional[
         if cand.is_isomorphism():
             return cand
     return None
-
-
-# the p-th power norm on constant coefficients
-
-
-class TambaraReport:
-    __slots__ = ("ok", "pairs_checked", "failures")
-
-    def __init__(self, ok: bool, pairs_checked: int, failures: List):
-        self.ok = ok
-        self.pairs_checked = pairs_checked
-        self.failures = failures
-
-    def __repr__(self):
-        return f"TambaraReport(ok={self.ok}, pairs={self.pairs_checked})"
-
-
-def tambara_power_check(ring, p: int, pair_limit: int = 8192, seed: int = 0) -> TambaraReport:
-    """For constant coefficients over C_p: the p-th power map is a norm.
-
-    Checks multiplicativity, unitality, and that the additivity defect
-    N(a+b) - N(a) - N(b) lies in the transfer image p*k.
-    """
-    if not getattr(ring, "is_finite", False):
-        raise ValueError("norm check needs finite coefficients")
-
-    def npow(x):
-        out = ring.one()
-        for _ in range(p):
-            out = ring.mul(out, x)
-        return out
-
-    elems = list(ring.elements())
-    transfer_image = {ring.mul(ring.from_int(p), t) for t in elems}
-    failures = []
-    if npow(ring.one()) != ring.one():
-        failures.append(("unit", ring.one()))
-    if npow(ring.zero()) != ring.zero():
-        failures.append(("zero", ring.zero()))
-    pairs = [(a, b) for a in elems for b in elems]
-    if len(pairs) > pair_limit:
-        rng = random.Random(seed)
-        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(pair_limit)]
-    for a, b in pairs:
-        if npow(ring.mul(a, b)) != ring.mul(npow(a), npow(b)):
-            failures.append(("multiplicative", (a, b)))
-        defect = ring.sub(ring.sub(npow(ring.add(a, b)), npow(a)), npow(b))
-        if defect not in transfer_image:
-            failures.append(("additivity defect outside transfer image", (a, b)))
-    return TambaraReport(not failures, len(pairs), failures)

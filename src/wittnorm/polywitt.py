@@ -34,8 +34,8 @@ from .mackey import (
     CyclicGroupSpec,
     CyclicMackeyFunctor,
     GModule,
-    base_change_to_witt,
     fixed_point_mackey,
+    fixed_point_witt_mackey,
     translate_sum,
     witt_mackey,
 )
@@ -213,12 +213,16 @@ def tate_h0(mod: GModule) -> FgAbGroup:
     return fixed_mod_norm(mod.action.matrix, mod.spec.order())[2].group
 
 
-def _tate_module(space: FpVectorSpace, r: int, cap: int) -> GModule:
-    """The rotation action on the p^(r-1) tensor power, inflated to C_{p^r}."""
+def _rotation_module(lift: FreeLift, p: int, r: int, cap: int) -> GModule:
+    """The rotation action on the p^(r-1) tensor power, over C_{p^(r-1)}."""
     if r < 1:
         raise ValueError("truncation level must be >= 1")
-    spec = CyclicGroupSpec(space.p, r - 1)
-    return inflate_action(tensor_power_action(canonical_lift(space), spec, cap=cap))
+    return tensor_power_action(lift, CyclicGroupSpec(p, r - 1), cap=cap)
+
+
+def _tate_module(space: FpVectorSpace, r: int, cap: int) -> GModule:
+    """The rotation action on the p^(r-1) tensor power, inflated to C_{p^r}."""
+    return inflate_action(_rotation_module(canonical_lift(space), space.p, r, cap))
 
 
 def tate_polywitt(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> PolyWittResult:
@@ -228,14 +232,13 @@ def tate_polywitt(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> PolyW
 
 def norm_over_Z(lift: FreeLift, p: int, r: int, cap: int = DEFAULT_CAP) -> CyclicMackeyFunctor:
     """Fixed-point Mackey functor of the tensor power over C_{p^(r-1)}."""
-    if r < 1:
-        raise ValueError("truncation level must be >= 1")
-    return fixed_point_mackey(tensor_power_action(lift, CyclicGroupSpec(p, r - 1), cap=cap))
+    return fixed_point_mackey(_rotation_module(lift, p, r, cap))
 
 
 def norm_over_W(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> CyclicMackeyFunctor:
-    """Norm pipeline: base change of the integral norm to the Witt functor."""
-    return base_change_to_witt(norm_over_Z(canonical_lift(space), space.p, r, cap=cap))
+    """Norm pipeline: base change of the integral norm to the Witt functor,
+    read off the rotation orbits (`fixed_point_witt_mackey`)."""
+    return fixed_point_witt_mackey(_rotation_module(canonical_lift(space), space.p, r, cap))
 
 
 @dataclass

@@ -30,6 +30,8 @@ from wittnorm.serialize import (
 )
 from wittnorm.suites import SUITE_IDS, run_suite
 
+from test_mackey import orbit_summand_map
+
 
 def test_suite_reports_are_byte_identical_per_seed():
     a = emit_json(run_suite("trace", seed=3))
@@ -604,15 +606,16 @@ def test_cli_validates_each_mackey_functor_once(monkeypatch, capsys):
     assert main(["mackey", "validate", "--kind", "fixed-regular", "--p", "3", "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out) == {"kind": "mackey-validation", "ok": True}
     assert len(calls) == 1
-    # the norm pipeline validates the norm over Z and its base change, and
-    # builds no other functor on the way
+    # the norm pipeline validates one functor, the base change to the Witt
+    # functor, which is the Smith path's up to a permutation of summands
     calls.clear()
     assert main(["polywitt", "compare", "--p", "2", "--d", "4", "--r", "3"]) == 0
     capsys.readouterr()
-    norm_z, norm_w = calls
-    assert norm_z.spec == norm_w.spec == mackey.CyclicGroupSpec(2, 2)
-    assert norm_z == polywitt.norm_over_Z(polywitt.FreeLift(4), 2, 3)
-    assert norm_w == mackey.base_change_to_witt(norm_z)
+    [norm_w] = calls
+    rotation = polywitt.tensor_power_action(polywitt.FreeLift(4), mackey.CyclicGroupSpec(2, 2))
+    fast, smith, f = orbit_summand_map(rotation)
+    assert norm_w == fast and smith == mackey.base_change_to_witt(polywitt.norm_over_Z(polywitt.FreeLift(4), 2, 3))
+    assert f.is_isomorphism() and norm_w != smith
 
 
 def test_cli_non_permutation_fixed_points_are_invalid(monkeypatch, capsys):

@@ -6,8 +6,8 @@ from math import gcd
 
 import pytest
 
-from wittnorm import intlinalg, mackey
-from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_presentation, hom_kernel
+from wittnorm import abgroups, intlinalg, mackey, polywitt
+from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_presentation, hom_cokernel, hom_kernel
 from wittnorm.intlinalg import IntMatrix
 from wittnorm.mackey import (
     _functor_on_subgroups,
@@ -28,6 +28,7 @@ from wittnorm.mackey import (
     express_via,
     find_cyclic_iso,
     fixed_point_mackey,
+    fixed_point_witt_mackey,
     gmodule_direct_sum,
     hom_power,
     inflate_mackey,
@@ -39,17 +40,19 @@ from wittnorm.mackey import (
     orbit_gmodule,
     permutation_mackey,
     regular_gmodule,
-    tambara_power_check,
     translate_sum,
     validate_mackey,
     witt_mackey,
     zero_mackey,
 )
 from wittnorm.polywitt import (
+    FpVectorSpace,
     FreeLift,
     comparison_grid,
     conjugate_gmodule,
     inflate_action,
+    norm_over_W,
+    norm_over_Z,
     tensor_power_action,
 )
 from wittnorm.rings import ZModRing
@@ -179,12 +182,11 @@ def test_section_then_counit_is_p_at_top():
     res = WittResolution(2, 3)
     section, _, _, _ = res.maps
     eps = augmentation(2, 2)
-    comp = eps.compose(section)
     n = 2
-    assert comp.components[n].matrix.to_rows() == [[2 ** n]]
+    assert eps.components[n].compose(section.components[n]).matrix.to_rows() == [[2 ** n]]
     # and p * counit composed with the section is p^(n+1) at the top
-    comp2 = res.maps[2].compose(section)
-    assert comp2.components[n].matrix.to_rows() == [[2 ** (n + 1)]]
+    paug = res.maps[2].components[n]
+    assert paug.compose(section.components[n]).matrix.to_rows() == [[2 ** (n + 1)]]
 
 
 def test_counit_on_nontrivial_orbit():
@@ -328,11 +330,45 @@ def test_derived_functor_maps_frozen(name):
     assert got == expected
 
 
+def tambara_power_check(ring, p, pair_limit=8192, seed=0):
+    """For constant coefficients over C_p: the p-th power map is a norm.
+
+    Checks multiplicativity, unitality, and that the additivity defect
+    N(a+b) - N(a) - N(b) lies in the transfer image p*k.  Returns
+    (ok, pairs checked, failures).
+    """
+    if not getattr(ring, "is_finite", False):
+        raise ValueError("norm check needs finite coefficients")
+
+    def npow(x):
+        out = ring.one()
+        for _ in range(p):
+            out = ring.mul(out, x)
+        return out
+
+    elems = list(ring.elements())
+    transfer_image = {ring.mul(ring.from_int(p), t) for t in elems}
+    failures = []
+    if npow(ring.one()) != ring.one():
+        failures.append(("unit", ring.one()))
+    if npow(ring.zero()) != ring.zero():
+        failures.append(("zero", ring.zero()))
+    pairs = [(a, b) for a in elems for b in elems]
+    if len(pairs) > pair_limit:
+        rng = random.Random(seed)
+        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(pair_limit)]
+    for a, b in pairs:
+        if npow(ring.mul(a, b)) != ring.mul(npow(a), npow(b)):
+            failures.append(("multiplicative", (a, b)))
+        defect = ring.sub(ring.sub(npow(ring.add(a, b)), npow(a)), npow(b))
+        if defect not in transfer_image:
+            failures.append(("additivity defect outside transfer image", (a, b)))
+    return not failures, len(pairs), failures
+
+
 def test_tambara_power_check():
-    rep = tambara_power_check(ZModRing(8), 2)
-    assert rep.ok and rep.pairs_checked == 64
-    rep3 = tambara_power_check(ZModRing(3), 3)
-    assert rep3.ok
+    assert tambara_power_check(ZModRing(8), 2)[:2] == (True, 64)
+    assert tambara_power_check(ZModRing(3), 3)[0]
     with pytest.raises(ValueError):
         tambara_power_check(__import__("wittnorm.rings", fromlist=["ZRing"]).ZRing(), 2)
 
@@ -343,7 +379,7 @@ def test_mackey_map_validation():
     with pytest.raises(MackeyError):
         MackeyMap(w, w, [GroupHom.identity(w.levels[0]), GroupHom.scalar(w.levels[1], 2)])
     # identity passes
-    assert MackeyMap.identity(w).is_isomorphism()
+    assert MackeyMap(w, w, [GroupHom.identity(g) for g in w.levels]).is_isomorphism()
 
 
 def test_witt_mackey_matches_tower_orders():
@@ -519,6 +555,32 @@ def test_orbit_sums_match_the_kernel_oracle():
     assert differ
 
 
+def orbit_summand_map(mod):
+    """(fast, smith, f): the base change of the fixed points of mod read off
+    the orbits, the one from Smith forms, and the map f between them.
+
+    Level j of the Smith path is the cokernel of p Tr_0^j on the orbit-sum
+    basis of `fixed_point_mackey(mod)`.  The orbit path puts the orbit O at
+    the place of its modulus p^(j+1)/|O| in ascending order, ties in the
+    order of least points; |O| is read off the restriction down to the
+    carrier.  f sends each summand to the class of its orbit sum.
+    """
+    fp = fixed_point_mackey(mod)
+    fast, smith = fixed_point_witt_mackey(mod), base_change_to_witt(fp)
+    p = fp.p
+    down = chain = GroupHom.identity(fp.levels[0])
+    comps = []
+    for j in range(fp.n + 1):
+        if j:
+            down = down.compose(fp.res[j - 1])
+            chain = fp.tr[j - 1].compose(chain)
+        moduli = [p ** (j + 1) // sum(col) for col in zip(*down.matrix.to_rows())]
+        order = sorted(range(len(moduli)), key=moduli.__getitem__)
+        place = IntMatrix(len(order), len(order), {(i, t): 1 for t, i in enumerate(order)})
+        comps.append(GroupHom(fast.levels[j], smith.levels[j], hom_cokernel(chain.scale(p)).proj * place))
+    return fast, smith, MackeyMap(fast, smith, comps)
+
+
 def test_base_change_is_the_cokernel_of_p_times_the_counit():
     # read off the bottom transfer, the base change equals the cokernel of
     # p times the free-orbit counit, maps included
@@ -528,6 +590,34 @@ def test_base_change_is_the_cokernel_of_p_times_the_counit():
         functors += [constant_mackey(p, n), witt_mackey(p, n), zero_mackey(p, n)]
     for m in functors:
         assert base_change_to_witt(m) == mackey_cokernel(box_counit(m, 0).scale(m.p)), m
+    # read off the orbits, it is the same functor up to the order of
+    # summands of equal modulus: the map between the two is a validated
+    # permutation of summands, and the identity where the orders agree
+    differ = 0
+    for name, mod, _ in _permutation_modules():
+        fast, smith, f = orbit_summand_map(mod)
+        assert fast.levels == smith.levels and f.is_isomorphism(), name
+        for c in f.components:
+            rows = c.matrix.by_row
+            assert len(rows) == c.src.n and all(list(r.values()) == [1] for r in rows.values()), name
+        same = all(c.is_identity() for c in f.components)
+        assert (fast == smith) == same, name
+        differ += not same
+    assert differ
+
+
+def test_orbit_base_change_runs_no_smith_form(monkeypatch):
+    calls = []
+    for module in (intlinalg, abgroups, mackey, polywitt):
+        for name in ("smith_normal_form", "induced_hom"):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    norm_over_W(FpVectorSpace(2, 4), 3)
+    assert calls == []
+    # the counters see the Smith path
+    base_change_to_witt(norm_over_Z(FreeLift(4), 2, 3))
+    assert "smith_normal_form" in calls
 
 
 def test_fixed_points_need_a_permutation_module():
