@@ -237,7 +237,8 @@ def validate_mackey(m: CyclicMackeyFunctor) -> None:
             raise MackeyError(f"restriction {k} has wrong source or target")
         if m.tr[k].src != m.levels[k] or m.tr[k].dst != m.levels[k + 1]:
             raise MackeyError(f"transfer {k} has wrong source or target")
-    # step[k] generates C_{p^(k+1)}/C_{p^k} on level k; its p translates sum
+    # step[k] is a generator of C_{p^(k+1)}/C_{p^k} acting on level k: its p-th
+    # power is the order check, and its translates give the double-coset sum
     step: List[GroupHom] = []
     for k in range(n + 1):
         w = m.weyl[k]
