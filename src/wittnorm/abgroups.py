@@ -172,13 +172,6 @@ def present_quotient(ambient_dim: int, lattice: IntMatrix) -> Presentation:
     return Presentation(ambient_dim, lattice, group, proj, lift)
 
 
-def canonical_presentation(group: FgAbGroup) -> Presentation:
-    """A group viewed as ambient Z^n modulo its own relation lattice."""
-    n = group.n
-    ident = IntMatrix.identity(n)
-    return Presentation(n, group.relation_matrix(), group, matrix_mod(ident, group.moduli), ident)
-
-
 class GroupHom:
     """Homomorphism between canonical groups, stored as an integer matrix.
 

@@ -390,11 +390,6 @@ class LatticeModQ:
         """True once the span is all of (Z/q)^n; nothing can be added."""
         return self.unit_pivots == self.n
 
-    def fill(self) -> None:
-        """Make the span all of (Z/q)^n, held as the unit rows."""
-        self.rows = {c: (0, {c: 1}) for c in range(self.n)}
-        self.unit_pivots = self.n
-
     def insert_batch(self, rows: Sequence[Row]) -> List[Row]:
         """Insert sparse rows; returns the basis rows that are new."""
         if self.n == 0 or not rows or self.is_full():
@@ -513,11 +508,11 @@ PieceKey = Tuple[int, int, Num]
 class ZeroPiece(TowerPiece):
     """A piece above the top degree, zero by Illusie's vanishing.
 
-    Its group is trivial from the start.  Its symbols (the labels `drw
-    build` lists), their index, the full lattice and the presentation are
-    made on first read, from the same enumeration as any other piece.  It
-    holds its tower weakly, so that the tower, which holds the piece, is
-    freed without the cyclic collector."""
+    Its group is trivial from the start, and it has no lattice or
+    presentation.  Its symbols, the labels `drw build` lists, are made on
+    first read, from the same enumeration as any other piece.  It holds its
+    tower weakly, so that the tower, which holds the piece, is freed
+    without the cyclic collector."""
 
     def __init__(self, tower: "TruncatedFVComplex", s: int, deg: int, w: Num):
         self.level, self.degree, self.weight, self.num = s, deg, tower.fraction(w), w
@@ -530,20 +525,6 @@ class ZeroPiece(TowerPiece):
     @cached_property
     def symbols(self) -> List[Symbol]:
         return self._tower()._symbols_for(self.level, self.degree, self.num)
-
-    @cached_property
-    def index(self) -> Dict[Symbol, int]:
-        return {sym: k for k, sym in enumerate(self.symbols)}
-
-    @cached_property
-    def lattice(self) -> LatticeModQ:
-        lat = LatticeModQ(len(self.symbols), self._tower().p, self.level)
-        lat.fill()
-        return lat
-
-    @cached_property
-    def pres(self) -> Presentation:
-        return _present_from_lattice(self.lattice)
 
 
 # the structure maps exposed as homs, in the order reports list them

@@ -19,23 +19,25 @@ Z/p^(k+1)), induction and restriction along subgroups, the box pairing
 with a permutation orbit (computed as induction after restriction),
 levelwise kernels and cokernels, base change to the Witt functor,
 inflation, and an explicit four-map resolution of the Witt functor by
-permutation functors.  `fixed_point_witt_mackey` reads the base change
-of a permutation functor off its orbits, with no Smith form;
-`base_change_to_witt` stays the general construction and its reference.
+permutation functors.  The resolution and its augmentation are built
+from orbit sums, with no presentation.  `fixed_point_witt_mackey` reads
+the base change of a permutation functor off its orbits, with no Smith
+form; `base_change_to_witt` stays the general construction and its
+reference.  It and the Q construction take a level modulo the transfer
+image of the bottom level, which is the image of the free-orbit counit.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .abgroups import (
     FgAbGroup,
     GroupHom,
     Presentation,
     _block_matrix,
-    canonical_presentation,
     direct_sum_presentation,
     hom_cokernel,
     hom_kernel,
@@ -524,23 +526,7 @@ def mackey_restrict(m: CyclicMackeyFunctor, h: int) -> CyclicMackeyFunctor:
     )
 
 
-class InducedData:
-    """Induction of a Mackey functor with its levelwise presentations."""
-
-    __slots__ = ("functor", "pres", "ranges")
-
-    def __init__(
-        self,
-        functor: CyclicMackeyFunctor,
-        pres: Sequence[Presentation],
-        ranges: Sequence[List[Tuple[int, int]]],
-    ):
-        self.functor = functor
-        self.pres = pres
-        self.ranges = ranges
-
-
-def mackey_induce_data(nfun: CyclicMackeyFunctor, n: int) -> InducedData:
+def mackey_induce(nfun: CyclicMackeyFunctor, n: int) -> CyclicMackeyFunctor:
     """Induce from C_{p^h} up to C_{p^n} by the block coset construction.
 
     Level j consists of p^(n - max(h, j)) copies of level min(h, j) of the
@@ -573,60 +559,21 @@ def mackey_induce_data(nfun: CyclicMackeyFunctor, n: int) -> InducedData:
             tblk = {(a % cj1, a): ident for a in range(cj)}
         res.append(_block_matrix(ranges[j], ranges[j + 1], rblk))
         tr.append(_block_matrix(ranges[j + 1], ranges[j], tblk))
-    fun = _functor_on_quotients(CyclicGroupSpec(p, n), pres, res, tr, weyl)
-    return InducedData(fun, pres, ranges)
-
-
-def mackey_induce(nfun: CyclicMackeyFunctor, n: int) -> CyclicMackeyFunctor:
-    return mackey_induce_data(nfun, n).functor
-
-
-def box_with_permutation_data(m: CyclicMackeyFunctor, k: int) -> InducedData:
-    """Pairing with the orbit C_{p^n}/C_{p^k}: induction after restriction."""
-    return mackey_induce_data(mackey_restrict(m, k), m.n)
+    return _functor_on_quotients(CyclicGroupSpec(p, n), pres, res, tr, weyl)
 
 
 def box_with_permutation(m: CyclicMackeyFunctor, k: int) -> CyclicMackeyFunctor:
-    return box_with_permutation_data(m, k).functor
+    """Pairing with the orbit C_{p^n}/C_{p^k}: induction after restriction."""
+    return mackey_induce(mackey_restrict(m, k), m.n)
 
 
-def _transfer_chain(m: CyclicMackeyFunctor, lo: int, hi: int) -> GroupHom:
-    """tr[hi-1] o ... o tr[lo]: level lo -> level hi."""
-    out = GroupHom.identity(m.levels[lo])
-    for k in range(lo, hi):
-        out = m.tr[k].compose(out)
-    return out
-
-
-def box_counit(m: CyclicMackeyFunctor, k: int = 0) -> MackeyMap:
-    """Natural map box_with_permutation(m, k) -> m.
-
-    On the copy indexed by the a-th coset representative at level j it is
-    the transfer from level min(j, k) composed with the a-th power of the
-    generator action.
-    """
-    data = box_with_permutation_data(m, k)
-    box = data.functor
-    p, n = m.p, m.n
-    comps: List[GroupHom] = []
-    for j in range(n + 1):
-        lo = min(j, k)
-        c = p ** (n - max(j, k))
-        tr_up = _transfer_chain(m, lo, j)
-        target_pres = canonical_presentation(m.levels[j])
-        blocks: Dict[Tuple[int, int], IntMatrix] = {}
-        wpow = GroupHom.identity(m.levels[lo])
-        for a in range(c):
-            blocks[(0, a)] = tr_up.compose(wpow).matrix
-            wpow = m.weyl[lo].compose(wpow)
-        amb = _block_matrix([(0, m.levels[j].n)], data.ranges[j], blocks)
-        comps.append(induced_hom(data.pres[j], target_pres, amb))
-    return MackeyMap(box, m, comps)
-
-
-def augmentation(p: int, n: int, k: int = 0) -> MackeyMap:
-    """Counit from the permutation pairing on the constant functor."""
-    return box_counit(constant_mackey(p, n), k)
+def augmentation(p: int, n: int) -> MackeyMap:
+    """The augmentation of the free permutation functor onto the constant
+    functor: at level j each orbit sum goes to its size, p^j."""
+    perm, const = permutation_mackey(p, n, [0]), constant_mackey(p, n)
+    return MackeyMap(perm, const, [
+        GroupHom(g, const.levels[j], IntMatrix(1, g.n, {(0, i): p ** j for i in range(g.n)}))
+        for j, g in enumerate(perm.levels)])
 
 
 # kernels, cokernels, derived constructions
@@ -669,22 +616,28 @@ def mackey_direct_sum(a: CyclicMackeyFunctor, b: CyclicMackeyFunctor) -> CyclicM
     )
 
 
+def _modulo_transfer_image(m: CyclicMackeyFunctor, c: int) -> CyclicMackeyFunctor:
+    """m modulo c times the transfer image of the bottom level.
+
+    The counit from the free-orbit pairing sends the copy of level 0
+    indexed by the a-th coset at level j to the transfer of its image under
+    the a-th power of the generator.  Every generator action is an
+    automorphism, so the image is the transfer image Tr_0^j of level 0, and
+    level j of the cokernel of c times the counit is level j modulo
+    c Tr_0^j.  The chain of transfers grows level by level.
+    """
+    chains = itertools.accumulate(m.tr, lambda ch, t: t.compose(ch), initial=GroupHom.identity(m.levels[0]))
+    return _quotient_functor(m, [hom_cokernel(ch.scale(c)) for ch in chains])
+
+
 def augmentation_cokernel(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
     """Cokernel of the counit from the free-orbit pairing (Q construction)."""
-    return mackey_cokernel(box_counit(m, 0))
+    return _modulo_transfer_image(m, 1)
 
 
 def base_change_to_witt(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
-    """Cokernel of p times the counit from the free-orbit pairing.
-
-    At level j the counit sends the copy of level 0 indexed by the a-th
-    coset to the transfer of its image under the a-th power of the
-    generator.  Every generator action is an automorphism, so the image is
-    the transfer image of level 0, and level j of the cokernel is level j
-    modulo p times that image.  The chain of transfers grows level by level.
-    """
-    chains = itertools.accumulate(m.tr, lambda c, t: t.compose(c), initial=GroupHom.identity(m.levels[0]))
-    return _quotient_functor(m, [hom_cokernel(c.scale(m.p)) for c in chains])
+    """Cokernel of p times the counit from the free-orbit pairing."""
+    return _modulo_transfer_image(m, m.p)
 
 
 def inflate_mackey(m: CyclicMackeyFunctor) -> CyclicMackeyFunctor:
@@ -756,10 +709,11 @@ class WittResolution:
     """The four-map resolution of the Witt functor over C_{p^(r-1)}.
 
     0 -> constant Z -> perm -> perm -> constant Z -> Witt -> 0, where perm
-    is the pairing of the constant functor with the free orbit, the first
-    map is the all-representatives section, the second is generator minus
-    identity, the third is p times the counit, the last the canonical
-    surjection.
+    is the permutation functor of the free orbit in orbit-sum bases (the
+    pairing of the constant functor with the free orbit), the first map
+    sends 1 to the sum of all orbit sums, the second is generator minus
+    identity, the third is p times the augmentation, the last the
+    canonical surjection.
     """
 
     __slots__ = ("p", "r", "maps", "objects")
@@ -770,27 +724,21 @@ class WittResolution:
         self.p = p
         self.r = r
         n = r - 1
-        const = constant_mackey(p, n)
-        data = box_with_permutation_data(const, 0)
-        perm = data.functor
+        aug = augmentation(p, n)
+        perm, const = aug.source, aug.target
         witt = witt_mackey(p, n)
-        # section: 1 at level j maps to the sum of all copies
-        sec_comps = []
-        for j in range(n + 1):
-            one = IntMatrix.from_rows([[1]])
-            amb = _block_matrix(data.ranges[j], [(0, 1)], {(a, 0): one for a in range(p ** (n - j))})
-            sec_comps.append(induced_hom(canonical_presentation(const.levels[j]), data.pres[j], amb))
-        section = MackeyMap(const, perm, sec_comps)
+        section = MackeyMap(const, perm, [
+            GroupHom(const.levels[j], g, IntMatrix(g.n, 1, {(i, 0): 1 for i in range(g.n)}))
+            for j, g in enumerate(perm.levels)])
         shift = MackeyMap(
             perm, perm, [perm.weyl[j] - GroupHom.identity(perm.levels[j]) for j in range(n + 1)]
         )
-        paug = box_counit(const, 0).scale(p)
         surj = MackeyMap(
             const,
             witt,
             [GroupHom(const.levels[j], witt.levels[j], IntMatrix.from_rows([[1]])) for j in range(n + 1)],
         )
-        self.maps = [section, shift, paug, surj]
+        self.maps = [section, shift, aug.scale(p), surj]
         self.objects = [const, perm, perm, const, witt]
 
     def check(self) -> ExactnessReport:

@@ -44,9 +44,6 @@ class MPoly:
         e[i] = 1
         return MPoly(nvars, {tuple(e): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
 

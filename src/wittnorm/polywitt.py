@@ -25,7 +25,6 @@ from typing import Dict, List, Tuple
 from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom, present_quotient
 from .intlinalg import (
     IntMatrix,
-    kron_power,
     random_unimodular,
     require_prime,
     smith_normal_form,
@@ -271,11 +270,13 @@ def compare_pipelines(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> C
 def compare_with_norm(space: FpVectorSpace, r: int,
                       cap: int = DEFAULT_CAP) -> Tuple[ComparisonReport, CyclicMackeyFunctor]:
     """`compare_pipelines`, also returning the norm pipeline's Mackey functor
-    (`norm_over_W`) so that a caller checking it further builds it once."""
+    (`norm_over_W`) so that a caller checking it further builds it once.
+    Both pipelines read the same rotation module, built once."""
     t0 = time.perf_counter()
-    tate = tate_polywitt(space, r, cap=cap).invariant_factors()
+    mod = _rotation_module(canonical_lift(space), space.p, r, cap)
+    tate = PolyWittResult(space.p, r, tate_h0(inflate_action(mod)), "tate").invariant_factors()
     t1 = time.perf_counter()
-    w = norm_over_W(space, r, cap=cap)
+    w = fixed_point_witt_mackey(mod)
     norm = PolyWittResult(space.p, r, w.levels[r - 1], "norm").invariant_factors()
     t2 = time.perf_counter()
     return ComparisonReport(
@@ -382,18 +383,3 @@ def lift_independence_report(space: FpVectorSpace, r: int, samples: int = 20,
         conj = conjugate_gmodule(inflated, *random_unimodular(dim, rng))
         results.append(tate_h0(conj) == baseline)
     return results
-
-
-def tate_induced_map(src: FpVectorSpace, dst: FpVectorSpace, matrix: IntMatrix,
-                     r: int, cap: int = DEFAULT_CAP) -> GroupHom:
-    """Map of Tate pipelines induced by a linear map of lifts.
-
-    The tensor power of the matrix commutes with the rotation actions, so
-    it carries fixed vectors to fixed vectors and norm images to norm
-    images; the result is the induced map on the quotients.
-    """
-    if src.p != dst.p:
-        raise ValueError("spaces must share the prime")
-    pres = [fixed_mod_norm(mod.action.matrix, mod.spec.order())
-            for mod in (_tate_module(src, r, cap), _tate_module(dst, r, cap))]
-    return descend_map(kron_power(matrix, src.p ** (r - 1)), *pres)

@@ -91,12 +91,14 @@ def _grid_allows(grid: GridFilter, **vals: int) -> bool:
 # witt: ring axioms against the ghost oracle and the universal tables,
 # plus the F, V, R identities, on seeded triples over four base rings
 
+WITT_TRIPLES = 200
 
-def _witt_triples(p: int, base_factory, seed: int, triples: int = 200) -> Optional[str]:
+
+def _witt_triples(p: int, base_factory, seed: int) -> Optional[str]:
     rng = random.Random(seed)
     rings = {r: WittRing(p, r, base_factory()) for r in range(1, 5)}
     tables = {r: get_table(p, r) for r in range(1, 5) if table_is_cheap(p, r)}
-    for t in range(triples):
+    for t in range(WITT_TRIPLES):
         r = 1 + (t % 4)
         w = rings[r]
         base = w.base
@@ -173,7 +175,7 @@ def _witt_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]
         ]
         for label, factory in bases:
             key = f"witt p={p} base={label}"
-            inputs = {"p": p, "base": label, "triples": 200, "r": "1..4"}
+            inputs = {"p": p, "base": label, "triples": WITT_TRIPLES, "r": "1..4"}
 
             def thunk(p=p, factory=factory, key=key) -> Optional[str]:
                 return _witt_triples(p, factory, _instance_seed(seed, key))

@@ -7,8 +7,17 @@ from math import gcd
 import pytest
 
 from wittnorm import abgroups, intlinalg, mackey, polywitt
-from wittnorm.abgroups import FgAbGroup, GroupHom, direct_sum_presentation, hom_cokernel, hom_kernel
-from wittnorm.intlinalg import IntMatrix
+from wittnorm.abgroups import (
+    FgAbGroup,
+    GroupHom,
+    Presentation,
+    _block_matrix,
+    direct_sum_presentation,
+    hom_cokernel,
+    hom_kernel,
+    induced_hom,
+)
+from wittnorm.intlinalg import IntMatrix, matrix_mod
 from wittnorm.mackey import (
     _functor_on_subgroups,
     CyclicGroupSpec,
@@ -20,7 +29,6 @@ from wittnorm.mackey import (
     augmentation,
     augmentation_cokernel,
     base_change_to_witt,
-    box_counit,
     box_with_permutation,
     check_exact,
     constant_mackey,
@@ -79,6 +87,34 @@ def kernel_fixed_points(mod):
     return functor, incls
 
 
+def box_counit(m, k=0):
+    """The counit box_with_permutation(m, k) -> m by the block coset
+    construction, the oracle for `augmentation` and the Q construction.
+
+    On the copy indexed by the a-th coset representative at level j it is
+    the transfer from level min(j, k) composed with the a-th power of the
+    generator action, descended by `induced_hom` from the copies'
+    presentations (recomputed; `direct_sum_presentation` is deterministic)
+    to the canonical one of level j.
+    """
+    p, n = m.p, m.n
+    comps = []
+    for j, g in enumerate(m.levels):
+        lo, copies = min(j, k), p ** (n - max(j, k))
+        pres, ranges = direct_sum_presentation([m.levels[lo]] * copies)
+        tr_up = wpow = GroupHom.identity(m.levels[lo])
+        for t in m.tr[lo:j]:
+            tr_up = t.compose(tr_up)
+        blocks = {}
+        for a in range(copies):
+            blocks[(0, a)] = tr_up.compose(wpow).matrix
+            wpow = m.weyl[lo].compose(wpow)
+        ident = IntMatrix.identity(g.n)
+        target = Presentation(g.n, g.relation_matrix(), g, matrix_mod(ident, g.moduli), ident)
+        comps.append(induced_hom(pres, target, _block_matrix([(0, g.n)], ranges, blocks)))
+    return MackeyMap(box_with_permutation(m, k), m, comps)
+
+
 def test_witt_mackey_frozen():
     w = witt_mackey(2, 3)
     assert level_moduli(w) == [(2,), (4,), (8,), (16,)]
@@ -113,12 +149,44 @@ def test_fixed_points_of_regular_module():
     assert [g.rank for g in fp3.levels] == [3, 1]
 
 
-def test_permutation_equals_box_on_free_orbit():
-    # two independent constructions of the same functor agree on the nose
-    for p in (2, 3, 5):
-        pm = permutation_mackey(p, 1, [0])
-        bx = box_with_permutation(constant_mackey(p, 1), 0)
-        assert pm == bx
+def test_permutation_equals_box_of_constant():
+    # two independent constructions of the same functor agree on the nose,
+    # and the counit sends each orbit sum to its size
+    cases = 0
+    for p, top in [(2, 3), (3, 3), (5, 2)]:
+        for n in range(top + 1):
+            const = constant_mackey(p, n)
+            for k in range(n + 1):
+                pm = permutation_mackey(p, n, [k])
+                assert box_with_permutation(const, k) == pm, (p, n, k)
+                eps = box_counit(const, k)
+                for j, c in enumerate(eps.components):
+                    size = p ** max(0, j - k)
+                    assert c.matrix.to_rows() == [[size] * pm.levels[j].n], (p, n, k, j)
+                cases += 1
+    assert cases == 26
+
+
+def test_resolution_maps_match_the_counit_oracle():
+    # the augmentation and p times it, built from orbit sums, are the
+    # counit of the box pairing on the constant functor
+    for p, n in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        eps = box_counit(constant_mackey(p, n), 0)
+        assert augmentation(p, n) == eps, (p, n)
+        assert WittResolution(p, n + 1).maps[2] == eps.scale(p), (p, n)
+
+
+def test_resolution_builds_no_presentation(monkeypatch):
+    calls = []
+    for module in (abgroups, mackey):
+        for name in ("induced_hom", "direct_sum_presentation"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    WittResolution(2, 3)
+    assert calls == []
+    # the counters see the block coset construction
+    box_with_permutation(constant_mackey(2, 2), 0)
+    assert "induced_hom" in calls and "direct_sum_presentation" in calls
 
 
 def test_permutation_additive():
@@ -589,7 +657,9 @@ def test_base_change_is_the_cokernel_of_p_times_the_counit():
     for p, n in [(2, 0), (2, 2), (3, 1), (3, 2), (5, 1)]:
         functors += [constant_mackey(p, n), witt_mackey(p, n), zero_mackey(p, n)]
     for m in functors:
-        assert base_change_to_witt(m) == mackey_cokernel(box_counit(m, 0).scale(m.p)), m
+        eps = box_counit(m, 0)
+        assert base_change_to_witt(m) == mackey_cokernel(eps.scale(m.p)), m
+        assert augmentation_cokernel(m) == mackey_cokernel(eps), m
     # read off the orbits, it is the same functor up to the order of
     # summands of equal modulus: the map between the two is a validated
     # permutation of summands, and the identity where the orders agree

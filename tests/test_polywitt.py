@@ -42,10 +42,10 @@ from wittnorm.polywitt import (
     norm_over_Z,
     rotation_matrix,
     tate_h0,
-    tate_induced_map,
     tate_polywitt,
     tensor_power_action,
 )
+from wittnorm.traces import NormTraceTheory
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
@@ -271,8 +271,8 @@ def test_functoriality_composite_is_identity():
     incl = IntMatrix.from_rows([[1], [0]])
     proj = IntMatrix.from_rows([[1, 0]])
     for (p, r) in [(2, 2), (3, 2)]:
-        f = tate_induced_map(FpVectorSpace(p, 1), FpVectorSpace(p, 2), incl, r)
-        g = tate_induced_map(FpVectorSpace(p, 2), FpVectorSpace(p, 1), proj, r)
+        theory = NormTraceTheory(p, r)
+        f, g = theory.morphism(incl), theory.morphism(proj)
         comp = g.compose(f)
         assert comp.src == FgAbGroup([p ** r])
         assert comp == GroupHom.identity(comp.src)
