@@ -20,6 +20,7 @@ from .drw import (
     SaturationError,
     build_drw,
     check_fv_axioms,
+    langer_zink_mismatch,
     mixed_char_weight_piece,
     symbol_label,
 )
@@ -221,8 +222,7 @@ def _cmd_polywitt(args) -> int:
 # drw
 
 
-def _drw_build_doc(args) -> dict:
-    tower = build_drw(args.p, args.r, args.vars, args.weight_cap)
+def _drw_build_doc(args, tower) -> dict:
     keys = sorted(tower.pieces, key=lambda k: (k[0], k[1], sum(k[2]), k[2]))
     pieces = []
     operators = []
@@ -268,14 +268,18 @@ def _drw_mixed_doc(args) -> dict:
 
 
 def _cmd_drw(args) -> int:
-    if args.verb == "build":
-        if args.base == "zpN":
-            doc = _drw_mixed_doc(args)
-        else:
-            doc = _drw_build_doc(args)
-        _write(dumps_value(doc), args.json)
+    if args.base == "zpN" and args.verb == "build":
+        _write(dumps_value(_drw_mixed_doc(args)), args.json)
         return 0
     tower = build_drw(args.p, args.r, args.vars, args.weight_cap)
+    # a cap too low for the tower's relations leaves a piece too large
+    wit = langer_zink_mismatch(tower)
+    if wit:
+        sys.stderr.write(f"check failed: {wit}\n")
+        return 2
+    if args.verb == "build":
+        _write(dumps_value(_drw_build_doc(args, tower)), args.json)
+        return 0
     rep = check_fv_axioms(tower, seed=args.seed)
     doc = {
         "kind": "drw-axiom-report",

@@ -40,7 +40,7 @@ from .abgroups import (
 )
 from .derham import DeRhamComplex
 from .intlinalg import IntMatrix, matrix_mod, require_prime
-from .rings import GFPolyRing, ZModRing
+from .rings import GFPolyRing
 from .witt import WittRing, teichmuller_character
 
 Weight = Tuple[Fraction, ...]
@@ -54,7 +54,8 @@ SATURATION_ROUND_LIMIT = 32
 
 
 class SaturationError(RuntimeError):
-    pass
+    """The saturation did not close the tower: it ran out of rounds, or an
+    operator hom does not descend to the quotients."""
 
 
 # ---------------------------------------------------------------------------
@@ -536,19 +537,28 @@ class TruncatedFVComplex:
 
     Pieces are indexed by (level s, degree n, weight w); operators are
     exposed as GroupHom between presented quotients.  Construction seeds
-    every piece with its local relations and runs one saturation loop over
-    all degrees, transporting new rows under d, F, V and products (R adds
-    none, see `_moves`) until no piece gains one; SATURATION_ROUND_LIMIT
-    bounds the rounds of that loop, and SaturationError is raised when they
-    do not suffice.  Products are taken against generators only: the lifts
+    every piece below the top degree with its local relations and runs one
+    saturation loop over all degrees, transporting new rows under V, d and
+    products until no piece gains one; SATURATION_ROUND_LIMIT bounds the
+    rounds of that loop, and SaturationError is raised when they do not
+    suffice.  Products are taken against generators only: the lifts
     [x^k y^l], and in degree 1 the atoms d[x_j] and dV^t[x^m].  That is
-    exact.  A degree-1 symbol is its lead times its atom, and a fractional
-    generator V^e[x^m] needs no move of its own: by the projection formula
-    V^e[x^m] y = V^e([x^m] F^e y) its product is F, then a lift, then V,
-    moves the loop already takes where their pieces lie under the cap
-    ([x^k] V^e[x^m] = V^e[x^(k p^e + m)] covers the mixed weights).  A
-    Tier-1 fixpoint test certifies that built towers are closed under R and
-    the full family of products, near the cap too.
+    exact.  A degree-1 symbol is its lead times its atom, and by the
+    projection formula V^e[x^m] y = V^e([x^m] F^e y) a fractional generator
+    needs no move of its own ([x^k] V^e[x^m] = V^e[x^(k p^e + m)] covers
+    the mixed weights).
+    Neither R nor F is transported: each already maps relations into
+    relations.  R commutes with d, F, V and products and sends each seed at
+    level s into the span of the seeds at level s - 1.  F is
+    multiplicative, FV = p, FdV = d and dF = pFd, so F of a seed or of a
+    move's image is built from seeds and moves one level down; F d[x^k] =
+    [x^(k(p-1))] d[x^k] brings in z d[x] = d(z [x]) - [x] dz.  The degree-2
+    Leibniz rule is not seeded: for a degree-1 symbol lam w (lead, atom),
+    d([x_j] lam w) - d[x_j] lam w - [x_j] d(lam w) is the degree-1 Leibniz
+    relation of [x_j] and lam times the atom w, a product move.  Every F
+    and R hom is still descended by induced_hom, and one that does not
+    descend raises SaturationError.  A Tier-1 fixpoint test certifies that
+    built towers are closed under F, R and every product, near the cap too.
     Pieces of degree above `nvars` are zero by Illusie's vanishing
     [Ill79, I.1] (a Langer-Zink basic Witt differential of degree n needs
     n variables), so they are not derived: each is a ZeroPiece, the
@@ -726,8 +736,6 @@ class TruncatedFVComplex:
                 seeds.append(self._pullthrough_seed(piece, sym))
         if deg == 1:
             seeds.extend(self._leibniz_pairs(piece))
-        if deg == 2:
-            seeds.extend(self._leibniz_triples(piece))
         return seeds
 
     def _pullthrough_seed(self, piece: TowerPiece, sym: Symbol) -> Row:
@@ -782,37 +790,14 @@ class TruncatedFVComplex:
                 out.append(self._leibniz_row(piece, su, sv))
         return out
 
-    def _leibniz_triples(self, piece: TowerPiece) -> List[Row]:
-        # d(x_j * sigma) = d[x_j] sigma + [x_j] d(sigma) against every
-        # degree-1 symbol; wider products arrive through the transports
-        s, w = piece.level, piece.num
-        out = []
-        for j in range(self.nvars):
-            u = tuple(self.D if k == j else 0 for k in range(self.nvars))
-            rest = weight_sub(w, u)
-            if rest not in self._num_set:
-                continue
-            su = self._gen_symbol(s, u)
-            if su is None:
-                continue
-            src = self._pieces.get((s, 1, rest))
-            if src is None:
-                continue
-            out.extend(self._leibniz_row(piece, su, sym1) for sym1 in src.symbols)
-        return out
-
     # relation transports between pieces
 
     def _moves(self, key: PieceKey) -> List[Tuple[Tuple, PieceKey]]:
         s, deg, w = key
-        # v, f, then d: the transport order fixes the stored rows.  No R:
-        # R commutes with d, F, V and products, and sends each local seed
-        # at level s into the span of the seeds at level s - 1, so R of any
-        # relation already lies in the closed lattice one level down.  Every
-        # "r" hom is built by induced_hom, which raises unless R maps the
-        # source's relations into the target's span.
+        # v, then d: the transport order fixes the stored rows.  No F and
+        # no R, see the class docstring.
         ops = dict(self.operators(key))
-        moves = [((op,), ops[op]) for op in "vfd" if op in ops]
+        moves = [((op,), ops[op]) for op in "vd" if op in ops]
         # products, tagged ("m", generator), against generators only, exact
         # by the class docstring: the lifts [x^k y^l] of the integral
         # weights (a fractional generator is reached through F, V and these
@@ -947,7 +932,11 @@ class TruncatedFVComplex:
                 data = {(t, j): c for j, img in enumerate(self._images(key, (op,), dst_key))
                         for t, c in img.items()}
                 amb = IntMatrix(len(dst.symbols), len(src.symbols), data)
-                hit = induced_hom(src.pres, dst.pres, amb)
+                try:
+                    hit = induced_hom(src.pres, dst.pres, amb)
+                except ValueError as exc:
+                    raise SaturationError(f"{op} out of level {key[0]}, degree {key[1]},"
+                                          f" weight {src.weight}: {exc}") from exc
             self._hom_cache[(op, key)] = hit
         return hit
 
@@ -1473,38 +1462,26 @@ def langer_zink_mismatch(tower: TruncatedFVComplex) -> Optional[str]:
 
 
 def witt_coefficient_group(p: int, m: int, char_exp: int) -> FgAbGroup:
-    """Underlying group of length-m Witt vectors over Z/p^char_exp,
-    computed by counting p-power torsion in the finite ring."""
-    ring = WittRing(p, m, ZModRing(p ** char_exp))
-    elems = list(ring.elements())
-    total = len(elems)
-    logs: List[int] = []
-    current = elems
-    while True:
-        zero_count = sum(1 for w in current if all(c == 0 for c in w.components))
-        k = 0
-        cnt = zero_count
-        while cnt > 1:
-            cnt //= p
-            k += 1
-        logs.append(k)
-        if zero_count == total:
-            break
-        nxt = []
-        for w in current:
-            acc = w
-            for _ in range(p - 1):
-                acc = acc + w
-            nxt.append(acc)
-        current = nxt
-    # logs[k] is log_p of the p^k-torsion count; successive differences
-    # count the invariant factors of each exponent
-    moduli: List[int] = []
-    for k in range(1, len(logs)):
-        at_least_k = logs[k] - logs[k - 1]
-        at_least_next = logs[k + 1] - logs[k] if k + 1 < len(logs) else 0
-        moduli.extend([p ** k] * (at_least_k - at_least_next))
-    return FgAbGroup(sorted(moduli))
+    """Underlying group of length-m Witt vectors over Z/p^char_exp.
+
+    W_m(Z/p^N) = W_m(Z) / W_m(p^N Z).  The ghost map embeds W_m(Z) in Z^m
+    with image {w : w_n = w_(n-1) mod p^n} (Dwork's lemma), whose basis is
+    b_n = p^n (e_n + ... + e_(m-1)).  W_m(p^N Z) is spanned by the ghost
+    vectors of V^i[a], a in p^N Z, with component n >= i equal to
+    p^i a^(p^(n-i)): a polynomial in a of degree at most p^(m-1-i), so by
+    Newton interpolation its values at a = p^N k, k = 1..p^(m-1-i), span
+    the same lattice.  The group is one Smith form of those vectors,
+    written in the basis b."""
+    require_prime(p)
+    if char_exp < 1:
+        raise ValueError(f"char exp must be at least 1, got {char_exp}")
+    cols = []
+    for i in range(m):
+        for k in range(1, p ** (m - 1 - i) + 1):
+            a = p ** char_exp * k
+            g = [p ** i * a ** p ** (n - i) if n >= i else 0 for n in range(m)]
+            cols.append([g[0]] + [(g[n] - g[n - 1]) // p ** n for n in range(1, m)])
+    return present_quotient(m, IntMatrix.from_columns(cols, rows=m)).group
 
 
 def mixed_char_weight_piece(p: int, r: int, char_exp: int, s: int, w) -> FgAbGroup:
@@ -1523,6 +1500,4 @@ def mixed_char_weight_piece(p: int, r: int, char_exp: int, s: int, w) -> FgAbGro
         v += 1
     if v >= s:
         return FgAbGroup([])
-    if char_exp == 1:
-        return FgAbGroup([p ** (s - v)])
     return witt_coefficient_group(p, s - v, char_exp)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from math import isqrt
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class IntMatrix:
@@ -96,13 +95,6 @@ class IntMatrix:
 
     # basic queries
 
-    @property
-    def data(self) -> Mapping[Tuple[int, int], int]:
-        """Read-only ``{(i, j): value}`` of the entries, row by row."""
-        return MappingProxyType(
-            {(i, j): v for i, row in self.by_row.items() for j, v in row.items()}
-        )
-
     def entry(self, i: int, j: int) -> int:
         row = self.by_row.get(i)
         return row.get(j, 0) if row else 0
@@ -129,7 +121,8 @@ class IntMatrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.data.items()))))
+        return hash((self.rows, self.cols,
+                     frozenset((i, frozenset(row.items())) for i, row in self.by_row.items())))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"

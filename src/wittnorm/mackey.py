@@ -38,6 +38,7 @@ from .abgroups import (
     GroupHom,
     Presentation,
     _block_matrix,
+    _ranges,
     direct_sum_presentation,
     hom_cokernel,
     hom_kernel,
@@ -175,13 +176,18 @@ def regular_gmodule(p: int, n: int) -> GModule:
 
 
 def gmodule_direct_sum(mods: Sequence[GModule]) -> GModule:
+    """Direct sum of modules on free carriers: the block-diagonal action on
+    the stacked bases, whose order divides p^n as each block's does."""
     spec = mods[0].spec
     for m in mods:
         if m.spec != spec:
             raise ValueError("direct sum needs a common group")
-    pres, ranges = direct_sum_presentation([m.carrier for m in mods])
+        if m.carrier.rank != m.carrier.n:
+            raise ValueError(f"direct sum needs free carriers, got {m.carrier}")
+    ranges = _ranges([m.carrier.n for m in mods])
     amb = _block_matrix(ranges, ranges, {(t, t): m.action.matrix for t, m in enumerate(mods)})
-    return GModule(spec, pres.group, induced_hom(pres, pres, amb))
+    carrier = FgAbGroup([0] * amb.rows)
+    return GModule(spec, carrier, GroupHom(carrier, carrier, amb), validate=False)
 
 
 class CyclicMackeyFunctor:
@@ -508,8 +514,7 @@ def permutation_mackey(p: int, n: int, orbits: Sequence[int]) -> CyclicMackeyFun
     """
     if not orbits:
         return zero_mackey(p, n)
-    mods = [orbit_gmodule(p, n, h) for h in orbits]
-    return fixed_point_mackey(gmodule_direct_sum(mods) if len(mods) > 1 else mods[0])
+    return fixed_point_mackey(gmodule_direct_sum([orbit_gmodule(p, n, h) for h in orbits]))
 
 
 # restriction, induction, box pairing

@@ -28,7 +28,7 @@ from typing import Callable, List, Sequence
 
 from .intlinalg import require_prime
 from .multipoly import MPoly
-from .rings import ZModRing, pow_by_squaring
+from .rings import pow_by_squaring
 
 
 # universal polynomial tables
@@ -153,9 +153,6 @@ class WittVector:
     def __neg__(self) -> "WittVector":
         return self.ring.neg(self)
 
-    def __sub__(self, other: "WittVector") -> "WittVector":
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WittVector)
@@ -247,9 +244,6 @@ class WittRing:
     def teichmuller(self, x) -> WittVector:
         z = self.base.zero()
         return WittVector(self, (x,) + (z,) * (self.r - 1))
-
-    def from_int(self, n: int) -> WittVector:
-        return self.scalar_mul(n, self.one())
 
     def random_element(self, rng) -> WittVector:
         return WittVector(self, tuple(self.base.random_element(rng) for _ in range(self.r)))
@@ -355,17 +349,6 @@ class WittRing:
 def teichmuller_character(p: int, t: int, c: int) -> int:
     """Multiplicative lift of c in F_p to Z/p^t."""
     return pow(int(c) % p, p ** (t - 1), p ** t)
-
-
-def witt_fp_to_zmod(w: WittVector) -> int:
-    """Ring isomorphism W_t(F_p) -> Z/p^t, (a_i) -> sum of lifts of a_i times p^i."""
-    ring = w.ring
-    base = ring.base
-    if not isinstance(base, ZModRing) or base.m != ring.p:
-        raise ValueError("defined for Witt vectors of the prime field only")
-    p, t = ring.p, ring.r
-    mod = p ** t
-    return sum(teichmuller_character(p, t, c) * p ** i for i, c in enumerate(w.components)) % mod
 
 
 # Cartier tower over a finite base

@@ -379,12 +379,56 @@ def test_cli_drw_build_bytes_pinned(capsys):
          "0063e7bcbc76e042314f7a315ab40c05824d998b6e2603adfe46b4e1444f5548"),
         (["check", "--p", "2", "--r", "2", "--vars", "2", "--weight-cap", "4"],
          "81833502851889c5e7a705c3182814d7e472a66e6c605a7d672dd2a35a57a1b1"),
+        # two variables and three levels: the degree-2 pieces hold the
+        # products of degree-1 Leibniz relations with the atoms
+        (["build", "--p", "2", "--r", "3", "--vars", "2", "--weight-cap", "3"],
+         "b0e45b4feffd9e98f9da66e1b675c36978f0af1f77060dc68d5b82a8f6dbd07d"),
+        (["check", "--p", "2", "--r", "3", "--vars", "2", "--weight-cap", "3"],
+         "c1f856deed7fd49b7ba0c7d84142d95a4c8e58685a51c9c7c2b0e33b548c7051"),
     ]
     for argv, digest in pinned:
         assert main(["drw"] + argv + ["--json", "-"]) == 0
         out = capsys.readouterr().out.encode()
         assert argv[0] == "check" or b'"degree": "2"' in out
         assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("p,r,cap", [(2, 3, 1), (3, 3, 1), (3, 3, 2), (5, 3, 1), (5, 3, 2),
+                                     (5, 3, 3), (5, 3, 4), (3, 4, 2), (7, 3, 2), (2, 4, 1)])
+def test_cli_drw_low_cap_fails_the_langer_zink_count(p, r, cap, capsys):
+    # a cap too low for the relations of a level-3 piece leaves it too
+    # large; the document would list a wrong group, so none is written.
+    # Both verbs run the count on the tower they build.
+    for verb in ("build", "check") if (p, r, cap) == (2, 3, 1) else ("build",):
+        argv = ["drw", verb, "--p", str(p), "--r", str(r), "--weight-cap", str(cap)]
+        assert main(argv + ["--json", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("check failed: piece at level ")
+        assert err.count("\n") == 1 and "the Langer-Zink count is" in err
+    if (p, r, cap) == (2, 3, 1):
+        assert err == ("check failed: piece at level 3 degree 1 weight (Fraction(1, 1),)"
+                       " has moduli (2, 8); the Langer-Zink count is (8,)\n")
+
+
+def test_cli_hom_that_does_not_descend_is_check_failure(monkeypatch, capsys):
+    # a relation at level 2 that F does not carry into level 1: F[x] = [x^2]
+    # stays nonzero there, so the F hom out of that piece does not descend.
+    # The count check is stubbed, so the descent is what fails.
+    seeds = drw.TruncatedFVComplex._local_seeds
+
+    def with_wrong_seed(self, piece):
+        out = seeds(self, piece)
+        if piece.key == (2, 0, (self.D,)):
+            out.append({piece.index[(0, (1,), ())]: 1})
+        return out
+
+    monkeypatch.setattr(drw.TruncatedFVComplex, "_local_seeds", with_wrong_seed)
+    monkeypatch.setattr(cli, "langer_zink_mismatch", lambda tower: None)
+    assert main(["drw", "build", "--p", "2", "--r", "3", "--weight-cap", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("check failed: f out of level 2, degree 0, weight (Fraction(1, 1),):"
+                   " matrix does not descend to the quotients\n")
 
 
 def test_cli_polywitt_bytes_pinned(capsys):

@@ -38,6 +38,8 @@ from wittnorm.drw import (
     witt_coefficient_group,
 )
 from wittnorm.intlinalg import IntMatrix, matrix_mod
+from wittnorm.rings import ZModRing
+from wittnorm.witt import WittRing
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
@@ -412,6 +414,41 @@ def test_two_variables():
     assert lhs == mixed.group.add(t1, t2)
 
 
+def _enumerated_witt_group(p, m, n):
+    """The group of W_m(Z/p^n), read off its p^(nm) elements: logs[k] is
+    log_p of the p^k-torsion count, and its successive differences count
+    the invariant factors of each exponent."""
+    ring = WittRing(p, m, ZModRing(p ** n))
+    current = list(ring.elements())
+    logs = []
+    while True:
+        zeros = sum(1 for w in current if w == ring.zero())
+        logs.append(round(math.log(zeros, p)))
+        if zeros == len(current):
+            break
+        current = [sum([w] * (p - 1), w) for w in current]
+    moduli = []
+    for k in range(1, len(logs)):
+        at_least_next = logs[k + 1] - logs[k] if k + 1 < len(logs) else 0
+        moduli.extend([p ** k] * (logs[k] - logs[k - 1] - at_least_next))
+    return FgAbGroup(sorted(moduli))
+
+
+def test_witt_coefficient_group_matches_enumeration():
+    # every case the enumeration finishes in under a second
+    for p in (2, 3, 5):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                if p ** (n * m) <= 4096:
+                    assert witt_coefficient_group(p, m, n) == _enumerated_witt_group(p, m, n), (
+                        p, m, n)
+    # past the enumeration: (Z/p^(n-1))^(m-1) + Z/p^(n+m-1), a pattern
+    # seen on every computed case and not proven here
+    for p, m, n in [(5, 3, 2), (5, 4, 2), (3, 6, 4)]:
+        assert witt_coefficient_group(p, m, n) == FgAbGroup(
+            [p ** (n - 1)] * (m - 1) + [p ** (n + m - 1)])
+
+
 def test_mixed_characteristic_coefficients():
     assert witt_coefficient_group(2, 2, 1) == FgAbGroup([4])
     assert witt_coefficient_group(2, 1, 2) == FgAbGroup([4])
@@ -606,6 +643,8 @@ def test_transports_never_lower_the_degree(p, r, nvars, cap):
     for key in tw._pieces:
         for tag, tgt in tw._moves(key):
             assert tgt[1] >= key[1], (key, tag, tgt)
+            # F and R are not transported (see TruncatedFVComplex)
+            assert tag[0] in ("v", "d", "m"), (key, tag)
 
 
 def _every_move(tw, key):
@@ -632,12 +671,14 @@ def test_built_towers_are_closed_under_every_move():
     # carried along every move, already lies in its target's span
     # (2,3,1,16) and (5,2,1,10) carry the most fractional weights per cap,
     # the products the build reaches only through F, V and [x^k]; (2,3,2,3)
-    # has two variables and three levels, where R, which the build does not
-    # transport along, has the most to carry
+    # has two variables and three levels, where F and R, which the build
+    # does not transport along, have the most to carry; (5,2,2,2) has the
+    # largest p of the two-variable towers
     for p, r, nvars, cap in [(2, 2, 1, 8), (3, 2, 1, 8), (2, 3, 1, 6),
                              (3, 3, 1, 8), (2, 3, 1, 16), (5, 2, 1, 10),
-                             (2, 2, 2, 4), (3, 2, 2, 3), (2, 3, 2, 3)]:
+                             (2, 2, 2, 4), (3, 2, 2, 3), (2, 3, 2, 3), (5, 2, 2, 2)]:
         tw = build_drw(p, r, nvars, cap)
+        assert drw.langer_zink_mismatch(tw) is None, (p, r, nvars, cap)
         pieces = eager_pieces(tw)
         for key, piece in pieces.items():
             rows = piece.lattice.basis_rows()

@@ -29,6 +29,11 @@ from wittnorm.intlinalg import (
 from wittnorm.polywitt import rotation_matrix
 
 
+def entries(m: IntMatrix) -> dict:
+    """{(i, j): value} of the nonzero entries, row by row in stored order."""
+    return {(i, j): v for i, row in m.by_row.items() for j, v in row.items()}
+
+
 def lattice_contains(gens: IntMatrix, vec) -> bool:
     """Is vec in the column span (over Z) of gens?"""
     return solve_int(gens, vec) is not None
@@ -73,7 +78,7 @@ def assert_snf_contract(m: IntMatrix):
     assert u_inv * u == ident
     diag = [d.entry(i, i) for i in range(min(m.rows, m.cols))]
     # off-diagonal must vanish
-    for (i, j), val in d.data.items():
+    for (i, j), val in entries(d).items():
         assert i == j and val
     # nonnegative divisibility chain, zeros trailing
     seen_zero = False
@@ -242,7 +247,7 @@ def test_random_unimodular_returns_its_inverse():
                 want = _dense_unimodular(n, ref_rng)
                 # the same draws give the same U, rows and entries in order
                 assert (u.rows, u.cols) == (want.rows, want.cols)
-                assert list(u.data.items()) == list(want.data.items())
+                assert list(entries(u).items()) == list(entries(want).items())
                 ident = IntMatrix.identity(n)
                 assert u * u_inv == ident and u_inv * u == ident
                 for row in u_inv.by_row.values():
@@ -310,7 +315,7 @@ def _snf_cases(seed, count):
                                         for j in range(inner)})
             right = IntMatrix(inner, c, {(i, j): rng.randint(-3, 3) for i in range(inner)
                                          for j in range(c)})
-            data = (left * right).data
+            data = entries(left * right)
         elif kind == 3:  # non-square, with entries sharing a common factor
             r, c = rng.choice([(2, 7), (7, 2), (3, 9), (9, 4)])
             g = rng.choice([2, 3, 4])
@@ -337,7 +342,7 @@ def test_transpose_is_the_entrywise_swap():
     for m in _snf_cases(7, 40):
         t = m.transpose()
         assert (t.rows, t.cols) == (m.cols, m.rows)
-        assert dict(t.data) == {(j, i): v for (i, j), v in m.data.items()}
+        assert dict(entries(t)) == {(j, i): v for (i, j), v in entries(m).items()}
         assert t.transpose() == m
 
 
@@ -372,7 +377,7 @@ def test_snf_matches_reference_pivoting(monkeypatch):
         want = smith_normal_form(m)
         for x, y in zip(out, want):
             assert (x.rows, x.cols) == (y.rows, y.cols)
-            assert list(x.data.items()) == list(y.data.items())
+            assert list(entries(x).items()) == list(entries(y).items())
 
 
 class _CheckedWorker(intlinalg._SmithWorker):
@@ -402,12 +407,12 @@ def _sparse_row_cases(seed):
         for _ in range(3):
             u, u_inv = random_unimodular(n, rng)
             a = u * rot * u_inv - IntMatrix.identity(n)
-            yield _shuffled(n, n, dict(a.data), rng)
+            yield _shuffled(n, n, dict(entries(a)), rng)
     for base in _snf_cases(seed, 40):
         gap = rng.randint(1, 3)
         rows = base.rows * (gap + 1) + rng.randint(0, 2)
         cols = base.cols + rng.randint(0, 3)
-        data = {(gap * (i + 1) + i, j): v for (i, j), v in base.data.items()}
+        data = {(gap * (i + 1) + i, j): v for (i, j), v in entries(base).items()}
         yield _shuffled(rows, cols, data, rng)
 
 
@@ -421,7 +426,7 @@ def test_snf_on_empty_rows_matches_reference_pivoting(monkeypatch):
         want = smith_normal_form(m)
         for x, y in zip(out, want):
             assert (x.rows, x.cols) == (y.rows, y.cols)
-            assert list(x.data.items()) == list(y.data.items())
+            assert list(entries(x).items()) == list(entries(y).items())
 
 
 def _oracle_solve_column(a, b):
@@ -466,7 +471,7 @@ def test_solve_int_matrix_matches_per_column_oracle():
             continue
         want = IntMatrix.from_columns(cols, rows=a.cols)
         assert (got.rows, got.cols) == (want.rows, want.cols)
-        assert list(got.data.items()) == list(want.data.items())
+        assert list(entries(got).items()) == list(entries(want).items())
     assert unsolvable
 
 
@@ -621,7 +626,7 @@ def _layout_cases(seed):
     """Seeded (IntMatrix, flat reference) pairs of every shape the library builds."""
     rng = random.Random(seed)
     for m in _snf_cases(seed, 60):
-        yield _layout_pair(m.rows, m.cols, m.data)
+        yield _layout_pair(m.rows, m.cols, entries(m))
     for r, c in [(0, 0), (0, 3), (3, 0), (3, 4)]:  # empty and all-zero
         yield _layout_pair(r, c, {})
     for _ in range(6):  # permutations
@@ -654,7 +659,7 @@ def test_row_layout_matches_flat_reference(monkeypatch):
                          (IntMatrix.identity(r), _FlatReference.identity(r))):
             _assert_same_layout(om * m, oref * ref)
         # sums that cancel whole rows, and single entries within rows
-        flip = {k: -v for k, v in m.data.items() if rng.random() < 0.5}
+        flip = {k: -v for k, v in entries(m).items() if rng.random() < 0.5}
         other = dict(list(flip.items()) + list(_random_flat(rng, r, c, 0.3).items()))
         items = list(other.items())
         rng.shuffle(items)
@@ -690,15 +695,15 @@ def test_row_layout_matches_flat_reference(monkeypatch):
 def test_solve_layout_matches_flat_reference(monkeypatch):
     solved = 0
     for a, b in _solve_cases(77):
-        fa, fb = _FlatReference(a.rows, a.cols, a.data), _FlatReference(b.rows, b.cols, b.data)
+        fa, fb = _FlatReference(a.rows, a.cols, entries(a)), _FlatReference(b.rows, b.cols, entries(b))
         got, want = solve_int_matrix(a, b), _flat_solve(fa, fb, monkeypatch)
         assert (got is None) == (want is None)
         if got is not None:
             solved += 1
             _assert_same_layout(got, want)
             # rows in the order the column-major entries first reach them
-            assert list(got.data.items()) == list(IntMatrix(want.rows, want.cols,
-                                                            want.data).data.items())
+            assert list(entries(got).items()) == list(entries(IntMatrix(want.rows, want.cols,
+                                                                        want.data)).items())
     assert solved
 
 
@@ -712,17 +717,10 @@ def test_public_constructor_validates():
             IntMatrix(2, 3, {key: 1})
     m = IntMatrix(2, 3, {(0, 2): 0, (1, 0): True, (1, 2): 5.0, (0, 1): -3})
     assert m.nnz() == 3
-    assert list(m.data.items()) == [((1, 0), 1), ((1, 2), 5), ((0, 1), -3)]
-    assert all(type(v) is int for v in m.data.values())
+    assert list(entries(m).items()) == [((1, 0), 1), ((1, 2), 5), ((0, 1), -3)]
+    assert all(type(v) is int for v in entries(m).values())
     assert m == IntMatrix.from_rows([[0, -3, 0], [1, 0, 5]])
     for bad in (lambda: IntMatrix.identity(-1), lambda: IntMatrix.from_rows([], cols=-1),
                 lambda: IntMatrix.from_columns([], rows=-1)):
         with pytest.raises(ValueError):
             bad()
-
-
-def test_data_is_a_read_only_view():
-    m = IntMatrix.from_rows([[1, 0], [0, 2]])
-    with pytest.raises(TypeError):
-        m.data[(0, 1)] = 5
-    assert m.entry(0, 1) == 0

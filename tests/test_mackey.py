@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from test_intlinalg import entries
 from wittnorm import abgroups, intlinalg, mackey, polywitt
 from wittnorm.abgroups import (
     FgAbGroup,
@@ -215,19 +216,30 @@ def test_box_level_zero_rank():
 def tensor_with_orbit(p, n, h, mod):
     """Z[C_{p^n}/C_{p^h}] tensor mod, diagonal action; independent oracle."""
     m = p ** (n - h)
-    trivial = GModule(CyclicGroupSpec(p, n), mod.carrier, GroupHom.identity(mod.carrier))
-    summed = gmodule_direct_sum([trivial] * m)
-    total = summed.carrier
+    total = direct_sum_presentation([mod.carrier] * m)[0].group
     d = mod.carrier.n
     # diagonal action: the generator shifts the coset index and acts on the
     # coefficient in every block
     data = {}
     for a in range(m):
         dst = (a + 1) % m
-        for (i, j), v in mod.action.matrix.data.items():
+        for (i, j), v in entries(mod.action.matrix).items():
             data[(dst * d + i, a * d + j)] = v
     act = GroupHom(total, total, IntMatrix(m * d, m * d, data))
     return GModule(CyclicGroupSpec(p, n), total, act)
+
+
+def test_free_direct_sum_is_block_diagonal():
+    # the sum of free carriers needs no presentation; the Smith-form path
+    # it replaced is the oracle
+    mods = [orbit_gmodule(2, 2, h) for h in (1, 0, 2, 0)]
+    summed = gmodule_direct_sum(mods)
+    pres, ranges = direct_sum_presentation([m.carrier for m in mods])
+    amb = _block_matrix(ranges, ranges, {(t, t): m.action.matrix for t, m in enumerate(mods)})
+    assert summed.carrier == pres.group
+    assert summed.action == induced_hom(pres, pres, amb)
+    with pytest.raises(ValueError, match="free carriers"):
+        gmodule_direct_sum([mods[0], _sign_module(2, 2)])
 
 
 @pytest.mark.parametrize("p,n,h", [(2, 1, 0), (2, 2, 0), (2, 2, 1), (3, 1, 0)])
@@ -453,7 +465,8 @@ def test_mackey_map_validation():
 def test_witt_mackey_matches_tower_orders():
     # cross-module check: levels of the Witt functor agree with the
     # truncation tower over the prime field
-    from wittnorm.witt import CartierTower, witt_fp_to_zmod
+    from test_witt import witt_fp_to_zmod
+    from wittnorm.witt import CartierTower
 
     tower = CartierTower(ZModRing(2), 2, 3)
     w = witt_mackey(2, 2)
@@ -551,7 +564,7 @@ def test_express_via_matches_per_column_oracle():
             got = express_matrix_via(h, cols)
             expected = IntMatrix.from_columns(want, rows=h.src.n)
             assert (got.rows, got.cols) == (expected.rows, expected.cols)
-            assert list(got.data.items()) == list(expected.data.items())
+            assert list(entries(got).items()) == list(entries(expected).items())
     assert outside
 
 
