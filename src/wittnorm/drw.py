@@ -559,6 +559,24 @@ class TruncatedFVComplex:
     and R hom is still descended by induced_hom, and one that does not
     descend raises SaturationError.  A Tier-1 fixpoint test certifies that
     built towers are closed under F, R and every product, near the cap too.
+    The first round carries only seeded rows and takes no product by a
+    lift g = [x^k y^l]: each piece's seed span is closed under the lifts,
+    so every such image already lies in its target's seed span.  g sigma
+    is one symbol sigma' with sigma's lead index and atoms, so g times the
+    p^(s-top) seed of sigma is that of sigma'; g (p - VF) sigma =
+    (p - VF) sigma', as g V(y) = V(F(g) y) and F is multiplicative; g times
+    the pullthrough seed of V^i(xi) eta is that of V^i(xi F^i(g)) eta.  For
+    a Leibniz pair L(a, b) = d(ab) - a db - b da, g L(a, b) = L(ga, b) -
+    L(g, ab) + b L(g, a), and the same with a and b swapped; ga and gb are
+    generators and ab a multiple of one, so only the last term can leave
+    the pair seeds.  When a or b is a lift that term is the zero row: d[x^k]
+    is k [x^(k-1)] d[x] in the symbols, so two lifts have no Leibniz
+    defect.  When a and b are both fractional no argument is written down;
+    a Tier-1 test checks the closure on ten towers, as the fixpoint test
+    does for the whole build.  V and d still move in round 1: V of a seeded
+    row can leave the target's seed span (8 of 246 rows at (3,3,1,8)), and
+    so can d in two variables, and the products by a degree-1 atom, whose
+    degree-2 targets hold no Leibniz seeds.
     Pieces of degree above `nvars` are zero by Illusie's vanishing
     [Ill79, I.1] (a Langer-Zink basic Witt differential of degree n needs
     n variables), so they are not derived: each is a ZeroPiece, the
@@ -703,7 +721,8 @@ class TruncatedFVComplex:
                         LatticeModQ(len(syms), self.p, s))
         # one saturation closes every degree: each piece below the top
         # degree starts from its local seeds, and the loop runs until no
-        # transport adds a row, which certifies the fixpoint
+        # transport adds a row.  That certifies the fixpoint, given the
+        # class docstring's lemma for the lift products round 1 skips
         pending: Dict[PieceKey, List[Row]] = {}
         for key, piece in self._pieces.items():
             if key[1] > self.nvars or not piece.symbols:
@@ -882,6 +901,10 @@ class TruncatedFVComplex:
             for key in order:
                 rows = pending[key]
                 for tag, tgt_key in self._moves(key):
+                    if rounds == 1 and tag[0] == "m" and not tag[1][2]:
+                        # round 1 carries seeded rows, and each seed span
+                        # is closed under the lifts (see the class docstring)
+                        continue
                     tgt = self._pieces[tgt_key]
                     if tgt_key[1] > self.nvars or tgt.lattice.is_full():
                         continue
