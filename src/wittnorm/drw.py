@@ -100,7 +100,8 @@ def enumerate_weights(p: int, r: int, nvars: int, cap: int) -> List[Num]:
 # A symbol (i, mono, atoms) holds its atoms sorted and distinct: swapping
 # two atoms changes the sign, and a repeated atom squares to zero.  Every
 # degree shares the layout, and a piece holds symbols of one degree only,
-# so sorting them sorts by lead first, then by atoms.
+# so sorting them sorts by lead first, then by atoms.  No tower stores a
+# degree above 2, so `canon` orders one pair at most.
 
 
 def _p_power_in(m: Mono, p: int, cap: int) -> int:
@@ -149,7 +150,10 @@ class SymbolCalculus:
 
     def canon(self, s: int, coeff: int, i: int, mono: Mono,
               atoms: Sequence[Tuple[int, Mono]]) -> List[Tuple[int, Symbol]]:
-        """Rewrite one raw term into a combination of canonical symbols."""
+        """Rewrite one raw term of at most two atoms into a combination of
+        canonical symbols."""
+        if len(atoms) > 2:
+            raise ValueError("symbol degree out of range")
         p = self.p
         lead = self._canon_lead(s, coeff, i, mono)
         if lead is None:
@@ -185,12 +189,13 @@ class SymbolCalculus:
                                           done + [(0, unit)] + rest_atoms))
                 return _combine(out)
             done.append((t, mv))
-        atoms = tuple(sorted(done))
-        if len(set(atoms)) < len(atoms):
-            return []
-        if sum(a > b for a, b in itertools.combinations(done, 2)) % 2:
-            coeff = -coeff
-        return [(coeff, (i, mono, atoms))]
+        if len(done) == 2:
+            a, b = done
+            if a == b:
+                return []
+            if a > b:
+                return [(-coeff, (i, mono, (b, a)))]
+        return [(coeff, (i, mono, tuple(done)))]
 
     # operators, each sending a canonical symbol to canonical combinations
 
@@ -237,8 +242,6 @@ class SymbolCalculus:
     def mul(self, s: int, sym_a: Symbol, sym_b: Symbol) -> List[Tuple[int, Symbol]]:
         ia, ma, at_a = sym_a
         ib, mb, at_b = sym_b
-        if len(at_a) + len(at_b) > 2:
-            raise ValueError("product degree out of range")
         coeff, i, mono = self._merge_leads(1, ia, ma, ib, mb)
         return self.canon(s, coeff, i, mono, at_a + at_b)
 
@@ -248,6 +251,18 @@ def _combine(terms: Iterable[Tuple[int, Symbol]]) -> List[Tuple[int, Symbol]]:
     for c, sym in terms:
         acc[sym] = acc.get(sym, 0) + c
     return [(c, sym) for sym, c in acc.items() if c]
+
+
+def _vf_fixes(atoms: Sequence[Tuple[int, Mono]]) -> bool:
+    """VF sigma = p sigma on the canonical symbol sigma with these atoms:
+    F then V gives back every dV^t[x^m] with t >= 2 and every dV[x_j]."""
+    return all(t >= 2 or (t == 1 and sum(mv) == 1) for t, mv in atoms)
+
+
+def _pullthrough_fixes(i: int, atoms: Sequence[Tuple[int, Mono]]) -> bool:
+    """V^i(xi F^i(eta)) is the canonical symbol V^i(xi) eta itself: F^i
+    then V^i gives back every atom dV^t[x^m] with t > i and dV^i[x_j]."""
+    return all(t > i or (t == i and sum(mv) == 1) for t, mv in atoms)
 
 
 def symbol_label(sym: Symbol) -> str:
@@ -577,6 +592,22 @@ class TruncatedFVComplex:
     row can leave the target's seed span (8 of 246 rows at (3,3,1,8)), and
     so can d in two variables, and the products by a degree-1 atom, whose
     degree-2 targets hold no Leibniz seeds.
+    The seeding builds no row that is zero by construction.  Every stored
+    symbol is canonical: a t = 0 atom is d[x_j], a t >= 1 atom's monomial
+    is prime to p, and so is the lead's monomial when i >= 1.  On such a
+    symbol VF sigma = p sigma when every atom has t >= 2, or t = 1 and a
+    unit monomial, and then its p - VF row is zero; V^i(xi F^i(eta)) is
+    V^i(xi) eta itself when every atom has t > i, or t = i and a unit
+    monomial, and then its pullthrough row is zero; its p^(s-top) row is
+    p^s sigma = 0 when top = 0; and the Leibniz row of two lifts is zero.
+    The lift lemma above also holds row for row for
+    g = [x]: [x] V^i[x^m] eta = V^i[x^(m + p^i e_x)] eta is one canonical
+    symbol, so the p^(s-top), p - VF and pullthrough rows of [x] tau are
+    those of tau, relabelled through tau' -> [x] tau'.  Each piece takes
+    them from the piece one [x] below, which holds them only until then:
+    they are seed rows, each made once, not a memo of transport images.
+    The Leibniz rows are computed in every piece.  A Tier-1 test compares
+    every piece's seeds with their direct computation.
     Pieces of degree above `nvars` are zero by Illusie's vanishing
     [Ill79, I.1] (a Langer-Zink basic Witt differential of degree n needs
     n variables), so they are not derived: each is a ZeroPiece, the
@@ -606,6 +637,13 @@ class TruncatedFVComplex:
         self.calc = SymbolCalculus(p, nvars)
         self.nums = enumerate_weights(p, r, nvars, weight_cap)
         self._num_set = set(self.nums)
+        # the generator V^e[x^m] of each nonzero weight (at the levels
+        # above e), and the lifts [x^k y^l] of the integral ones
+        self._gens: Dict[Num, Symbol] = {
+            u: self._lead_for(r, u) + ((),) for u in self.nums if any(u)}
+        self._lifts = [(u, gen) for u, gen in self._gens.items() if gen[0] == 0]
+        # the seed rows held for the piece one [x] above until it is seeded
+        self._held_seeds: Dict[PieceKey, Tuple[TowerPiece, List[List[Row]]]] = {}
         self._pieces: Dict[PieceKey, TowerPiece] = {}
         self._hom_cache: Dict[Tuple, GroupHom] = {}
         self._build()
@@ -736,26 +774,47 @@ class TruncatedFVComplex:
                 piece.pres = _present_from_lattice(piece.lattice)
 
     def _local_seeds(self, piece: TowerPiece) -> List[Row]:
-        s, deg = piece.level, piece.degree
-        calc = self.calc
-        p = self.p
+        """The seed rows of each symbol, then the Leibniz pairs.  A symbol
+        [x] tau takes the rows the piece below held for tau, relabelled."""
+        s, deg, w = piece.key
+        by_symbol: List[Optional[List[Row]]] = [None] * len(piece.symbols)
+        held = self._held_seeds.pop(piece.key, None)
+        if held is not None:
+            below, below_rows = held
+            # [x] V^i[x^m] eta = V^i[x^(m + p^i e_x)] eta, one canonical symbol
+            up = [piece.index[(i, (m[0] + self.p ** i,) + m[1:], atoms)]
+                  for i, m, atoms in below.symbols]
+            for k, rows in zip(up, below_rows):
+                by_symbol[k] = [{up[j]: c for j, c in row.items()} for row in rows]
         seeds: List[Row] = []
-        for sym in piece.symbols:
-            i, mono, atoms = sym
-            top = max([i] + [t for t, _ in atoms])
-            seeds.append(self._vec(piece, [(p ** (s - top), sym)]))
-            if s >= 2:
-                # p = V F holds on every piece over an F_p-algebra base
-                rel: List[Tuple[int, Symbol]] = [(p, sym)]
-                for cf, mid in calc.apply_f(s, sym):
-                    for cv, out in calc.apply_v(s - 1, mid):
-                        rel.append((-cf * cv, out))
-                seeds.append(self._vec(piece, rel))
-            if deg >= 1 and i >= 1:
-                seeds.append(self._pullthrough_seed(piece, sym))
+        for k, sym in enumerate(piece.symbols):
+            if by_symbol[k] is None:
+                by_symbol[k] = self._symbol_seeds(piece, sym)
+            seeds.extend(by_symbol[k])
+        above = (s, deg, (w[0] + self.D,) + w[1:])
+        if above in self._pieces:
+            self._held_seeds[above] = (piece, by_symbol)
         if deg == 1:
             seeds.extend(self._leibniz_pairs(piece))
         return seeds
+
+    def _symbol_seeds(self, piece: TowerPiece, sym: Symbol) -> List[Row]:
+        """The p^(s-top), p - VF and pullthrough rows of one symbol, less
+        those that are zero by construction (see the class docstring)."""
+        s, p, calc = piece.level, self.p, self.calc
+        i, mono, atoms = sym
+        top = max([i] + [t for t, _ in atoms])
+        rows = [self._vec(piece, [(p ** (s - top), sym)])] if top else []
+        if s >= 2 and not _vf_fixes(atoms):
+            # p = V F holds on every piece over an F_p-algebra base
+            rel: List[Tuple[int, Symbol]] = [(p, sym)]
+            for cf, mid in calc.apply_f(s, sym):
+                for cv, out in calc.apply_v(s - 1, mid):
+                    rel.append((-cf * cv, out))
+            rows.append(self._vec(piece, rel))
+        if i >= 1 and atoms and not _pullthrough_fixes(i, atoms):
+            rows.append(self._pullthrough_seed(piece, sym))
+        return rows
 
     def _pullthrough_seed(self, piece: TowerPiece, sym: Symbol) -> Row:
         """V^i(xi) * eta = V^i(xi * F^i(eta)) for the differential part eta.
@@ -785,8 +844,9 @@ class TruncatedFVComplex:
         return self._vec(piece, [(1, sym)] + [(-c, sm) for c, sm in terms])
 
     def _gen_symbol(self, s: int, u: Num) -> Optional[Symbol]:
-        lead = self._lead_for(s, u) if sum(u) != 0 else None
-        return (lead[0], lead[1], ()) if lead is not None else None
+        """The generator of the tower weight u at level s, if it has one."""
+        gen = self._gens.get(u)
+        return gen if gen is not None and gen[0] < s else None
 
     def _leibniz_row(self, piece: TowerPiece, a: Symbol, b: Symbol) -> Row:
         """The relation d(ab) - d(a) b - a d(b) in the piece of d(ab)."""
@@ -805,7 +865,8 @@ class TruncatedFVComplex:
                 continue
             su = self._gen_symbol(s, u)
             sv = self._gen_symbol(s, v)
-            if su is not None and sv is not None:
+            # two lifts have no Leibniz defect (see the class docstring)
+            if su is not None and sv is not None and (su[0] or sv[0]):
                 out.append(self._leibniz_row(piece, su, sv))
         return out
 
@@ -823,13 +884,9 @@ class TruncatedFVComplex:
         # by the projection formula), then in two variables the degree-1
         # symbols with lead [1].  Every integral weight stays: with [x]
         # alone a relation would climb one [x] per saturation round.
-        D = self.D
-        for u in self.nums:
-            if sum(u) == 0 or any(c % D for c in u):
-                continue
+        for u, gen in self._lifts:
             tgt = (s, deg, weight_add(w, u))
-            gen = self._gen_symbol(s, u)
-            if tgt in self._pieces and gen is not None:
+            if tgt in self._pieces:
                 moves.append((("m", gen), tgt))
         if self.nvars == 2 and deg == 1:
             for u in self.nums:

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -469,6 +470,75 @@ def test_symbol_labels():
     assert all(symbol_label(sym) for sym in piece.symbols)
 
 
+def _canon_oracle(calc, s, coeff, i, mono, atoms):
+    """The generic rewrite of any number of atoms: each atom reduced as
+    `canon` does, then the atoms sorted, the sign of their permutation
+    counted over every pair, and a repeated atom read as zero."""
+    p = calc.p
+    lead = calc._canon_lead(s, coeff, i, mono)
+    if lead is None:
+        return []
+    coeff, i, mono = lead
+    done = []
+    for at, (t, mv) in enumerate(atoms):
+        if not any(mv):
+            return []
+        if t and math.gcd(*mv) % p == 0:
+            k = drw._p_power_in(mv, p, t)
+            coeff *= p ** k
+            t -= k
+            mv = tuple(v // p ** k for v in mv)
+        if t >= s:
+            return []
+        if t == 0 and sum(mv) != 1:
+            out = []
+            for j, mj in enumerate(mv):
+                if mj:
+                    rest = tuple(v - (k == j) for k, v in enumerate(mv))
+                    c2, i2, mono2 = calc._merge_leads(coeff * mj, i, mono, 0, rest)
+                    unit = tuple(int(k == j) for k in range(calc.nvars))
+                    out.extend(_canon_oracle(calc, s, c2, i2, mono2,
+                                             done + [(0, unit)] + list(atoms[at + 1:])))
+            return drw._combine(out)
+        done.append((t, mv))
+    atoms = tuple(sorted(done))
+    if len(set(atoms)) < len(atoms):
+        return []
+    if sum(a > b for a, b in itertools.combinations(done, 2)) % 2:
+        coeff = -coeff
+    return [(coeff, (i, mono, atoms))]
+
+
+def test_canon_matches_the_generic_rewrite():
+    # the one-pass ordering of at most two atoms against the sort-and-sign
+    # oracle, on raw terms whose monomials are often p-divisible, zero or
+    # not d[x_j], so every rewrite rule fires
+    rng = random.Random(5)
+    seen = {"empty": 0, "negated": 0, "split": 0}
+    for p in (2, 3, 5):
+        for nvars in (1, 2):
+            calc = drw.SymbolCalculus(p, nvars)
+            values = [0, 0, 1, 1, 2, 3, p, 2 * p, p * p, p * p + 1]
+
+            def mono():
+                return tuple(rng.choice(values) for _ in range(nvars))
+
+            for s in range(1, 5):
+                for deg in range(3):
+                    for _ in range(40):
+                        raw = (s, rng.choice([1, -1, p]), rng.randrange(s + 1), mono(),
+                               [(rng.randrange(s + 1), mono()) for _ in range(deg)])
+                        got = calc.canon(*raw)
+                        assert got == _canon_oracle(calc, *raw), raw
+                        seen["empty"] += not got
+                        seen["negated"] += len(got) == 1 and got[0][0] == -raw[1]
+                        seen["split"] += len(got) > 1
+    assert all(seen.values()), seen
+    calc = drw.SymbolCalculus(3, 1)
+    with pytest.raises(ValueError):
+        calc.canon(3, 1, 0, (1,), [(1, (1,)), (2, (1,)), (0, (1,))])
+
+
 @pytest.mark.parametrize("p,r,nvars,cap", [(2, 2, 2, 4), (3, 2, 2, 3), (2, 3, 2, 3)])
 def test_two_variable_pieces_match_langer_zink(p, r, nvars, cap):
     tw = build_drw(p, r, nvars, cap)
@@ -719,6 +789,63 @@ def test_seed_spans_are_closed_under_generator_products(monkeypatch):
                     assert not img, ((p, r, nvars, cap), key, lift)
                     checked += 1
         assert checked, (p, r, nvars, cap)
+
+
+def _direct_seeds(tw, piece):
+    """Every seed row of a piece computed from its symbols: the p^(s-top),
+    p - VF and pullthrough rows of each symbol, then the Leibniz row of
+    every pair of generators, zero rows included."""
+    s, deg, w = piece.key
+    calc, p = tw.calc, tw.p
+    rows = []
+    for sym in piece.symbols:
+        i, mono, atoms = sym
+        top = max([i] + [t for t, _ in atoms])
+        rows.append(tw._vec(piece, [(p ** (s - top), sym)]))
+        if s >= 2:
+            rows.append(tw._vec(piece, [(p, sym)] + [
+                (-cf * cv, out) for cf, mid in calc.apply_f(s, sym)
+                for cv, out in calc.apply_v(s - 1, mid)]))
+        if deg >= 1 and i >= 1:
+            rows.append(tw._pullthrough_seed(piece, sym))
+    if deg == 1:
+        for u in tw.nums:
+            v = drw.weight_sub(w, u)
+            if v in tw._num_set and u <= v and any(u) and any(v):
+                lu, lv = tw._lead_for(s, u), tw._lead_for(s, v)
+                if lu is not None and lv is not None:
+                    rows.append(tw._leibniz_row(piece, lu + ((),), lv + ((),)))
+    return rows
+
+
+def test_local_seeds_match_their_direct_rows(monkeypatch):
+    # the seed phase leaves out the rows that are zero by construction and
+    # takes the rows of [x] tau from those of tau, relabelled; in order, it
+    # must give exactly the nonzero rows the direct computation gives
+    monkeypatch.setattr(drw.TruncatedFVComplex, "_saturate", lambda self, pending: None)
+    symbol_seeds = drw.TruncatedFVComplex._symbol_seeds
+    direct = []
+
+    def counting(self, piece, sym):
+        direct.append(sym)
+        return symbol_seeds(self, piece, sym)
+
+    monkeypatch.setattr(drw.TruncatedFVComplex, "_symbol_seeds", counting)
+    for p, r, nvars, cap in CLOSURE_TOWERS:
+        tw = build_drw(p, r, nvars, cap)
+        direct.clear()
+        symbols = skipped = 0
+        for key, piece in tw._pieces.items():
+            if key[1] > nvars or not piece.symbols:
+                continue
+            want = _direct_seeds(tw, piece)
+            got = tw._local_seeds(piece)
+            assert got == [row for row in want if row], ((p, r, nvars, cap), key)
+            symbols += len(piece.symbols)
+            skipped += len(want) - len(got)
+        assert not tw._held_seeds
+        # both shortcuts do work on every tower
+        assert skipped and len(direct) < symbols, (p, r, nvars, cap)
 
 
 @pytest.mark.parametrize("p,r,nvars,cap", [(2, 3, 1, 6), (2, 2, 2, 3)])
