@@ -6,6 +6,13 @@ two-pipeline comparison, `drw` for tower builds and axiom checks,
 `trace` for exchange-axiom reports, and `run` for the verification
 suites.  Exit code 0 means everything passed, 2 means a check failed,
 3 means the invocation itself was invalid.
+
+Each `_cmd_*` imports the layer it runs, so a process compiles only the
+layers its verb needs.  At module level the parser reads `SUITE_IDS`
+(suites) and `DEFAULT_CAP` (polywitt), and `main` catches `MackeyError`;
+those load the suites, polynomial-Witt, Mackey, group and lattice layers
+in every process.  The tower layer's `SaturationError` is caught in
+`_cmd_drw`.
 """
 
 from __future__ import annotations
@@ -16,30 +23,8 @@ import re
 import sys
 from typing import List, Optional
 
-from .drw import (
-    SaturationError,
-    build_drw,
-    check_fv_axioms,
-    langer_zink_mismatch,
-    mixed_char_weight_piece,
-    symbol_label,
-)
-from .mackey import (
-    MackeyError,
-    WittResolution,
-    augmentation_cokernel,
-    base_change_to_witt,
-    box_with_permutation,
-    constant_mackey,
-    fixed_point_mackey,
-    orbit_gmodule,
-    permutation_mackey,
-    regular_gmodule,
-    witt_mackey,
-    zero_mackey,
-)
-from .polywitt import DEFAULT_CAP, FpVectorSpace, compare_pipelines
-from .rings import GFPolyRing, ZModRing, ZRing
+from .mackey import MackeyError
+from .polywitt import DEFAULT_CAP
 from .serialize import (
     dumps_value,
     emit_csv,
@@ -49,15 +34,7 @@ from .serialize import (
     report_dict,
     witt_json,
 )
-from .suites import SUITE_IDS, run_suites
-from .traces import (
-    OrbitTraceTheory,
-    RawPowerTraceTheory,
-    negative_raw_power,
-    polywitt_trace,
-    run_axiom_checks,
-)
-from .witt import WittRing
+from .suites import SUITE_IDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,6 +69,11 @@ def _write(doc_text: str, path: Optional[str]) -> None:
             fh.write(doc_text)
 
 
+def _check_failed(what) -> int:
+    sys.stderr.write(f"check failed: {what}\n")
+    return 2
+
+
 def _parse_range(text: str) -> set:
     vals = set()
     for part in text.split(","):
@@ -107,12 +89,13 @@ def _parse_range(text: str) -> set:
 # witt
 
 
-# each --ring choice and the base ring it names at the prime p
+# each --ring choice and the base ring it names at the prime p, read
+# from the rings module
 _RINGS = {
-    "z": lambda p: ZRing(),
-    "fp": ZModRing,
-    "zp2": lambda p: ZModRing(p * p),
-    "fpx": GFPolyRing,
+    "z": lambda rings, p: rings.ZRing(),
+    "fp": lambda rings, p: rings.ZModRing(p),
+    "zp2": lambda rings, p: rings.ZModRing(p * p),
+    "fpx": lambda rings, p: rings.GFPolyRing(p),
 }
 
 
@@ -126,6 +109,8 @@ def _parse_int(raw) -> int:
 
 
 def _parse_elt(raw, ring):
+    from .rings import GFPolyRing
+
     # an F_p[x] element may also be written as its coefficient array,
     # reduced mod p and trimmed like every other element
     if isinstance(raw, list) and isinstance(ring, GFPolyRing):
@@ -133,14 +118,17 @@ def _parse_elt(raw, ring):
     return ring.from_int(_parse_int(raw))
 
 
-def _parse_vec(raw, w: WittRing):
+def _parse_vec(raw, w):
     if not isinstance(raw, list):
         raise ValueError(f"--in: expected an array of components, got {json.dumps(raw)}")
     return w.vector([_parse_elt(c, w.base) for c in raw])
 
 
 def _cmd_witt(args) -> int:
-    ring = _RINGS[args.ring](args.p)
+    from . import rings
+    from .witt import WittRing
+
+    ring = _RINGS[args.ring](rings, args.p)
     w = WittRing(args.p, args.r, ring)
     payload = json.loads(args.infile)
     if args.verb in ("add", "mul"):
@@ -167,21 +155,26 @@ def _cmd_witt(args) -> int:
 # mackey
 
 
-# each --kind choice and how it builds its functor from the parsed flags
+# each --kind choice and how it builds its functor from the mackey
+# module and the parsed flags
 _MACKEY_KINDS = {
-    "constant": lambda a: constant_mackey(a.p, a.n),
-    "witt": lambda a: witt_mackey(a.p, a.n),
-    "zero": lambda a: zero_mackey(a.p, a.n),
-    "permutation": lambda a: permutation_mackey(
+    "constant": lambda mackey, a: mackey.constant_mackey(a.p, a.n),
+    "witt": lambda mackey, a: mackey.witt_mackey(a.p, a.n),
+    "zero": lambda mackey, a: mackey.zero_mackey(a.p, a.n),
+    "permutation": lambda mackey, a: mackey.permutation_mackey(
         a.p, a.n, [int(x) for x in (a.orbits or "0").split(",")]),
-    "fixed-regular": lambda a: fixed_point_mackey(regular_gmodule(a.p, a.n)),
-    "fixed-orbit": lambda a: fixed_point_mackey(orbit_gmodule(a.p, a.n, a.h)),
+    "fixed-regular": lambda mackey, a: mackey.fixed_point_mackey(
+        mackey.regular_gmodule(a.p, a.n)),
+    "fixed-orbit": lambda mackey, a: mackey.fixed_point_mackey(
+        mackey.orbit_gmodule(a.p, a.n, a.h)),
 }
 
 
 def _cmd_mackey(args) -> int:
+    from . import mackey
+
     if args.verb == "resolve":
-        res = WittResolution(args.p, args.r)
+        res = mackey.WittResolution(args.p, args.r)
         rep = res.check()
         doc = {
             "kind": "resolution-report",
@@ -193,17 +186,17 @@ def _cmd_mackey(args) -> int:
         }
         _write(dumps_value(doc), args.json)
         return 0 if rep.ok else 2
-    m = _MACKEY_KINDS[args.kind](args)
+    m = _MACKEY_KINDS[args.kind](mackey, args)
     if args.verb == "validate":
         # the constructor has validated m
         _write(dumps_value({"kind": "mackey-validation", "ok": True}), args.json)
         return 0
     if args.verb == "boxperm":
-        m = box_with_permutation(m, args.k)
+        m = mackey.box_with_permutation(m, args.k)
     elif args.verb == "q":
-        m = augmentation_cokernel(m)
+        m = mackey.augmentation_cokernel(m)
     elif args.verb == "witt-basechange":
-        m = base_change_to_witt(m)
+        m = mackey.base_change_to_witt(m)
     _write(dumps_value(mackey_json(m)), args.json)
     return 0
 
@@ -213,6 +206,8 @@ def _cmd_mackey(args) -> int:
 
 
 def _cmd_polywitt(args) -> int:
+    from .polywitt import FpVectorSpace, compare_pipelines
+
     rep = compare_pipelines(FpVectorSpace(args.p, args.d), args.r, cap=args.cap)
     _write(dumps_value(rep.to_dict(with_timings=args.timings)), args.json)
     return 0 if rep.passed else 2
@@ -223,6 +218,8 @@ def _cmd_polywitt(args) -> int:
 
 
 def _drw_build_doc(args, tower) -> dict:
+    from .drw import symbol_label
+
     keys = sorted(tower.pieces, key=lambda k: (k[0], k[1], sum(k[2]), k[2]))
     pieces = []
     operators = []
@@ -250,6 +247,8 @@ def _drw_build_doc(args, tower) -> dict:
 
 
 def _drw_mixed_doc(args) -> dict:
+    from .drw import mixed_char_weight_piece
+
     if args.weight_cap < 0:
         raise ValueError(f"weight cap must be at least 0, got {args.weight_cap}")
     pieces = []
@@ -268,19 +267,24 @@ def _drw_mixed_doc(args) -> dict:
 
 
 def _cmd_drw(args) -> int:
+    from .drw import SaturationError, build_drw, check_fv_axioms, langer_zink_mismatch
+
     if args.base == "zpN" and args.verb == "build":
         _write(dumps_value(_drw_mixed_doc(args)), args.json)
         return 0
-    tower = build_drw(args.p, args.r, args.vars, args.weight_cap)
-    # a cap too low for the tower's relations leaves a piece too large
-    wit = langer_zink_mismatch(tower)
-    if wit:
-        sys.stderr.write(f"check failed: {wit}\n")
-        return 2
-    if args.verb == "build":
-        _write(dumps_value(_drw_build_doc(args, tower)), args.json)
-        return 0
-    rep = check_fv_axioms(tower, seed=args.seed)
+    try:
+        tower = build_drw(args.p, args.r, args.vars, args.weight_cap)
+        # a cap too low for the tower's relations leaves a piece too large
+        wit = langer_zink_mismatch(tower)
+        if wit:
+            return _check_failed(wit)
+        if args.verb == "build":
+            _write(dumps_value(_drw_build_doc(args, tower)), args.json)
+            return 0
+        rep = check_fv_axioms(tower, seed=args.seed)
+    except SaturationError as exc:
+        # a tower without a fixpoint, or an operator that does not descend
+        return _check_failed(exc)
     doc = {
         "kind": "drw-axiom-report",
         "p": args.p, "r": args.r,
@@ -297,6 +301,14 @@ def _cmd_drw(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .traces import (
+        OrbitTraceTheory,
+        RawPowerTraceTheory,
+        negative_raw_power,
+        polywitt_trace,
+        run_axiom_checks,
+    )
+
     if args.theory == "polywitt":
         data = polywitt_trace(args.p, args.r, rank_cap=args.rank_cap,
                               seed=args.seed)
@@ -331,6 +343,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .suites import run_suites
+
     ids = args.suite
     for sid in ids:
         if sid != "all" and sid not in SUITE_IDS:
@@ -350,10 +364,14 @@ def _cmd_run(args) -> int:
         sys.stderr.write("error: --json - and --csv - cannot both write to stdout\n")
         return 3
     reports = run_suites(ids, seed=args.seed, cap=args.cap, grid=grid or None)
+    # a run that checked nothing is not a pass
     if not any(rep.records for rep in reports):
-        # a run that checked nothing is not a pass
         flags = " ".join(f"--{name} {getattr(args, name)}" for name in grid)
         sys.stderr.write(f"error: the grid filter {flags} selects no instance of "
+                         f"{' '.join(ids)}\n")
+        return 3
+    if all(rec.skipped for rep in reports for rec in rep.records):
+        sys.stderr.write(f"error: the cap --cap {args.cap} skips every instance of "
                          f"{' '.join(ids)}\n")
         return 3
     # a document on stdout stands alone there; the summary goes to stderr
@@ -459,13 +477,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (SaturationError, MackeyError, AssertionError, ArithmeticError) as exc:
-        # a tower without a fixpoint, a failed Mackey axiom, an internal
-        # invariant or an inexact division in the Witt recursion: a check
-        # failed, not the input (MackeyError is a ValueError, so it is
-        # caught first)
-        sys.stderr.write(f"check failed: {exc}\n")
-        return 2
+    except (MackeyError, AssertionError, ArithmeticError) as exc:
+        # a failed Mackey axiom, an internal invariant or an inexact
+        # division in the Witt recursion: a check failed, not the input
+        # (MackeyError is a ValueError, so it is caught first; `_cmd_drw`
+        # catches the tower's SaturationError itself)
+        return _check_failed(exc)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

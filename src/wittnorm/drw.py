@@ -16,6 +16,13 @@ of one plain lifted-monomial factor and n differential factors, stored in
 an eagerly rewritten canonical form.  All eager rewrites are consequences
 of the operator identities over an F_p-algebra base (where p = V F), so
 the quotient only ever shrinks toward the initial object, never past it.
+
+The build, the saturation and `check_fv_axioms` need only the lattice
+layers (`intlinalg`, `abgroups`).  The comparison oracles import what
+they compare against where they run: `witt` and `rings` in
+`lambda_ring_check`, `degree_zero_witt_comparison` and
+`TruncatedFVComplex.lambda_class`, `derham` in
+`level_one_matches_de_rham`.
 """
 
 from __future__ import annotations
@@ -38,10 +45,7 @@ from .abgroups import (
     induced_hom,
     present_quotient,
 )
-from .derham import DeRhamComplex
 from .intlinalg import IntMatrix, matrix_mod, require_prime
-from .rings import GFPolyRing
-from .witt import WittRing, teichmuller_character
 
 Weight = Tuple[Fraction, ...]
 Num = Tuple[int, ...]
@@ -1044,6 +1048,8 @@ class TruncatedFVComplex:
 
         components maps slot i to (c_i, m_i); every nonzero slot must
         carry the same weight.  Returns (piece, element)."""
+        from .witt import teichmuller_character
+
         terms: List[Tuple[int, Symbol]] = []
         w: Optional[Num] = None
         for i, (c, mono) in sorted(components.items()):
@@ -1302,6 +1308,9 @@ def check_fv_axioms(tower: TruncatedFVComplex, samples: int = 40, seed: int = 0)
 def lambda_ring_check(tower: TruncatedFVComplex, samples: int = 30, seed: int = 0) -> bool:
     """The structure map respects addition and multiplication of
     homogeneous Witt vectors (one variable only)."""
+    from .rings import GFPolyRing
+    from .witt import WittRing
+
     if tower.nvars != 1:
         raise ValueError("the Witt comparison works in one variable")
     rng = random.Random(seed)
@@ -1385,6 +1394,9 @@ def degree_zero_witt_comparison(tower: TruncatedFVComplex) -> bool:
     the matching monomial; its additive order p^(s-e) is certified by
     actual Witt arithmetic, and the slot count p^(s-e) of the graded part
     pins the subgroup down."""
+    from .rings import GFPolyRing
+    from .witt import WittRing
+
     if tower.nvars != 1:
         raise ValueError("the Witt comparison works in one variable")
     p = tower.p
@@ -1444,6 +1456,8 @@ def _symbol_of_basis(tower: TruncatedFVComplex, mono: Mono, frame) -> List[Tuple
 
 def level_one_matches_de_rham(tower: TruncatedFVComplex) -> bool:
     """Level 1 equals the classical complex, differentials included."""
+    from .derham import DeRhamComplex
+
     dr = DeRhamComplex(tower.p, tower.nvars, tower.weight_cap)
     D = tower.D
     for w in tower.nums:

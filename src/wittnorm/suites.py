@@ -5,6 +5,15 @@ order.  Instance randomness is derived from the run seed and the
 instance key, so records are independent of execution order; the report
 sorts records by key before emission.  A cap violation surfaces as a
 SKIP record with the reason, never as a silent omission.
+
+The Mackey and polynomial-Witt layers are imported at module level:
+`run_suite` reads the default cap and the skip exception of polywitt, and
+the mackey, resolution, compare and lift suites run those layers.  Every
+other layer is imported at the top of the builder of the suite that runs
+it: `witt` and `rings` by the witt and cartier builders (and
+`_witt_triples`), `drw` by the drw builder, `traces` by the trace
+builder.  So a process that runs one suite compiles only the layers that
+suite runs, which counts when bytecode is not cached.
 """
 
 from __future__ import annotations
@@ -14,17 +23,6 @@ import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .drw import (
-    TruncatedFVComplex,
-    build_drw,
-    check_fv_axioms,
-    degree_zero_witt_comparison,
-    lambda_ring_check,
-    langer_zink_mismatch,
-    level_one_matches_de_rham,
-    stable_under_cap_increase,
-    universal_map_check,
-)
 from .mackey import (
     WittResolution,
     augmentation,
@@ -59,10 +57,7 @@ from .polywitt import (
     norm_over_W,
     norm_over_Z,
 )
-from .rings import GFPolyRing, QuotPolyRing, ZModRing, ZRing
 from .serialize import InstanceRecord, SuiteReport
-from .traces import OrbitTraceTheory, negative_raw_power, polywitt_trace, run_axiom_checks
-from .witt import CartierTower, WittRing, get_table, table_is_cheap
 
 SUITE_IDS = ("witt", "cartier", "mackey", "resolution", "compare",
              "lift", "drw", "trace")
@@ -95,6 +90,8 @@ WITT_TRIPLES = 200
 
 
 def _witt_triples(p: int, base_factory, seed: int) -> Optional[str]:
+    from .witt import WittRing, get_table, table_is_cheap
+
     rng = random.Random(seed)
     rings = {r: WittRing(p, r, base_factory()) for r in range(1, 5)}
     tables = {r: get_table(p, r) for r in range(1, 5) if table_is_cheap(p, r)}
@@ -163,6 +160,8 @@ def _witt_triples(p: int, base_factory, seed: int) -> Optional[str]:
 
 
 def _witt_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+    from .rings import GFPolyRing, ZModRing, ZRing
+
     out: List[Tuple[str, dict, Thunk]] = []
     for p in (2, 3, 5):
         if not _grid_allows(grid, p=p):
@@ -189,6 +188,9 @@ def _witt_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]
 
 
 def _cartier_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+    from .rings import QuotPolyRing, ZModRing
+    from .witt import CartierTower
+
     cases = [
         ("F2", 2, lambda: ZModRing(2)),
         ("F3", 3, lambda: ZModRing(3)),
@@ -363,6 +365,18 @@ def _lift_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, di
 
 
 def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+    from .drw import (
+        TruncatedFVComplex,
+        build_drw,
+        check_fv_axioms,
+        degree_zero_witt_comparison,
+        lambda_ring_check,
+        langer_zink_mismatch,
+        level_one_matches_de_rham,
+        stable_under_cap_increase,
+        universal_map_check,
+    )
+
     out = []
     # the tower and stability instances of one (p, r) share the cap-8
     # build: the first to run builds it, the second takes it out again
@@ -420,6 +434,8 @@ def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]
 
 
 def _trace_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+    from .traces import OrbitTraceTheory, negative_raw_power, polywitt_trace, run_axiom_checks
+
     out = []
     for m in (2, 3):
         if not _grid_allows(grid, m=m):

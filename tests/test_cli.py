@@ -178,7 +178,7 @@ def _broken_witt_mackey(p, n):
 
 
 def test_cli_failed_mackey_axiom_is_check_failure(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "witt_mackey", _broken_witt_mackey)
+    monkeypatch.setattr(mackey, "witt_mackey", _broken_witt_mackey)
     assert main(["mackey", "validate", "--kind", "witt", "--p", "2", "--n", "2"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -256,6 +256,24 @@ def test_cli_run_empty_grid(capsys, tmp_path):
     assert doc[0]["records"] == []
     assert doc[0]["aggregate"]["total"] == "0"
     assert doc[1]["records"]
+
+
+def test_cli_run_all_skipped_is_invalid(capsys, tmp_path):
+    # a cap that skips every selected instance checks nothing either: exit
+    # 3, one line naming the cap, no summary and no report
+    path = tmp_path / "report.json"
+    assert main(["run", "compare", "--cap", "0", "--json", str(path)]) == 3
+    assert not path.exists()
+    assert capsys.readouterr() == (
+        "", "error: the cap --cap 0 skips every instance of compare\n")
+    assert main(["run", "compare", "lift", "--cap", "0", "--json", "-"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: the cap --cap 0 skips every instance of compare lift\n")
+    # one instance under the cap is a run, its skips recorded as SKIP
+    assert main(["run", "compare", "mackey", "--cap", "0", "--json", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc[0]["aggregate"]["skipped"] == doc[0]["aggregate"]["total"] != "0"
+    assert doc[1]["aggregate"]["skipped"] == "0"
 
 
 @pytest.mark.parametrize("suites", [["trace"], ["trace", "resolution"]])
@@ -441,7 +459,7 @@ def test_cli_hom_that_does_not_descend_is_check_failure(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(drw.TruncatedFVComplex, "_local_seeds", with_wrong_seed)
-    monkeypatch.setattr(cli, "langer_zink_mismatch", lambda tower: None)
+    monkeypatch.setattr(drw, "langer_zink_mismatch", lambda tower: None)
     assert main(["drw", "build", "--p", "2", "--r", "3", "--weight-cap", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -649,6 +667,48 @@ def test_cold_start_loads_numpy_with_the_first_fpx_cover():
     ]
 
 
+# run in a fresh interpreter: import a module, or import the CLI and run
+# one command line through main, then report the wittnorm modules loaded
+_LOADED = """
+import contextlib, importlib, io, json, sys
+what = sys.argv[1]
+if what.startswith("wittnorm."):
+    importlib.import_module(what)
+else:
+    import wittnorm.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert wittnorm.cli.main(what.split()) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("wittnorm."))))
+"""
+
+# what the CLI loads before it runs a verb: the parser reads SUITE_IDS and
+# DEFAULT_CAP, and main catches MackeyError
+_CLI_LAYERS = ["abgroups", "cli", "intlinalg", "mackey", "polywitt", "serialize", "suites"]
+
+ENTRY_POINT_LAYERS = {
+    "wittnorm.cli": _CLI_LAYERS,
+    "wittnorm.suites": ["abgroups", "intlinalg", "mackey", "polywitt", "serialize", "suites"],
+    "wittnorm.drw": ["abgroups", "drw", "intlinalg"],
+    "run compare": _CLI_LAYERS,
+    "drw build --p 2 --r 2 --weight-cap 2": _CLI_LAYERS + ["drw"],
+    "witt add --p 3 --r 2 --in [[1,2],[0,1]]": _CLI_LAYERS + ["multipoly", "rings", "witt"],
+    "polywitt compare --p 2 --d 2 --r 2": _CLI_LAYERS,
+    "trace check --theory orbit": _CLI_LAYERS + ["traces"],
+}
+
+
+@pytest.mark.parametrize("what", list(ENTRY_POINT_LAYERS))
+def test_entry_point_loads_only_its_layers(what):
+    # each verb and suite imports the layer it runs where it runs it, so a
+    # fresh process compiles no module its work does not reach
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, what],
+                          capture_output=True, text=True, env=env, check=True)
+    want = sorted(f"wittnorm.{name}" for name in ENTRY_POINT_LAYERS[what])
+    assert json.loads(proc.stdout) == want
+
+
 def test_suite_ids_complete():
     assert set(SUITE_IDS) == {
         "witt", "cartier", "mackey", "resolution", "compare",
@@ -686,7 +746,7 @@ def test_cli_non_permutation_fixed_points_are_invalid(monkeypatch, capsys):
         z = FgAbGroup([0])
         return mackey.GModule(mackey.CyclicGroupSpec(p, n), z, GroupHom.scalar(z, -1))
 
-    monkeypatch.setattr(cli, "regular_gmodule", sign_module)
+    monkeypatch.setattr(mackey, "regular_gmodule", sign_module)
     assert main(["mackey", "build", "--kind", "fixed-regular", "--p", "2", "--n", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: fixed points need a generator that permutes") and err.count("\n") == 1

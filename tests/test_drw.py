@@ -1109,7 +1109,7 @@ def test_drw_suite_fails_on_a_wrong_piece(monkeypatch):
         tw.pieces[(1, 1, (Fraction(0),))].pres = tw.pieces[(1, 0, (Fraction(0),))].pres
         return tw
 
-    monkeypatch.setattr(suites, "build_drw", wrong_build)
+    monkeypatch.setattr(drw, "build_drw", wrong_build)
     rec = next(rec for rec in suites.run_suite("drw", seed=0, grid=grid).records
                if rec.key == tower_key)
     assert not rec.ok
