@@ -162,7 +162,7 @@ def present_quotient(ambient_dim: int, lattice: IntMatrix) -> Presentation:
     """Canonical presentation of Z^ambient_dim / column-span(lattice)."""
     if lattice.rows != ambient_dim:
         raise ValueError("lattice ambient dimension mismatch")
-    u, d, _, u_inv = smith_normal_form(lattice)
+    u, d, _, u_inv = smith_normal_form(lattice, u_inv=True)
     limit = min(ambient_dim, lattice.cols)
     moduli_full = [d.entry(i, i) if i < limit else 0 for i in range(ambient_dim)]
     kept = [i for i, m in enumerate(moduli_full) if m != 1]

@@ -38,6 +38,7 @@ from functools import cached_property
 from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import require_prime
 from .abgroups import (
     FgAbGroup,
     GroupHom,
@@ -45,7 +46,7 @@ from .abgroups import (
     induced_hom,
     present_quotient,
 )
-from .intlinalg import IntMatrix, matrix_mod, require_prime
+from .intlinalg import IntMatrix, matrix_mod
 
 Weight = Tuple[Fraction, ...]
 Num = Tuple[int, ...]

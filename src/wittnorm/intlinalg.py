@@ -3,16 +3,24 @@
 Everything here is pure integer arithmetic on sparse matrices.  The Smith
 normal form drives kernels, cokernels, lattice membership and quotient
 presentations for the rest of the library, so its contract is strict:
-``smith_normal_form(m)`` returns (U, D, V, U^-1) with U*m*V = D exactly, U
-and V unimodular, U^-1 the inverse of U, and the diagonal of D nonnegative
-with d1 | d2 | ... .
+``smith_normal_form(m, v=True, u_inv=True)`` returns (U, D, V, U^-1) with
+U*m*V = D exactly, U and V unimodular, U^-1 the inverse of U, and the
+diagonal of D nonnegative with d1 | d2 | ... .  U and D are always built;
+V and U^-1 only when asked for, and None otherwise, so each caller builds
+exactly the transforms it reads: presentations and fixed lattices read
+U^-1, solves and kernels read V.  Which transforms are asked for changes
+none of the entries, nor their order, of the ones returned.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from . import require_prime as _require_prime
+
+# the prime check lives in the package root; it stays importable from here
+require_prime = _require_prime
 
 
 class IntMatrix:
@@ -251,9 +259,13 @@ def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int) -> None:
 
 
 class _SmithWorker:
-    """Mutable row-dict workspace for the Smith reduction."""
+    """Mutable row-dict workspace for the Smith reduction.
 
-    def __init__(self, m: IntMatrix):
+    U is always tracked; V and U^-1 only when asked for, and ``vcols`` and
+    ``uinvcols`` are None otherwise.
+    """
+
+    def __init__(self, m: IntMatrix, v: bool, u_inv: bool):
         self.r = m.rows
         self.c = m.cols
         self.rows: List[Dict[int, int]] = [dict() for _ in range(m.rows)]
@@ -268,13 +280,15 @@ class _SmithWorker:
         # U^-1 is kept by columns: a row op U -> E*U turns U^-1 into
         # U^-1 * E^-1, which is a column op.
         self.urows: List[Dict[int, int]] = [{i: 1} for i in range(m.rows)]
-        self.uinvcols: List[Dict[int, int]] = [{i: 1} for i in range(m.rows)]
-        self.vcols: List[Dict[int, int]] = [{j: 1} for j in range(m.cols)]
+        self.uinvcols: Optional[List[Dict[int, int]]] = (
+            [{i: 1} for i in range(m.rows)] if u_inv else None)
+        self.vcols: Optional[List[Dict[int, int]]] = (
+            [{j: 1} for j in range(m.cols)] if v else None)
         # the last pivot placed; it divides every entry of the trailing block
         self.floor = 1
 
     def set_entry(self, i: int, j: int, v: int) -> None:
-        # a row can empty and fill again within one row or column operation
+        # a row can empty and fill again within one row operation
         row = self.rows[i]
         if v:
             if not row:
@@ -293,49 +307,89 @@ class _SmithWorker:
         for j, v in list(self.rows[src].items()):
             self.set_entry(dst, j, self.rows[dst].get(j, 0) - q * v)
         _axpy(self.urows[dst], self.urows[src], q)
-        _axpy(self.uinvcols[src], self.uinvcols[dst], -q)
+        if self.uinvcols is not None:
+            _axpy(self.uinvcols[src], self.uinvcols[dst], -q)
 
-    def col_axpy(self, q: int, src: int, dst: int) -> None:
-        """col[dst] -= q * col[src], mirrored in V."""
-        if q == 0:
-            return
-        for i in list(self.colindex[src]):
-            v = self.rows[i].get(src, 0)
-            if v:
-                self.set_entry(i, dst, self.rows[i].get(dst, 0) - q * v)
-        _axpy(self.vcols[dst], self.vcols[src], q)
+    def reduce_row_entry(self, t: int, j: int) -> int:
+        """Entry (t, j) reduced by col[j] -= q * col[t], q = entry // pivot; returns what is left.
+
+        Column t holds only the pivot once it is cleared, so that column
+        operation moves entry (t, j) and V and nothing else.
+        """
+        row = self.rows[t]
+        q = row[j] // row[t]
+        left = row[j] - q * row[t]
+        self.set_entry(t, j, left)
+        if self.vcols is not None:
+            _axpy(self.vcols[j], self.vcols[t], q)
+        return left
 
     def swap_rows(self, a: int, b: int) -> None:
+        """Swap two rows, moving only the index entries that change.
+
+        Clearing column t walks ``colindex[t]`` in set order, and that
+        order hangs on the history of adds and discards.  So every index
+        takes the adds and discards, in order, of one ``set_entry`` per
+        moved entry: a column only one row fills trades that row for the
+        other, and a column both fill drops both rows and takes them back.
+        Leaving that column alone would give a different, equally valid U
+        and V.
+        """
         if a == b:
             return
-        for j in set(self.rows[a]) | set(self.rows[b]):
-            self.colindex[j].discard(a)
-            self.colindex[j].discard(b)
-        if bool(self.rows[a]) != bool(self.rows[b]):
+        ra, rb, colindex = self.rows[a], self.rows[b], self.colindex
+        for j in ra:
+            col = colindex[j]
+            col.discard(a)
+            if j in rb:
+                col.discard(b)
+                col.add(a)
+            col.add(b)
+        for j in rb:
+            if j not in ra:
+                col = colindex[j]
+                col.discard(b)
+                col.add(a)
+        if bool(ra) != bool(rb):
             # one of the two is empty: the index trades the full one for it
-            full, empty = (a, b) if self.rows[a] else (b, a)
+            full, empty = (a, b) if ra else (b, a)
             del self.live[bisect_left(self.live, full)]
             insort(self.live, empty)
-        self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-        for j in self.rows[a]:
-            self.colindex[j].add(a)
-        for j in self.rows[b]:
-            self.colindex[j].add(b)
+        self.rows[a], self.rows[b] = rb, ra
         self.urows[a], self.urows[b] = self.urows[b], self.urows[a]
-        self.uinvcols[a], self.uinvcols[b] = self.uinvcols[b], self.uinvcols[a]
+        if self.uinvcols is not None:
+            self.uinvcols[a], self.uinvcols[b] = self.uinvcols[b], self.uinvcols[a]
 
     def swap_cols(self, a: int, b: int) -> None:
+        """Swap two columns in place.
+
+        A row keeps the places of entries in both columns and moves a lone
+        entry to its end.  The two indices take their adds and discards
+        row by row in the order of their union (see ``swap_rows``).
+        """
         if a == b:
             return
-        for i in list(self.colindex[a] | self.colindex[b]):
-            va = self.rows[i].get(a, 0)
-            vb = self.rows[i].get(b, 0)
-            self.set_entry(i, a, vb)
-            self.set_entry(i, b, va)
-        self.vcols[a], self.vcols[b] = self.vcols[b], self.vcols[a]
+        rows, ca, cb = self.rows, self.colindex[a], self.colindex[b]
+        for i in ca | cb:
+            row = rows[i]
+            if a not in row:
+                row[a] = row.pop(b)
+                ca.add(i)
+                cb.discard(i)
+            elif b in row:
+                row[a], row[b] = row[b], row[a]
+            else:
+                row[b] = row.pop(a)
+                ca.discard(i)
+                cb.add(i)
+        if self.vcols is not None:
+            self.vcols[a], self.vcols[b] = self.vcols[b], self.vcols[a]
 
     def negate_row(self, i: int) -> None:
-        for vec in (self.rows[i], self.urows[i], self.uinvcols[i]):
+        vecs = [self.rows[i], self.urows[i]]
+        if self.uinvcols is not None:
+            vecs.append(self.uinvcols[i])
+        for vec in vecs:
             for j in vec:
                 vec[j] = -vec[j]
 
@@ -382,8 +436,13 @@ class _SmithWorker:
         return None
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(m: IntMatrix, *, v: bool = False, u_inv: bool = False
+                      ) -> Tuple[IntMatrix, IntMatrix, Optional[IntMatrix], Optional[IntMatrix]]:
     """Return (U, D, V, U^-1) with U*m*V = D, U and V unimodular, D in Smith form.
+
+    Only U and D are always built: V is None unless ``v`` is set, and
+    U^-1 is None unless ``u_inv`` is set, so a caller pays for exactly
+    the transforms it reads.  Asking for one changes none of the others.
 
     Pivot policy: see ``_SmithWorker.pick_pivot``.  It reads each row of
     ``m`` in its entry order, so that order is an input: two matrices with
@@ -393,7 +452,7 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, In
     assembled column by column, so each of their rows lists its entries
     by ascending column.
     """
-    w = _SmithWorker(m)
+    w = _SmithWorker(m, v, u_inv)
     t = 0
     limit = min(w.r, w.c)
     while t < limit:
@@ -404,38 +463,27 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, In
         w.swap_rows(t, pi)
         w.swap_cols(t, pj)
         while True:
-            p = w.rows[t].get(t, 0)
+            p = w.rows[t][t]
             # clear column t
             changed = False
             for i in list(w.colindex[t]):
                 if i <= t:
                     continue
-                v = w.rows[i].get(t, 0)
-                if v:
-                    q = v // p
-                    w.row_axpy(q, t, i)
-                    if w.rows[i].get(t, 0):
-                        # remainder smaller than |p|: promote it to pivot
-                        w.swap_rows(t, i)
-                        changed = True
-                        break
+                w.row_axpy(w.rows[i][t] // p, t, i)
+                if w.rows[i].get(t, 0):
+                    # remainder smaller than |p|: promote it to pivot
+                    w.swap_rows(t, i)
+                    changed = True
+                    break
             if changed:
                 continue
-            # clear row t
-            p = w.rows[t].get(t, 0)
-            changed = False
-            for j in [j for j in list(w.rows[t]) if j > t]:
-                v = w.rows[t].get(j, 0)
-                if v:
-                    q = v // p
-                    w.col_axpy(q, t, j)
-                    if w.rows[t].get(j, 0):
-                        w.swap_cols(t, j)
-                        changed = True
-                        break
-            if changed:
-                continue
-            break
+            # clear row t, now that column t holds only the pivot
+            for j in [j for j in w.rows[t] if j > t]:
+                if w.reduce_row_entry(t, j):
+                    w.swap_cols(t, j)
+                    break
+            else:
+                break
         # divisibility sweep: pivot must divide the rest of the block
         bad = w.offending_row(t)
         if bad is not None:
@@ -447,8 +495,11 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, In
         t += 1
     D = IntMatrix._trusted(w.r, w.c, {i: row for i, row in enumerate(w.rows) if row})
     U = IntMatrix._trusted(w.r, w.r, dict(enumerate(w.urows)))
-    V = IntMatrix._trusted(w.c, w.c, _rows_of_columns(w.vcols))
-    U_inv = IntMatrix._trusted(w.r, w.r, _rows_of_columns(w.uinvcols))
+    V = U_inv = None
+    if w.vcols is not None:
+        V = IntMatrix._trusted(w.c, w.c, _rows_of_columns(w.vcols))
+    if w.uinvcols is not None:
+        U_inv = IntMatrix._trusted(w.r, w.r, _rows_of_columns(w.uinvcols))
     return U, D, V, U_inv
 
 
@@ -469,7 +520,7 @@ class _SolveContext:
 
     def __init__(self, a: IntMatrix):
         self.a = a
-        self.u, d, self.v, _ = smith_normal_form(a)
+        self.u, d, self.v, _ = smith_normal_form(a, v=True)
         self.diag = {i: row[i] for i, row in d.by_row.items()}
         self.rank = len(self.diag)
 
@@ -587,8 +638,3 @@ def kron_power(a: IntMatrix, m: int) -> IntMatrix:
         out = kron(out, a)
     return out
 
-
-def require_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime."""
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-        raise ValueError(f"p must be a prime, got {p}")

@@ -33,6 +33,7 @@ import itertools
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
+from . import require_prime
 from .abgroups import (
     FgAbGroup,
     GroupHom,
@@ -48,7 +49,7 @@ from .abgroups import (
     is_surjective,
     subgroups_equal,
 )
-from .intlinalg import IntMatrix, _SolveContext, matrix_mod, require_prime
+from .intlinalg import IntMatrix, _SolveContext, matrix_mod
 
 
 class MackeyError(ValueError):

@@ -22,13 +22,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from . import require_prime
 from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom, present_quotient
-from .intlinalg import (
-    IntMatrix,
-    random_unimodular,
-    require_prime,
-    smith_normal_form,
-)
+from .intlinalg import IntMatrix, random_unimodular, smith_normal_form
 from .mackey import (
     CyclicGroupSpec,
     CyclicMackeyFunctor,
@@ -163,7 +159,7 @@ def fixed_mod_norm(action: IntMatrix, order: int) -> Tuple[IntMatrix, IntMatrix,
     if order < 1:
         raise ValueError("the group order must be positive")
     n = action.rows
-    u, d, _, u_inv = smith_normal_form((action - IntMatrix.identity(n)).transpose())
+    u, d, _, u_inv = smith_normal_form((action - IntMatrix.identity(n)).transpose(), u_inv=True)
     rank = len(d.by_row)
     fixed = u.take_rows(range(rank, n)).transpose()
     coord = u_inv.take_columns(range(rank, n)).transpose()
@@ -356,12 +352,17 @@ def conjugate_gmodule(mod: GModule, base_change: IntMatrix, inverse: IntMatrix) 
     """The same module written in a different basis of its free carrier.
 
     `inverse` must be the inverse of the square `base_change`; over Z a
-    right inverse of a square matrix is its inverse."""
+    right inverse of a square matrix is its inverse.  With B the base
+    change and A the action, (B A B^-1)^k = B A^k B^-1 once B B^-1 = I is
+    checked, so the conjugate has the order of A, which the module's own
+    construction vouched for; it is not checked again, and
+    `fixed_mod_norm` checks A^order = I on what it factors anyway."""
     n = base_change.rows
     if base_change.cols != n or base_change * inverse != IntMatrix.identity(n):
         raise ValueError("change of basis must be invertible over the integers")
     conj = base_change * mod.action.matrix * inverse
-    return GModule(mod.spec, mod.carrier, GroupHom(mod.carrier, mod.carrier, conj))
+    return GModule(mod.spec, mod.carrier, GroupHom(mod.carrier, mod.carrier, conj),
+                   validate=False)
 
 
 def lift_independence_report(space: FpVectorSpace, r: int, samples: int = 20,

@@ -18,7 +18,6 @@ suite runs, which counts when bytecode is not cached.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -68,6 +67,9 @@ Thunk = Callable[[], Optional[str]]  # returns a witness string on failure
 
 
 def _instance_seed(seed: int, key: str) -> int:
+    # imported here, so that the compare suite, which never hashes, does not load it
+    import hashlib
+
     digest = hashlib.blake2s(f"{seed}:{key}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

@@ -19,8 +19,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from . import require_prime
 from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom
-from .intlinalg import IntMatrix, kron, kron_power, require_prime
+from .intlinalg import IntMatrix, kron, kron_power
 from .polywitt import (
     DEFAULT_CAP,
     CapExceeded,

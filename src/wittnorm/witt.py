@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, List, Sequence
 
-from .intlinalg import require_prime
+from . import require_prime
 from .multipoly import MPoly
 from .rings import pow_by_squaring
 

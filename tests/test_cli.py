@@ -689,6 +689,7 @@ ENTRY_POINT_LAYERS = {
     "wittnorm.cli": _CLI_LAYERS,
     "wittnorm.suites": ["abgroups", "intlinalg", "mackey", "polywitt", "serialize", "suites"],
     "wittnorm.drw": ["abgroups", "drw", "intlinalg"],
+    "wittnorm.witt": ["multipoly", "rings", "witt"],
     "run compare": _CLI_LAYERS,
     "drw build --p 2 --r 2 --weight-cap 2": _CLI_LAYERS + ["drw"],
     "witt add --p 3 --r 2 --in [[1,2],[0,1]]": _CLI_LAYERS + ["multipoly", "rings", "witt"],

@@ -6,10 +6,15 @@ sides, and D must be a divisibility chain.  Expected
 diagonals below were computed by hand.  The pivot scan's early stops are
 checked against the full scan kept here as a reference: both must give
 the same (U, D, V, U^-1), entry order included, since entry order feeds
-later pivot choices.
+later pivot choices.  That reference also keeps the row and column swaps
+and the row clearing that built every transform on every call, so each
+transform a caller asks for is checked against it.
 """
 
+import ast
+import pathlib
 import random
+from bisect import bisect_left, insort
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +74,7 @@ def det(m: IntMatrix) -> int:
 
 
 def assert_snf_contract(m: IntMatrix):
-    u, d, v, u_inv = smith_normal_form(m)
+    u, d, v, u_inv = smith_normal_form(m, v=True, u_inv=True)
     assert u * m * v == d
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
@@ -265,7 +270,54 @@ def test_require_prime():
 
 
 class _ReferenceWorker(intlinalg._SmithWorker):
-    """Pivot choice and divisibility sweep as they were before the early stops."""
+    """The worker as it was before the pivot scan's early stops and before
+    transforms were built on demand: it builds U, V and U^-1 every time,
+    swaps with two set_entry calls per row, and clears row t with a full
+    column operation."""
+
+    def __init__(self, m, v, u_inv):
+        super().__init__(m, True, True)
+
+    def col_axpy(self, q, src, dst):
+        if q == 0:
+            return
+        for i in list(self.colindex[src]):
+            v = self.rows[i].get(src, 0)
+            if v:
+                self.set_entry(i, dst, self.rows[i].get(dst, 0) - q * v)
+        intlinalg._axpy(self.vcols[dst], self.vcols[src], q)
+
+    def reduce_row_entry(self, t, j):
+        self.col_axpy(self.rows[t][j] // self.rows[t][t], t, j)
+        return self.rows[t].get(j, 0)
+
+    def swap_rows(self, a, b):
+        if a == b:
+            return
+        for j in set(self.rows[a]) | set(self.rows[b]):
+            self.colindex[j].discard(a)
+            self.colindex[j].discard(b)
+        if bool(self.rows[a]) != bool(self.rows[b]):
+            full, empty = (a, b) if self.rows[a] else (b, a)
+            del self.live[bisect_left(self.live, full)]
+            insort(self.live, empty)
+        self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
+        for j in self.rows[a]:
+            self.colindex[j].add(a)
+        for j in self.rows[b]:
+            self.colindex[j].add(b)
+        self.urows[a], self.urows[b] = self.urows[b], self.urows[a]
+        self.uinvcols[a], self.uinvcols[b] = self.uinvcols[b], self.uinvcols[a]
+
+    def swap_cols(self, a, b):
+        if a == b:
+            return
+        for i in list(self.colindex[a] | self.colindex[b]):
+            va = self.rows[i].get(a, 0)
+            vb = self.rows[i].get(b, 0)
+            self.set_entry(i, a, vb)
+            self.set_entry(i, b, va)
+        self.vcols[a], self.vcols[b] = self.vcols[b], self.vcols[a]
 
     def pick_pivot(self, t):
         best = None
@@ -361,7 +413,7 @@ def test_snf_contract_on_transposed_permutation_minus_identity():
         n = a.rows
         diag = assert_snf_contract(a.transpose())
         rank = sum(1 for x in diag if x)
-        u, _, _, u_inv = smith_normal_form(a.transpose())
+        u, _, _, u_inv = smith_normal_form(a.transpose(), u_inv=True)
         fixed = u.take_rows(range(rank, n)).transpose()
         coord = u_inv.take_columns(range(rank, n)).transpose()
         assert (a * fixed).is_zero()
@@ -369,15 +421,31 @@ def test_snf_contract_on_transposed_permutation_minus_identity():
         assert fixed.cols == kernel_basis(a).cols
 
 
+# every set of transforms a caller can ask for, as keyword arguments
+TRANSFORMS = [{}, {"v": True}, {"u_inv": True}, {"v": True, "u_inv": True}]
+
+
+def _assert_matches_reference(mats, got, monkeypatch):
+    """got[k][m] is smith_normal_form(m, **TRANSFORMS[k]).  Each transform
+    asked for equals the reference's entry for entry, in the same order;
+    one not asked for is None."""
+    monkeypatch.setattr(intlinalg, "_SmithWorker", _ReferenceWorker)
+    want = [smith_normal_form(m, v=True, u_inv=True) for m in mats]
+    for transforms, outs in zip(TRANSFORMS, got):
+        asked = (True, True, "v" in transforms, "u_inv" in transforms)
+        for out, ref in zip(outs, want):
+            for x, y, ask in zip(out, ref, asked):
+                if not ask:
+                    assert x is None
+                    continue
+                assert (x.rows, x.cols) == (y.rows, y.cols)
+                assert list(entries(x).items()) == list(entries(y).items())
+
+
 def test_snf_matches_reference_pivoting(monkeypatch):
     mats = list(_snf_cases(2024, 300))
-    got = [smith_normal_form(m) for m in mats]
-    monkeypatch.setattr(intlinalg, "_SmithWorker", _ReferenceWorker)
-    for m, out in zip(mats, got):
-        want = smith_normal_form(m)
-        for x, y in zip(out, want):
-            assert (x.rows, x.cols) == (y.rows, y.cols)
-            assert list(entries(x).items()) == list(entries(y).items())
+    got = [[smith_normal_form(m, **transforms) for m in mats] for transforms in TRANSFORMS]
+    _assert_matches_reference(mats, got, monkeypatch)
 
 
 class _CheckedWorker(intlinalg._SmithWorker):
@@ -420,18 +488,61 @@ def test_snf_on_empty_rows_matches_reference_pivoting(monkeypatch):
     mats = list(_sparse_row_cases(99))
     assert any(not m.by_row.keys() >= set(range(m.rows)) for m in mats)
     monkeypatch.setattr(intlinalg, "_SmithWorker", _CheckedWorker)
-    got = [smith_normal_form(m) for m in mats]
-    monkeypatch.setattr(intlinalg, "_SmithWorker", _ReferenceWorker)
-    for m, out in zip(mats, got):
-        want = smith_normal_form(m)
-        for x, y in zip(out, want):
-            assert (x.rows, x.cols) == (y.rows, y.cols)
-            assert list(entries(x).items()) == list(entries(y).items())
+    got = [[smith_normal_form(m, **transforms) for m in mats] for transforms in TRANSFORMS]
+    _assert_matches_reference(mats, got, monkeypatch)
+
+
+def _snf_assignments(tree):
+    """(line, unpacked targets, keywords, enclosing function) of each call
+    of smith_normal_form in a module; a call not unpacked has targets None."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "smith_normal_form"):
+            continue
+        owner = parents[node]
+        targets = None
+        if isinstance(owner, ast.Assign) and isinstance(owner.targets[0], ast.Tuple):
+            targets = owner.targets[0].elts
+        scope = owner
+        while not isinstance(scope, ast.FunctionDef):
+            scope = parents[scope]
+        keywords = {k.arg: k.value.value for k in node.keywords}
+        yield node.lineno, targets, keywords, scope
+
+
+def _reads(target, scope, tree):
+    """Is the name or attribute bound by target read again?"""
+    if isinstance(target, ast.Name):
+        return any(isinstance(n, ast.Name) and n.id == target.id and isinstance(n.ctx, ast.Load)
+                   for n in ast.walk(scope))
+    return any(isinstance(n, ast.Attribute) and n.attr == target.attr
+               and isinstance(n.ctx, ast.Load) for n in ast.walk(tree))
+
+
+def test_src_callers_build_only_the_transforms_they_read():
+    # each of V and U^-1 costs an update per elimination step: a caller
+    # asks for one exactly when it reads it, and reads U, which is always built
+    src = pathlib.Path(intlinalg.__file__).parent
+    seen = 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for line, targets, keywords, scope in _snf_assignments(tree):
+            where = f"{path.name}:{line}"
+            seen += 1
+            assert targets is not None and len(targets) == 4, where
+            assert set(keywords) <= {"v", "u_inv"} and all(v is True for v in keywords.values()), where
+            u, _, v, u_inv = (None if isinstance(t, ast.Name) and t.id == "_" else t
+                              for t in targets)
+            assert u is not None and _reads(u, scope, tree), where
+            for name, target in (("v", v), ("u_inv", u_inv)):
+                assert (name in keywords) == (target is not None), where
+                assert target is None or _reads(target, scope, tree), where
+    assert seen == 3
 
 
 def _oracle_solve_column(a, b):
     """One solution of a*x = b read off smith_normal_form, or None."""
-    u, d, v, _ = smith_normal_form(a)
+    u, d, v, _ = smith_normal_form(a, v=True)
     ub = u.apply(b)
     y = [0] * a.cols
     for i in range(a.rows):
@@ -567,7 +678,7 @@ def _flat_snf(m, monkeypatch):
     workers = []
 
     class _FlatWorker(intlinalg._SmithWorker):
-        def __init__(self, flat):
+        def __init__(self, flat, v, u_inv):
             self.r, self.c = flat.rows, flat.cols
             self.rows = [dict() for _ in range(flat.rows)]
             self.colindex = [set() for _ in range(flat.cols)]
@@ -583,7 +694,7 @@ def _flat_snf(m, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(intlinalg, "_SmithWorker", _FlatWorker)
-        smith_normal_form(m)
+        smith_normal_form(m, v=True, u_inv=True)
     w = workers[0]
 
     def by_rows(rows, n, c):
@@ -688,7 +799,7 @@ def test_row_layout_matches_flat_reference(monkeypatch):
         _assert_same_layout(IntMatrix.from_columns(columns, rows=r),
                             _FlatReference.from_columns(columns, rows=r))
         _assert_same_layout(IntMatrix.identity(r), _FlatReference.identity(r))
-        for got, want in zip(smith_normal_form(m), _flat_snf(ref, monkeypatch)):
+        for got, want in zip(smith_normal_form(m, v=True, u_inv=True), _flat_snf(ref, monkeypatch)):
             _assert_same_layout(got, want)
 
 
