@@ -287,25 +287,24 @@ class _SmithWorker:
         # the last pivot placed; it divides every entry of the trailing block
         self.floor = 1
 
-    def set_entry(self, i: int, j: int, v: int) -> None:
-        # a row can empty and fill again within one row operation
-        row = self.rows[i]
-        if v:
-            if not row:
-                insort(self.live, i)
-            row[j] = v
-            self.colindex[j].add(i)
-        elif row.pop(j, None) is not None:
-            self.colindex[j].discard(i)
-            if not row:
-                del self.live[bisect_left(self.live, i)]
-
     def row_axpy(self, q: int, src: int, dst: int) -> None:
         """row[dst] -= q * row[src], mirrored in U and (as col[src] += q * col[dst]) in U^-1."""
         if q == 0:
             return
-        for j, v in list(self.rows[src].items()):
-            self.set_entry(dst, j, self.rows[dst].get(j, 0) - q * v)
+        row, colindex = self.rows[dst], self.colindex
+        for j, v in self.rows[src].items():
+            s = row.get(j, 0) - q * v
+            if s:
+                # row dst can empty and fill again within one operation
+                if not row:
+                    insort(self.live, dst)
+                row[j] = s
+                colindex[j].add(dst)
+            else:
+                del row[j]
+                colindex[j].discard(dst)
+                if not row:
+                    del self.live[bisect_left(self.live, dst)]
         _axpy(self.urows[dst], self.urows[src], q)
         if self.uinvcols is not None:
             _axpy(self.uinvcols[src], self.uinvcols[dst], -q)
@@ -314,12 +313,16 @@ class _SmithWorker:
         """Entry (t, j) reduced by col[j] -= q * col[t], q = entry // pivot; returns what is left.
 
         Column t holds only the pivot once it is cleared, so that column
-        operation moves entry (t, j) and V and nothing else.
+        operation moves entry (t, j) and V and nothing else, and row t
+        keeps its pivot.
         """
         row = self.rows[t]
-        q = row[j] // row[t]
-        left = row[j] - q * row[t]
-        self.set_entry(t, j, left)
+        q, left = divmod(row[j], row[t])
+        if left:
+            row[j] = left
+        else:
+            del row[j]
+            self.colindex[j].discard(t)
         if self.vcols is not None:
             _axpy(self.vcols[j], self.vcols[t], q)
         return left
@@ -329,9 +332,10 @@ class _SmithWorker:
 
         Clearing column t walks ``colindex[t]`` in set order, and that
         order hangs on the history of adds and discards.  So every index
-        takes the adds and discards, in order, of one ``set_entry`` per
-        moved entry: a column only one row fills trades that row for the
-        other, and a column both fill drops both rows and takes them back.
+        takes the adds and discards, in order, that writing the moved
+        entries one at a time gives it: a column only one row fills trades
+        that row for the other, and a column both fill drops both rows and
+        takes them back.
         Leaving that column alone would give a different, equally valid U
         and V.
         """

@@ -272,11 +272,31 @@ def test_require_prime():
 class _ReferenceWorker(intlinalg._SmithWorker):
     """The worker as it was before the pivot scan's early stops and before
     transforms were built on demand: it builds U, V and U^-1 every time,
-    swaps with two set_entry calls per row, and clears row t with a full
-    column operation."""
+    writes every entry through set_entry, swaps with two set_entry calls
+    per row, and clears row t with a full column operation."""
 
     def __init__(self, m, v, u_inv):
         super().__init__(m, True, True)
+
+    def set_entry(self, i, j, v):
+        row = self.rows[i]
+        if v:
+            if not row:
+                insort(self.live, i)
+            row[j] = v
+            self.colindex[j].add(i)
+        elif row.pop(j, None) is not None:
+            self.colindex[j].discard(i)
+            if not row:
+                del self.live[bisect_left(self.live, i)]
+
+    def row_axpy(self, q, src, dst):
+        if q == 0:
+            return
+        for j, v in list(self.rows[src].items()):
+            self.set_entry(dst, j, self.rows[dst].get(j, 0) - q * v)
+        intlinalg._axpy(self.urows[dst], self.urows[src], q)
+        intlinalg._axpy(self.uinvcols[src], self.uinvcols[dst], -q)
 
     def col_axpy(self, q, src, dst):
         if q == 0:
