@@ -17,11 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import require_prime as _require_prime
-
-# the prime check lives in the package root; it stays importable from here
-require_prime = _require_prime
-
 
 class IntMatrix:
     """Immutable sparse integer matrix, stored by rows.
@@ -330,25 +325,17 @@ class _SmithWorker:
     def swap_rows(self, a: int, b: int) -> None:
         """Swap two rows, moving only the index entries that change.
 
-        Clearing column t walks ``colindex[t]`` in set order, and that
-        order hangs on the history of adds and discards.  So every index
-        takes the adds and discards, in order, that writing the moved
-        entries one at a time gives it: a column only one row fills trades
-        that row for the other, and a column both fill drops both rows and
-        takes them back.
-        Leaving that column alone would give a different, equally valid U
-        and V.
+        A column only one of the two rows fills trades that row for the
+        other in its index; a column both fill keeps its index as it is.
         """
         if a == b:
             return
         ra, rb, colindex = self.rows[a], self.rows[b], self.colindex
         for j in ra:
-            col = colindex[j]
-            col.discard(a)
-            if j in rb:
-                col.discard(b)
-                col.add(a)
-            col.add(b)
+            if j not in rb:
+                col = colindex[j]
+                col.discard(a)
+                col.add(b)
         for j in rb:
             if j not in ra:
                 col = colindex[j]
@@ -365,27 +352,23 @@ class _SmithWorker:
             self.uinvcols[a], self.uinvcols[b] = self.uinvcols[b], self.uinvcols[a]
 
     def swap_cols(self, a: int, b: int) -> None:
-        """Swap two columns in place.
+        """Swap two columns in place, and their indices whole.
 
         A row keeps the places of entries in both columns and moves a lone
-        entry to its end.  The two indices take their adds and discards
-        row by row in the order of their union (see ``swap_rows``).
+        entry to its end, so its entry order stays a pivot input.
         """
         if a == b:
             return
-        rows, ca, cb = self.rows, self.colindex[a], self.colindex[b]
-        for i in ca | cb:
+        rows, colindex = self.rows, self.colindex
+        for i in colindex[a] | colindex[b]:
             row = rows[i]
             if a not in row:
                 row[a] = row.pop(b)
-                ca.add(i)
-                cb.discard(i)
             elif b in row:
                 row[a], row[b] = row[b], row[a]
             else:
                 row[b] = row.pop(a)
-                ca.discard(i)
-                cb.add(i)
+        colindex[a], colindex[b] = colindex[b], colindex[a]
         if self.vcols is not None:
             self.vcols[a], self.vcols[b] = self.vcols[b], self.vcols[a]
 
@@ -451,10 +434,11 @@ def smith_normal_form(m: IntMatrix, *, v: bool = False, u_inv: bool = False
     Pivot policy: see ``_SmithWorker.pick_pivot``.  It reads each row of
     ``m`` in its entry order, so that order is an input: two matrices with
     equal entries listed in a different order within a row can give
-    different U and V.  Outputs are bit-reproducible for a fixed entry
-    order.  D and U take the rows the reduction leaves; V and U^-1 are
-    assembled column by column, so each of their rows lists its entries
-    by ascending column.
+    different U and V.  Column t is cleared in ascending row order, so the
+    history of the column indices steers nothing: outputs are
+    bit-reproducible for a fixed entry order.  D and U take the rows the
+    reduction leaves; V and U^-1 are assembled column by column, so each
+    of their rows lists its entries by ascending column.
     """
     w = _SmithWorker(m, v, u_inv)
     t = 0
@@ -468,9 +452,9 @@ def smith_normal_form(m: IntMatrix, *, v: bool = False, u_inv: bool = False
         w.swap_cols(t, pj)
         while True:
             p = w.rows[t][t]
-            # clear column t
+            # clear column t, in ascending row order
             changed = False
-            for i in list(w.colindex[t]):
+            for i in sorted(w.colindex[t]):
                 if i <= t:
                     continue
                 w.row_axpy(w.rows[i][t] // p, t, i)

@@ -20,13 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittnorm import intlinalg
+from wittnorm import intlinalg, require_prime
 from wittnorm.intlinalg import (
     IntMatrix,
     kernel_basis,
     matrix_mod,
     random_unimodular,
-    require_prime,
     smith_normal_form,
     solve_int,
     solve_int_matrix,
@@ -273,7 +272,9 @@ class _ReferenceWorker(intlinalg._SmithWorker):
     """The worker as it was before the pivot scan's early stops and before
     transforms were built on demand: it builds U, V and U^-1 every time,
     writes every entry through set_entry, swaps with two set_entry calls
-    per row, and clears row t with a full column operation."""
+    per row, and clears row t with a full column operation.  It runs under
+    ``smith_normal_form``'s own loop, so it clears each column in the same
+    ascending row order as the live worker."""
 
     def __init__(self, m, v, u_inv):
         super().__init__(m, True, True)
@@ -469,14 +470,20 @@ def test_snf_matches_reference_pivoting(monkeypatch):
 
 
 class _CheckedWorker(intlinalg._SmithWorker):
-    """The live worker, checking its index of nonempty rows before each scan."""
+    """The live worker, checking its index of nonempty rows and each
+    column's index of rows before each scan."""
+
+    def check_indices(self):
+        assert self.live == [i for i, row in enumerate(self.rows) if row]
+        for j, col in enumerate(self.colindex):
+            assert col == {i for i, row in enumerate(self.rows) if j in row}
 
     def pick_pivot(self, t):
-        assert self.live == [i for i, row in enumerate(self.rows) if row]
+        self.check_indices()
         return super().pick_pivot(t)
 
     def offending_row(self, t):
-        assert self.live == [i for i, row in enumerate(self.rows) if row]
+        self.check_indices()
         return super().offending_row(t)
 
 
@@ -510,6 +517,33 @@ def test_snf_on_empty_rows_matches_reference_pivoting(monkeypatch):
     monkeypatch.setattr(intlinalg, "_SmithWorker", _CheckedWorker)
     got = [[smith_normal_form(m, **transforms) for m in mats] for transforms in TRANSFORMS]
     _assert_matches_reference(mats, got, monkeypatch)
+
+
+class _RebuiltIndexWorker(intlinalg._SmithWorker):
+    """The live worker with every column index built through another set
+    history: 64 padding ints go in first, then the members in reverse
+    order, then the padding comes out.  Each set holds the same members
+    but can iterate them in another order."""
+
+    def __init__(self, m, v, u_inv):
+        super().__init__(m, v, u_inv)
+        pad = range(1 << 20, (1 << 20) + 64)
+        for j, col in enumerate(self.colindex):
+            rebuilt = set(pad)
+            for i in sorted(col, reverse=True):
+                rebuilt.add(i)
+            rebuilt.difference_update(pad)
+            self.colindex[j] = rebuilt
+
+
+def test_snf_transforms_do_not_hang_on_index_history(monkeypatch):
+    mats = list(_snf_cases(2024, 300)) + list(_sparse_row_cases(99))
+    want = [smith_normal_form(m, v=True, u_inv=True) for m in mats]
+    monkeypatch.setattr(intlinalg, "_SmithWorker", _RebuiltIndexWorker)
+    for m, ref in zip(mats, want):
+        for x, y in zip(smith_normal_form(m, v=True, u_inv=True), ref):
+            assert (x.rows, x.cols) == (y.rows, y.cols)
+            assert list(entries(x).items()) == list(entries(y).items())
 
 
 def _snf_assignments(tree):
