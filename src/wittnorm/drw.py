@@ -298,11 +298,11 @@ def symbol_label(sym: Symbol) -> str:
 # row would be almost all zeros.  Rows are offered in batches: each batch
 # is first swept against the pivots held when it starts, ascending pivot
 # column, and then every surviving row is inserted on its own, in order.
-# That order fixes the stored rows, so it is part of the output contract.
-# The finished quotient is presented by the package's one Smith reduction,
-# abgroups.present_quotient, after the unit pivots are substituted away on
-# the same sparse rows.  Every step works on Python ints, so p^s is not
-# bounded by a machine word.
+# The stored rows hang on that order, the span does not: presentations read
+# the reduced Howell form, unique for the span (Howell 1986), so every report
+# depends on the lattice alone.  The finished quotient is presented by the
+# package's one Smith reduction, abgroups.present_quotient, on those rows.
+# Every step works on Python ints, so p^s is not bounded by a machine word.
 
 Row = Dict[int, int]
 
@@ -427,22 +427,34 @@ class LatticeModQ:
             self._insert_single(v, added)
         return added
 
-    def basis_rows(self) -> List[Row]:
-        """Stored pivot rows, ascending pivot column."""
-        return [self.rows[c][1] for c in sorted(self.rows)]
+    def reduced_rows(self) -> Dict[int, Tuple[int, Row]]:
+        """The reduced Howell form, {pivot column: (e, row)} ascending.
+
+        Each stored row less its pivot p^e is swept against the later pivots,
+        so its entry at a later pivot column j lies in [0, p^e_j).  With the
+        Howell property insertion keeps, the form is unique for the span."""
+        out = {}
+        for c in sorted(self.rows):
+            e, row = self.rows[c]
+            v = {j: x for j, x in row.items() if j != c}
+            self._sweep(v)
+            v[c] = self._ppow[e]
+            out[c] = (e, v)
+        return out
 
 
 def _present_from_lattice(lat: LatticeModQ) -> Presentation:
-    """Presentation of Z^n / (span + p^s Z^n) from a Howell-form lattice.
+    """Presentation of Z^n / (span + p^s Z^n) from its reduced Howell rows.
 
-    Coordinates holding a unit pivot are substituted away first; the
-    Smith reduction in `present_quotient` only sees the small remainder.
+    A reduced row is empty at every other unit-pivot column, so those
+    coordinates drop out; `present_quotient` only sees the remainder.
     """
     n, q = lat.n, lat.q
     if n == 0:
         return Presentation(0, IntMatrix.zero(0, 0), FgAbGroup([]),
                             IntMatrix.zero(0, 0), IntMatrix.zero(0, 0))
-    elim_cols = sorted(c for c, (e, _) in lat.rows.items() if e == 0)
+    rows = lat.reduced_rows()
+    elim_cols = [c for c, (e, _) in rows.items() if e == 0]
     elim_set = set(elim_cols)
     keep_cols = [c for c in range(n) if c not in elim_set]
     nk = len(keep_cols)
@@ -451,20 +463,7 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
                             IntMatrix.zero(0, n), IntMatrix.zero(n, 0))
 
     keep_at = {c: j for j, c in enumerate(keep_cols)}
-    # back-substitute, highest unit pivot first: each reduced row keeps its
-    # own pivot and no other unit-pivot column
-    reduced: Dict[int, Row] = {}
-
-    def substituted(row: Row) -> Row:
-        v = dict(row)
-        for c2 in sorted(j for j in v if j in reduced):
-            lat._subtract(v, v[c2], reduced[c2])
-        return v
-
-    for c in reversed(elim_cols):
-        reduced[c] = substituted(lat.rows[c][1])
-    # the non-unit rows, with the unit-pivot coordinates substituted away
-    others = [substituted(row) for c, (e, row) in sorted(lat.rows.items()) if e > 0]
+    others = [row for e, row in rows.values() if e > 0]
     nr = len(others)
     sub = {(keep_at[j], i): v[j] for i, v in enumerate(others) for j in sorted(v)}
     sub.update({(k, nr + k): q for k in range(nk)})
@@ -473,15 +472,15 @@ def _present_from_lattice(lat: LatticeModQ) -> Presentation:
     # coordinate c equals -(rest of its reduced row)
     to_small = {(j, c): 1 for j, c in enumerate(keep_cols)}
     for c in elim_cols:
-        v = reduced[c]
+        v = rows[c][1]
         to_small.update(((keep_at[j], c), -v[j] % q) for j in sorted(v) if j != c)
     proj = matrix_mod(small.proj * IntMatrix(nk, n, to_small), small.group.moduli)
     lift = IntMatrix(n, small.group.n,
                      {(keep_cols[i], j): v for i, row in small.lift.by_row.items()
                       for j, v in row.items()})
-    rel = {(i, j): row[i] for j, row in enumerate(lat.basis_rows()) for i in sorted(row)}
-    rel.update({(k, len(lat.rows) + k): q for k in range(n)})
-    relations = IntMatrix(n, len(lat.rows) + n, rel)
+    rel = {(i, j): row[i] for j, (_, row) in enumerate(rows.values()) for i in sorted(row)}
+    rel.update({(k, len(rows) + k): q for k in range(n)})
+    relations = IntMatrix(n, len(rows) + n, rel)
     return Presentation(n, relations, small.group, proj, lift)
 
 
@@ -879,8 +878,7 @@ class TruncatedFVComplex:
 
     def _moves(self, key: PieceKey) -> List[Tuple[Tuple, PieceKey]]:
         s, deg, w = key
-        # v, then d: the transport order fixes the stored rows.  No F and
-        # no R, see the class docstring.
+        # v, then d.  No F and no R, see the class docstring.
         ops = dict(self.operators(key))
         moves = [((op,), ops[op]) for op in "vd" if op in ops]
         # products, tagged ("m", generator), against generators only, exact

@@ -100,9 +100,14 @@ def assert_matches_full_lattice(pres, n, rows, q):
     assert is_isomorphism(GroupHom(oracle.group, pres.group, pres.proj * oracle.lift))
 
 
+def stored_rows(lattice):
+    """A lattice's stored rows, ascending pivot column."""
+    return [lattice.rows[c][1] for c in sorted(lattice.rows)]
+
+
 def dense_rows(lattice):
     """Dense copies of a lattice's stored rows, ascending pivot column."""
-    return [[row.get(j, 0) for j in range(lattice.n)] for row in lattice.basis_rows()]
+    return [[row.get(j, 0) for j in range(lattice.n)] for row in stored_rows(lattice)]
 
 
 def eager_pieces(tw):
@@ -169,10 +174,11 @@ def _val_p(x, p, cap):
 class _DenseReferenceLattice:
     """The dense numpy Howell lattice the sparse LatticeModQ replaced.
 
-    It keeps the elimination order the sparse lattice must reproduce: one
-    sweep of the batch against the pivots held at its start, ascending
-    pivot column, then each surviving row inserted on its own.  It counts
-    displacements so the test can show it exercised them."""
+    It pins insertion, not the report: the stored rows the sparse lattice
+    must reproduce after one sweep of the batch against the pivots held at
+    its start, ascending pivot column, then each surviving row inserted on
+    its own.  Reports read the reduced form, which hangs on the span only.
+    It counts displacements so the test can show it exercised them."""
 
     def __init__(self, n, p, s):
         self.n, self.p, self.s, self.q = n, p, s, p ** s
@@ -273,6 +279,39 @@ def test_sparse_lattice_matches_dense_reference():
                     assert lat.is_full() == (ref.unit_pivots == n)
                 displaced += ref.displaced
     assert displaced > 0
+
+
+def test_reduced_rows_do_not_hang_on_insertion_order():
+    # the same rows in one batch, then shuffled one row per batch: the
+    # stored rows may differ, the reduced Howell form and the presentation
+    # read from it may not
+    rng = random.Random(41)
+    stored_differ = 0
+    for p in (2, 3, 5):
+        for s in range(1, 5):
+            q = p ** s
+            for _ in range(25):
+                n = rng.randint(1, 8)
+                rows = [{j: x for j, x in enumerate(row) if x}
+                        for row in _random_batch(rng, n, p, q, [])]
+                one, each = LatticeModQ(n, p, s), LatticeModQ(n, p, s)
+                one.insert_batch(rows)
+                for row in rng.sample(rows, len(rows)):
+                    each.insert_batch([row])
+                stored_differ += one.rows != each.rows
+                reduced = one.reduced_rows()
+                assert reduced == each.reduced_rows()
+                for c, (e, row) in reduced.items():
+                    assert row[c] == p ** e
+                    assert all(0 < x < q for x in row.values())
+                    assert all(row.get(j, 0) < p ** ej
+                               for j, (ej, _) in reduced.items() if j > c)
+                a, b = drw._present_from_lattice(one), drw._present_from_lattice(each)
+                assert (a.relations, a.group, a.proj, a.lift) \
+                    == (b.relations, b.group, b.proj, b.lift)
+                dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+                assert_matches_full_lattice(a, n, dense, q)
+    assert stored_differ > 0
 
 
 def test_hand_fixtures_p2_r2():
@@ -753,7 +792,7 @@ def test_built_towers_are_closed_under_every_move():
         assert drw.langer_zink_mismatch(tw) is None, (p, r, nvars, cap)
         pieces = eager_pieces(tw)
         for key, piece in pieces.items():
-            rows = piece.lattice.basis_rows()
+            rows = stored_rows(piece.lattice)
             if not rows:
                 continue
             for tag, tgt_key in _every_move(tw, key):
@@ -775,7 +814,7 @@ def test_seed_spans_are_closed_under_generator_products(monkeypatch):
         checked = 0
         for key, piece in tw._pieces.items():
             s, deg, w = key
-            rows = piece.lattice.basis_rows() if deg <= nvars else []
+            rows = stored_rows(piece.lattice) if deg <= nvars else []
             if not rows:
                 continue
             for u in tw.nums:
