@@ -1,19 +1,6 @@
-"""Command-line front end.
-
-Subcommands mirror the library layers: `witt` for vector arithmetic,
-`mackey` for functor construction and validation, `polywitt` for the
-two-pipeline comparison, `drw` for tower builds and axiom checks,
-`trace` for exchange-axiom reports, and `run` for the verification
-suites.  Exit code 0 means everything passed, 2 means a check failed,
-3 means the invocation itself was invalid.
-
-Each `_cmd_*` imports the layer it runs, so a process compiles only the
-layers its verb needs.  At module level the parser reads `SUITE_IDS`
-(suites) and `DEFAULT_CAP` (polywitt), and `main` catches `MackeyError`;
-those load the suites, polynomial-Witt, Mackey, group and lattice layers
-in every process.  The tower layer's `SaturationError` is caught in
-`_cmd_drw`.
-"""
+"""Command-line front end: one subcommand per layer and `run` for the
+suites, each importing the layer it runs where it runs it; `main` exits 0
+on a pass, 2 on a failed check and 3 on an invalid invocation."""
 
 from __future__ import annotations
 
@@ -23,8 +10,7 @@ import re
 import sys
 from typing import List, Optional
 
-from .mackey import MackeyError
-from .polywitt import DEFAULT_CAP
+from . import DEFAULT_CAP, MackeyError, SaturationError
 from .serialize import (
     dumps_value,
     emit_csv,
@@ -34,7 +20,7 @@ from .serialize import (
     report_dict,
     witt_json,
 )
-from .suites import SUITE_IDS
+from .suites import SUITE_IDS, run_suites
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,14 +60,17 @@ def _check_failed(what) -> int:
     return 2
 
 
-def _parse_range(text: str) -> set:
+def _parse_range(name: str, text: str) -> set:
     vals = set()
-    for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            vals.update(range(int(lo), int(hi) + 1))
-        else:
-            vals.add(int(part))
+    try:
+        for part in text.split(","):
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                vals.update(range(int(lo), int(hi) + 1))
+            else:
+                vals.add(int(part))
+    except ValueError:
+        raise ValueError(f"bad range for --{name}: {text!r}") from None
     return vals
 
 
@@ -267,24 +256,20 @@ def _drw_mixed_doc(args) -> dict:
 
 
 def _cmd_drw(args) -> int:
-    from .drw import SaturationError, build_drw, check_fv_axioms, langer_zink_mismatch
+    from .drw import build_drw, check_fv_axioms, langer_zink_mismatch
 
     if args.base == "zpN" and args.verb == "build":
         _write(dumps_value(_drw_mixed_doc(args)), args.json)
         return 0
-    try:
-        tower = build_drw(args.p, args.r, args.vars, args.weight_cap)
-        # a cap too low for the tower's relations leaves a piece too large
-        wit = langer_zink_mismatch(tower)
-        if wit:
-            return _check_failed(wit)
-        if args.verb == "build":
-            _write(dumps_value(_drw_build_doc(args, tower)), args.json)
-            return 0
-        rep = check_fv_axioms(tower, seed=args.seed)
-    except SaturationError as exc:
-        # a tower without a fixpoint, or an operator that does not descend
-        return _check_failed(exc)
+    tower = build_drw(args.p, args.r, args.vars, args.weight_cap)
+    # a cap too low for the tower's relations leaves a piece too large
+    wit = langer_zink_mismatch(tower)
+    if wit:
+        return _check_failed(wit)
+    if args.verb == "build":
+        _write(dumps_value(_drw_build_doc(args, tower)), args.json)
+        return 0
+    rep = check_fv_axioms(tower, seed=args.seed)
     doc = {
         "kind": "drw-axiom-report",
         "p": args.p, "r": args.r,
@@ -343,23 +328,14 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .suites import run_suites
-
     ids = args.suite
     for sid in ids:
         if sid != "all" and sid not in SUITE_IDS:
             sys.stderr.write(f"unknown suite {sid!r}; known: "
                              f"{', '.join(SUITE_IDS)} or all\n")
             return 3
-    grid = {}
-    for name in ("p", "d", "r", "m"):
-        raw = getattr(args, name)
-        if raw is not None:
-            try:
-                grid[name] = _parse_range(raw)
-            except ValueError:
-                sys.stderr.write(f"bad range for --{name}: {raw!r}\n")
-                return 3
+    grid = {name: _parse_range(name, getattr(args, name))
+            for name in ("p", "d", "r", "m") if getattr(args, name) is not None}
     if args.json == "-" and args.csv == "-":
         sys.stderr.write("error: --json - and --csv - cannot both write to stdout\n")
         return 3
@@ -477,11 +453,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (MackeyError, AssertionError, ArithmeticError) as exc:
-        # a failed Mackey axiom, an internal invariant or an inexact
-        # division in the Witt recursion: a check failed, not the input
-        # (MackeyError is a ValueError, so it is caught first; `_cmd_drw`
-        # catches the tower's SaturationError itself)
+    except (MackeyError, SaturationError, AssertionError, ArithmeticError) as exc:
+        # a failed Mackey axiom, a tower without a fixpoint or with an
+        # operator that does not descend, an internal invariant or an
+        # inexact division in the Witt recursion: a check failed, not the
+        # input (MackeyError is a ValueError, so it is caught first)
         return _check_failed(exc)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -38,7 +38,7 @@ from functools import cached_property
 from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import require_prime
+from . import SaturationError, require_prime
 from .abgroups import (
     FgAbGroup,
     GroupHom,
@@ -56,11 +56,6 @@ Mono = Tuple[int, ...]
 Symbol = Tuple[int, Mono, Tuple[Tuple[int, Mono], ...]]
 
 SATURATION_ROUND_LIMIT = 32
-
-
-class SaturationError(RuntimeError):
-    """The saturation did not close the tower: it ran out of rounds, or an
-    operator hom does not descend to the quotients."""
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import itertools
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from . import require_prime
+from . import MackeyError, require_prime
 from .abgroups import (
     FgAbGroup,
     GroupHom,
@@ -50,10 +50,6 @@ from .abgroups import (
     subgroups_equal,
 )
 from .intlinalg import IntMatrix, _SolveContext, matrix_mod
-
-
-class MackeyError(ValueError):
-    """A Mackey-functor invariant or map condition failed."""
 
 
 class CyclicGroupSpec:

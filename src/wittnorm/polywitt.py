@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from . import require_prime
+from . import DEFAULT_CAP, CapExceeded, require_prime
 from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom, present_quotient
 from .intlinalg import IntMatrix, random_unimodular, smith_normal_form
 from .mackey import (
@@ -34,20 +34,6 @@ from .mackey import (
     translate_sum,
     witt_mackey,
 )
-
-DEFAULT_CAP = 4096
-
-
-class CapExceeded(ValueError):
-    """Tensor power dimension exceeds the configured cap."""
-
-    def __init__(self, needed: int, cap: int):
-        super().__init__(
-            f"tensor power needs dimension {needed}, above the cap {cap}; "
-            f"pick a smaller dimension or truncation, or raise the cap"
-        )
-        self.needed = needed
-        self.cap = cap
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,8 @@ Each suite builds a list of keyed instance thunks and executes them in
 order.  Instance randomness is derived from the run seed and the
 instance key, so records are independent of execution order; the report
 sorts records by key before emission.  A cap violation surfaces as a
-SKIP record with the reason, never as a silent omission.
-
-The Mackey and polynomial-Witt layers are imported at module level:
-`run_suite` reads the default cap and the skip exception of polywitt, and
-the mackey, resolution, compare and lift suites run those layers.  Every
-other layer is imported at the top of the builder of the suite that runs
-it: `witt` and `rings` by the witt and cartier builders (and
-`_witt_triples`), `drw` by the drw builder, `traces` by the trace
-builder.  So a process that runs one suite compiles only the layers that
-suite runs, which counts when bytecode is not cached.
+SKIP record with the reason, never as a silent omission.  Each builder
+imports the layers its suite runs, so this module loads none of them.
 """
 
 from __future__ import annotations
@@ -22,44 +14,8 @@ import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .mackey import (
-    WittResolution,
-    augmentation,
-    augmentation_cokernel,
-    base_change_to_witt,
-    box_with_permutation,
-    constant_mackey,
-    find_cyclic_iso,
-    fixed_point_mackey,
-    inflate_mackey,
-    mackey_cokernel,
-    mackey_direct_sum,
-    mackey_induce,
-    mackey_kernel,
-    mackey_restrict,
-    orbit_gmodule,
-    permutation_mackey,
-    regular_gmodule,
-    witt_mackey,
-    zero_mackey,
-)
-from .polywitt import (
-    DEFAULT_CAP,
-    CapExceeded,
-    FpVectorSpace,
-    canonical_lift,
-    compare_pipelines,
-    compare_with_norm,
-    comparison_grid,
-    fv_on_norm,
-    lift_independence_report,
-    norm_over_W,
-    norm_over_Z,
-)
+from . import DEFAULT_CAP, CapExceeded
 from .serialize import InstanceRecord, SuiteReport
-
-SUITE_IDS = ("witt", "cartier", "mackey", "resolution", "compare",
-             "lift", "drw", "trace")
 
 GridFilter = Optional[Dict[str, Set[int]]]
 
@@ -161,7 +117,7 @@ def _witt_triples(p: int, base_factory, seed: int) -> Optional[str]:
     return None
 
 
-def _witt_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+def _witt_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
     from .rings import GFPolyRing, ZModRing, ZRing
 
     out: List[Tuple[str, dict, Thunk]] = []
@@ -189,7 +145,7 @@ def _witt_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]
 # cartier: tower construction verifies every structure square on the way
 
 
-def _cartier_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+def _cartier_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
     from .rings import QuotPolyRing, ZModRing
     from .witt import CartierTower
 
@@ -222,6 +178,27 @@ def _cartier_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thu
 
 
 def _mackey_catalog() -> List[Tuple[str, Callable[[], object]]]:
+    from .mackey import (
+        augmentation,
+        augmentation_cokernel,
+        base_change_to_witt,
+        box_with_permutation,
+        constant_mackey,
+        fixed_point_mackey,
+        inflate_mackey,
+        mackey_cokernel,
+        mackey_direct_sum,
+        mackey_induce,
+        mackey_kernel,
+        mackey_restrict,
+        orbit_gmodule,
+        permutation_mackey,
+        regular_gmodule,
+        witt_mackey,
+        zero_mackey,
+    )
+    from .polywitt import FpVectorSpace, canonical_lift, norm_over_W, norm_over_Z
+
     return [
         ("constant p=2 n=2", lambda: constant_mackey(2, 2)),
         ("constant p=3 n=1", lambda: constant_mackey(3, 1)),
@@ -250,7 +227,7 @@ def _mackey_catalog() -> List[Tuple[str, Callable[[], object]]]:
     ]
 
 
-def _mackey_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+def _mackey_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
     out = []
     for label, build in _mackey_catalog():
         key = f"mackey validate {label}"
@@ -268,7 +245,15 @@ def _mackey_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thun
 # the constant functor is isomorphic to the Witt functor
 
 
-def _resolution_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+def _resolution_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+    from .mackey import (
+        WittResolution,
+        base_change_to_witt,
+        constant_mackey,
+        find_cyclic_iso,
+        witt_mackey,
+    )
+
     out = []
     for p in (2, 3):
         for r in (1, 2, 3):
@@ -305,6 +290,14 @@ def _resolution_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, 
 
 
 def _compare_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+    from .polywitt import (
+        FpVectorSpace,
+        compare_pipelines,
+        compare_with_norm,
+        comparison_grid,
+        fv_on_norm,
+    )
+
     out = []
     for p, d, r in comparison_grid():
         if not _grid_allows(grid, p=p, d=d, r=r):
@@ -340,6 +333,8 @@ def _compare_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str,
 
 
 def _lift_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+    from .polywitt import FpVectorSpace, comparison_grid, lift_independence_report
+
     out = []
     cases = [(p, d) for (p, d, r) in comparison_grid() if r == 2]
     for p, d in cases:
@@ -366,7 +361,7 @@ def _lift_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, di
 # stability for every tower in the grid
 
 
-def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+def _drw_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
     from .drw import (
         TruncatedFVComplex,
         build_drw,
@@ -435,7 +430,7 @@ def _drw_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]
 # counterexample, and descent of the norm-functor theory
 
 
-def _trace_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
+def _trace_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
     from .traces import OrbitTraceTheory, negative_raw_power, polywitt_trace, run_axiom_checks
 
     out = []
@@ -481,16 +476,19 @@ def _trace_instances(seed: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk
 # orchestration
 
 
+# every builder takes (seed, cap, grid); this order is the order of `run all`
 _BUILDERS = {
-    "witt": lambda seed, cap, grid: _witt_instances(seed, grid),
-    "cartier": lambda seed, cap, grid: _cartier_instances(seed, grid),
-    "mackey": lambda seed, cap, grid: _mackey_instances(seed, grid),
-    "resolution": lambda seed, cap, grid: _resolution_instances(seed, grid),
-    "compare": lambda seed, cap, grid: _compare_instances(seed, cap, grid),
-    "lift": lambda seed, cap, grid: _lift_instances(seed, cap, grid),
-    "drw": lambda seed, cap, grid: _drw_instances(seed, grid),
-    "trace": lambda seed, cap, grid: _trace_instances(seed, grid),
+    "witt": _witt_instances,
+    "cartier": _cartier_instances,
+    "mackey": _mackey_instances,
+    "resolution": _resolution_instances,
+    "compare": _compare_instances,
+    "lift": _lift_instances,
+    "drw": _drw_instances,
+    "trace": _trace_instances,
 }
+
+SUITE_IDS = tuple(_BUILDERS)
 
 
 def _run_one(key: str, inputs: dict, thunk: Thunk) -> InstanceRecord:

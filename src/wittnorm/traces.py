@@ -19,12 +19,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from . import require_prime
+from . import DEFAULT_CAP, CapExceeded, require_prime
 from .abgroups import FgAbGroup, GroupHom, Presentation, induced_hom
 from .intlinalg import IntMatrix, kron, kron_power
 from .polywitt import (
-    DEFAULT_CAP,
-    CapExceeded,
     _tuple_index,
     descend_map,
     fixed_mod_norm,

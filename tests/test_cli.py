@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
+import wittnorm
 from wittnorm import cli, drw, mackey, polywitt, rings
 from wittnorm.abgroups import FgAbGroup, GroupHom
 from wittnorm.cli import main
@@ -159,11 +160,12 @@ def test_cli_non_prime_p_is_config_error(argv, capsys):
     assert "must be a prime" in err
 
 
-def test_cli_saturation_failure_is_check_failure(monkeypatch, capsys):
+@pytest.mark.parametrize("verb", ["build", "check"])
+def test_cli_saturation_failure_is_check_failure(verb, monkeypatch, capsys):
     # a tower that cannot reach its fixpoint is a failed check (exit 2),
     # reported in one line, never a traceback
     monkeypatch.setattr(drw, "SATURATION_ROUND_LIMIT", 0)
-    assert main(["drw", "check", "--p", "2", "--r", "2", "--weight-cap", "4"]) == 2
+    assert main(["drw", verb, "--p", "2", "--r", "2", "--weight-cap", "4"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == ("check failed: relation saturation unstable after 0 rounds"
@@ -184,6 +186,27 @@ def test_cli_failed_mackey_axiom_is_check_failure(monkeypatch, capsys):
     assert "Traceback" not in err
     assert err.startswith("check failed: transfer after restriction")
     assert err.count("\n") == 1
+
+
+def test_cli_failed_mackey_validation_in_compare_is_check_failure(monkeypatch, capsys):
+    # the norm pipeline builds Mackey functors; a failed validation there
+    # reaches main as a MackeyError, a ValueError that is still exit 2
+    def failing(m):
+        raise mackey.MackeyError("planted validation failure")
+
+    monkeypatch.setattr(mackey, "validate_mackey", failing)
+    assert main(["polywitt", "compare", "--p", "2", "--d", "2", "--r", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "check failed: planted validation failure\n"
+
+
+@pytest.mark.parametrize("name, layer", [
+    ("MackeyError", mackey), ("SaturationError", drw),
+    ("CapExceeded", polywitt), ("DEFAULT_CAP", polywitt)])
+def test_shared_names_are_the_root_objects(name, layer):
+    # each name has one home, the package root; the layers re-export it
+    assert getattr(layer, name) is getattr(wittnorm, name)
 
 
 def test_cli_failed_internal_invariant_is_check_failure(monkeypatch, capsys):
@@ -232,6 +255,8 @@ def test_cli_trace_reports(capsys):
 def test_cli_run_exit_codes(capsys):
     assert main(["run", "nosuch"]) == 3
     capsys.readouterr()
+    assert main(["run", "compare", "--p", "2..x"]) == 3
+    assert capsys.readouterr() == ("", "error: bad range for --p: '2..x'\n")
     assert main(["run", "resolution", "--p", "2", "--r", "1..2"]) == 0
     out = capsys.readouterr().out
     assert "failed=0" in out
@@ -703,20 +728,24 @@ else:
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("wittnorm."))))
 """
 
-# what the CLI loads before it runs a verb: the parser reads SUITE_IDS and
-# DEFAULT_CAP, and main catches MackeyError
-_CLI_LAYERS = ["abgroups", "cli", "intlinalg", "mackey", "polywitt", "serialize", "suites"]
+# what the CLI loads before it runs a verb: the parser reads SUITE_IDS from
+# suites, which loads no layer, and DEFAULT_CAP and the exceptions main
+# maps to exit codes come from the package root
+_CLI_LAYERS = ["cli", "serialize", "suites"]
+_LATTICE = ["abgroups", "intlinalg"]
 
 ENTRY_POINT_LAYERS = {
     "wittnorm.cli": _CLI_LAYERS,
-    "wittnorm.suites": ["abgroups", "intlinalg", "mackey", "polywitt", "serialize", "suites"],
+    "wittnorm.suites": ["serialize", "suites"],
     "wittnorm.drw": ["abgroups", "drw", "intlinalg"],
     "wittnorm.witt": ["multipoly", "rings", "witt"],
-    "run compare": _CLI_LAYERS,
-    "drw build --p 2 --r 2 --weight-cap 2": _CLI_LAYERS + ["drw"],
+    "run compare": _CLI_LAYERS + _LATTICE + ["mackey", "polywitt"],
+    "drw build --p 2 --r 2 --weight-cap 2": _CLI_LAYERS + _LATTICE + ["drw"],
+    "drw check --p 2 --r 2 --weight-cap 2": _CLI_LAYERS + _LATTICE + ["drw"],
     "witt add --p 3 --r 2 --in [[1,2],[0,1]]": _CLI_LAYERS + ["multipoly", "rings", "witt"],
-    "polywitt compare --p 2 --d 2 --r 2": _CLI_LAYERS,
-    "trace check --theory orbit": _CLI_LAYERS + ["traces"],
+    "mackey build --kind witt": _CLI_LAYERS + _LATTICE + ["mackey"],
+    "polywitt compare --p 2 --d 2 --r 2": _CLI_LAYERS + _LATTICE + ["mackey", "polywitt"],
+    "trace check --theory orbit": _CLI_LAYERS + _LATTICE + ["mackey", "polywitt", "traces"],
 }
 
 

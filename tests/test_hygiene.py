@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used, none
-of them is numpy, every public module-level name has a reader, no module
-reads the environment, and only the modules that own them build matrices
-and homs without validation."""
+of them is numpy, the package root imports no package module, every
+public module-level name has a reader, no module reads the environment,
+and only the modules that own them build matrices and homs without
+validation."""
 
 import ast
 import pathlib
@@ -81,6 +82,21 @@ def test_module_does_not_import_numpy_on_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     numpy = [m for m in _import_time_modules(tree) if m.split(".")[0] == "numpy"]
     assert numpy == [], f"{path.name} imports numpy on import"
+
+
+def test_package_root_imports_no_package_module():
+    # every process loads the root, so a module it imported would load
+    # everywhere; the check covers imports inside functions too
+    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "wittnorm":
+                found.append(f"line {node.lineno}")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}" for alias in node.names
+                      if alias.name.split(".")[0] == "wittnorm"]
+    assert found == [], f"the package root imports package modules at {found}"
 
 
 def _readme_names():
