@@ -8,9 +8,10 @@ Every base ring exposes a torsion-free cover used by the Witt arithmetic
 engine: an ambient ring with no p-torsion together with lift and reduce
 maps.  For Z and Z/m the cover works with plain Python integers; for
 F_p[x]/(f) with integer coefficient tuples modulo a monic lift of f; for
-F_p[x] with numpy arrays carrying coefficients modulo a power of p plus an
-explicit precision, which keeps the exact divisions by p fast at large
-degree while still producing exact mod-p answers.
+F_p[x] with numpy coefficient arrays that the Witt engine reduces mod
+p^(n+1) at ghost index n (see PadicPolyCover), which keeps the products
+and the exact divisions by p fast at large degree while still producing
+exact mod-p answers.
 
 That F_p[x] cover is the only user of numpy in the package, so numpy is
 loaded when the first one is built, not on import.  Witt sums and products
@@ -105,13 +106,23 @@ def pow_by_squaring(mul, a, n: int):
 # torsion-free cover contexts
 
 
-class IntCover:
-    """Exact integer cover (for Z, Z/m bases)."""
+class _ExactCover:
+    """A cover that computes exactly, so no value is ever truncated."""
 
     char = 0
 
     def __init__(self, p: int):
         self.p = p
+
+    def trunc(self, a, n: int):
+        return a
+
+    def pth_power(self, a, k: int):
+        return pow_by_squaring(self.mul, a, self.p)
+
+
+class IntCover(_ExactCover):
+    """Exact integer cover (for Z, Z/m bases)."""
 
     def add(self, a, b):
         return a + b
@@ -138,13 +149,11 @@ class IntCover:
         return q
 
 
-class QuotPolyCover:
+class QuotPolyCover(_ExactCover):
     """Z[x]/(f~) for a monic integer lift f~ of the base modulus."""
 
-    char = 0
-
     def __init__(self, p: int, f_lift: IntPoly):
-        self.p = p
+        super().__init__(p)
         self.f = f_lift
 
     def _red(self, a: Sequence[int]) -> IntPoly:
@@ -180,107 +189,83 @@ class QuotPolyCover:
         return tuple(out)
 
 
-class PadicVal:
-    """Dense integer polynomial known modulo p^prec."""
-
-    __slots__ = ("arr", "prec")
-
-    def __init__(self, arr: np.ndarray, prec: int):
-        self.arr = arr
-        self.prec = prec
-
-
 class PadicPolyCover:
-    """Z[x] tracked modulo a power of p, numpy-accelerated.
+    """Z[x] for W_r(F_p[x]), read modulo p^(n+1) at ghost index n.
 
-    Values carry (coefficients mod p^prec, prec).  Additions and products
-    keep the minimum precision of their inputs; dividing by p^i costs i
-    digits of precision.  Starting precision is chosen by the Witt engine
-    so that final answers are still exact modulo p.
+    By Dwork's lemma (u = v mod p^k gives u^p = v^p mod p^(k+1)) ghost
+    index n of a length-r Witt vector is needed only mod p^(n+1), and the
+    k-th entry a^(p^k) of a power chain only mod p^(k+1).  The Witt engine
+    says which with trunc(a, n); pth_power(a, k) takes chain entry k from
+    entry k - 1.  Values are plain coefficient arrays, possibly with
+    trailing zeros, and carry no precision of their own.
+
+    Every value the engine multiplies is reduced below p^r, so a product's
+    coefficients stay below len * p^(2r).  Products under 2^62 convolve in
+    int64; past it, and for every value once p^(2r) passes it, the
+    coefficients are Python integers (object arrays), so int64 never wraps.
     """
 
     char = 0
 
-    def __init__(self, p: int, max_prec: int):
+    def __init__(self, p: int, r: int):
         global np
         if np is None:
             import numpy as np
         self.p = p
-        self.K = max_prec
+        self.r = r
+        self._square = p ** (2 * r)
+        self._dtype = np.int64 if self._square < 2 ** 62 else object
 
-    def _canon(self, arr: np.ndarray, prec: int) -> PadicVal:
-        m = self.p ** prec
-        if m >= 2 ** 62 and arr.dtype != object:
-            # an int64 array cannot be reduced by a modulus past its range
-            arr = arr.astype(object)
-        a = np.remainder(arr, m)
-        n = len(a)
-        while n and not a[n - 1]:
-            n -= 1
-        a = a[:n]
-        if a.dtype == object and m < 2 ** 62:
-            a = a.astype(np.int64)
-        return PadicVal(a, prec)
+    def make(self, coeffs: Sequence[int]):
+        return np.array(coeffs, dtype=self._dtype)
 
-    def make(self, coeffs: Sequence[int]) -> PadicVal:
-        arr = np.array(list(coeffs), dtype=np.int64)
-        return self._canon(arr, self.K)
+    def trunc(self, a, n: int):
+        return np.remainder(a, self.p ** (n + 1))
 
-    def _combine(self, ufunc, a: PadicVal, b: PadicVal) -> PadicVal:
-        """ufunc(a, b) coefficientwise, the shorter operand read as zero-padded."""
-        x, y = a.arr, b.arr
+    def _combine(self, ufunc, x, y):
+        """ufunc(x, y) coefficientwise, the shorter operand read as
+        zero-padded; an int64 operand next to an object one gives object."""
         if len(x) == len(y):
-            out = ufunc(x, y)
-        elif len(x) > len(y):
-            out = x.copy()
-            ufunc(out[: len(y)], y, out=out[: len(y)])
-        else:
-            out = ufunc(0, y)
-            out[: len(x)] += x
-        return self._canon(out, min(a.prec, b.prec))
+            return ufunc(x, y)
+        n = min(len(x), len(y))
+        tail = x[n:] if len(x) > n else ufunc(0, y[n:])
+        return np.concatenate((ufunc(x[:n], y[:n]), tail))
 
-    def add(self, a: PadicVal, b: PadicVal) -> PadicVal:
+    def add(self, a, b):
         return self._combine(np.add, a, b)
 
-    def sub(self, a: PadicVal, b: PadicVal) -> PadicVal:
+    def sub(self, a, b):
         return self._combine(np.subtract, a, b)
 
-    def neg(self, a: PadicVal) -> PadicVal:
-        return self._canon(-a.arr, a.prec)
+    def neg(self, a):
+        return -a
 
-    def mul(self, a: PadicVal, b: PadicVal) -> PadicVal:
-        prec = min(a.prec, b.prec)
-        if not len(a.arr) or not len(b.arr):
-            return PadicVal(np.zeros(0, dtype=np.int64), prec)
-        bound = min(len(a.arr), len(b.arr)) * self.p ** (a.prec + b.prec)
-        if bound < 2 ** 62 and a.arr.dtype != object and b.arr.dtype != object:
-            out = np.convolve(a.arr, b.arr)
-        else:
-            out = np.convolve(a.arr.astype(object), b.arr.astype(object))
-        return self._canon(out, prec)
+    def mul(self, a, b):
+        n = min(len(a), len(b))
+        if not n:
+            return a[:0]
+        # the convolution, through correlate: np.convolve's own wrapper
+        # costs more than the product at these lengths
+        if n * self._square < 2 ** 62:
+            return np.correlate(a, b[::-1], "full")
+        return np.correlate(a.astype(object), b[::-1].astype(object), "full")
 
-    def from_int(self, n: int) -> PadicVal:
-        return self.make([n])
+    def pth_power(self, a, k: int):
+        """a^p mod p^(k+1), each product reduced before the next."""
+        m = self.p ** (k + 1)
+        return pow_by_squaring(lambda x, y: np.remainder(self.mul(x, y), m), a, self.p)
 
-    def scale_pow_p(self, a: PadicVal, i: int) -> PadicVal:
-        prec = min(a.prec + i, self.K)
-        if a.arr.dtype != object and self.p ** (a.prec + i) < 2 ** 62:
-            # coefficients are below p^a.prec, so the scaled ones fit in int64
-            arr = a.arr * self.p ** i
-        else:
-            arr = a.arr.astype(object) * self.p ** i
-        return self._canon(arr, prec)
+    def from_int(self, n: int):
+        return self.make([n % self.p ** self.r])
 
-    def div_pow_p(self, a: PadicVal, i: int) -> PadicVal:
-        if i == 0:
-            return a
-        k = self.p ** i
-        if np.any(np.remainder(a.arr, k)):
+    def scale_pow_p(self, a, i: int):
+        return a * self.p ** i
+
+    def div_pow_p(self, a, i: int):
+        q, rem = np.divmod(a, self.p ** i)
+        if np.count_nonzero(rem):
             raise ArithmeticError("inexact division in Witt recursion")
-        prec = a.prec - i
-        if prec < 1:
-            raise ArithmeticError("precision exhausted in Witt recursion")
-        return self._canon(a.arr // k, prec)
+        return q
 
 
 # base rings
@@ -436,17 +421,13 @@ class GFPolyRing:
     def witt_cover(self, p: int, r: int):
         if p != self.p:
             raise ValueError("prime mismatch between Witt ring and base")
-        # each division by p^i in the component recursion costs i digits
-        max_prec = r * (r - 1) // 2 + 2
-        return PadicPolyCover(p, max_prec)
+        return PadicPolyCover(p, r)
 
     def lift(self, a, cover: PadicPolyCover):
         return cover.make(a)
 
-    def reduce(self, v: PadicVal, cover: PadicPolyCover):
-        if v.prec < 1:
-            raise ArithmeticError("precision exhausted")
-        return _trim((v.arr % self.p).tolist())
+    def reduce(self, v, cover: PadicPolyCover):
+        return _trim((v % self.p).tolist())
 
     def label(self) -> str:
         return f"F_{self.p}[x]"

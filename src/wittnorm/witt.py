@@ -13,8 +13,20 @@ Arithmetic itself runs by lifting components into the base ring's
 p-torsion-free cover, doing ghost arithmetic there and inverting the
 ghost map with exact divisions by powers of p.  By universality this
 computes exactly the values of the universal polynomials; the test suite
-cross-checks the two paths wherever the tables are cheap to build.  Two
-maps skip the cover where a ring identity gives them componentwise: the
+cross-checks the two paths wherever the tables are cheap to build.
+
+Dwork's lemma sets the precision: if u = v mod p^k, then u^p = v^p mod
+p^(k+1).  So entry k of a power chain, a^(p^k), is needed only mod
+p^(k+1), and ghost index n (the operands', the combined target and the
+inversion's partial sum) only mod p^(n+1), since z_n = (w_n - sum_{i<n}
+p^i z_i^(p^(n-i))) / p^n is needed only mod p.  Each solved z_n is
+reduced to the base at once and lifted again, so its own chain starts
+from small coefficients.  Where p divides the characteristic of the base
+that lift differs from z_n by a multiple of p, so the later components
+do not change.  The F_p[x] cover truncates to this schedule; the exact
+covers (Z, Z/m, F_p[x]/(f)) ignore it.
+
+Two maps skip the cover where a ring identity gives them componentwise: the
 Frobenius over a base of characteristic p, F(x_0, x_1, ...) = (x_0^p,
 x_1^p, ...), and negation at odd p, where -1 = [-1] and (-1)^(p^k) = -1.
 In characteristic p the p-th powers themselves are the base ring's
@@ -171,20 +183,19 @@ class WittVector:
 
 
 def _pth_power(ring, p: int) -> Callable:
-    """x -> x^p in a base ring or a cover: the ring's own Frobenius where it
-    has characteristic p, square-and-multiply from x everywhere else."""
+    """x -> x^p in a base ring: the ring's own Frobenius where it has
+    characteristic p, square-and-multiply from x everywhere else."""
     if ring.char == p:
         return ring.frobenius
     return lambda x: pow_by_squaring(ring.mul, x, p)
 
 
 class _PowerChains:
-    """Lazily extended chains v, v^p, v^(p^2), ... per tracked value, in a
-    base ring or a cover."""
+    """Lazily extended chains v, v^p, v^(p^2), ... per tracked value; entry
+    k is step(entry k - 1, k)."""
 
-    def __init__(self, ring, p: int):
-        self.ring = ring
-        self.pth_power = _pth_power(ring, p)
+    def __init__(self, step: Callable):
+        self.step = step
         self.chains: List[List] = []
 
     def track(self, v) -> int:
@@ -194,16 +205,16 @@ class _PowerChains:
     def power(self, idx: int, k: int):
         chain = self.chains[idx]
         while len(chain) <= k:
-            chain.append(self.pth_power(chain[-1]))
+            chain.append(self.step(chain[-1], len(chain)))
         return chain[k]
 
-    def ghost_sum(self, n: int, terms: int):
-        """sum_{i < terms} p^i v_i^(p^(n-i)) for terms >= 1, started from the unscaled i = 0 term."""
-        ring = self.ring
+    def ghost_sum(self, cover, n: int, terms: int):
+        """sum_{i < terms} p^i v_i^(p^(n-i)) mod p^(n+1) in a cover, for
+        terms >= 1, started from the unscaled i = 0 term."""
         acc = self.power(0, n)
         for i in range(1, terms):
-            acc = ring.add(acc, ring.scale_pow_p(self.power(i, n - i), i))
-        return acc
+            acc = cover.add(acc, cover.scale_pow_p(self.power(i, n - i), i))
+        return cover.trunc(acc, n)
 
 
 class WittRing:
@@ -269,7 +280,8 @@ class WittRing:
             if s == base.zero():
                 break  # p^j is zero for every j >= i as well
             scalars.append(s)
-        chains = _PowerChains(base, self.p)
+        pth_power = _pth_power(base, self.p)
+        chains = _PowerChains(lambda v, k: pth_power(v))
         for c in w.components:
             chains.track(c)
         out = []
@@ -283,25 +295,29 @@ class WittRing:
     def _via_ghost(self, target: "WittRing", combine: Callable, *vectors: WittVector) -> WittVector:
         """Lift the vectors to the cover, combine their ghost components one
         index at a time and invert the ghost map onto target.  A shorter
-        target drops the leading ghost components: F is the ghost shift."""
+        target drops the leading ghost components: F is the ghost shift.
+        The precision follows Dwork's lemma (see the module docstring)."""
         if any(w.ring != vectors[0].ring for w in vectors):
             raise ValueError("operands live in different Witt rings")
-        base = self.base
-        cover = base.witt_cover(self.p, self.r)
+        base, p = self.base, self.p
+        cover = base.witt_cover(p, self.r)
         ghosts = []
         for w in vectors:
-            chains = _PowerChains(cover, self.p)
+            chains = _PowerChains(cover.pth_power)
             for c in w.components:
                 chains.track(base.lift(c, cover))
-            ghosts.append([chains.ghost_sum(n, n + 1) for n in range(self.r)])
+            ghosts.append([chains.ghost_sum(cover, n, n + 1) for n in range(self.r)])
         targets = [combine(cover, *g) for g in zip(*ghosts)][self.r - target.r:]
-        chains = _PowerChains(cover, self.p)
+        # the lift of z_n's reduction differs from z_n by a multiple of p
+        # exactly when p divides the characteristic of the base
+        relift = base.char % p == 0
+        chains = _PowerChains(cover.pth_power)
         comps = []
         for n, t in enumerate(targets):
-            z = cover.div_pow_p(cover.sub(t, chains.ghost_sum(n, n)), n) if n else t
-            comps.append(z)
-            chains.track(z)
-        return WittVector(target, tuple(base.reduce(v, cover) for v in comps))
+            z = cover.div_pow_p(cover.sub(t, chains.ghost_sum(cover, n, n)), n) if n else t
+            comps.append(base.reduce(z, cover))
+            chains.track(base.lift(comps[-1], cover) if relift else z)
+        return WittVector(target, tuple(comps))
 
     # ring operations
 

@@ -775,8 +775,7 @@ def test_cli_validates_each_mackey_functor_once(monkeypatch, capsys):
         calls.append(m)
         real(m)
 
-    for mod in (mackey, cli):
-        monkeypatch.setattr(mod, "validate_mackey", counting, raising=False)
+    monkeypatch.setattr(mackey, "validate_mackey", counting)
     assert main(["mackey", "validate", "--kind", "fixed-regular", "--p", "3", "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out) == {"kind": "mackey-validation", "ok": True}
     assert len(calls) == 1

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,23 +181,23 @@ def _naive_ghost(base, p, comps, n):
     lambda p: rings.QuotPolyCover(p, (1, 0, 1)),
 ], ids=["padic", "quot"])
 def test_pow_p_products(p, products, make_cover, monkeypatch):
-    # each link of a power chain squares and multiplies from the base:
-    # bit_length + popcount - 2 products
+    # each link of a power chain squares and multiplies from the previous
+    # entry, bit_length + popcount - 2 products, each one traced mul; the
+    # p-adic cover keeps chain entry 1 mod p^2
     cover = make_cover(p)
     calls = []
     real = type(cover).mul
     monkeypatch.setattr(type(cover), "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
-    a = cover.make((1, 2, 1)) if isinstance(cover, rings.PadicPolyCover) else (1, 2, 1)
-    chains = witt._PowerChains(cover, p)
-    out = chains.power(chains.track(a), 1)
+    padic = isinstance(cover, rings.PadicPolyCover)
+    out = cover.pth_power(cover.make((1, 2, 1)) if padic else (1, 2, 1), 1)
     assert len(calls) == products
-    expect = a
-    for _ in range(p - 1):
-        expect = real(cover, expect, a)
-    if isinstance(cover, rings.PadicPolyCover):
-        assert (out.arr.tolist(), out.prec) == (expect.arr.tolist(), expect.prec)
+    expect = (1,)
+    for _ in range(p):
+        expect = rings.poly_mul(expect, (1, 2, 1))
+    if padic:
+        assert out.tolist() == [c % p ** 2 for c in expect]
     else:
-        assert out == expect
+        assert out == rings.poly_rem_monic(expect, (1, 0, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -220,20 +221,236 @@ def test_pth_power_squares_outside_characteristic_p():
     # Z/4 at p = 2 has characteristic 4: 3^2 = 1 there, not 3
     assert witt._pth_power(ZModRing(4), 2)(3) == 1
     assert witt._pth_power(ZRing(), 3)(2) == 8
+    assert rings.IntCover(3).pth_power(2, 4) == 8
     cover = GFPolyRing(3).witt_cover(3, 2)
-    assert witt._pth_power(cover, 3)(cover.make((1, 1))).arr.tolist() == [1, 3, 3, 1]
+    assert cover.pth_power(cover.make((1, 1)), 1).tolist() == [1, 3, 3, 1]
 
 
 def test_div_pow_p_checks_kept():
     cover = rings.PadicPolyCover(3, 3)
     v = cover.scale_pow_p(cover.make((1, 2)), 1)
-    assert cover.div_pow_p(v, 1).arr.tolist() == [1, 2]
+    assert cover.div_pow_p(v, 1).tolist() == [1, 2]
     with pytest.raises(ArithmeticError, match="inexact division"):
         cover.div_pow_p(cover.make((1, 3)), 1)
-    with pytest.raises(ArithmeticError, match="precision exhausted"):
-        cover.div_pow_p(cover.scale_pow_p(cover.make((1,)), 3), 3)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        rings.IntCover(3).div_pow_p(10, 2)
     with pytest.raises(ArithmeticError, match="inexact division"):
         rings.QuotPolyCover(3, (1, 0, 1)).div_pow_p((3, 4), 1)
+
+
+# the ghost engine before truncation, kept as an independent reference: every
+# F_p[x] cover value carries its own precision, which starts at
+# p^(r(r-1)/2+2) and loses i digits in each division by p^i; the exact covers
+# run unchanged, and no solved component is reduced before its chain
+
+
+class _RefPadicVal:
+    __slots__ = ("arr", "prec")
+
+    def __init__(self, arr, prec):
+        self.arr = arr
+        self.prec = prec
+
+
+class _RefPadicCover:
+    def __init__(self, p, max_prec):
+        self.p = p
+        self.K = max_prec
+
+    def _canon(self, arr, prec):
+        m = self.p ** prec
+        if m >= 2 ** 62 and arr.dtype != object:
+            arr = arr.astype(object)
+        a = np.remainder(arr, m)
+        n = len(a)
+        while n and not a[n - 1]:
+            n -= 1
+        a = a[:n]
+        if a.dtype == object and m < 2 ** 62:
+            a = a.astype(np.int64)
+        return _RefPadicVal(a, prec)
+
+    def make(self, coeffs):
+        return self._canon(np.array(list(coeffs), dtype=np.int64), self.K)
+
+    def _combine(self, ufunc, a, b):
+        n = max(len(a.arr), len(b.arr))
+        x = np.zeros(n, dtype=object)
+        y = np.zeros(n, dtype=object)
+        x[: len(a.arr)] = a.arr
+        y[: len(b.arr)] = b.arr
+        return self._canon(ufunc(x, y), min(a.prec, b.prec))
+
+    def add(self, a, b):
+        return self._combine(np.add, a, b)
+
+    def sub(self, a, b):
+        return self._combine(np.subtract, a, b)
+
+    def neg(self, a):
+        return self._canon(-a.arr, a.prec)
+
+    def mul(self, a, b):
+        prec = min(a.prec, b.prec)
+        if not len(a.arr) or not len(b.arr):
+            return _RefPadicVal(np.zeros(0, dtype=np.int64), prec)
+        return self._canon(np.convolve(a.arr.astype(object), b.arr.astype(object)), prec)
+
+    def from_int(self, n):
+        return self.make([n])
+
+    def scale_pow_p(self, a, i):
+        return self._canon(a.arr.astype(object) * self.p ** i, min(a.prec + i, self.K))
+
+    def div_pow_p(self, a, i):
+        if i == 0:
+            return a
+        k = self.p ** i
+        if np.any(np.remainder(a.arr, k)):
+            raise ArithmeticError("inexact division in Witt recursion")
+        assert a.prec - i >= 1, "precision exhausted in Witt recursion"
+        return self._canon(a.arr // k, a.prec - i)
+
+
+def _ref_via_ghost(ring, target_r, combine, *vectors):
+    """Components of the target of length target_r, as the ghost engine
+    computed them with per-value precision."""
+    base, p, r = ring.base, ring.p, ring.r
+    if isinstance(base, GFPolyRing):
+        cover = _RefPadicCover(p, r * (r - 1) // 2 + 2)
+        lift = cover.make
+
+        def reduce(v):
+            assert v.prec >= 1
+            return rings._trim((v.arr % p).tolist())
+    else:
+        cover = base.witt_cover(p, r)
+
+        def lift(c):
+            return base.lift(c, cover)
+
+        def reduce(v):
+            return base.reduce(v, cover)
+
+    def power(chain, k):
+        while len(chain) <= k:
+            chain.append(rings.pow_by_squaring(cover.mul, chain[-1], p))
+        return chain[k]
+
+    def ghost_sum(chains, n, terms):
+        acc = power(chains[0], n)
+        for i in range(1, terms):
+            acc = cover.add(acc, cover.scale_pow_p(power(chains[i], n - i), i))
+        return acc
+
+    ghosts = []
+    for w in vectors:
+        chains = [[lift(c)] for c in w.components]
+        ghosts.append([ghost_sum(chains, n, n + 1) for n in range(r)])
+    targets = [combine(cover, *g) for g in zip(*ghosts)][r - target_r:]
+    solved = []
+    for n, t in enumerate(targets):
+        z = cover.div_pow_p(cover.sub(t, ghost_sum(solved, n, n)), n) if n else t
+        solved.append([z])
+    return tuple(reduce(chain[0]) for chain in solved)
+
+
+# (p, r) pairs per base kind where the reference stays cheap: the reference
+# F_p[x] cover runs its chains to degree 6 * p^(r-1) in Python integers
+_ORACLE_SHAPES = {
+    "fpx": [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+            (5, 2), (5, 3), (7, 2), (7, 3)],
+    "exact": [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+              (3, 5), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)],
+}
+
+
+def _oracle_bases(p):
+    yield "fpx", GFPolyRing(p)
+    yield "exact", Z
+    yield "exact", ZModRing(p * p)
+    yield "exact", ZModRing(p)
+    yield "exact", ZModRing(p + 1)  # p is a unit: no component is relifted
+    yield "exact", QuotPolyRing(p, (1, 1, 0, 1))
+
+
+def _oracle_element(rng, base, p):
+    if rng.random() < 0.25:
+        return base.zero()
+    if isinstance(base, GFPolyRing):
+        return rings._trim([rng.randrange(p) for _ in range(rng.randint(1, 7))])
+    return base.random_element(rng)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_truncated_engine_matches_per_value_precision(p):
+    # add, mul, neg, scalar_mul and F of the truncated ghost engine against
+    # the per-value-precision reference on every base, zero components and
+    # polynomial degrees 0-6 included
+    rng = random.Random(700 + p)
+    for kind, base in _oracle_bases(p):
+        for pp, r in _ORACLE_SHAPES[kind]:
+            if pp != p:
+                continue
+            w = WittRing(p, r, base)
+            for _ in range(6):
+                a, b = (w.vector([_oracle_element(rng, base, p) for _ in range(r)])
+                        for _ in range(2))
+                k = rng.choice([p, -1, rng.randint(-30, 30)])
+                cases = [
+                    ("add", w.add(a, b), r, lambda c, x, y: c.add(x, y), (a, b)),
+                    ("mul", w.mul(a, b), r, lambda c, x, y: c.mul(x, y), (a, b)),
+                    ("neg", w.neg(a), r, lambda c, x: c.neg(x), (a,)),
+                    ("scalar_mul", w.scalar_mul(k, a), r,
+                     lambda c, x, k=k: c.mul(c.from_int(k), x), (a,)),
+                ]
+                if r >= 2:
+                    cases.append(("frobenius", w.frobenius(a), r - 1, lambda c, x: x, (a,)))
+                for op, got, target_r, combine, args in cases:
+                    want = _ref_via_ghost(w, target_r, combine, *args)
+                    assert got.components == want, (op, base.label(), r, a, b, k)
+
+
+@pytest.mark.parametrize("r, n, length", [(40, 35, 5), (30, 29, 8)])
+def test_padic_cover_products_never_wrap(r, n, length):
+    # len * p^(2(n+1)) passes 2^62: the product of two values reduced mod
+    # p^(n+1), and the chain entry taken from one, must be exact, never an
+    # int64 that wrapped around
+    cover = rings.PadicPolyCover(2, r)
+    rng = random.Random(r)
+    a, b = ([rng.randrange(2 ** n, 2 ** (n + 1)) for _ in range(length)] for _ in range(2))
+    assert length * 2 ** (2 * (n + 1)) >= 2 ** 62
+    exact = rings.poly_mul(a, b)
+    assert cover.mul(cover.make(a), cover.make(b)).tolist() == list(exact)
+    square = rings.poly_mul(a, a)
+    assert cover.pth_power(cover.make(a), n).tolist() == [c % 2 ** (n + 1) for c in square]
+    # the exact product then meets longer values, int64 where they fit
+    product = cover.mul(cover.make(a), cover.make(b))
+    longer = [rng.randrange(2 ** n) for _ in range(3 * length)] + [1]
+    assert cover.sub(cover.make(longer), product).tolist() == list(
+        rings.poly_add(longer, [-c for c in exact]))
+    assert cover.add(product, cover.make(longer)).tolist() == list(rings.poly_add(exact, longer))
+
+
+def test_solved_components_restart_from_their_reduction(monkeypatch):
+    # each solved component is needed only mod p: its chain starts from the
+    # lift of its reduction, as the operands' chains do, so every value the
+    # engine tracks is a canonical lift
+    tracked = []
+    real = witt._PowerChains.track
+    monkeypatch.setattr(witt._PowerChains, "track",
+                        lambda self, v: tracked.append(v) or real(self, v))
+    rng = random.Random(31)
+    for base in [GFPolyRing(3), QuotPolyRing(3, (1, 1, 0, 1)), ZModRing(9)]:
+        w = WittRing(3, 4, base)
+        a, b = w.random_element(rng), w.random_element(rng)
+        tracked.clear()
+        w.mul(a, b)
+        w.add(a, b)
+        w.scalar_mul(5, a)
+        assert tracked
+        for v in tracked:
+            assert all(0 <= c < base.char for c in np.asarray(v).ravel().tolist()), (base.label(), v)
 
 
 def test_fv_identities():
@@ -352,9 +569,9 @@ def test_from_int_matches_repeated_addition():
 
 @pytest.mark.parametrize("p,r", [(2, 12), (7, 7)])
 def test_fpx_cover_past_int64_matches_fp(p, r):
-    # the cover precision of W_r(F_p[x]) reaches p^K >= 2^63 here; constant
-    # components must give the same answers as W_r(F_p), and the lifted
-    # ghosts of perfbench/oracles.py must agree
+    # long vectors, where a fixed cover precision of p^(r(r-1)/2+2) would
+    # pass 2^63; constant components must give the same answers as
+    # W_r(F_p), and the lifted ghosts of perfbench/oracles.py must agree
     rng = random.Random(p * r)
     fx, fp = WittRing(p, r, GFPolyRing(p)), WittRing(p, r, ZModRing(p))
     for _ in range(2):
