@@ -244,11 +244,9 @@ class PadicPolyCover:
         n = min(len(a), len(b))
         if not n:
             return a[:0]
-        # the convolution, through correlate: np.convolve's own wrapper
-        # costs more than the product at these lengths
         if n * self._square < 2 ** 62:
-            return np.correlate(a, b[::-1], "full")
-        return np.correlate(a.astype(object), b[::-1].astype(object), "full")
+            return np.convolve(a, b)
+        return np.convolve(a.astype(object), b.astype(object))
 
     def pth_power(self, a, k: int):
         """a^p mod p^(k+1), each product reduced before the next."""
@@ -262,10 +260,10 @@ class PadicPolyCover:
         return a * self.p ** i
 
     def div_pow_p(self, a, i: int):
-        q, rem = np.divmod(a, self.p ** i)
-        if np.count_nonzero(rem):
+        k = self.p ** i
+        if np.count_nonzero(np.remainder(a, k)):
             raise ArithmeticError("inexact division in Witt recursion")
-        return q
+        return a // k
 
 
 # base rings

@@ -19,12 +19,10 @@ Dwork's lemma sets the precision: if u = v mod p^k, then u^p = v^p mod
 p^(k+1).  So entry k of a power chain, a^(p^k), is needed only mod
 p^(k+1), and ghost index n (the operands', the combined target and the
 inversion's partial sum) only mod p^(n+1), since z_n = (w_n - sum_{i<n}
-p^i z_i^(p^(n-i))) / p^n is needed only mod p.  Each solved z_n is
-reduced to the base at once and lifted again, so its own chain starts
-from small coefficients.  Where p divides the characteristic of the base
-that lift differs from z_n by a multiple of p, so the later components
-do not change.  The F_p[x] cover truncates to this schedule; the exact
-covers (Z, Z/m, F_p[x]/(f)) ignore it.
+p^i z_i^(p^(n-i))) / p^n is needed only mod p.  So each solved z_n
+is truncated mod p (trunc(z_n, 0)) before its own chain starts.  The
+F_p[x] cover truncates to this schedule; the exact covers (Z, Z/m,
+F_p[x]/(f)) ignore it.
 
 Two maps skip the cover where a ring identity gives them componentwise: the
 Frobenius over a base of characteristic p, F(x_0, x_1, ...) = (x_0^p,
@@ -308,15 +306,12 @@ class WittRing:
                 chains.track(base.lift(c, cover))
             ghosts.append([chains.ghost_sum(cover, n, n + 1) for n in range(self.r)])
         targets = [combine(cover, *g) for g in zip(*ghosts)][self.r - target.r:]
-        # the lift of z_n's reduction differs from z_n by a multiple of p
-        # exactly when p divides the characteristic of the base
-        relift = base.char % p == 0
         chains = _PowerChains(cover.pth_power)
         comps = []
         for n, t in enumerate(targets):
             z = cover.div_pow_p(cover.sub(t, chains.ghost_sum(cover, n, n)), n) if n else t
             comps.append(base.reduce(z, cover))
-            chains.track(base.lift(comps[-1], cover) if relift else z)
+            chains.track(cover.trunc(z, 0))
         return WittVector(target, tuple(comps))
 
     # ring operations

@@ -430,19 +430,24 @@ def test_padic_cover_products_never_wrap(r, n, length):
     assert cover.sub(cover.make(longer), product).tolist() == list(
         rings.poly_add(longer, [-c for c in exact]))
     assert cover.add(product, cover.make(longer)).tolist() == list(rings.poly_add(exact, longer))
+    # and divides exactly by powers of p, the inexact check kept
+    assert product.dtype == object
+    assert cover.div_pow_p(cover.scale_pow_p(product, n), n).tolist() == list(exact)
+    with pytest.raises(ArithmeticError):
+        cover.div_pow_p(cover.add(cover.scale_pow_p(product, 1), cover.make([1])), 1)
 
 
 def test_solved_components_restart_from_their_reduction(monkeypatch):
-    # each solved component is needed only mod p: its chain starts from the
-    # lift of its reduction, as the operands' chains do, so every value the
-    # engine tracks is a canonical lift
+    # over F_p[x] each solved component is needed only mod p: its chain
+    # starts from its reduction mod p, as the operands' chains do, so every
+    # value the engine tracks has coefficients in [0, p)
     tracked = []
     real = witt._PowerChains.track
     monkeypatch.setattr(witt._PowerChains, "track",
                         lambda self, v: tracked.append(v) or real(self, v))
     rng = random.Random(31)
-    for base in [GFPolyRing(3), QuotPolyRing(3, (1, 1, 0, 1)), ZModRing(9)]:
-        w = WittRing(3, 4, base)
+    for base in [GFPolyRing(2), GFPolyRing(3)]:
+        w = WittRing(base.char, 4, base)
         a, b = w.random_element(rng), w.random_element(rng)
         tracked.clear()
         w.mul(a, b)
@@ -569,9 +574,9 @@ def test_from_int_matches_repeated_addition():
 
 @pytest.mark.parametrize("p,r", [(2, 12), (7, 7)])
 def test_fpx_cover_past_int64_matches_fp(p, r):
-    # long vectors, where a fixed cover precision of p^(r(r-1)/2+2) would
-    # pass 2^63; constant components must give the same answers as
-    # W_r(F_p), and the lifted ghosts of perfbench/oracles.py must agree
+    # long vectors with constant components must give the same answers as
+    # W_r(F_p), and the lifted ghosts of perfbench/oracles.py must agree;
+    # p^(2r) < 2^62 here, so the F_p[x] cover runs in int64 throughout
     rng = random.Random(p * r)
     fx, fp = WittRing(p, r, GFPolyRing(p)), WittRing(p, r, ZModRing(p))
     for _ in range(2):
@@ -584,3 +589,33 @@ def test_fpx_cover_past_int64_matches_fp(p, r):
             want = getattr(fp, op)(fp.vector(a), fp.vector(b)).components
             assert got == tuple((c,) if c else () for c in want), (op, a, b)
             assert oracles.check_witt_op(p, op, polys_a, polys_b, got) == [], (op, a, b)
+
+
+@pytest.mark.parametrize("p,r,first_linear,want", [
+    (2, 32, 32, "object"),
+    (7, 12, 12, "object"),
+    (2, 30, 26, "int64 object"),
+])
+def test_fpx_cover_exact_path_matches_lifted_ghosts(monkeypatch, p, r, first_linear, want):
+    # the exact (object-array) path of the F_p[x] cover inside whole Witt
+    # operations, checked against the lifted ghosts of perfbench/oracles.py.
+    # At (2, 32) and (7, 12) p^(2r) >= 2^62, so every cover value is an
+    # object array from the lift on.  At (2, 30) p^(2r) = 2^60 keeps the
+    # lifts int64, but the degree <= 1 components from index 26 on give
+    # chains of length up to 9, and a product of length-n operands passes
+    # 2^62 once n >= 4: those products run in Python integers and meet
+    # int64 values.  The components before first_linear are constants, so
+    # the chains stay short.
+    dtypes = set()
+    real = rings.PadicPolyCover.mul
+    monkeypatch.setattr(rings.PadicPolyCover, "mul",
+                        lambda self, a, b: dtypes.add((out := real(self, a, b)).dtype.name) or out)
+    rng = random.Random(p * r)
+    fx = WittRing(p, r, GFPolyRing(p))
+    for _ in range(2):
+        a, b = ([rings._trim([rng.randrange(p) for _ in range(1 if i < first_linear else 2)])
+                 for i in range(r)] for _ in range(2))
+        for op in ("add", "mul"):
+            got = getattr(fx, op)(fx.vector(a), fx.vector(b)).components
+            assert oracles.check_witt_op(p, op, a, b, got) == [], (op, a, b)
+    assert " ".join(sorted(dtypes)) == want
