@@ -370,7 +370,7 @@ def _oracle_bases(p):
     yield "exact", Z
     yield "exact", ZModRing(p * p)
     yield "exact", ZModRing(p)
-    yield "exact", ZModRing(p + 1)  # p is a unit: no component is relifted
+    yield "exact", ZModRing(p + 1)  # p is a unit there
     yield "exact", QuotPolyRing(p, (1, 1, 0, 1))
 
 
