@@ -673,23 +673,21 @@ class ExactnessReport:
         return f"ExactnessReport(ok={self.ok}, checks={len(self.entries)})"
 
 
-def check_exact(maps: Sequence[MackeyMap], left_exact: bool = True, right_exact: bool = True) -> ExactnessReport:
-    """Levelwise exactness of a chain of composable Mackey maps.
+def check_exact(maps: Sequence[MackeyMap]) -> ExactnessReport:
+    """Levelwise exactness of 0 -> ... -> 0 around a chain of composable
+    Mackey maps.
 
-    Checks that consecutive composites vanish and image = kernel at every
-    inner node; with the flags also injectivity of the first map and
-    surjectivity of the last.
+    Checks injectivity of the first map, that consecutive composites
+    vanish and image = kernel at every inner node, and surjectivity of the
+    last map.
     """
     entries: List[Tuple[str, int, bool]] = []
     n = maps[0].source.n
     for i in range(len(maps) - 1):
         if maps[i + 1].source != maps[i].target:
             raise MackeyError("chain is not composable")
-    if left_exact:
-        first = maps[0]
-        for k in range(n + 1):
-            ok = is_injective(first.components[k])
-            entries.append(("injectivity of map 1", k, ok))
+    for k in range(n + 1):
+        entries.append(("injectivity of map 1", k, is_injective(maps[0].components[k])))
     for i in range(len(maps) - 1):
         f, g = maps[i], maps[i + 1]
         for k in range(n + 1):
@@ -699,11 +697,8 @@ def check_exact(maps: Sequence[MackeyMap], left_exact: bool = True, right_exact:
                 mid, f.components[k].matrix, g.components[k].kernel_lattice()
             )
             entries.append((f"image {i + 1} = kernel {i + 2}", k, comp_zero and same))
-    if right_exact:
-        last = maps[-1]
-        for k in range(n + 1):
-            ok = is_surjective(last.components[k])
-            entries.append((f"surjectivity of map {len(maps)}", k, ok))
+    for k in range(n + 1):
+        entries.append((f"surjectivity of map {len(maps)}", k, is_surjective(maps[-1].components[k])))
     return ExactnessReport(entries)
 
 
@@ -718,7 +713,7 @@ class WittResolution:
     canonical surjection.
     """
 
-    __slots__ = ("p", "r", "maps", "objects")
+    __slots__ = ("p", "r", "maps")
 
     def __init__(self, p: int, r: int):
         if r < 1:
@@ -741,10 +736,9 @@ class WittResolution:
             [GroupHom(const.levels[j], witt.levels[j], IntMatrix.from_rows([[1]])) for j in range(n + 1)],
         )
         self.maps = [section, shift, aug.scale(p), surj]
-        self.objects = [const, perm, perm, const, witt]
 
     def check(self) -> ExactnessReport:
-        return check_exact(self.maps, left_exact=True, right_exact=True)
+        return check_exact(self.maps)
 
 
 # explicit isomorphism search for functors with cyclic levels

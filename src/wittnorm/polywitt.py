@@ -11,8 +11,11 @@ projection to the Witt functor; the top level is the candidate group.
 
 Both produce finite abelian groups of exponent dividing p^r, and the
 comparison harness checks that their invariant factors agree.  Frobenius
-and Verschiebung live on the Mackey side as the top restriction and
-transfer.
+and Verschiebung on the norm functor are its top restriction and
+transfer.  They need no check of their own: the constructor's
+`validate_mackey` checks at every level that transfer after restriction
+is p (FV = p) and that restriction after transfer is the double-coset
+sum of the p translates.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from .mackey import (
     GModule,
     fixed_point_mackey,
     fixed_point_witt_mackey,
-    translate_sum,
-    witt_mackey,
 )
 
 
@@ -69,7 +70,6 @@ class PolyWittResult:
     p: int
     r: int
     group: FgAbGroup
-    provenance: str
 
     def __post_init__(self):
         if self.group.rank != 0:
@@ -208,7 +208,7 @@ def _tate_module(space: FpVectorSpace, r: int, cap: int) -> GModule:
 
 def tate_polywitt(space: FpVectorSpace, r: int, cap: int = DEFAULT_CAP) -> PolyWittResult:
     """Tate pipeline: inflated rotation action on the p^(r-1) tensor power."""
-    return PolyWittResult(space.p, r, tate_h0(_tate_module(space, r, cap)), "tate")
+    return PolyWittResult(space.p, r, tate_h0(_tate_module(space, r, cap)))
 
 
 def norm_over_Z(lift: FreeLift, p: int, r: int, cap: int = DEFAULT_CAP) -> CyclicMackeyFunctor:
@@ -256,10 +256,10 @@ def compare_with_norm(space: FpVectorSpace, r: int,
     Both pipelines read the same rotation module, built once."""
     t0 = time.perf_counter()
     mod = _rotation_module(canonical_lift(space), space.p, r, cap)
-    tate = PolyWittResult(space.p, r, tate_h0(inflate_action(mod)), "tate").invariant_factors()
+    tate = PolyWittResult(space.p, r, tate_h0(inflate_action(mod))).invariant_factors()
     t1 = time.perf_counter()
     w = fixed_point_witt_mackey(mod)
-    norm = PolyWittResult(space.p, r, w.levels[r - 1], "norm").invariant_factors()
+    norm = PolyWittResult(space.p, r, w.levels[r - 1]).invariant_factors()
     t2 = time.perf_counter()
     return ComparisonReport(
         p=space.p,
@@ -285,53 +285,6 @@ def comparison_grid() -> List[Tuple[int, int, int]]:
     for r in (1, 2, 3):
         grid.append((5, 1, r))
     return grid
-
-
-@dataclass
-class FVReport:
-    p: int
-    d: int
-    r: int
-    checks: List[Tuple[str, bool]]
-
-    @property
-    def ok(self) -> bool:
-        return all(flag for _, flag in self.checks)
-
-
-def fv_on_norm(space: FpVectorSpace, r: int, w: CyclicMackeyFunctor) -> FVReport:
-    """Frobenius and Verschiebung on w = norm_over_W(space, r).
-
-    Frobenius is the restriction out of the top level and Verschiebung
-    the transfer into it; transfer after restriction is multiplication
-    by p on the top level, and restriction after transfer is the sum of
-    the p generator translates one level down.
-    """
-    p = space.p
-    checks: List[Tuple[str, bool]] = []
-    if r == 1:
-        checks.append(("degenerate single level", True))
-        return FVReport(p, space.d, r, checks)
-    n = r - 1
-    frob = w.res[n - 1]
-    versch = w.tr[n - 1]
-    checks.append(
-        ("transfer after restriction is p on the top level",
-         versch.compose(frob).is_scalar(p))
-    )
-    checks.append(
-        ("restriction after transfer is the translate sum one level down",
-         frob.compose(versch) == translate_sum(w.weyl[n - 1], p))
-    )
-    if space.d == 1:
-        wm = witt_mackey(p, n)
-        checks.append(("one-dimensional case matches the Witt functor levels",
-                       w.levels == wm.levels))
-        checks.append(("one-dimensional Frobenius is reduction",
-                       frob.matrix == wm.res[n - 1].matrix))
-        checks.append(("one-dimensional Verschiebung is the p-lift",
-                       versch.matrix == wm.tr[n - 1].matrix))
-    return FVReport(p, space.d, r, checks)
 
 
 def conjugate_gmodule(mod: GModule, base_change: IntMatrix, inverse: IntMatrix) -> GModule:

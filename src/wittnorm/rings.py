@@ -109,8 +109,6 @@ def pow_by_squaring(mul, a, n: int):
 class _ExactCover:
     """A cover that computes exactly, so no value is ever truncated."""
 
-    char = 0
-
     def __init__(self, p: int):
         self.p = p
 
@@ -205,8 +203,6 @@ class PadicPolyCover:
     coefficients are Python integers (object arrays), so int64 never wraps.
     """
 
-    char = 0
-
     def __init__(self, p: int, r: int):
         global np
         if np is None:
@@ -287,9 +283,6 @@ class ZRing:
     def neg(self, a):
         return -a
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -340,9 +333,6 @@ class ZModRing:
 
     def neg(self, a):
         return (-a) % self.m
-
-    def sub(self, a, b):
-        return (a - b) % self.m
 
     def mul(self, a, b):
         return (a * b) % self.m
@@ -400,9 +390,6 @@ class GFPolyRing:
 
     def neg(self, a):
         return tuple((-v) % self.p for v in a)
-
-    def sub(self, a, b):
-        return poly_add(a, self.neg(b), self.p)
 
     def mul(self, a, b):
         return poly_mul(a, b, self.p)
@@ -465,9 +452,6 @@ class QuotPolyRing:
 
     def neg(self, a):
         return tuple((-v) % self.p for v in a)
-
-    def sub(self, a, b):
-        return poly_add(a, self.neg(b), self.p)
 
     def mul(self, a, b):
         return self._red(poly_mul(a, b))

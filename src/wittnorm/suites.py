@@ -290,13 +290,8 @@ def _resolution_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[s
 
 
 def _compare_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str, dict, Thunk]]:
-    from .polywitt import (
-        FpVectorSpace,
-        compare_pipelines,
-        compare_with_norm,
-        comparison_grid,
-        fv_on_norm,
-    )
+    from .mackey import witt_mackey
+    from .polywitt import FpVectorSpace, compare_pipelines, compare_with_norm, comparison_grid
 
     out = []
     for p, d, r in comparison_grid():
@@ -305,13 +300,12 @@ def _compare_instances(seed: int, cap: int, grid: GridFilter) -> List[Tuple[str,
         key = f"compare p={p} d={d} r={r}"
 
         def thunk(p=p, d=d, r=r) -> Optional[str]:
-            space = FpVectorSpace(p, d)
-            rep, w = compare_with_norm(space, r, cap=cap)
+            # the norm functor's constructor already checked its F and V
+            rep, w = compare_with_norm(FpVectorSpace(p, d), r, cap=cap)
             if not rep.passed:
                 return f"tate={rep.tate} norm={rep.norm}"
-            fv = fv_on_norm(space, r, w)
-            if not fv.ok:
-                return f"frobenius/verschiebung checks failed: {fv.checks}"
+            if d == 1 and w != witt_mackey(p, r - 1):
+                return f"one-dimensional norm functor is not the Witt functor: {w}"
             return None
 
         out.append((key, {"p": p, "d": d, "r": r}, thunk))

@@ -1,4 +1,4 @@
-"""Polynomial Witt vectors: Tate and norm pipelines, comparison, F/V."""
+"""Polynomial Witt vectors: Tate and norm pipelines, comparison."""
 
 import os
 import random
@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from wittnorm import MackeyError, mackey, polywitt
 from wittnorm.abgroups import FgAbGroup, GroupHom, present_quotient
 from wittnorm.intlinalg import (
     IntMatrix,
@@ -17,6 +18,7 @@ from wittnorm.intlinalg import (
 )
 from wittnorm.mackey import (
     CyclicGroupSpec,
+    CyclicMackeyFunctor,
     constant_mackey,
     find_cyclic_iso,
     orbit_gmodule,
@@ -35,7 +37,6 @@ from wittnorm.polywitt import (
     conjugate_gmodule,
     descend_map,
     fixed_mod_norm,
-    fv_on_norm,
     inflate_action,
     lift_independence_report,
     norm_over_W,
@@ -104,7 +105,6 @@ def test_tate_polywitt_one_dimensional():
         for r in (1, 2, 3):
             res = tate_polywitt(FpVectorSpace(p, 1), r)
             assert res.group == FgAbGroup([p ** r])
-            assert res.provenance == "tate"
 
 
 def test_tate_polywitt_truncation_one():
@@ -184,9 +184,9 @@ def test_norm_top_level_exponent():
 
 def test_polywitt_result_validation():
     with pytest.raises(ValueError):
-        PolyWittResult(2, 2, FgAbGroup([0]), "tate")
+        PolyWittResult(2, 2, FgAbGroup([0]))
     with pytest.raises(ValueError):
-        PolyWittResult(2, 1, FgAbGroup([4]), "tate")
+        PolyWittResult(2, 1, FgAbGroup([4]))
 
 
 def test_compare_pipelines_samples():
@@ -208,15 +208,43 @@ def test_comparison_grid_contents():
     assert (3, 2, 2) in grid and (5, 1, 3) in grid
 
 
-def test_fv_reports():
-    rep, one, degenerate = (fv_on_norm(space, r, norm_over_W(space, r)) for space, r in
-                            [(FpVectorSpace(2, 2), 2), (FpVectorSpace(3, 1), 2), (FpVectorSpace(2, 3), 1)])
-    assert rep.ok
-    names = [name for name, _ in rep.checks]
-    assert any("transfer after restriction" in n for n in names)
-    assert any("restriction after transfer" in n for n in names)
-    assert one.ok and any("Witt functor" in n for n, _ in one.checks)
-    assert degenerate.ok
+def test_one_dimensional_norm_is_the_witt_functor_on_the_grid():
+    # the whole functor: levels, res (Frobenius at the top), tr
+    # (Verschiebung at the top) and the generator actions
+    for p, d, r in comparison_grid():
+        if d == 1:
+            assert norm_over_W(FpVectorSpace(p, 1), r) == witt_mackey(p, r - 1), (p, r)
+
+
+def test_norm_with_a_wrong_verschiebung_is_rejected_by_its_constructor():
+    # a unit times the top transfer is still an equivariant hom, but
+    # FV = 3p on the top level; no check after the constructor sees it
+    w = norm_over_W(FpVectorSpace(2, 2), 3)
+    tr = w.tr[:-1] + [w.tr[-1].scale(3)]
+    with pytest.raises(MackeyError, match="transfer after restriction at level 1"):
+        CyclicMackeyFunctor(w.spec, w.levels, w.res, tr, w.weyl)
+
+
+def _lower_levels_one_power_too_deep(mod):
+    """`fixed_point_witt_mackey` with a wrong modulus: below the top, the
+    level-k summand of an orbit of size s is Z/(p^(k+2) / s).  On a
+    one-dimensional lift that is still a Mackey functor with the right top
+    level, so the constructor and the invariant factors both pass it."""
+    p, n = mod.spec.p, mod.spec.n
+    walk = mackey._orbit_walk(mod)
+    levels = [FgAbGroup([p ** min(k + 2, n + 1) // s for s in sizes]) for k, sizes in enumerate(walk[3])]
+    return mackey._orbit_functor(mod, walk, levels, [range(g.n) for g in levels])
+
+
+def test_compare_suite_catches_a_wrong_modulus_in_the_norm_functor(monkeypatch):
+    from wittnorm.suites import run_suite
+
+    monkeypatch.setattr(polywitt, "fixed_point_witt_mackey", _lower_levels_one_power_too_deep)
+    records = run_suite("compare", seed=0, grid={"d": {1}}).records
+    failed = {rec.key: rec.witness for rec in records if not rec.ok}
+    assert sorted(failed) == sorted(f"compare p={p} d=1 r={r}" for p, d, r in comparison_grid()
+                                    if d == 1 and r >= 2)
+    assert all(w.startswith("one-dimensional norm functor is not the Witt functor") for w in failed.values())
 
 
 def test_lift_independence():
