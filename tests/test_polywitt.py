@@ -46,6 +46,7 @@ from wittnorm.polywitt import (
     tate_polywitt,
     tensor_power_action,
 )
+from wittnorm.suites import run_suite
 from wittnorm.traces import NormTraceTheory
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
@@ -237,8 +238,6 @@ def _lower_levels_one_power_too_deep(mod):
 
 
 def test_compare_suite_catches_a_wrong_modulus_in_the_norm_functor(monkeypatch):
-    from wittnorm.suites import run_suite
-
     monkeypatch.setattr(polywitt, "fixed_point_witt_mackey", _lower_levels_one_power_too_deep)
     records = run_suite("compare", seed=0, grid={"d": {1}}).records
     failed = {rec.key: rec.witness for rec in records if not rec.ok}
